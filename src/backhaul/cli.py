@@ -13,9 +13,7 @@ Set BACKHAUL_LOG=debug|info|warning to control log verbosity.
 
 from __future__ import annotations
 
-import argparse
 import json
-import logging
 import os
 import sys
 from importlib import resources
@@ -25,8 +23,6 @@ from .adversary import AttackError
 from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario
 from .ladder import run_ladder
 from .netsim import SimError, run_scenario
-
-log = logging.getLogger("backhaul")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,7 +48,15 @@ def load_bundled(name: str) -> ScenarioConfig:
     return parse_scenario(obj, source=name)
 
 
-def _add_scenario_args(p: argparse.ArgumentParser) -> None:
+def _log():
+    # logging and argparse are imported only by the commands, so that
+    # importing this module (for load_bundled, say) stays cheap
+    import logging
+
+    return logging.getLogger("backhaul")
+
+
+def _add_scenario_args(p) -> None:
     src = p.add_mutually_exclusive_group()
     src.add_argument("--config", metavar="PATH", help="scenario JSON file")
     src.add_argument(
@@ -77,13 +81,13 @@ def _resolve_scenario(args) -> ScenarioConfig:
 def _write(path: str, data: bytes) -> None:
     with open(path, "wb") as fh:
         fh.write(data)
-    log.info("wrote %s (%d bytes)", path, len(data))
+    _log().info("wrote %s (%d bytes)", path, len(data))
 
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_scenario(args)
     seeds = list(range(args.seed, args.seed + args.reps))
-    log.info("simulate %s seeds=%s", cfg.name or "(unnamed)", seeds)
+    _log().info("simulate %s seeds=%s", cfg.name or "(unnamed)", seeds)
 
     if args.trace:
         res = run_scenario(cfg, seed=seeds[0], collect_trace=True)
@@ -102,7 +106,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_measure(args) -> int:
     cfg = _resolve_scenario(args)
-    log.info("measure %s seed=%d", cfg.name or "(unnamed)", args.seed)
+    _log().info("measure %s seed=%d", cfg.name or "(unnamed)", args.seed)
     result = run_ladder(cfg, seed=args.seed)
     print(rpt.render_ladder(result))
     if args.out:
@@ -128,7 +132,9 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="backhaul",
         description="Verifiable backhaul bandwidth: simulator and harness",
@@ -164,6 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    import logging
+
     logging.basicConfig(
         level=os.environ.get("BACKHAUL_LOG", "warning").upper(),
         format="%(levelname)s %(name)s: %(message)s",

@@ -104,20 +104,21 @@ def hash_packet_set(entries: Iterable[tuple[int, bytes]]) -> bytes:
     digest is independent of arrival order. The empty set hashes the
     empty string.
     """
-    items = sorted(entries, key=lambda e: e[0])
-    h = hashlib.sha256()
+    pack = struct.Struct(">I").pack
+    parts = []
     seen = -1
-    for seq, sig in items:
-        if not 0 <= seq < 2**32:
-            raise ValueError(f"sequence {seq} out of u32 range")
-        if seq == seen:
-            raise ValueError(f"duplicate sequence {seq}")
-        if len(sig) != SIG_LEN:
+    for seq, sig in sorted(entries, key=lambda e: e[0]):
+        # one combined test on the common path; sorted, so seq >= seen
+        if not (seen < seq < 2**32 and len(sig) == SIG_LEN):
+            if not 0 <= seq < 2**32:
+                raise ValueError(f"sequence {seq} out of u32 range")
+            if seq == seen:
+                raise ValueError(f"duplicate sequence {seq}")
             raise ValueError(f"signature for sequence {seq} must be {SIG_LEN} bytes, got {len(sig)}")
         seen = seq
-        h.update(struct.pack(">I", seq))
-        h.update(sig)
-    return h.digest()
+        parts.append(pack(seq))
+        parts.append(sig)
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def _leaf_hash(leaf: bytes) -> bytes:

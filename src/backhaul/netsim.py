@@ -23,6 +23,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from . import wire
 from .adversary import VIA_SIDE, AttackPlan
@@ -46,7 +47,10 @@ _PING_WIRE_BYTES = (
     + wire.LOWER_LAYER_BUDGET
 )
 
-# response build latency vs claimed rate, measured on this implementation
+# Response build latency vs claimed rate: a frozen latency model, not a
+# measurement of this code. The acceptance figures pin it (a knot moves
+# verdicts), so it stays fixed while build_responses gets faster; the
+# benchmark's knots.drift_* metrics track the gap.
 OVERHEAD_KNOTS = (
     (500e6, 4_600_000.0),
     (750e6, 7_300_000.0),
@@ -61,7 +65,7 @@ class SimError(RuntimeError):
 def calibrate_overhead(theta_bps: float) -> int:
     """Prover-side response latency for a claimed rate, in ns.
 
-    Linear through the measured knots, extrapolated with the edge
+    Linear through the knots, extrapolated with the edge
     slopes, clamped at zero: receipt building scales with the number of
     stored signatures, which scales with the claimed rate.
     """
@@ -90,16 +94,16 @@ class EventLoop:
 
     def at(self, t_ns: float, fn) -> None:
         t = int(t_ns)
-        if t < self.now:
-            t = self.now
-        heapq.heappush(self._heap, (t, next(self._counter), fn))
+        now = self.now
+        heapq.heappush(self._heap, (t if t > now else now, next(self._counter), fn))
 
     def run(self, horizon_ns: int) -> None:
-        while self._heap:
-            t, _, fn = self._heap[0]
-            if t > horizon_ns:
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            if heap[0][0] > horizon_ns:
                 break
-            heapq.heappop(self._heap)
+            t, _, fn = pop(heap)
             self.now = t
             fn()
 
@@ -137,37 +141,32 @@ class FifoLink:
         self.queued_bytes = 0
         self.stats = LinkStats()
 
-    def _hop_delay(self) -> float:
+    def send(self, size_bytes: int, deliver) -> None:
+        stats = self.stats
+        stats.sent += 1
+        if self.loss_prob and self.rng.random() < self.loss_prob:
+            stats.lost += 1
+            return
+        queued = self.queued_bytes + size_bytes
+        if self.capacity_bytes is not None and queued > self.capacity_bytes:
+            stats.tail_dropped += 1
+            return
+        now = float(self.loop.now)
+        start = self.busy_until if self.busy_until > now else now
+        rate = self.rate_fn(start)
+        self.busy_until = start + (0.0 if rate is None else size_bytes * 8e9 / rate)
+        self.queued_bytes = queued
+        if queued > stats.max_queue_bytes:
+            stats.max_queue_bytes = queued
+        self.loop.at(self.busy_until, partial(self._depart, size_bytes, deliver))
+
+    def _depart(self, size_bytes: int, deliver) -> None:
+        self.queued_bytes -= size_bytes
+        self.stats.delivered += 1
         d = float(self.propagation_ns)
         if self.jitter_stddev_ns:
             d += self.rng.gauss(0.0, self.jitter_stddev_ns)
-        return max(0.0, d)
-
-    def send(self, size_bytes: int, deliver) -> None:
-        self.stats.sent += 1
-        if self.loss_prob and self.rng.random() < self.loss_prob:
-            self.stats.lost += 1
-            return
-        if (
-            self.capacity_bytes is not None
-            and self.queued_bytes + size_bytes > self.capacity_bytes
-        ):
-            self.stats.tail_dropped += 1
-            return
-        start = max(float(self.loop.now), self.busy_until)
-        rate = self.rate_fn(start)
-        service = 0.0 if rate is None else size_bytes * 8e9 / rate
-        self.busy_until = start + service
-        self.queued_bytes += size_bytes
-        if self.queued_bytes > self.stats.max_queue_bytes:
-            self.stats.max_queue_bytes = self.queued_bytes
-
-        def _depart():
-            self.queued_bytes -= size_bytes
-            self.stats.delivered += 1
-            self.loop.at(self.loop.now + self._hop_delay(), deliver)
-
-        self.loop.at(self.busy_until, _depart)
+        self.loop.at(self.loop.now + (d if d > 0.0 else 0.0), deliver)
 
 
 def make_rate_fn(base_bps: float, flows=()):
@@ -237,7 +236,6 @@ class SimResult:
     schedule: SendSchedule
     latency_estimates_ns: tuple[int, ...]
     deltas_ns: dict[int, int | None]
-    response_arrival_ns: dict[int, int]
     trigger_ns: int | None
     timed_out: tuple[int, ...]
     drops: dict[str, int]
@@ -387,7 +385,6 @@ def run_scenario(
     vprop = topo.verifier_propagation_ns
 
     deltas: dict[int, int | None] = {i: None for i in range(1, n + 1)}
-    response_arrival: dict[int, int] = {}
     timed_out: list[int] = []
 
     def reverse_delay(i: int, size_bytes: int) -> float:
@@ -414,14 +411,16 @@ def run_scenario(
         c = challengers[i]
         local = loop.now + offsets[i]
         c.on_response(local, bundle.responses[i])
-        if c.delta_ns is not None and i not in response_arrival:
+        if c.delta_ns is not None and deltas[i] is None:
             deltas[i] = c.delta_ns
-            response_arrival[i] = loop.now
         tr(f"response challenger={i} t_ns={loop.now} delta_ns={c.delta_ns}")
         rpt = c.on_verification(local, bundle.verifications[i])
         rpt = plan.report_action(i, rpt)
         if rpt is not None:
-            loop.at(loop.now + vprop, lambda r=rpt: deliver_report(r))
+            loop.at(loop.now + vprop, partial(deliver_report, rpt))
+
+    def deliver_root(announcement):
+        verifier.on_root(loop.now, announcement)
 
     def respond():
         bundle = prover.build_responses()
@@ -432,30 +431,32 @@ def run_scenario(
                 + len(wire.encode(bundle.verifications[i]))
                 + 2 * wire.LOWER_LAYER_BUDGET
             )
-            loop.at(
-                loop.now + reverse_delay(i, size),
-                lambda i=i, b=bundle: deliver_response(i, b),
-            )
-        loop.at(loop.now + vprop, lambda b=bundle: verifier.on_root(loop.now, b.announcement))
+            loop.at(loop.now + reverse_delay(i, size), partial(deliver_response, i, bundle))
+        loop.at(loop.now + vprop, partial(deliver_root, bundle.announcement))
+
+    # a colluding prover also answers once the honest challengers alone
+    # reach `early` capped probes; honest_capped is that running count
+    early = plan.early_trigger_threshold()
+    honest_capped = 0
+    k = params.k
 
     def deliver_probe(pkt):
+        nonlocal honest_capped
+        honest = early is not None and pkt.challenger_id in honest_ids
+        if honest:
+            store = prover.received[pkt.challenger_id]
+            before = min(len(store), k)
         tripped = prover.on_probe(loop.now, pkt)
-        early = plan.early_trigger_threshold()
-        if not tripped and early is not None and not prover.responded:
-            k = params.k
-            honest_capped = sum(
-                min(len(prover.received[h]), k) for h in honest_ids
-            )
-            if honest_capped >= early:
+        if honest:
+            honest_capped += min(len(store), k) - before
+            if not tripped and not prover.responded and honest_capped >= early:
                 tripped = prover.force_respond(loop.now)
         if tripped:
             loop.at(loop.now + overhead_ns, respond)
 
     def probe_via_uplink(i: int, pkt):
         size = pkt.count * wire.WIRE_PACKET_LEN
-        up_links[i].send(
-            size, lambda: bh_link.send(size, lambda: deliver_probe(pkt))
-        )
+        up_links[i].send(size, partial(bh_link.send, size, partial(deliver_probe, pkt)))
 
     # probe trains, in true time, reshaped by the attack
     side_delay = topo.side_channel_delay_ns
@@ -464,15 +465,15 @@ def run_scenario(
         for i in range(1, n + 1)
     }
     for pkt in plan.prover_initial_probes(trains_true):
-        loop.at(params.t0_ns, lambda p=pkt: deliver_probe(p))
+        loop.at(params.t0_ns, partial(deliver_probe, pkt))
     for i in range(1, n + 1):
         sends = plan.sends_for(i, trains_true[i], side_delay is not None)
         tr(f"send_plan challenger={i} packets={len(sends)}")
         for t, pkt, via in sends:
             if via == VIA_SIDE:
-                loop.at(t + side_delay, lambda p=pkt: deliver_probe(p))
+                loop.at(t + side_delay, partial(deliver_probe, pkt))
             else:
-                loop.at(t, lambda i=i, p=pkt: probe_via_uplink(i, p))
+                loop.at(t, partial(probe_via_uplink, i, pkt))
 
     # challenger timeouts (local clocks)
     timeout_ns = round(proto.challenger_timeout_factor * proto.duration_ns)
@@ -484,7 +485,7 @@ def run_scenario(
 
     for i in range(1, n + 1):
         t_local = schedule.first_send_ns[i - 1] + timeout_ns
-        loop.at(t_local - offsets[i], lambda i=i: check_timeout(i))
+        loop.at(t_local - offsets[i], partial(check_timeout, i))
 
     # verifier deadline: request disputes for unaccounted challengers,
     # then settle (timer mode) once they have had time to arrive
@@ -500,7 +501,7 @@ def run_scenario(
             for cid in verifier.missing_ids():
                 d = plan.dispute_for(cid, prover)
                 if d is not None:
-                    loop.at(loop.now + 2 * vprop, lambda d=d: deliver_dispute(d))
+                    loop.at(loop.now + 2 * vprop, partial(deliver_dispute, d))
 
     def settle():
         if proto.timer_mode and verifier.output is None:
@@ -545,7 +546,6 @@ def run_scenario(
         schedule=schedule,
         latency_estimates_ns=l_est,
         deltas_ns=deltas,
-        response_arrival_ns=response_arrival,
         trigger_ns=prover.trigger_ns,
         timed_out=tuple(timed_out),
         drops=drops,

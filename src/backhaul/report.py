@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass
 
 from .config import ScenarioConfig, scenario_to_dict
-from .ladder import LadderResult, run_ladder
+from .ladder import LadderResult
 from .netsim import SimResult, run_scenario
 from .schedule import PACKET_BYTES
 
@@ -284,10 +284,6 @@ def render_table(rep: RunReport) -> str:
     else:
         lines.append(f"terminated 0/{len(rep.reps)}: no verdict produced")
     return "\n".join(lines)
-
-
-def build_ladder_report(cfg: ScenarioConfig, seed: int) -> LadderResult:
-    return run_ladder(cfg, seed)
 
 
 def ladder_to_dict(cfg: ScenarioConfig, seed: int, res: LadderResult) -> dict:

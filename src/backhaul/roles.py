@@ -77,7 +77,6 @@ class Challenger:
         prover_public_key: bytes,
         params: ChallengeParams,
         schedule: SendSchedule,
-        sigs_per_packet: int | None = None,
     ):
         self.id = challenger_id
         self.keypair = keypair
@@ -85,9 +84,6 @@ class Challenger:
         self.prover_public_key = prover_public_key
         self.params = params
         self.schedule = schedule
-        self.sigs_per_packet = (
-            schedule.sigs_per_packet if sigs_per_packet is None else sigs_per_packet
-        )
         self.t_first_ns = schedule.first_send_ns[challenger_id - 1]
         self.latency_ns = schedule.latency_ns[challenger_id - 1]
         total = params.signatures_per_challenger
@@ -112,24 +108,19 @@ class Challenger:
         """(send_time_ns, packet) pairs for the whole probe train."""
         out = []
         total = self.schedule.signatures
-        spp = self.sigs_per_packet
+        spp = self.schedule.sigs_per_packet
+        spacing = self.schedule.spacing_ns
         t1 = self.t_first_ns
+        sigs = list(self._sigs.values())  # sequence q at index q - 1
         for j in range(0, total, spp):
-            base = j + 1
-            count = min(spp, total - j)
-            t = t1 + round(j * self.schedule.spacing_ns)
-            out.append(
-                (
-                    t,
-                    ChallengePacket(
-                        challenger_id=self.id,
-                        base_seq=base,
-                        count=count,
-                        nonce=struct.pack(">Q", base),
-                        signatures=tuple(self._sigs[base + x] for x in range(count)),
-                    ),
-                )
+            pkt = ChallengePacket(
+                challenger_id=self.id,
+                base_seq=j + 1,
+                count=min(spp, total - j),
+                nonce=struct.pack(">Q", j + 1),
+                signatures=tuple(sigs[j : j + spp]),
             )
+            out.append((t1 + round(j * spacing), pkt))
         return out
 
     def on_response(self, now_ns: int, resp: ResponsePacket) -> None:
@@ -169,7 +160,7 @@ class Challenger:
         if msg.challenger_id != self.id:
             self.events.append("verification_wrong_id")
             return None
-        if msg.bitmap_bits != self.params.signatures_per_challenger:
+        if msg.bitmap_bits != len(self._sigs):
             self.failure = "bitmap_size"
             return None
         seqs = sequences_from_bitmap(msg.bitmap, msg.bitmap_bits)
@@ -226,10 +217,13 @@ class Prover:
         self.duplicates = 0
         self.late_probes = 0
         self._leaves: list[bytes] | None = None
+        self._limit = params.signatures_per_challenger
+        self._k = params.k
+        self._threshold = params.threshold
+        self._capped = 0  # sum over challengers of min(stored, k)
 
     def capped_total(self) -> int:
-        k = self.params.k
-        return sum(min(len(s), k) for s in self.received.values())
+        return self._capped
 
     def on_probe(self, now_ns: int, pkt: ChallengePacket) -> bool:
         """Store fresh signatures; True exactly when this packet trips the threshold.
@@ -247,8 +241,8 @@ class Prover:
         if store is None:
             self.dropped_unknown += 1
             return False
-        limit = self.params.signatures_per_challenger
-        changed = False
+        limit = self._limit
+        before = len(store)
         for q, sig in zip(pkt.sequences(), pkt.signatures):
             if not 1 <= q <= limit:
                 self.dropped_seq += 1
@@ -257,10 +251,12 @@ class Prover:
                 self.duplicates += 1
                 continue
             store[q] = sig
-            changed = True
-        if not changed:
+        after = len(store)
+        if after == before:
             return False
-        if self.capped_total() >= self.params.threshold:
+        k = self._k
+        self._capped += min(after, k) - min(before, k)
+        if self._capped >= self._threshold:
             self.responded = True
             self.trigger_ns = now_ns
             return True
@@ -288,7 +284,7 @@ class Prover:
         root = merkle_root(leaves)
         responses = {}
         verifications = {}
-        total_bits = self.params.signatures_per_challenger
+        total_bits = self._limit
         for i in range(1, self.params.n + 1):
             leaf = leaves[i - 1]
             responses[i] = ResponsePacket(

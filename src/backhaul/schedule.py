@@ -58,6 +58,11 @@ class ChallengeParams:
     b: int = PACKET_BYTES
     t0_ns: int = 0
     m0: bytes = bytes(32)
+    _signatures: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # validates rho >= 1; computed once, as the probe path reads it often
+        object.__setattr__(self, "_signatures", overprovision_count(self.k, self.overprovision))
 
     @property
     def threshold(self) -> int:
@@ -67,7 +72,7 @@ class ChallengeParams:
     @property
     def signatures_per_challenger(self) -> int:
         """Overprovisioned probe count ceil(rho * k)."""
-        return overprovision_count(self.k, self.overprovision)
+        return self._signatures
 
     @property
     def spacing_ns(self) -> float:
@@ -120,7 +125,6 @@ def derive_params(
         raise ParamsError(
             f"duration {duration_ns} ns too short: k={k} at theta={theta_claimed_bps} n={n}"
         )
-    overprovision_count(k, overprovision)  # validates rho >= 1
     return ChallengeParams(
         theta_claimed_bps=theta_claimed_bps,
         n=n,

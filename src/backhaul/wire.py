@@ -116,22 +116,34 @@ class PingReply:
 
 def bitmap_from_sequences(sequences, bits: int) -> bytes:
     """Bitmap over 1-based sequence numbers; bit q-1 set, MSB-first per byte."""
-    out = bytearray((bits + 7) // 8)
+    digits = bytearray(b"0" * bits)  # digit q-1 of a base-2 numeral
     for q in sequences:
         if not 1 <= q <= bits:
             raise WireError("bitmap", f"sequence {q} outside 1..{bits}")
-        i = q - 1
-        out[i // 8] |= 0x80 >> (i % 8)
-    return bytes(out)
+        digits[q - 1] = 0x31  # "1"
+    nbytes = (bits + 7) // 8
+    value = int(digits, 2) if bits else 0
+    return (value << (8 * nbytes - bits)).to_bytes(nbytes, "big")
 
 
 def sequences_from_bitmap(bitmap: bytes, bits: int) -> list[int]:
-    """Inverse of bitmap_from_sequences."""
-    seqs = []
-    for i in range(bits):
-        if bitmap[i // 8] & (0x80 >> (i % 8)):
-            seqs.append(i + 1)
-    return seqs
+    """Inverse of bitmap_from_sequences; bits past `bits` are ignored."""
+    nbytes = (bits + 7) // 8
+    if len(bitmap) < nbytes:
+        raise WireError("bitmap", f"expected {nbytes} bytes for {bits} bits, got {len(bitmap)}")
+    value = int.from_bytes(bitmap[:nbytes], "big") >> (8 * nbytes - bits)
+    # digit q-1 of the bits-wide base-2 numeral is sequence q
+    return [q for q, digit in enumerate(format(value, f"0{bits}b"), 1) if digit == "1"]
+
+
+def _check_bitmap(bitmap: bytes, bits: int, acked: int) -> None:
+    """A bitmap of (bits + 7) // 8 bytes: popcount is acked, the tail is zero."""
+    value = int.from_bytes(bitmap, "big")
+    pop = value.bit_count()
+    if pop != acked:
+        raise WireError("acked_count", f"bitmap popcount {pop} != acked_count {acked}")
+    if value & ((1 << (8 * len(bitmap) - bits)) - 1):
+        raise WireError("bitmap", "bits beyond bitmap_bits must be zero")
 
 
 def _check_u32(name: str, value: int) -> None:
@@ -212,11 +224,7 @@ def encode_verification(msg: VerificationMessage) -> bytes:
     nbytes = (msg.bitmap_bits + 7) // 8
     if len(msg.bitmap) != nbytes:
         raise WireError("bitmap", f"expected {nbytes} bytes for {msg.bitmap_bits} bits, got {len(msg.bitmap)}")
-    pop = sum(bin(b).count("1") for b in msg.bitmap)
-    if pop != msg.acked_count:
-        raise WireError("acked_count", f"bitmap popcount {pop} != acked_count {msg.acked_count}")
-    if msg.bitmap_bits % 8 and msg.bitmap and msg.bitmap[-1] & ((1 << (8 - msg.bitmap_bits % 8)) - 1):
-        raise WireError("bitmap", "bits beyond bitmap_bits must be zero")
+    _check_bitmap(msg.bitmap, msg.bitmap_bits, msg.acked_count)
     out = struct.pack(">BIII", TAG_VERIFICATION, msg.challenger_id, msg.acked_count, msg.bitmap_bits)
     out += msg.bitmap
     out += struct.pack(">IH", msg.leaf_index, len(msg.siblings))
@@ -237,11 +245,7 @@ def _decode_verification(data: bytes) -> VerificationMessage:
     if len(data) < off + 6:
         raise WireError("bitmap", "truncated bitmap or proof header")
     bitmap = data[fixed:off]
-    pop = sum(bin(b).count("1") for b in bitmap)
-    if pop != acked:
-        raise WireError("acked_count", f"bitmap popcount {pop} != acked_count {acked}")
-    if bits % 8 and bitmap and bitmap[-1] & ((1 << (8 - bits % 8)) - 1):
-        raise WireError("bitmap", "bits beyond bitmap_bits must be zero")
+    _check_bitmap(bitmap, bits, acked)
     leaf_index, nsib = struct.unpack_from(">IH", data, off)
     off += 6
     if len(data) != off + 32 * nsib:

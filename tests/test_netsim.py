@@ -2,6 +2,8 @@
 
 import pytest
 
+from backhaul import schedule
+from backhaul.cli import load_bundled
 from backhaul.config import parse_scenario
 from backhaul.netsim import (
     EventLoop,
@@ -212,6 +214,24 @@ class TestIdealRun:
         ideal = p.spacing_ns + p.threshold * p.b * 8 * 1e9 / 250e6
         assert res.terminated
         assert abs(res.output.delta_ns - ideal) <= p.spacing_ns + p.service_time_ns
+
+
+class TestPerProbeCost:
+    def test_overprovision_count_is_not_recomputed_per_probe(self, monkeypatch):
+        calls = 0
+        real = schedule.overprovision_count
+
+        def counting(k, rho):
+            nonlocal calls
+            calls += 1
+            return real(k, rho)
+
+        monkeypatch.setattr(schedule, "overprovision_count", counting)
+        res = run_scenario(load_bundled("ideal_250"), seed=0, collect_trace=False)
+        assert res.terminated
+        probes = res.params.n * res.params.signatures_per_challenger
+        assert probes > 100 * res.params.n
+        assert calls <= res.params.n
 
 
 class TestDeterminism:

@@ -211,6 +211,33 @@ class TestCaps:
         assert w.verifier.output.cnt == 15
 
 
+class TestRunningCount:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        probes=st.lists(
+            st.tuples(
+                st.integers(0, 4),  # challenger id; 0 and 4 are unknown
+                st.integers(0, 8),  # base sequence; 0, 7 and 8 are out of range
+                st.integers(1, 3),  # signatures in the packet
+            ),
+            max_size=40,
+        )
+    )
+    def test_capped_total_matches_stores_and_trips_once(self, probes):
+        w = world(n=3, k=4, rho=1.5)  # 6 probes per challenger, 4 count
+        prover, k, threshold = w.prover, w.params.k, w.params.threshold
+        reached = False
+        for t, (cid, base, count) in enumerate(probes):
+            sigs = tuple(bytes([base + x]) * 64 for x in range(count))
+            pkt = ChallengePacket(cid, base, count, bytes(8), sigs)
+            tripped = prover.on_probe(t, pkt)
+            total = sum(min(len(s), k) for s in prover.received.values())
+            assert prover.capped_total() == total
+            assert tripped == (not reached and total >= threshold)
+            reached = reached or total >= threshold
+        assert prover.responded == reached
+
+
 class TestProverHygiene:
     def test_duplicate_probes_stored_once(self):
         w = world()

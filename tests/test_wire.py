@@ -104,6 +104,22 @@ def test_bitmap_helpers_msb_first():
         wire.bitmap_from_sequences([17], bits=16)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bitmap_helpers_match_bit_loop(data):
+    """The int-based helpers agree with a plain loop over every bit."""
+    bits = data.draw(st.integers(min_value=0, max_value=300))
+    nbytes = (bits + 7) // 8
+    seqs = data.draw(st.lists(st.integers(min_value=1, max_value=max(bits, 1)), max_size=bits))
+    want = bytearray(nbytes)
+    for q in seqs:
+        want[(q - 1) // 8] |= 0x80 >> ((q - 1) % 8)
+    assert wire.bitmap_from_sequences(seqs, bits) == bytes(want)
+    raw = data.draw(st.binary(min_size=nbytes, max_size=nbytes))  # tail bits may be set
+    expect = [i + 1 for i in range(bits) if raw[i // 8] & (0x80 >> (i % 8))]
+    assert wire.sequences_from_bitmap(raw, bits) == expect
+
+
 def make_verification(acked=(1, 3, 10), bits=12):
     bm = wire.bitmap_from_sequences(acked, bits)
     return wire.VerificationMessage(
