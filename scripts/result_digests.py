@@ -1,0 +1,211 @@
+"""Print one SHA-256 digest per simulated case, as canonical JSON.
+
+A digest covers the `SimResult` fields listed in FIELDS, each by name and
+repr, so a field added to `SimResult` later does not move it. Comparing
+the digests of two checkouts shows in one command whether a change to
+the simulator kept every result bit-identical:
+
+    PYTHONPATH=/path/to/parent/src python3 scripts/result_digests.py > parent.json
+    PYTHONPATH=src python3 scripts/result_digests.py --compare parent.json
+
+Case sets:
+  full    every bundled scenario x seeds 0-2, ladder climbs of the three
+          cross-traffic scenarios at seeds 7 and 8 (one case per rung),
+          and 80 fuzzed attacks under each of four topologies: plain,
+          lossy jittery backhaul with a drop-tail queue, lossy jittery
+          uplinks, and both (about two minutes)
+  golden  a few short runs that still reach every data-plane feature
+          (tests/golden_digests.json pins them)
+
+Usage: python3 scripts/result_digests.py [--cases full|golden] [--compare FILE]
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import sys
+
+from backhaul import ladder
+from backhaul.adversary import fuzz_strategies
+from backhaul.cli import bundled_names, load_bundled
+from backhaul.config import parse_scenario
+from backhaul.netsim import run_scenario
+
+MS = 1_000_000
+
+# SimResult fields as of the first recorded digests; keep this list fixed
+FIELDS = (
+    "output",
+    "output_ns",
+    "terminated",
+    "params",
+    "schedule",
+    "latency_estimates_ns",
+    "deltas_ns",
+    "trigger_ns",
+    "timed_out",
+    "drops",
+    "max_queue_bytes",
+    "challenger_failures",
+    "rejections",
+    "trace",
+)
+
+LOSSY_BACKHAUL = {
+    "backhaul_loss_prob": 0.02,
+    "backhaul_jitter_stddev_ns": 200_000,
+    "queue_capacity_bytes": 30_000,
+}
+LOSSY_UPLINK = {
+    "uplink": {
+        "rate_bps": "theta0",
+        "propagation_ns": 5 * MS,
+        "loss_prob": 0.03,
+        "jitter_stddev_ns": 100_000,
+    }
+}
+FUZZ_TOPOLOGIES = {
+    "plain": {},
+    "backhaul": LOSSY_BACKHAUL,
+    "uplink": LOSSY_UPLINK,
+    "both": {**LOSSY_BACKHAUL, **LOSSY_UPLINK},
+}
+LADDERS = ("cross_traffic_220", "cross_traffic_140", "cross_traffic_90")
+
+
+def digest(res) -> str:
+    text = "\n".join(f"{name}={getattr(res, name)!r}" for name in FIELDS)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def scenario(proto=None, topo=None, attack=None):
+    """The criterion-2 fuzz base, with overrides."""
+    return parse_scenario(
+        {
+            "name": "digest",
+            "protocol": {
+                "theta_claimed_bps": 250e6,
+                "n": 10,
+                "f": 0,
+                "duration_ns": 100 * MS,
+                "rate_policy": "per_n_minus_f",
+                **(proto or {}),
+            },
+            "topology": {
+                "backhaul_rate_bps": 250e6,
+                "uplink": {"rate_bps": "theta0", "propagation_ns": 5 * MS},
+                **(topo or {}),
+            },
+            **({"attack": attack} if attack else {}),
+        }
+    )
+
+
+def fuzzed(topo: dict, seed: int, duration_ns: int = 100 * MS):
+    f = seed % 4
+    base = scenario({"f": f, "duration_ns": duration_ns}, topo)
+    return dataclasses.replace(base, attack=fuzz_strategies(seed, 10, f))
+
+
+def golden_cases():
+    """(name, config, seed): short runs covering each data-plane path."""
+    short = {"duration_ns": 20 * MS}
+    both = FUZZ_TOPOLOGIES["both"]
+    two_corrupt = {**short, "f": 2}
+    yield "lossy_both_hops", scenario(short, both), 1
+    yield "rush_side_channel", scenario(
+        two_corrupt, both, {"challengers": {"9": {"name": "rush"}, "10": {"name": "rush"}}}
+    ), 2
+    yield "colluding_share_keys", scenario(
+        two_corrupt,
+        None,
+        {
+            "challengers": {"9": {"name": "share_keys"}, "10": {"name": "share_keys"}},
+            "prover": {"name": "colluding_early"},
+        },
+    ), 3
+    yield "delay", scenario(
+        {**short, "f": 1}, LOSSY_UPLINK, {"challengers": {"4": {"name": "delay", "delay_ns": 3 * MS}}}
+    ), 4
+    # the backhaul carries 60% of the claim: the trigger comes after the deadline
+    yield "deadline_before_trigger", scenario(
+        {**short, "verifier_deadline_factor": 1.0}, {"backhaul_rate_bps": 150e6}
+    ), 5
+    # the backhaul carries 5% of the claim: probes are still queued at the horizon
+    yield "horizon_cut", scenario(short, {"backhaul_rate_bps": 12.5e6}), 6
+    # clock offsets move some first sends before zero
+    yield "clock_offsets", scenario(
+        short, {"clock_offset_range_ns": 5 * MS, "backhaul_jitter_stddev_ns": 300_000}
+    ), 7
+    for seed in range(8):
+        yield f"fuzz_both_{seed}", fuzzed(both, seed, 20 * MS), seed
+
+
+def full_cases():
+    for name in bundled_names():
+        for seed in range(3):
+            yield f"bundled/{name}/seed{seed}", load_bundled(name), seed
+    for topo_name, topo in FUZZ_TOPOLOGIES.items():
+        for seed in range(80):
+            yield f"fuzz/{topo_name}/seed{seed}", fuzzed(topo, seed), seed
+
+
+def ladder_digests() -> dict[str, str]:
+    """One digest per rung, taken from the runs `run_ladder` makes."""
+    out: dict[str, str] = {}
+    real = ladder.run_scenario
+    for name in LADDERS:
+        for seed in (7, 8):
+            rungs: list = []
+
+            def recording(cfg, seed, collect_trace=True):
+                res = real(cfg, seed=seed, collect_trace=collect_trace)
+                rungs.append(res)
+                return res
+
+            ladder.run_scenario = recording
+            try:
+                ladder.run_ladder(load_bundled(name), seed=seed)
+            finally:
+                ladder.run_scenario = real
+            for i, res in enumerate(rungs):
+                out[f"ladder/{name}/seed{seed}/rung{i}"] = digest(res)
+    return out
+
+
+def compute(which: str) -> dict[str, str]:
+    if which == "golden":
+        return {f"golden/{name}": digest(run_scenario(cfg, seed)) for name, cfg, seed in golden_cases()}
+    out = {name: digest(run_scenario(cfg, seed)) for name, cfg, seed in full_cases()}
+    out.update(ladder_digests())
+    return out
+
+
+def differences(expected: dict[str, str], got: dict[str, str]) -> list[str]:
+    """Names of cases whose digest differs or that only one side has."""
+    return sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--cases", choices=("full", "golden"), default="full")
+    ap.add_argument("--compare", metavar="FILE", help="digests to compare against; exit 1 on any difference")
+    args = ap.parse_args()
+    got = compute(args.cases)
+    if args.compare is None:
+        print(json.dumps(got, indent=1, sort_keys=True))
+        return 0
+    with open(args.compare) as fh:
+        expected = json.load(fh)
+    diff = differences(expected, got)
+    for name in diff:
+        print(f"DIFFERS {name}: expected {expected.get(name)} got {got.get(name)}")
+    print(f"{len(got) - len(diff)}/{len(expected.keys() | got.keys())} cases identical")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Deterministic event simulator for challenge runs.
+"""Deterministic simulator for challenge runs.
 
 Time is integer nanoseconds. Probes traverse a per-challenger uplink
 and then the shared backhaul, both FIFO links with finite service rate,
@@ -6,6 +6,23 @@ optional propagation jitter, random loss, and (for the backhaul) a
 drop-tail queue cap. Control traffic (responses, verification data,
 reports, disputes) rides delay-only paths: it is sparse enough that its
 queueing never matters, while its serialization and propagation do.
+
+A run has two planes. The probe data plane (uplinks, backhaul, the
+prover's intake) is computed as one ordered pass per link, because links
+are FIFO and nothing feeds back into it but the prover's trigger. The
+sparse control plane (response, reports, disputes, timeouts, the verifier
+deadline and settle) runs on `EventLoop`, a heap of timed callbacks.
+
+Both planes run in the order of an event heap keyed (time, insertion
+counter). On the data plane each event carries an order key instead:
+an event that set-up schedules at t gets (t, 0, i), i its scheduling
+index, and one that a probe event schedules at t gets (t, 1) + the
+parent's key. Tuple order on these keys is the heap's order: times
+compare first; at equal times every set-up event (inserted before the
+run) precedes every child, set-up events keep their insertion order,
+and children are inserted in the order their parents ran. So each
+link's RNG sees its loss draws (at send) and jitter draws (at departure)
+in the same order as under a heap, ties at equal nanoseconds included.
 
 A wire packet carrying c signatures occupies c * 1514 bytes of link
 time, so grouping signatures changes message count but never the bytes
@@ -22,6 +39,7 @@ import hashlib
 import heapq
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -118,30 +136,50 @@ class LinkStats:
 
 
 class FifoLink:
-    """One-direction FIFO pipe: service at rate(t), then propagation."""
+    """One-direction FIFO pipe: service at rate(t), then propagation.
+
+    The link is one ordered pass: `send` takes probe events in ascending
+    order key (module docstring), and each departure runs as soon as its
+    own key, (departure ns, 1) + the send's key, is below the next send's
+    key. `flush` runs what is left up to the horizon and hands over the
+    arrival events, (arrival ns, 1) + the departure's key.
+
+    Departures leave in key order, so among one link's arrivals the
+    departure's rank orders them as its full key would. A `ranked` link
+    keys its arrivals (arrival ns, 1, rank, payload): that is exact where
+    they meet no other link's arrivals (the backhaul's meet only set-up
+    events at the prover), and keeps the prover's intake small.
+    """
 
     def __init__(
         self,
-        loop: EventLoop,
         rate_fn,
         propagation_ns: int,
         jitter_stddev_ns: float,
         loss_prob: float,
         capacity_bytes: int | None,
         rng: random.Random,
+        ranked: bool = False,
     ):
-        self.loop = loop
         self.rate_fn = rate_fn
         self.propagation_ns = propagation_ns
         self.jitter_stddev_ns = jitter_stddev_ns
         self.loss_prob = loss_prob
         self.capacity_bytes = capacity_bytes
         self.rng = rng
+        self.ranked = ranked
         self.busy_until = 0.0
         self.queued_bytes = 0
         self.stats = LinkStats()
+        self._pending: deque = deque()  # (departure ns, size, event), key order
+        self._arrivals: list = []
 
-    def send(self, size_bytes: int, deliver) -> None:
+    def send(self, event: tuple, size_bytes: int) -> None:
+        """Offer event = (t, flag, ..., payload); keys must not decrease."""
+        t = event[0]
+        pending = self._pending
+        if pending and pending[0][0] <= t:
+            self._depart_before(event)
         stats = self.stats
         stats.sent += 1
         if self.loss_prob and self.rng.random() < self.loss_prob:
@@ -151,22 +189,41 @@ class FifoLink:
         if self.capacity_bytes is not None and queued > self.capacity_bytes:
             stats.tail_dropped += 1
             return
-        now = float(self.loop.now)
+        now = float(t)
         start = self.busy_until if self.busy_until > now else now
         rate = self.rate_fn(start)
         self.busy_until = start + (0.0 if rate is None else size_bytes * 8e9 / rate)
         self.queued_bytes = queued
         if queued > stats.max_queue_bytes:
             stats.max_queue_bytes = queued
-        self.loop.at(self.busy_until, partial(self._depart, size_bytes, deliver))
+        pending.append((int(self.busy_until), size_bytes, event))
 
-    def _depart(self, size_bytes: int, deliver) -> None:
-        self.queued_bytes -= size_bytes
-        self.stats.delivered += 1
-        d = float(self.propagation_ns)
-        if self.jitter_stddev_ns:
-            d += self.rng.gauss(0.0, self.jitter_stddev_ns)
-        self.loop.at(self.loop.now + (d if d > 0.0 else 0.0), deliver)
+    def _depart_before(self, key: tuple) -> None:
+        """Run the queued departures whose order key is below `key`."""
+        pending = self._pending
+        bound = key[0]
+        while pending:
+            t, size_bytes, event = pending[0]
+            # keys never tie: at equal times the full keys decide
+            if t >= bound and (t > bound or (t, 1) + event > key):
+                break
+            pending.popleft()
+            self.queued_bytes -= size_bytes
+            d = float(self.propagation_ns)
+            if self.jitter_stddev_ns:
+                d += self.rng.gauss(0.0, self.jitter_stddev_ns)
+            arrival = int(t + d) if d > 0.0 else t
+            if self.ranked:
+                self._arrivals.append((arrival, 1, self.stats.delivered, event[-1]))
+            else:
+                self._arrivals.append((arrival, 1, t, 1) + event)
+            self.stats.delivered += 1
+
+    def flush(self, horizon_ns: int) -> list:
+        """Run the departures due by the horizon; return arrivals by it, unsorted."""
+        self._depart_before((horizon_ns + 1, 0))
+        arrivals, self._arrivals = self._arrivals, []
+        return [a for a in arrivals if a[0] <= horizon_ns]
 
 
 def make_rate_fn(base_bps: float, flows=()):
@@ -243,6 +300,8 @@ class SimResult:
     challenger_failures: dict[int, str]
     rejections: tuple[tuple[int, str], ...]
     trace: tuple[str, ...]
+    # probe sends scheduled before time zero and moved to zero
+    clamped_sends: int
 
     @property
     def measured_bps(self) -> float | None:
@@ -275,6 +334,26 @@ def _resolve_uplinks(scenario: ScenarioConfig, theta0_bps: float, rng: random.Ra
             )
         )
     return out
+
+
+def link_pass(link: FifoLink, events: list, horizon_ns: int) -> list:
+    """Send probe events through `link` in key order; its arrivals by the horizon.
+
+    Consumes `events`, so each one is freed as the link takes it. The
+    arrivals come back in departure order, which is key order only on a
+    link without jitter.
+    """
+    events.sort(reverse=True)
+    pop = events.pop
+    send = link.send
+    packet_len = wire.WIRE_PACKET_LEN
+    while events:
+        ev = pop()
+        if ev[0] > horizon_ns:
+            break
+        send(ev, ev[-1].count * packet_len)
+    events.clear()
+    return link.flush(horizon_ns)
 
 
 def run_scenario(
@@ -354,7 +433,6 @@ def run_scenario(
     loop = EventLoop()
     up_links = {
         i: FifoLink(
-            loop,
             (lambda rate: (lambda t: rate))(uplinks[i - 1].rate_bps),
             uplinks[i - 1].propagation_ns,
             uplinks[i - 1].jitter_stddev_ns,
@@ -366,13 +444,13 @@ def run_scenario(
     }
     bh_rate_fn = make_rate_fn(topo.backhaul_rate_bps, topo.cross_flows)
     bh_link = FifoLink(
-        loop,
         bh_rate_fn,
         topo.backhaul_propagation_ns,
         topo.backhaul_jitter_stddev_ns,
         topo.backhaul_loss_prob,
         topo.queue_capacity_bytes,
         random.Random(f"{seed}:link:bh"),
+        ranked=True,
     )
     rng_reverse = {
         i: random.Random(f"{seed}:reverse:{i}") for i in range(1, n + 1)
@@ -383,6 +461,71 @@ def run_scenario(
     else:
         overhead_ns = int(topo.response_overhead_ns)
     vprop = topo.verifier_propagation_ns
+    timeout_ns = round(proto.challenger_timeout_factor * proto.duration_ns)
+    deadline_ns = proto.t0_ns + round(proto.verifier_deadline_factor * proto.duration_ns)
+    grace_ns = 2 * vprop + 1_000_000
+    horizon = deadline_ns + grace_ns + round(
+        max(proto.challenger_timeout_factor + 1.0, 2.0) * proto.duration_ns
+    )
+
+    # probe data plane, set-up events (t, 0, index, packet) in scheduling
+    # order; a send before time zero is moved to zero, as EventLoop.at would
+    index = itertools.count()
+    clamped_sends = 0
+
+    def setup_event(t_ns: float, pkt) -> tuple:
+        nonlocal clamped_sends
+        t = int(t_ns)
+        if t < 0:
+            clamped_sends += 1
+            t = 0
+        return (t, 0, next(index), pkt)
+
+    # probe trains, in true time, reshaped by the attack
+    side_delay = topo.side_channel_delay_ns
+    trains_true = {
+        i: [(t - offsets[i], pkt) for t, pkt in challengers[i].build_sends()]
+        for i in range(1, n + 1)
+    }
+    direct = [setup_event(params.t0_ns, pkt) for pkt in plan.prover_initial_probes(trains_true)]
+    bh_in = []
+    for i in range(1, n + 1):
+        sends = plan.sends_for(i, trains_true.pop(i), side_delay is not None)
+        tr(f"send_plan challenger={i} packets={len(sends)}")
+        train = []
+        for t, pkt, via in sends:
+            if via == VIA_SIDE:
+                direct.append(setup_event(t + side_delay, pkt))
+            else:
+                train.append(setup_event(t, pkt))
+        bh_in += link_pass(up_links[i], train, horizon)
+    arrivals = link_pass(bh_link, bh_in, horizon)
+    arrivals += [ev for ev in direct if ev[0] <= horizon]
+    arrivals.sort(reverse=True)
+
+    # the prover takes every arrival, popped so each is freed once taken;
+    # a colluding prover also answers once the honest challengers alone
+    # reach `early` capped probes, and honest_capped is that running count
+    early = plan.early_trigger_threshold()
+    honest_capped = 0
+    k = params.k
+    trigger_key = None
+    on_probe = prover.on_probe
+    pop = arrivals.pop
+    while arrivals:
+        ev = pop()
+        now, pkt = ev[0], ev[-1]
+        honest = early is not None and pkt.challenger_id in honest_ids
+        if honest:
+            store = prover.received[pkt.challenger_id]
+            before = min(len(store), k)
+        tripped = on_probe(now, pkt)
+        if honest:
+            honest_capped += min(len(store), k) - before
+            if not tripped and not prover.responded and honest_capped >= early:
+                tripped = prover.force_respond(now)
+        if tripped:
+            trigger_key = ev[:-1]
 
     deltas: dict[int, int | None] = {i: None for i in range(1, n + 1)}
     timed_out: list[int] = []
@@ -434,50 +577,7 @@ def run_scenario(
             loop.at(loop.now + reverse_delay(i, size), partial(deliver_response, i, bundle))
         loop.at(loop.now + vprop, partial(deliver_root, bundle.announcement))
 
-    # a colluding prover also answers once the honest challengers alone
-    # reach `early` capped probes; honest_capped is that running count
-    early = plan.early_trigger_threshold()
-    honest_capped = 0
-    k = params.k
-
-    def deliver_probe(pkt):
-        nonlocal honest_capped
-        honest = early is not None and pkt.challenger_id in honest_ids
-        if honest:
-            store = prover.received[pkt.challenger_id]
-            before = min(len(store), k)
-        tripped = prover.on_probe(loop.now, pkt)
-        if honest:
-            honest_capped += min(len(store), k) - before
-            if not tripped and not prover.responded and honest_capped >= early:
-                tripped = prover.force_respond(loop.now)
-        if tripped:
-            loop.at(loop.now + overhead_ns, respond)
-
-    def probe_via_uplink(i: int, pkt):
-        size = pkt.count * wire.WIRE_PACKET_LEN
-        up_links[i].send(size, partial(bh_link.send, size, partial(deliver_probe, pkt)))
-
-    # probe trains, in true time, reshaped by the attack
-    side_delay = topo.side_channel_delay_ns
-    trains_true = {
-        i: [(t - offsets[i], pkt) for t, pkt in challengers[i].build_sends()]
-        for i in range(1, n + 1)
-    }
-    for pkt in plan.prover_initial_probes(trains_true):
-        loop.at(params.t0_ns, partial(deliver_probe, pkt))
-    for i in range(1, n + 1):
-        sends = plan.sends_for(i, trains_true[i], side_delay is not None)
-        tr(f"send_plan challenger={i} packets={len(sends)}")
-        for t, pkt, via in sends:
-            if via == VIA_SIDE:
-                loop.at(t + side_delay, partial(deliver_probe, pkt))
-            else:
-                loop.at(t, partial(probe_via_uplink, i, pkt))
-
     # challenger timeouts (local clocks)
-    timeout_ns = round(proto.challenger_timeout_factor * proto.duration_ns)
-
     def check_timeout(i: int):
         if deltas[i] is None and challengers[i].failure is None:
             timed_out.append(i)
@@ -488,16 +588,17 @@ def run_scenario(
         loop.at(t_local - offsets[i], partial(check_timeout, i))
 
     # verifier deadline: request disputes for unaccounted challengers,
-    # then settle (timer mode) once they have had time to arrive
-    deadline_ns = proto.t0_ns + round(proto.verifier_deadline_factor * proto.duration_ns)
-    grace_ns = 2 * vprop + 1_000_000
+    # then settle (timer mode) once they have had time to arrive. The
+    # deadline is a set-up event scheduled after every probe, so it sees
+    # the response committed by a trigger whose key is below (deadline, 1).
+    responded_by_deadline = trigger_key is not None and trigger_key < (deadline_ns, 1)
 
     def deliver_dispute(d):
         ok = verifier.on_dispute(loop.now, d)
         tr(f"dispute challenger={d.challenger_id} packets={len(d.packets)} upheld={ok}")
 
     def at_deadline():
-        if verifier.output is None and prover.responded:
+        if verifier.output is None and responded_by_deadline:
             for cid in verifier.missing_ids():
                 d = plan.dispute_for(cid, prover)
                 if d is not None:
@@ -509,10 +610,9 @@ def run_scenario(
 
     loop.at(deadline_ns, at_deadline)
     loop.at(deadline_ns + grace_ns, settle)
-
-    horizon = deadline_ns + grace_ns + round(
-        max(proto.challenger_timeout_factor + 1.0, 2.0) * proto.duration_ns
-    )
+    # the trigger's response goes on the heap after the set-up events
+    if trigger_key is not None:
+        loop.at(trigger_key[0] + overhead_ns, respond)
     loop.run(horizon)
 
     drops = {
@@ -553,4 +653,5 @@ def run_scenario(
         challenger_failures=failures,
         rejections=tuple(verifier.rejections),
         trace=tuple(trace),
+        clamped_sends=clamped_sends,
     )

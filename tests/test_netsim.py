@@ -1,22 +1,30 @@
 """Simulator mechanics plus closed-form checks of whole-run timing."""
 
-import pytest
+import dataclasses
+import random
+from collections import namedtuple
 
-from backhaul import schedule
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from backhaul import schedule, wire
+from backhaul.adversary import fuzz_strategies
 from backhaul.cli import load_bundled
 from backhaul.config import parse_scenario
 from backhaul.netsim import (
     EventLoop,
     FifoLink,
+    LinkStats,
     SimError,
     calibrate_overhead,
     make_rate_fn,
+    link_pass,
     run_scenario,
 )
 
-import random
-
 MS = 1_000_000
+Probe = namedtuple("Probe", "count tag")
 
 
 def scenario(proto=None, topo=None, attack=None, name="t"):
@@ -72,70 +80,171 @@ class TestEventLoop:
         assert seen == [1]
 
 
+def setup_event(t, index, count=1, tag=None):
+    """A set-up probe event (t, 0, index, payload) as run_scenario builds it."""
+    return (t, 0, index, Probe(count, index if tag is None else tag))
+
+
 class TestFifoLink:
     def make(self, rate=8e9, prop=500, cap=None, loss=0.0, jitter=0.0):
-        loop = EventLoop()
-        link = FifoLink(
-            loop,
-            lambda t: rate,
-            prop,
-            jitter,
-            loss,
-            cap,
-            random.Random(1),
-        )
-        return loop, link
+        return FifoLink(lambda t: rate, prop, jitter, loss, cap, random.Random(1))
+
+    def run(self, link, times, size=1000, horizon=10_000):
+        """Send one packet at each set-up time; arrival times by the horizon."""
+        for j, t in enumerate(times):
+            link.send(setup_event(t, j), size)
+        return sorted(ev[0] for ev in link.flush(horizon))
 
     def test_serializes_back_to_back(self):
-        loop, link = self.make()  # 8 Gbit/s: 1000 bytes = 1000 ns
-        got = []
-        for _ in range(3):
-            link.send(1000, lambda: got.append(loop.now))
-        loop.run(10_000)
-        assert got == [1500, 2500, 3500]
+        link = self.make()  # 8 Gbit/s: 1000 bytes = 1000 ns
+        assert self.run(link, [0, 0, 0]) == [1500, 2500, 3500]
         assert link.stats.delivered == 3
 
     def test_takeover_after_idle(self):
-        loop, link = self.make(prop=0)
-        got = []
-        link.send(1000, lambda: got.append(loop.now))
-        loop.at(5_000, lambda: link.send(1000, lambda: got.append(loop.now)))
-        loop.run(10_000)
-        assert got == [1000, 6000]
+        assert self.run(self.make(prop=0), [0, 5_000]) == [1000, 6000]
 
     def test_drop_tail_at_capacity(self):
-        loop, link = self.make(cap=2500)
-        got = []
-        for _ in range(3):
-            link.send(1000, lambda: got.append(loop.now))
-        loop.run(10_000)
-        assert len(got) == 2
+        link = self.make(cap=2500)
+        assert len(self.run(link, [0, 0, 0])) == 2
         assert link.stats.tail_dropped == 1
         assert link.stats.max_queue_bytes == 2000
 
     def test_queue_drains(self):
-        loop, link = self.make(cap=2500)
-        for _ in range(2):
-            link.send(1000, lambda: None)
+        link = self.make(cap=2500)
         # after the first departs there is room again
-        loop.at(1500, lambda: link.send(1000, lambda: None))
-        loop.run(10_000)
+        self.run(link, [0, 0, 1500])
         assert link.stats.tail_dropped == 0
         assert link.stats.delivered == 3
 
     def test_loss_counts(self):
-        loop, link = self.make(loss=1.0)
-        link.send(1000, lambda: pytest.fail("lost packet delivered"))
-        loop.run(10_000)
+        link = self.make(loss=1.0)
+        assert self.run(link, [0]) == []
         assert link.stats.lost == 1
 
     def test_infinite_rate_is_pure_delay(self):
+        link = FifoLink(lambda t: None, 700, 0.0, 0.0, None, random.Random(1))
+        assert self.run(link, [0], size=10**9) == [700]
+
+
+class HeapLink:
+    """The event-driven link the ordered pass replaced, kept as its reference.
+
+    Each packet costs a send event, a departure event and a delivery event
+    on an EventLoop; the loss draw happens at send, the jitter draw at
+    departure.
+    """
+
+    def __init__(self, loop, rate, prop, jitter, loss, cap, rng):
+        self.loop, self.rate, self.prop = loop, rate, prop
+        self.jitter, self.loss, self.cap, self.rng = jitter, loss, cap, rng
+        self.busy_until = 0.0
+        self.queued_bytes = 0
+        self.stats = LinkStats()
+
+    def send(self, size, deliver):
+        self.stats.sent += 1
+        if self.loss and self.rng.random() < self.loss:
+            self.stats.lost += 1
+            return
+        queued = self.queued_bytes + size
+        if self.cap is not None and queued > self.cap:
+            self.stats.tail_dropped += 1
+            return
+        now = float(self.loop.now)
+        start = max(self.busy_until, now)
+        rate = self.rate(start)
+        self.busy_until = start + (0.0 if rate is None else size * 8e9 / rate)
+        self.queued_bytes = queued
+        self.stats.max_queue_bytes = max(self.stats.max_queue_bytes, queued)
+        self.loop.at(self.busy_until, lambda: self._depart(size, deliver))
+
+    def _depart(self, size, deliver):
+        self.queued_bytes -= size
+        self.stats.delivered += 1
+        d = float(self.prop)
+        if self.jitter:
+            d += self.rng.gauss(0.0, self.jitter)
+        self.loop.at(self.loop.now + max(d, 0.0), deliver)
+
+
+LINKS = st.fixed_dictionaries(
+    {
+        # 8 * 1514 Mbit/s serializes a 1514-byte packet in exactly 1000 ns
+        "rate": st.sampled_from([None, 8 * wire.WIRE_PACKET_LEN * 1e6, 1e9, 333e6]),
+        "prop": st.sampled_from([0, 1000, 2500]),
+        "jitter": st.sampled_from([0.0, 400.0]),
+        "loss": st.sampled_from([0.0, 0.25]),
+    }
+)
+
+
+class TestOrderedPass:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ups=st.lists(LINKS, min_size=1, max_size=3),
+        bh=LINKS,
+        cap=st.sampled_from([None, 2 * wire.WIRE_PACKET_LEN, 4 * wire.WIRE_PACKET_LEN]),
+        sends=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # uplink, modulo their number
+                st.sampled_from([0, 1000, 1000, 2000, 3500]),  # ties at equal ns
+                st.integers(1, 2),  # signatures per packet
+                st.booleans(),  # direct to the prover instead of an uplink
+            ),
+            max_size=30,
+        ),
+        horizon=st.sampled_from([2500, 6000, 50_000]),
+        seed=st.integers(0, 3),
+    )
+    def test_matches_event_heap(self, ups, bh, cap, sends, horizon, seed):
+        def links(make):
+            up = {i + 1: make(spec, None, f"up{i}", False) for i, spec in enumerate(ups)}
+            return up, make(bh, cap, "bh", True)
+
+        # reference: every hop an event on the heap, as scheduled in run_scenario
         loop = EventLoop()
-        link = FifoLink(loop, lambda t: None, 700, 0.0, 0.0, None, random.Random(1))
-        got = []
-        link.send(10**9, lambda: got.append(loop.now))
-        loop.run(10_000)
-        assert got == [700]
+        ref_up, ref_bh = links(
+            lambda spec, c, label, _: HeapLink(
+                loop, lambda t, r=spec["rate"]: r, spec["prop"], spec["jitter"],
+                spec["loss"], c, random.Random(f"{seed}:{label}"),
+            )
+        )
+        seen = []
+        for j, (u, t, count, direct) in enumerate(sends):
+            size = count * wire.WIRE_PACKET_LEN
+            got = lambda j=j: seen.append((loop.now, j))
+            if direct:
+                loop.at(t, got)
+            else:
+                up = ref_up[u % len(ups) + 1]
+                loop.at(t, lambda up=up, size=size, got=got: up.send(
+                    size, lambda: ref_bh.send(size, got)
+                ))
+        loop.run(horizon)
+
+        up_links, bh_link = links(
+            lambda spec, c, label, ranked: FifoLink(
+                lambda t, r=spec["rate"]: r, spec["prop"], spec["jitter"],
+                spec["loss"], c, random.Random(f"{seed}:{label}"), ranked=ranked,
+            )
+        )
+        trains = {i: [] for i in up_links}
+        direct = []
+        for j, (u, t, count, to_prover) in enumerate(sends):
+            ev = setup_event(t, j, count)
+            (direct if to_prover else trains[u % len(ups) + 1]).append(ev)
+        # staged as in run_scenario
+        bh_in = []
+        for i, train in trains.items():
+            bh_in += link_pass(up_links[i], train, horizon)
+        arrivals = link_pass(bh_link, bh_in, horizon)
+        arrivals += [ev for ev in direct if ev[0] <= horizon]
+        arrivals.sort()
+
+        assert [(ev[0], ev[-1].tag) for ev in arrivals] == seen
+        for i in up_links:
+            assert up_links[i].stats == ref_up[i].stats
+        assert bh_link.stats == ref_bh.stats
 
 
 class TestRateFn:
@@ -232,6 +341,23 @@ class TestPerProbeCost:
         probes = res.params.n * res.params.signatures_per_challenger
         assert probes > 100 * res.params.n
         assert calls <= res.params.n
+
+
+class TestClampedSends:
+    """First probes whose true send time t - offset falls before zero."""
+
+    def test_counted_and_kept_out_of_drops_and_trace(self):
+        res = run_scenario(load_bundled("overhead_1000"), seed=0)
+        assert res.clamped_sends == 3
+        assert not any("clamp" in key for key in res.drops)
+        assert not any("clamp" in line for line in res.trace)
+
+    def test_none_without_clock_offsets(self):
+        cfg = dataclasses.replace(
+            scenario(proto={"f": 2, "rate_policy": "per_n_minus_f"}),
+            attack=fuzz_strategies(6, 10, 2),
+        )
+        assert run_scenario(cfg, seed=6, collect_trace=False).clamped_sends == 0
 
 
 class TestDeterminism:
