@@ -13,7 +13,9 @@ Case sets:
           cross-traffic scenarios at seeds 7 and 8 (one case per rung),
           and 80 fuzzed attacks under each of four topologies: plain,
           lossy jittery backhaul with a drop-tail queue, lossy jittery
-          uplinks, and both (about two minutes)
+          uplinks, and both (about two minutes); plus one config/ case
+          per bundled scenario and per fuzz config, a digest of its
+          `scenario_to_dict` form as sorted JSON
   golden  a few short runs that still reach every data-plane feature
           (tests/golden_digests.json pins them)
 
@@ -31,7 +33,7 @@ import sys
 from backhaul import ladder
 from backhaul.adversary import fuzz_strategies
 from backhaul.cli import bundled_names, load_bundled
-from backhaul.config import parse_scenario
+from backhaul.config import parse_scenario, scenario_to_dict
 from backhaul.netsim import run_scenario
 
 MS = 1_000_000
@@ -153,6 +155,19 @@ def full_cases():
             yield f"fuzz/{topo_name}/seed{seed}", fuzzed(topo, seed), seed
 
 
+def config_digests() -> dict[str, str]:
+    """One digest per parsed config, so the report's `config` section is covered too."""
+
+    def one(cfg) -> str:
+        return hashlib.sha256(json.dumps(scenario_to_dict(cfg), sort_keys=True).encode()).hexdigest()
+
+    out = {f"config/bundled/{name}": one(load_bundled(name)) for name in bundled_names()}
+    for topo_name, topo in FUZZ_TOPOLOGIES.items():
+        for seed in range(80):
+            out[f"config/fuzz/{topo_name}/seed{seed}"] = one(fuzzed(topo, seed))
+    return out
+
+
 def ladder_digests() -> dict[str, str]:
     """One digest per rung, taken from the runs `run_ladder` makes."""
     out: dict[str, str] = {}
@@ -181,6 +196,7 @@ def compute(which: str) -> dict[str, str]:
         return {f"golden/{name}": digest(run_scenario(cfg, seed)) for name, cfg, seed in golden_cases()}
     out = {name: digest(run_scenario(cfg, seed)) for name, cfg, seed in full_cases()}
     out.update(ladder_digests())
+    out.update(config_digests())
     return out
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
-from .config import AttackSpec
+from .config import CHALLENGER_STRATEGIES, PROVER_STRATEGIES, AttackSpec, ChallengerStrategy, ProverStrategy
 from .roles import Prover
 from .schedule import ChallengeParams
 from .wire import ChallengePacket, ChallengerReport, DisputeSubmission
@@ -81,14 +81,8 @@ class AttackPlan:
         """Transform the honest (true_time, packet) train for one challenger."""
         strat = self.spec.strategy_for(challenger_id)
         name = strat.name
-        if name in (
-            "honest",
-            "misreport_rtt",
-            "misreport_count",
-            "withhold_report",
-            "bad_merkle_claim",
-        ):
-            return [(t, p, VIA_UPLINK) for t, p in train]
+        if name not in CHALLENGER_STRATEGIES:
+            raise AttackError(f"unhandled challenger strategy {name!r}")
         if name in ("withhold_all", "share_keys"):
             return []
         if name == "withhold_fraction":
@@ -103,7 +97,8 @@ class AttackPlan:
             if not side_channel:
                 raise AttackError("rush strategy requires a side channel")
             return [(self.params.t0_ns, p, VIA_SIDE) for _, p in train]
-        raise AttackError(f"unhandled challenger strategy {name!r}")
+        # the rest send the honest train and act after the probe phase
+        return [(t, p, VIA_UPLINK) for t, p in train]
 
     def report_action(
         self, challenger_id: int, report: ChallengerReport | None
@@ -150,23 +145,11 @@ class AttackPlan:
 
 def fuzz_strategies(seed: int, n: int, f: int) -> AttackSpec:
     """Random attack with at most f corrupt challengers; f = 0 is exactly honest."""
-    from .config import ChallengerStrategy, ProverStrategy
-
     if f == 0:
         return AttackSpec()
     rng = random.Random(f"{seed}:fuzz:{n}:{f}")
     ids = sorted(rng.sample(range(1, n + 1), f))
-    names = [
-        "withhold_all",
-        "withhold_fraction",
-        "delay",
-        "rush",
-        "share_keys",
-        "misreport_rtt",
-        "misreport_count",
-        "withhold_report",
-        "bad_merkle_claim",
-    ]
+    names = [name for name in CHALLENGER_STRATEGIES if name != "honest"]
     chosen = []
     for cid in ids:
         name = rng.choice(names)
@@ -178,5 +161,5 @@ def fuzz_strategies(seed: int, n: int, f: int) -> AttackSpec:
             count=rng.choice([1, rng.randint(1, 10**6), 4_000_000_000]),
         )
         chosen.append((cid, strat))
-    prover = ProverStrategy(rng.choice(["honest", "colluding_early", "dispute_forger"]))
+    prover = ProverStrategy(rng.choice(PROVER_STRATEGIES))
     return AttackSpec(challengers=tuple(chosen), prover=prover)

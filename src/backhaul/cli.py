@@ -23,6 +23,7 @@ from .adversary import AttackError
 from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario
 from .ladder import run_ladder
 from .netsim import SimError, run_scenario
+from .schedule import ParamsError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -187,7 +188,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except (ConfigError, ParamsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (AttackError, SimError, OSError) as e:

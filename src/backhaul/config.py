@@ -6,6 +6,10 @@ strict: unknown keys are an error and every message names the exact
 field path, because a silently ignored typo in a scenario file would
 invalidate whatever experiment it was meant to configure.
 
+The dataclasses declare every field, default and bound once (see
+`Rule`); `_parse` reads them and `scenario_to_dict` omits defaults.
+The rules that tie fields together are in `_check` and `parse_scenario`.
+
 All times are integer nanoseconds and all rates are bits per second.
 An uplink rate may also be the string "theta0", which resolves at run
 time to the per-challenger probe rate of the challenge being run.
@@ -15,22 +19,28 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
+
+from .schedule import DEFAULT_OVERPROVISION, PACKET_BYTES, RatePolicy
+from .wire import SIG_SLOTS
 
 THETA0 = "theta0"
 
-CHALLENGER_STRATEGIES = (
-    "honest",
-    "withhold_all",
-    "withhold_fraction",
-    "delay",
-    "rush",
-    "share_keys",
-    "misreport_rtt",
-    "misreport_count",
-    "withhold_report",
-    "bad_merkle_claim",
-)
+# Every challenger strategy, in the order `fuzz_strategies` draws them,
+# with the parameter it needs: (field, bound) asks for 0 < field <= bound,
+# or for a positive field when bound is None.
+CHALLENGER_STRATEGIES = {
+    "honest": None,
+    "withhold_all": None,
+    "withhold_fraction": ("fraction", 1),
+    "delay": ("delay_ns", None),
+    "rush": None,
+    "share_keys": None,
+    "misreport_rtt": ("rtt_ns", None),
+    "misreport_count": ("count", None),
+    "withhold_report": None,
+    "bad_merkle_claim": None,
+}
 PROVER_STRATEGIES = ("honest", "colluding_early", "dispute_forger")
 
 
@@ -39,71 +49,95 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class Rule:
+    """How one field is read from JSON: a value of `kind` within the bounds, or one of `literals`.
+
+    kind: int, float (any number), bool, str, a spec class, [Spec] (a list of specs at least
+    `minimum` long), range (integers [lo, hi], lo <= hi), dict (challenger strategies keyed by
+    id), or None (the literals only; `other` formats the error, by default "expected a or b").
+    """
+
+    kind: object
+    minimum: float | None = None
+    maximum: float | None = None
+    literals: tuple = ()
+    other: str = ""
+
+
+def rule(kind, minimum=None, *, default=MISSING, maximum=None, literals=(), other=""):
+    """A dataclass field declaring its default and its JSON rule; a class default is a factory."""
+    meta = {"rule": Rule(kind, minimum, maximum, literals, other)}
+    if isinstance(default, type):
+        return field(default_factory=default, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
 class ProtocolSpec:
-    theta_claimed_bps: float
-    n: int
-    f: int = 0
-    duration_ns: int = 100_000_000
-    rate_policy: str = "per_n_minus_f"
-    overprovision: float = 1.1
-    sigs_per_packet: int = 1
-    timer_mode: bool = False
-    verifier_deadline_factor: float = 3.0
-    challenger_timeout_factor: float = 5.0
-    t0_ns: int = 0
+    theta_claimed_bps: float = rule(float, 1)
+    n: int = rule(int, 1)
+    f: int = rule(int, 0, default=0)
+    duration_ns: int = rule(int, 1, default=100_000_000)
+    rate_policy: str = rule(None, default=RatePolicy.PER_N_MINUS_F.value, literals=tuple(p.value for p in RatePolicy))
+    overprovision: float = rule(float, 1.0, default=DEFAULT_OVERPROVISION)
+    sigs_per_packet: int = rule(int, 1, default=1, maximum=SIG_SLOTS)
+    timer_mode: bool = rule(bool, default=False)
+    verifier_deadline_factor: float = rule(float, 1.0, default=3.0)
+    challenger_timeout_factor: float = rule(float, 1.0, default=5.0)
+    t0_ns: int = rule(int, 0, default=0)
 
 
 @dataclass(frozen=True)
 class LinkSpec:
-    rate_bps: float | str | None = None
-    propagation_ns: int = 0
-    jitter_stddev_ns: float = 0.0
-    loss_prob: float = 0.0
+    rate_bps: float | str | None = rule(float, 1, default=None, literals=(None, THETA0))
+    propagation_ns: int = rule(int, 0, default=0)
+    jitter_stddev_ns: float = rule(float, 0, default=0.0)
+    loss_prob: float = rule(float, 0, default=0.0)
 
 
 @dataclass(frozen=True)
 class CrossFlow:
-    start_ns: int
-    end_ns: int
-    rate_bps: float
-    yield_fraction: float = 0.0
+    start_ns: int = rule(int, 0)
+    end_ns: int = rule(int, 0)
+    rate_bps: float = rule(float, 0)
+    yield_fraction: float = rule(float, 0, default=0.0, maximum=1)
 
 
 @dataclass(frozen=True)
 class TopologySpec:
-    backhaul_rate_bps: float
-    backhaul_propagation_ns: int = 0
-    backhaul_jitter_stddev_ns: float = 0.0
-    backhaul_loss_prob: float = 0.0
-    queue_capacity_bytes: int | None = None
-    uplink: LinkSpec = field(default_factory=LinkSpec)
-    uplinks: tuple[LinkSpec, ...] | None = None
-    uplink_propagation_range_ns: tuple[int, int] | None = None
-    verifier_propagation_ns: int = 5_000_000
-    clock_offset_range_ns: int = 0
-    side_channel_delay_ns: int | None = 100_000
-    response_overhead_ns: int | str = 0
-    cross_flows: tuple[CrossFlow, ...] = ()
+    backhaul_rate_bps: float = rule(float, 1)
+    backhaul_propagation_ns: int = rule(int, 0, default=0)
+    backhaul_jitter_stddev_ns: float = rule(float, 0, default=0.0)
+    backhaul_loss_prob: float = rule(float, 0, default=0.0)
+    queue_capacity_bytes: int | None = rule(int, PACKET_BYTES, default=None, literals=(None,))
+    uplink: LinkSpec = rule(LinkSpec, default=LinkSpec)
+    uplinks: tuple[LinkSpec, ...] | None = rule([LinkSpec], 1, default=None, literals=(None,))
+    uplink_propagation_range_ns: tuple[int, int] | None = rule(range, 0, default=None, literals=(None,))
+    verifier_propagation_ns: int = rule(int, 0, default=5_000_000)
+    clock_offset_range_ns: int = rule(int, 0, default=0)
+    side_channel_delay_ns: int | None = rule(int, 0, default=100_000, literals=(None,))
+    response_overhead_ns: int | str = rule(int, 0, default=0, literals=("auto",))
+    cross_flows: tuple[CrossFlow, ...] = rule([CrossFlow], default=())
 
 
 @dataclass(frozen=True)
 class ChallengerStrategy:
-    name: str = "honest"
-    fraction: float = 0.0
-    delay_ns: int = 0
-    rtt_ns: int = 0
-    count: int = 0
+    name: str = rule(None, default="honest", literals=tuple(CHALLENGER_STRATEGIES), other="unknown strategy {!r}")
+    fraction: float = rule(float, 0, default=0.0)
+    delay_ns: int = rule(int, 0, default=0)
+    rtt_ns: int = rule(int, 0, default=0)
+    count: int = rule(int, 0, default=0)
 
 
 @dataclass(frozen=True)
 class ProverStrategy:
-    name: str = "honest"
+    name: str = rule(None, default="honest", literals=PROVER_STRATEGIES, other="unknown strategy {!r}")
 
 
 @dataclass(frozen=True)
 class AttackSpec:
-    challengers: tuple[tuple[int, ChallengerStrategy], ...] = ()
-    prover: ProverStrategy = field(default_factory=ProverStrategy)
+    challengers: tuple[tuple[int, ChallengerStrategy], ...] = rule(dict, default=())
+    prover: ProverStrategy = rule(ProverStrategy, default=ProverStrategy)
 
     def strategy_for(self, challenger_id: int) -> ChallengerStrategy:
         for cid, strat in self.challengers:
@@ -113,247 +147,123 @@ class AttackSpec:
 
     @property
     def corrupt_ids(self) -> tuple[int, ...]:
-        return tuple(
-            cid for cid, s in self.challengers if s.name != "honest"
-        )
+        return tuple(cid for cid, s in self.challengers if s.name != "honest")
 
 
 @dataclass(frozen=True)
 class LadderSpec:
-    theta_start_bps: float
-    step_bps: float
-    max_bps: float
-    timeout_factor: float = 5.0
+    theta_start_bps: float = rule(float, 1)
+    step_bps: float = rule(float, 1)
+    max_bps: float = rule(float, 1)
+    timeout_factor: float = rule(float, 1, default=5.0)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    protocol: ProtocolSpec
-    topology: TopologySpec
-    attack: AttackSpec = field(default_factory=AttackSpec)
-    ladder: LadderSpec | None = None
-    name: str = ""
+    protocol: ProtocolSpec = rule(ProtocolSpec)
+    topology: TopologySpec = rule(TopologySpec)
+    attack: AttackSpec = rule(AttackSpec, default=AttackSpec)
+    ladder: LadderSpec | None = rule(LadderSpec, default=None, literals=(None,))
+    name: str = rule(str, default="")
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}: required field missing")
-    return obj[key]
-
-
-def _check_keys(obj: dict, allowed, path: str) -> None:
+def _parse(cls, obj, path: str):
+    """Build the spec `cls` from a JSON object, by the rules its fields declare."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
-    extra = sorted(set(obj) - set(allowed))
+    fields = dataclasses.fields(cls)
+    extra = sorted(set(obj) - {f.name for f in fields})
     if extra:
         raise ConfigError(f"{path}: unknown field(s): {', '.join(extra)}")
-
-
-def _number(value, path: str, minimum=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return float(value)
-
-
-def _integer(value, path: str, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _boolean(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false, got {value!r}")
-    return value
-
-
-def _parse_protocol(obj: dict, path: str) -> ProtocolSpec:
-    allowed = {f.name for f in dataclasses.fields(ProtocolSpec)}
-    _check_keys(obj, allowed, path)
-    policy = obj.get("rate_policy", "per_n_minus_f")
-    if policy not in ("per_n", "per_n_minus_f"):
-        raise ConfigError(f"{path}.rate_policy: expected per_n or per_n_minus_f, got {policy!r}")
-    return ProtocolSpec(
-        theta_claimed_bps=_number(_require(obj, "theta_claimed_bps", path), f"{path}.theta_claimed_bps", 1),
-        n=_integer(_require(obj, "n", path), f"{path}.n", 1),
-        f=_integer(obj.get("f", 0), f"{path}.f", 0),
-        duration_ns=_integer(obj.get("duration_ns", 100_000_000), f"{path}.duration_ns", 1),
-        rate_policy=policy,
-        overprovision=_number(obj.get("overprovision", 1.1), f"{path}.overprovision", 1.0),
-        sigs_per_packet=_integer(obj.get("sigs_per_packet", 1), f"{path}.sigs_per_packet", 1),
-        timer_mode=_boolean(obj.get("timer_mode", False), f"{path}.timer_mode"),
-        verifier_deadline_factor=_number(obj.get("verifier_deadline_factor", 3.0), f"{path}.verifier_deadline_factor", 1.0),
-        challenger_timeout_factor=_number(obj.get("challenger_timeout_factor", 5.0), f"{path}.challenger_timeout_factor", 1.0),
-        t0_ns=_integer(obj.get("t0_ns", 0), f"{path}.t0_ns", 0),
-    )
-
-
-def _parse_link(obj: dict, path: str) -> LinkSpec:
-    allowed = {f.name for f in dataclasses.fields(LinkSpec)}
-    _check_keys(obj, allowed, path)
-    rate = obj.get("rate_bps")
-    if rate is not None and rate != THETA0:
-        rate = _number(rate, f"{path}.rate_bps", 1)
-    return LinkSpec(
-        rate_bps=rate,
-        propagation_ns=_integer(obj.get("propagation_ns", 0), f"{path}.propagation_ns", 0),
-        jitter_stddev_ns=_number(obj.get("jitter_stddev_ns", 0.0), f"{path}.jitter_stddev_ns", 0),
-        loss_prob=_number(obj.get("loss_prob", 0.0), f"{path}.loss_prob", 0),
-    )
-
-
-def _parse_cross_flow(obj: dict, path: str) -> CrossFlow:
-    allowed = {f.name for f in dataclasses.fields(CrossFlow)}
-    _check_keys(obj, allowed, path)
-    flow = CrossFlow(
-        start_ns=_integer(_require(obj, "start_ns", path), f"{path}.start_ns", 0),
-        end_ns=_integer(_require(obj, "end_ns", path), f"{path}.end_ns", 0),
-        rate_bps=_number(_require(obj, "rate_bps", path), f"{path}.rate_bps", 0),
-        yield_fraction=_number(obj.get("yield_fraction", 0.0), f"{path}.yield_fraction", 0),
-    )
-    if flow.end_ns <= flow.start_ns:
-        raise ConfigError(f"{path}.end_ns: must exceed start_ns")
-    if flow.yield_fraction > 1:
-        raise ConfigError(f"{path}.yield_fraction: must be <= 1")
-    return flow
-
-
-def _parse_topology(obj: dict, path: str) -> TopologySpec:
-    allowed = {f.name for f in dataclasses.fields(TopologySpec)}
-    _check_keys(obj, allowed, path)
-    uplinks = None
-    if obj.get("uplinks") is not None:
-        raw = obj["uplinks"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{path}.uplinks: expected a non-empty list")
-        uplinks = tuple(
-            _parse_link(u, f"{path}.uplinks[{j}]") for j, u in enumerate(raw)
-        )
-    prop_range = None
-    if obj.get("uplink_propagation_range_ns") is not None:
-        raw = obj["uplink_propagation_range_ns"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ConfigError(f"{path}.uplink_propagation_range_ns: expected [lo, hi]")
-        lo = _integer(raw[0], f"{path}.uplink_propagation_range_ns[0]", 0)
-        hi = _integer(raw[1], f"{path}.uplink_propagation_range_ns[1]", 0)
-        if hi < lo:
-            raise ConfigError(f"{path}.uplink_propagation_range_ns: hi < lo")
-        prop_range = (lo, hi)
-    overhead = obj.get("response_overhead_ns", 0)
-    if overhead != "auto":
-        overhead = _integer(overhead, f"{path}.response_overhead_ns", 0)
-    qcap = obj.get("queue_capacity_bytes")
-    if qcap is not None:
-        qcap = _integer(qcap, f"{path}.queue_capacity_bytes", 1514)
-    side = obj.get("side_channel_delay_ns", 100_000)
-    if side is not None:
-        side = _integer(side, f"{path}.side_channel_delay_ns", 0)
-    return TopologySpec(
-        backhaul_rate_bps=_number(_require(obj, "backhaul_rate_bps", path), f"{path}.backhaul_rate_bps", 1),
-        backhaul_propagation_ns=_integer(obj.get("backhaul_propagation_ns", 0), f"{path}.backhaul_propagation_ns", 0),
-        backhaul_jitter_stddev_ns=_number(obj.get("backhaul_jitter_stddev_ns", 0.0), f"{path}.backhaul_jitter_stddev_ns", 0),
-        backhaul_loss_prob=_number(obj.get("backhaul_loss_prob", 0.0), f"{path}.backhaul_loss_prob", 0),
-        queue_capacity_bytes=qcap,
-        uplink=_parse_link(obj.get("uplink", {}), f"{path}.uplink"),
-        uplinks=uplinks,
-        uplink_propagation_range_ns=prop_range,
-        verifier_propagation_ns=_integer(obj.get("verifier_propagation_ns", 5_000_000), f"{path}.verifier_propagation_ns", 0),
-        clock_offset_range_ns=_integer(obj.get("clock_offset_range_ns", 0), f"{path}.clock_offset_range_ns", 0),
-        side_channel_delay_ns=side,
-        response_overhead_ns=overhead,
-        cross_flows=tuple(
-            _parse_cross_flow(cf, f"{path}.cross_flows[{j}]")
-            for j, cf in enumerate(obj.get("cross_flows", []))
-        ),
-    )
-
-
-def _parse_challenger_strategy(obj: dict, path: str) -> ChallengerStrategy:
-    allowed = {f.name for f in dataclasses.fields(ChallengerStrategy)}
-    _check_keys(obj, allowed, path)
-    name = obj.get("name", "honest")
-    if name not in CHALLENGER_STRATEGIES:
-        raise ConfigError(f"{path}.name: unknown strategy {name!r}")
-    strat = ChallengerStrategy(
-        name=name,
-        fraction=_number(obj.get("fraction", 0.0), f"{path}.fraction", 0),
-        delay_ns=_integer(obj.get("delay_ns", 0), f"{path}.delay_ns", 0),
-        rtt_ns=_integer(obj.get("rtt_ns", 0), f"{path}.rtt_ns", 0),
-        count=_integer(obj.get("count", 0), f"{path}.count", 0),
-    )
-    if name == "withhold_fraction" and not 0 < strat.fraction <= 1:
-        raise ConfigError(f"{path}.fraction: withhold_fraction needs 0 < fraction <= 1")
-    if name == "delay" and strat.delay_ns <= 0:
-        raise ConfigError(f"{path}.delay_ns: delay needs a positive delay_ns")
-    if name == "misreport_rtt" and strat.rtt_ns <= 0:
-        raise ConfigError(f"{path}.rtt_ns: misreport_rtt needs a positive rtt_ns")
-    if name == "misreport_count" and strat.count <= 0:
-        raise ConfigError(f"{path}.count: misreport_count needs a positive count")
-    return strat
-
-
-def _parse_attack(obj: dict, path: str, n: int) -> AttackSpec:
-    _check_keys(obj, ("challengers", "prover"), path)
-    pname = "honest"
-    if "prover" in obj:
-        _check_keys(obj["prover"], ("name",), f"{path}.prover")
-        pname = obj["prover"].get("name", "honest")
-        if pname not in PROVER_STRATEGIES:
-            raise ConfigError(f"{path}.prover.name: unknown strategy {pname!r}")
-    challengers = []
-    raw = obj.get("challengers", {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}.challengers: expected an object keyed by challenger id")
-    for key in sorted(raw, key=lambda s: (len(str(s)), str(s))):
-        try:
-            cid = int(key)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.challengers.{key}: key must be a challenger id")
-        if not 1 <= cid <= n:
-            raise ConfigError(f"{path}.challengers.{key}: id outside 1..{n}")
-        strat = _parse_challenger_strategy(raw[key], f"{path}.challengers.{key}")
-        challengers.append((cid, strat))
-    return AttackSpec(challengers=tuple(challengers), prover=ProverStrategy(pname))
-
-
-def _parse_ladder(obj: dict, path: str) -> LadderSpec:
-    allowed = {f.name for f in dataclasses.fields(LadderSpec)}
-    _check_keys(obj, allowed, path)
-    spec = LadderSpec(
-        theta_start_bps=_number(_require(obj, "theta_start_bps", path), f"{path}.theta_start_bps", 1),
-        step_bps=_number(_require(obj, "step_bps", path), f"{path}.step_bps", 1),
-        max_bps=_number(_require(obj, "max_bps", path), f"{path}.max_bps", 1),
-        timeout_factor=_number(obj.get("timeout_factor", 5.0), f"{path}.timeout_factor", 1),
-    )
-    if spec.max_bps < spec.theta_start_bps:
-        raise ConfigError(f"{path}.max_bps: must be >= theta_start_bps")
+    values = {}
+    for f in fields:
+        if f.name in obj:
+            values[f.name] = _value(obj[f.name], f"{path}.{f.name}", f.metadata["rule"])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{f.name}: required field missing")
+    spec = cls(**values)
+    _check(spec, path)
     return spec
 
 
+def _value(value, path: str, r: Rule):
+    kind, low = r.kind, r.minimum
+    if value in r.literals:
+        return value
+    if kind is None:
+        raise ConfigError(f"{path}: " + (r.other or f"expected {' or '.join(r.literals)}, got {{!r}}").format(value))
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path}: expected true/false, got {value!r}")
+        return value
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected a string")
+        return value
+    if dataclasses.is_dataclass(kind):
+        return _parse(kind, value, path)
+    if isinstance(kind, list):
+        if not isinstance(value, list) or len(value) < (low or 0):
+            raise ConfigError(f"{path}: expected a {'non-empty ' if low else ''}list")
+        return tuple(_parse(kind[0], v, f"{path}[{j}]") for j, v in enumerate(value))
+    if kind is range:
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigError(f"{path}: expected [lo, hi]")
+        lo, hi = (_value(v, f"{path}[{j}]", Rule(int, low)) for j, v in enumerate(value))
+        if hi < lo:
+            raise ConfigError(f"{path}: hi < lo")
+        return (lo, hi)
+    if kind is dict:  # parse_scenario bounds the ids by n
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object keyed by challenger id")
+        out = {}
+        for key in sorted(value, key=lambda s: (len(str(s)), str(s))):
+            try:
+                cid = int(key)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{path}.{key}: key must be a challenger id") from None
+            if cid in out:
+                raise ConfigError(f"{path}.{key}: challenger id {cid} given twice")
+            out[cid] = _parse(ChallengerStrategy, value[key], f"{path}.{key}")
+        return tuple(out.items())
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise ConfigError(f"{path}: expected {'a number' if kind is float else 'an integer'}, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{path}: must be >= {low}, got {value}")
+    if r.maximum is not None and value > r.maximum:
+        raise ConfigError(f"{path}: must be <= {r.maximum}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: {value} is too large for a float") from None
+    return value
+
+
+def _check(spec, path: str) -> None:
+    """The rules that tie the fields of one spec together."""
+    if isinstance(spec, CrossFlow) and spec.end_ns <= spec.start_ns:
+        raise ConfigError(f"{path}.end_ns: must exceed start_ns")
+    if isinstance(spec, LadderSpec) and spec.max_bps < spec.theta_start_bps:
+        raise ConfigError(f"{path}.max_bps: must be >= theta_start_bps")
+    if isinstance(spec, ChallengerStrategy) and CHALLENGER_STRATEGIES[spec.name]:
+        param, bound = CHALLENGER_STRATEGIES[spec.name]
+        value = getattr(spec, param)
+        if not 0 < value <= (bound or value):
+            need = f"0 < {param} <= {bound}" if bound else f"a positive {param}"
+            raise ConfigError(f"{path}.{param}: {spec.name} needs {need}")
+
+
 def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
-    _check_keys(obj, ("name", "protocol", "topology", "attack", "ladder"), source)
-    protocol = _parse_protocol(_require(obj, "protocol", source), f"{source}.protocol")
-    topology = _parse_topology(_require(obj, "topology", source), f"{source}.topology")
-    if topology.uplinks is not None and len(topology.uplinks) != protocol.n:
-        raise ConfigError(
-            f"{source}.topology.uplinks: {len(topology.uplinks)} entries for n={protocol.n}"
-        )
-    attack = AttackSpec()
-    if "attack" in obj:
-        attack = _parse_attack(obj["attack"], f"{source}.attack", protocol.n)
-    ladder = None
-    if obj.get("ladder") is not None:
-        ladder = _parse_ladder(obj["ladder"], f"{source}.ladder")
-    name = obj.get("name", "")
-    if not isinstance(name, str):
-        raise ConfigError(f"{source}.name: expected a string")
-    return ScenarioConfig(
-        protocol=protocol, topology=topology, attack=attack, ladder=ladder, name=name
-    )
+    cfg = _parse(ScenarioConfig, obj, source)
+    n = cfg.protocol.n
+    uplinks = cfg.topology.uplinks
+    if uplinks is not None and len(uplinks) != n:
+        raise ConfigError(f"{source}.topology.uplinks: {len(uplinks)} entries for n={n}")
+    for cid, _ in cfg.attack.challengers:
+        if not 1 <= cid <= n:
+            raise ConfigError(f"{source}.attack.challengers.{cid}: id outside 1..{n}")
+    return cfg
 
 
 def load_scenario(path: str) -> ScenarioConfig:

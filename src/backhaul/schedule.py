@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .wire import SIG_SLOTS
+
 PACKET_BYTES = 1514
 DEFAULT_OVERPROVISION = 1.1
 
@@ -152,7 +154,7 @@ class SendSchedule:
     Signature q of challenger i goes out at first_send_ns[i-1] plus
     (q - 1) * spacing_ns, grouped into wire packets of sigs_per_packet
     consecutive sequence numbers; a packet is sent at its first
-    signature's slot.
+    signature's slot. `Challenger.build_sends` builds that train.
     """
 
     t0_ns: int
@@ -166,32 +168,19 @@ class SendSchedule:
     def wire_packets_per_challenger(self) -> int:
         return math.ceil(self.signatures / self.sigs_per_packet)
 
-    def packet_schedule(self, challenger_id: int) -> list[tuple[int, int, int]]:
-        """(send_time_ns, base_seq, count) per wire packet for one challenger."""
-        t1 = self.first_send_ns[challenger_id - 1]
-        out = []
-        for j in range(self.wire_packets_per_challenger):
-            base = j * self.sigs_per_packet + 1
-            count = min(self.sigs_per_packet, self.signatures - base + 1)
-            out.append((t1 + round(j * self.sigs_per_packet * self.spacing_ns), base, count))
-        return out
-
-    def signature_time_ns(self, challenger_id: int, q: int) -> int:
-        return self.first_send_ns[challenger_id - 1] + round((q - 1) * self.spacing_ns)
-
 
 def send_schedule(
     params: ChallengeParams,
     latencies_ns: Sequence[int],
-    sigs_per_packet: int = 22,
+    sigs_per_packet: int,
 ) -> SendSchedule:
     """Build the latency-aligned schedule from per-challenger estimates."""
     if len(latencies_ns) != params.n:
         raise ParamsError(f"need {params.n} latency estimates, got {len(latencies_ns)}")
     if any(l < 0 for l in latencies_ns):
         raise ParamsError("latency estimates must be nonnegative")
-    if not 1 <= sigs_per_packet <= 22:
-        raise ParamsError(f"sigs_per_packet {sigs_per_packet} outside 1..22")
+    if not 1 <= sigs_per_packet <= SIG_SLOTS:
+        raise ParamsError(f"sigs_per_packet {sigs_per_packet} outside 1..{SIG_SLOTS}")
     l_ref = max(latencies_ns)
     first = tuple(params.t0_ns + (l_ref - l) for l in latencies_ns)
     return SendSchedule(

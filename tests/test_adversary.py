@@ -12,6 +12,8 @@ import pytest
 from backhaul import adversary
 from backhaul.adversary import AttackError, AttackPlan, fuzz_strategies
 from backhaul.config import (
+    CHALLENGER_STRATEGIES,
+    PROVER_STRATEGIES,
     AttackSpec,
     ChallengerStrategy,
     ProverStrategy,
@@ -249,6 +251,31 @@ class TestReportingLies:
             (9, "dispute_bad_signature"),
             (10, "dispute_bad_signature"),
         }
+
+
+def short_run(challenger, prover):
+    """20 ms with challenger 10 corrupt, default side channel; every strategy parameter given."""
+    params = {"fraction": 0.5, "delay_ns": MS, "rtt_ns": MS, "count": 5}
+    cfg = parse_scenario(
+        {
+            "protocol": {"theta_claimed_bps": THETA, "n": 10, "f": 1, "duration_ns": 20 * MS},
+            "topology": {"backhaul_rate_bps": THETA, "uplink": {"rate_bps": "theta0", "propagation_ns": MS}},
+            "attack": {"challengers": {"10": {"name": challenger, **params}}, "prover": {"name": prover}},
+        }
+    )
+    return run_scenario(cfg, seed=3)
+
+
+class TestRegistry:
+    """Every registered strategy runs; none raises AttackError on the default topology."""
+
+    @pytest.mark.parametrize("name", list(CHALLENGER_STRATEGIES))
+    def test_every_challenger_strategy_runs(self, name):
+        short_run(name, "honest")
+
+    @pytest.mark.parametrize("name", PROVER_STRATEGIES)
+    def test_every_prover_strategy_runs(self, name):
+        short_run("withhold_report", name)
 
 
 class TestSoundnessSweep:

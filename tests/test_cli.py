@@ -138,6 +138,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(starved), "--seed", "1"]) == EXIT_NO_VERDICT
         assert "no verdict" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "protocol", [{"sigs_per_packet": 23}, {"f": 4}, {"duration_ns": 1}], ids=["sigs", "f", "duration"]
+    )
+    def test_values_that_cannot_run_are_config_errors(self, tmp_path, capsys, protocol):
+        path = tmp_path / "unrunnable.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "protocol": {"theta_claimed_bps": 250e6, "n": 10, **protocol},
+                    "topology": {"backhaul_rate_bps": 250e6},
+                }
+            )
+        )
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_zero_reps_rejected(self, scenario_file, capsys):
         assert main(["simulate", "--config", scenario_file, "--reps", "0"]) == EXIT_CONFIG
 

@@ -1,10 +1,17 @@
 """Scenario parsing: defaults, validation messages, round trips."""
 
+import copy
+import dataclasses
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from backhaul import config
 from backhaul.config import (
+    CHALLENGER_STRATEGIES,
     AttackSpec,
     ConfigError,
     LinkSpec,
@@ -120,20 +127,51 @@ class TestRejections:
             r"unknown strategy 'teleport'",
         )
 
-    def test_strategy_needs_its_parameter(self):
+    NEEDS = {
+        "withhold_fraction": "challengers.3.fraction: withhold_fraction needs 0 < fraction <= 1",
+        "delay": "challengers.3.delay_ns: delay needs a positive delay_ns",
+        "misreport_rtt": "challengers.3.rtt_ns: misreport_rtt needs a positive rtt_ns",
+        "misreport_count": "challengers.3.count: misreport_count needs a positive count",
+    }
+
+    @pytest.mark.parametrize("name", [n for n, need in CHALLENGER_STRATEGIES.items() if need])
+    def test_strategy_needs_its_parameter(self, name):
         self.assert_path(
-            minimal(attack={"challengers": {"3": {"name": "delay"}}}),
-            r"delay needs a positive delay_ns",
+            minimal(attack={"challengers": {"3": {"name": name}}}),
+            re.escape(self.NEEDS[name]),
         )
+
+    def test_fraction_above_one(self):
         self.assert_path(
-            minimal(
-                attack={
-                    "challengers": {
-                        "3": {"name": "withhold_fraction", "fraction": 0.0}
-                    }
-                }
-            ),
+            minimal(attack={"challengers": {"3": {"name": "withhold_fraction", "fraction": 1.5}}}),
             r"0 < fraction <= 1",
+        )
+
+    def test_challenger_id_given_twice(self):
+        self.assert_path(
+            minimal(attack={"challengers": {"3": {"name": "rush"}, "03": {}}}),
+            r"challengers\.03: challenger id 3 given twice",
+        )
+
+    @pytest.mark.parametrize("value", [None, 3, True, "ab"])
+    def test_cross_flows_must_be_a_list(self, value):
+        self.assert_path(
+            minimal(topology={"cross_flows": value}),
+            r"scenario\.topology\.cross_flows: expected a list",
+        )
+
+    def test_sigs_per_packet_fits_the_wire_format(self):
+        self.assert_path(
+            minimal(protocol={"sigs_per_packet": 23}),
+            r"protocol\.sigs_per_packet: must be <= 22",
+        )
+        cfg = parse_scenario(minimal(protocol={"sigs_per_packet": 22}))
+        assert cfg.protocol.sigs_per_packet == 22
+
+    def test_integer_too_large_for_a_float(self):
+        self.assert_path(
+            minimal(protocol={"theta_claimed_bps": 10**400}),
+            r"theta_claimed_bps: .* too large for a float",
         )
 
     def test_ladder_bounds(self):
@@ -151,49 +189,50 @@ class TestRejections:
             load_scenario(str(p))
 
 
+FULL = {
+    "name": "round-trip",
+    "protocol": {
+        "theta_claimed_bps": 500e6,
+        "n": 8,
+        "f": 2,
+        "duration_ns": 50_000_000,
+        "rate_policy": "per_n",
+        "timer_mode": True,
+    },
+    "topology": {
+        "backhaul_rate_bps": 500e6,
+        "queue_capacity_bytes": 64_000,
+        "uplink": {"rate_bps": "theta0", "propagation_ns": 3_000_000},
+        "uplink_propagation_range_ns": None,
+        "clock_offset_range_ns": 2_000_000,
+        "response_overhead_ns": "auto",
+        "cross_flows": [
+            {
+                "start_ns": 0,
+                "end_ns": 10_000_000,
+                "rate_bps": 30e6,
+                "yield_fraction": 0.5,
+            }
+        ],
+    },
+    "attack": {
+        "challengers": {
+            "2": {"name": "delay", "delay_ns": 5_000_000},
+            "7": {"name": "withhold_all"},
+        },
+        "prover": {"name": "colluding_early"},
+    },
+    "ladder": {
+        "theta_start_bps": 40e6,
+        "step_bps": 20e6,
+        "max_bps": 250e6,
+    },
+}
+
+
 class TestRoundTrip:
     def full_scenario(self):
-        return parse_scenario(
-            {
-                "name": "round-trip",
-                "protocol": {
-                    "theta_claimed_bps": 500e6,
-                    "n": 8,
-                    "f": 2,
-                    "duration_ns": 50_000_000,
-                    "rate_policy": "per_n",
-                    "timer_mode": True,
-                },
-                "topology": {
-                    "backhaul_rate_bps": 500e6,
-                    "queue_capacity_bytes": 64_000,
-                    "uplink": {"rate_bps": "theta0", "propagation_ns": 3_000_000},
-                    "uplink_propagation_range_ns": None,
-                    "clock_offset_range_ns": 2_000_000,
-                    "response_overhead_ns": "auto",
-                    "cross_flows": [
-                        {
-                            "start_ns": 0,
-                            "end_ns": 10_000_000,
-                            "rate_bps": 30e6,
-                            "yield_fraction": 0.5,
-                        }
-                    ],
-                },
-                "attack": {
-                    "challengers": {
-                        "2": {"name": "delay", "delay_ns": 5_000_000},
-                        "7": {"name": "withhold_all"},
-                    },
-                    "prover": {"name": "colluding_early"},
-                },
-                "ladder": {
-                    "theta_start_bps": 40e6,
-                    "step_bps": 20e6,
-                    "max_bps": 250e6,
-                },
-            }
-        )
+        return parse_scenario(FULL)
 
     def test_dict_form_parses_back_identically(self):
         cfg = self.full_scenario()
@@ -216,3 +255,71 @@ class TestRoundTrip:
         assert "ladder" not in d
         assert "f" not in d["protocol"]
         assert parse_scenario(d) == cfg
+
+
+def _paths(obj, prefix=()):
+    """Path (keys and list indices) of every value below a JSON object."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+PATHS = list(_paths(FULL))
+OBJECTS = [()] + [p for p in PATHS if isinstance(_at(FULL, p), dict)]
+FIELD_NAMES = sorted(
+    {f.name for cls in vars(config).values() if dataclasses.is_dataclass(cls) for f in dataclasses.fields(cls)}
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["theta0", "auto", "per_n", "rush", "delay", "honest", 0, 1, 8, 1514, 23, 10**400]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+KEYS = st.text(max_size=6) | st.sampled_from(FIELD_NAMES + ["0", "2", "03", " 7", "+5", "9"])
+
+
+@st.composite
+def mutated_full(draw):
+    """FULL with one value replaced or dropped, or one key added."""
+    obj = copy.deepcopy(FULL)
+    how = draw(st.sampled_from(["replace", "drop", "add"]))
+    if how == "add":
+        _at(obj, draw(st.sampled_from(OBJECTS)))[draw(KEYS)] = draw(JSON_VALUES)
+        return obj
+    path = draw(st.sampled_from(PATHS))
+    parent = _at(obj, path[:-1])
+    if how == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return obj
+
+
+def _with(path, value):
+    obj = copy.deepcopy(FULL)
+    _at(obj, path[:-1])[path[-1]] = value
+    return obj
+
+
+class TestMutations:
+    @settings(max_examples=400, deadline=None)
+    @given(obj=mutated_full())
+    @example(obj=_with(("topology", "cross_flows"), None))
+    @example(obj=_with(("attack", "challengers", "02"), {"name": "rush"}))
+    def test_rejected_or_round_trips(self, obj):
+        try:
+            cfg = parse_scenario(obj)
+        except ConfigError:
+            return
+        assert parse_scenario(scenario_to_dict(cfg)) == cfg

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backhaul.crypto import keygen
+from backhaul.roles import Challenger
 from backhaul.schedule import (
     PACKET_BYTES,
     ChallengeParams,
@@ -115,20 +117,27 @@ class TestOverprovision:
         assert overprovision_count(k, rho) == int(want)
 
 
+def train(p, s, cid):
+    """(send_time_ns, base_seq, count) per wire packet, from the challenger's own sends."""
+    keypair = keygen(bytes([cid]) * 32)
+    me = Challenger(cid, keypair, 0, keypair.public_key, p, s)
+    return [(t, pkt.base_seq, pkt.count) for t, pkt in me.build_sends()]
+
+
 class TestSendSchedule:
     def test_alignment_two_challengers(self):
         p = mk(50e6, 2, 0, 100, t0_ns=1_000 * MS)
-        s = send_schedule(p, [10 * MS, 30 * MS])
+        s = send_schedule(p, [10 * MS, 30 * MS], sigs_per_packet=22)
         assert s.first_send_ns == (1_020 * MS, 1_000 * MS)
         # both first probes land at the same instant
         assert s.first_send_ns[0] + 10 * MS == s.first_send_ns[1] + 30 * MS
 
     def test_packet_grouping_reference(self):
         p = mk(250e6, 10, 0, 100)
-        s = send_schedule(p, [0] * 10)
+        s = send_schedule(p, [0] * 10, sigs_per_packet=22)
         assert s.signatures == 227
         assert s.wire_packets_per_challenger == 11
-        sched = s.packet_schedule(1)
+        sched = train(p, s, 1)
         assert [c for _, _, c in sched] == [22] * 10 + [7]
         assert [b for _, b, c in sched] == [1 + 22 * j for j in range(11)]
         assert sum(c for _, _, c in sched) == 227
@@ -137,13 +146,14 @@ class TestSendSchedule:
         p = mk(250e6, 3, 0, 100, policy=RatePolicy.PER_N_MINUS_F)
         s = send_schedule(p, [5 * MS, 0, 2 * MS], sigs_per_packet=22)
         for cid in (1, 2, 3):
-            for t, base, _ in s.packet_schedule(cid):
-                assert t == s.signature_time_ns(cid, base)
+            for t, base, _ in train(p, s, cid):
+                # a packet goes out in the pacing slot of its first signature
+                assert t == s.first_send_ns[cid - 1] + round((base - 1) * s.spacing_ns)
 
     def test_one_signature_per_packet(self):
         p = mk(250e6, 10, 0, 100)
         s = send_schedule(p, [0] * 10, sigs_per_packet=1)
-        sched = s.packet_schedule(4)
+        sched = train(p, s, 4)
         assert len(sched) == 227
         assert all(c == 1 for _, _, c in sched)
         # consecutive sends separated by the pacing gap (rounded)
@@ -153,16 +163,16 @@ class TestSendSchedule:
     def test_spacing_spans_duration(self):
         p = mk(250e6, 10, 0, 100)
         s = send_schedule(p, [0] * 10, sigs_per_packet=1)
-        last = s.signature_time_ns(1, p.k)
+        last, _, _ = train(p, s, 1)[p.k - 1]
         # k-th probe leaves one pacing slot before the nominal duration ends
         assert abs((last - p.t0_ns) - (p.duration_ns - p.spacing_ns)) <= p.spacing_ns
 
     def test_input_validation(self):
         p = mk(250e6, 10, 0, 100)
         with pytest.raises(ParamsError, match="estimates"):
-            send_schedule(p, [0] * 9)
+            send_schedule(p, [0] * 9, sigs_per_packet=22)
         with pytest.raises(ParamsError, match="nonnegative"):
-            send_schedule(p, [0] * 9 + [-1])
+            send_schedule(p, [0] * 9 + [-1], sigs_per_packet=22)
         with pytest.raises(ParamsError, match="1..22"):
             send_schedule(p, [0] * 10, sigs_per_packet=0)
         with pytest.raises(ParamsError, match="1..22"):
@@ -176,7 +186,7 @@ class TestSendSchedule:
     def test_alignment_identity(self, lats, t0):
         n = len(lats)
         p = derive_params(25e6 * n, n, 0, 100 * MS, t0_ns=t0)
-        s = send_schedule(p, lats)
+        s = send_schedule(p, lats, sigs_per_packet=22)
         arrivals = {s.first_send_ns[i] + lats[i] for i in range(n)}
         assert arrivals == {t0 + max(lats)}
         assert min(s.first_send_ns) == t0
