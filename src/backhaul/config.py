@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import MISSING, dataclass, field
 
-from .schedule import DEFAULT_OVERPROVISION, PACKET_BYTES, RatePolicy
+from .schedule import DEFAULT_OVERPROVISION, DEFAULT_TIMEOUT_FACTOR, PACKET_BYTES, RatePolicy
 from .wire import SIG_SLOTS
 
 THETA0 = "theta0"
@@ -83,7 +84,7 @@ class ProtocolSpec:
     sigs_per_packet: int = rule(int, 1, default=1, maximum=SIG_SLOTS)
     timer_mode: bool = rule(bool, default=False)
     verifier_deadline_factor: float = rule(float, 1.0, default=3.0)
-    challenger_timeout_factor: float = rule(float, 1.0, default=5.0)
+    challenger_timeout_factor: float = rule(float, 1.0, default=DEFAULT_TIMEOUT_FACTOR)
     t0_ns: int = rule(int, 0, default=0)
 
 
@@ -92,7 +93,7 @@ class LinkSpec:
     rate_bps: float | str | None = rule(float, 1, default=None, literals=(None, THETA0))
     propagation_ns: int = rule(int, 0, default=0)
     jitter_stddev_ns: float = rule(float, 0, default=0.0)
-    loss_prob: float = rule(float, 0, default=0.0)
+    loss_prob: float = rule(float, 0, default=0.0, maximum=1)
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class TopologySpec:
     backhaul_rate_bps: float = rule(float, 1)
     backhaul_propagation_ns: int = rule(int, 0, default=0)
     backhaul_jitter_stddev_ns: float = rule(float, 0, default=0.0)
-    backhaul_loss_prob: float = rule(float, 0, default=0.0)
+    backhaul_loss_prob: float = rule(float, 0, default=0.0, maximum=1)
     queue_capacity_bytes: int | None = rule(int, PACKET_BYTES, default=None, literals=(None,))
     uplink: LinkSpec = rule(LinkSpec, default=LinkSpec)
     uplinks: tuple[LinkSpec, ...] | None = rule([LinkSpec], 1, default=None, literals=(None,))
@@ -155,7 +156,7 @@ class LadderSpec:
     theta_start_bps: float = rule(float, 1)
     step_bps: float = rule(float, 1)
     max_bps: float = rule(float, 1)
-    timeout_factor: float = rule(float, 1, default=5.0)
+    timeout_factor: float = rule(float, 1, default=DEFAULT_TIMEOUT_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -228,6 +229,8 @@ def _value(value, path: str, r: Rule):
         return tuple(out.items())
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
         raise ConfigError(f"{path}: expected {'a number' if kind is float else 'an integer'}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # JSON NaN, Infinity, 1e400
+        raise ConfigError(f"{path}: must be finite, got {value}")
     if low is not None and value < low:
         raise ConfigError(f"{path}: must be >= {low}, got {value}")
     if r.maximum is not None and value > r.maximum:

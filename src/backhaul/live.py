@@ -1,10 +1,11 @@
 """UDP endpoints that run a measurement over a real network path.
 
-The three roles from `roles` are wrapped in blocking socket loops so a
-challenge can be run between actual hosts (or across loopback for an
-end-to-end check). All packets use the binary wire formats, one
-datagram per message, so these endpoints interoperate with anything
-else speaking the same formats.
+The roles from `roles` are driven over blocking sockets, between actual
+hosts or across loopback. These endpoints only carry datagrams and keep
+time: each role takes what arrives through its `on_message`, the prover
+sends what `ProverBundle.routes` names, and the settle rule is the
+verifier's own, so a lazy verifier never settles on partial reports.
+Every message is one datagram in the binary wire formats.
 
 Time is wall clock (`time.time_ns`): the start instant t0 in the
 parameters is an epoch timestamp the participants must share, which on
@@ -14,9 +15,9 @@ arrivals line up only as well as challenger latencies agree; a
 coordinator that knows all latencies can pass them in explicitly for
 tighter alignment.
 
-Disputes need a control channel to request evidence from the prover;
-these endpoints cover the cooperative path (probes, response, reports)
-and leave the report-withholding recovery to the simulator.
+Recovering a withheld report needs the verifier to request a dispute
+from the prover, and the wire formats have no such request yet; that
+recovery stays in the simulator.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from __future__ import annotations
 import socket
 import time
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from . import wire
 from .crypto import KeyPair
-from .roles import Challenger, PoBOutput, Prover, Verifier
-from .schedule import ChallengeParams, estimate_latency, send_schedule
+from .roles import VERIFIER, Challenger, PoBOutput, Prover, Verifier
+from .schedule import DEFAULT_TIMEOUT_FACTOR, PING_SAMPLES, ChallengeParams, estimate_latency, send_schedule
 
-PING_SAMPLES = 20
-PING_TIMEOUT_S = 0.5
+PING_TIMEOUT_NS = 500_000_000
 RECV_BUF = 2048
 
 
@@ -43,11 +44,21 @@ Addr = tuple[str, int]
 
 
 def _sleep_until(epoch_ns: int) -> None:
-    while True:
-        rest = epoch_ns - time.time_ns()
-        if rest <= 0:
-            return
+    while (rest := epoch_ns - time.time_ns()) > 0:
         time.sleep(min(rest / 1e9, 0.05))
+
+
+def _receive(sock: socket.socket, until: Callable[[], int]) -> Iterator[tuple[int, Addr, object]]:
+    """(epoch ns, source, message) per decodable datagram until the epoch `until()`,
+    read again after each message; socket timeouts and malformed datagrams are skipped."""
+    while (rest := until() - time.time_ns()) > 0:
+        sock.settimeout(min(0.05, rest / 1e9))
+        try:
+            data, src = sock.recvfrom(RECV_BUF)
+            msg = wire.decode(data)
+        except (socket.timeout, wire.WireError):
+            continue
+        yield time.time_ns(), src, msg
 
 
 def ping_latency(
@@ -59,21 +70,13 @@ def ping_latency(
     """One-way latency estimate from echo round trips; raises if none answer."""
     rtts = []
     for nonce in range(1, samples + 1):
-        sock.settimeout(PING_TIMEOUT_S)
-        t0 = time.monotonic_ns()
-        sock.sendto(
-            wire.encode(wire.PingRequest(challenger_id=challenger_id, nonce=nonce)),
-            prover_addr,
-        )
-        try:
-            while True:
-                data, _ = sock.recvfrom(RECV_BUF)
-                msg = wire.decode(data)
-                if isinstance(msg, wire.PingReply) and msg.nonce == nonce:
-                    rtts.append(time.monotonic_ns() - t0)
-                    break
-        except (socket.timeout, wire.WireError):
-            continue
+        ping = wire.PingRequest(challenger_id=challenger_id, nonce=nonce)
+        t0 = time.time_ns()
+        sock.sendto(wire.encode(ping), prover_addr)
+        for now, _, msg in _receive(sock, lambda: t0 + PING_TIMEOUT_NS):
+            if isinstance(msg, wire.PingReply) and msg.nonce == nonce:
+                rtts.append(now - t0)
+                break
     if not rtts:
         raise LiveError(f"prover at {prover_addr} answered none of {samples} pings")
     return estimate_latency(rtts)
@@ -105,41 +108,24 @@ def serve_prover(
     addrs: dict[int, Addr] = {}
     pings = 0
     probes = 0
-    responded_at: int | None = None
+    stop = stop_ns
 
-    while True:
-        now = time.time_ns()
-        if now >= stop_ns:
-            break
-        if responded_at is not None and now - responded_at >= linger_ns:
-            break
-        sock.settimeout(min(0.05, (stop_ns - now) / 1e9))
-        try:
-            data, src = sock.recvfrom(RECV_BUF)
-        except socket.timeout:
-            continue
-        try:
-            msg = wire.decode(data)
-        except wire.WireError:
-            continue
+    for now, src, msg in _receive(sock, lambda: stop):
         if isinstance(msg, wire.PingRequest):
             pings += 1
-            sock.sendto(
-                wire.encode(
-                    wire.PingReply(challenger_id=msg.challenger_id, nonce=msg.nonce)
-                ),
-                src,
-            )
+            reply = wire.PingReply(challenger_id=msg.challenger_id, nonce=msg.nonce)
+            sock.sendto(wire.encode(reply), src)
         elif isinstance(msg, wire.ChallengePacket):
             probes += 1
             addrs[msg.challenger_id] = src
-            if prover.on_probe(time.time_ns(), msg):
-                responded_at = time.time_ns()
-                bundle = prover.build_responses()
-                for cid, addr in addrs.items():
-                    sock.sendto(wire.encode(bundle.responses[cid]), addr)
-                    sock.sendto(wire.encode(bundle.verifications[cid]), addr)
-                sock.sendto(wire.encode(bundle.announcement), verifier_addr)
+            if prover.on_probe(now, msg):
+                stop = min(stop_ns, now + linger_ns)
+                for dest, msgs in prover.build_responses().routes():
+                    addr = verifier_addr if dest == VERIFIER else addrs.get(dest)
+                    if addr is None:
+                        continue  # never heard from: no address to answer
+                    for out in msgs:
+                        sock.sendto(wire.encode(out), addr)
     return ProverStats(
         responded=prover.responded,
         probes_seen=probes,
@@ -164,35 +150,19 @@ def run_challenger(
         latency_ns = ping_latency(sock, challenger_id, prover_addr)
     # every slot uses our own latency: we are our own alignment reference
     schedule = send_schedule(params, [latency_ns] * params.n, sigs_per_packet=1)
-    me = Challenger(
-        challenger_id, keypair, prover_id, prover_public_key, params, schedule
-    )
+    me = Challenger(challenger_id, keypair, prover_id, prover_public_key, params, schedule)
 
     for t_ns, pkt in me.build_sends():
         _sleep_until(t_ns)
         sock.sendto(wire.encode(pkt), prover_addr)
 
-    deadline = me.t_first_ns + round(5 * params.duration_ns)
-    while me.pending_report is None and me.failure is None:
-        now = time.time_ns()
-        if now >= deadline:
+    deadline = me.t_first_ns + round(DEFAULT_TIMEOUT_FACTOR * params.duration_ns)
+    for now, _, msg in _receive(sock, lambda: deadline):
+        report = me.on_message(now, msg)
+        if report is not None:
+            sock.sendto(wire.encode(report), verifier_addr)
+        if me.report_sent or me.failure is not None:
             break
-        sock.settimeout(min(0.05, (deadline - now) / 1e9))
-        try:
-            data, _ = sock.recvfrom(RECV_BUF)
-            msg = wire.decode(data)
-        except (socket.timeout, wire.WireError):
-            continue
-        if isinstance(msg, wire.ResponsePacket):
-            me.on_response(time.time_ns(), msg)
-        elif isinstance(msg, wire.VerificationMessage):
-            rpt = me.on_verification(time.time_ns(), msg)
-            if rpt is not None:
-                me.pending_report = rpt
-
-    if me.pending_report is not None:
-        sock.sendto(wire.encode(me.pending_report), verifier_addr)
-        me.report_sent = True
     return me
 
 
@@ -206,22 +176,8 @@ def run_verifier(
 ) -> PoBOutput | None:
     """Collect the announcement and reports; verdict or None by the deadline."""
     verifier = Verifier(params, challenger_public_keys, prover_id, prover_public_key)
-    while verifier.output is None:
-        now = time.time_ns()
-        if now >= deadline_ns:
-            verifier.evaluate(now)
-            break
-        sock.settimeout(min(0.05, (deadline_ns - now) / 1e9))
-        try:
-            data, _ = sock.recvfrom(RECV_BUF)
-            msg = wire.decode(data)
-        except (socket.timeout, wire.WireError):
-            continue
-        now = time.time_ns()
-        if isinstance(msg, wire.ResponsePacket):
-            verifier.on_root(now, msg)
-        elif isinstance(msg, wire.ChallengerReport):
-            verifier.on_report(now, msg)
-        elif isinstance(msg, wire.DisputeSubmission):
-            verifier.on_dispute(now, msg)
-    return verifier.output
+    for now, _, msg in _receive(sock, lambda: deadline_ns):
+        verifier.on_message(now, msg)
+        if verifier.output is not None:
+            return verifier.output
+    return verifier.evaluate(time.time_ns())

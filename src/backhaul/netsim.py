@@ -47,8 +47,9 @@ from . import wire
 from .adversary import VIA_SIDE, AttackPlan
 from .config import ScenarioConfig, THETA0
 from .crypto import keygen
-from .roles import Challenger, PoBOutput, Prover, Verifier
+from .roles import VERIFIER, Challenger, PoBOutput, Prover, Verifier
 from .schedule import (
+    PING_SAMPLES,
     ChallengeParams,
     RatePolicy,
     SendSchedule,
@@ -58,7 +59,6 @@ from .schedule import (
 )
 
 PROVER_ID = 1
-PING_SAMPLES = 20
 
 _PING_WIRE_BYTES = (
     len(wire.encode(wire.PingRequest(challenger_id=1, nonce=0)))
@@ -527,7 +527,6 @@ def run_scenario(
         if tripped:
             trigger_key = ev[:-1]
 
-    deltas: dict[int, int | None] = {i: None for i in range(1, n + 1)}
     timed_out: list[int] = []
 
     def reverse_delay(i: int, size_bytes: int) -> float:
@@ -543,43 +542,37 @@ def run_scenario(
             d2 += rng.gauss(0.0, up.jitter_stddev_ns)
         return d + max(0.0, d2)
 
-    def deliver_report(rpt):
-        verifier.on_report(loop.now, rpt)
-        tr(
-            f"report challenger={rpt.challenger_id} rtt_ns={rpt.rtt_ns} "
-            f"acked={rpt.packets_acknowledged}"
-        )
+    def to_verifier(msg):
+        upheld = verifier.on_message(loop.now, msg)
+        if isinstance(msg, wire.ChallengerReport):
+            tr(f"report challenger={msg.challenger_id} rtt_ns={msg.rtt_ns} acked={msg.packets_acknowledged}")
+        elif isinstance(msg, wire.DisputeSubmission):
+            tr(f"dispute challenger={msg.challenger_id} packets={len(msg.packets)} upheld={upheld}")
 
-    def deliver_response(i: int, bundle):
+    def to_challenger(i: int, msgs):
         c = challengers[i]
         local = loop.now + offsets[i]
-        c.on_response(local, bundle.responses[i])
-        if c.delta_ns is not None and deltas[i] is None:
-            deltas[i] = c.delta_ns
+        reports = [c.on_message(local, msg) for msg in msgs]
         tr(f"response challenger={i} t_ns={loop.now} delta_ns={c.delta_ns}")
-        rpt = c.on_verification(local, bundle.verifications[i])
-        rpt = plan.report_action(i, rpt)
-        if rpt is not None:
-            loop.at(loop.now + vprop, partial(deliver_report, rpt))
-
-    def deliver_root(announcement):
-        verifier.on_root(loop.now, announcement)
+        for rpt in reports:
+            rpt = plan.report_action(i, rpt)
+            if rpt is not None:
+                loop.at(loop.now + vprop, partial(to_verifier, rpt))
 
     def respond():
         bundle = prover.build_responses()
         tr(f"trigger t_ns={prover.trigger_ns} capped={prover.capped_total()}")
-        for i in range(1, n + 1):
-            size = (
-                len(wire.encode(bundle.responses[i]))
-                + len(wire.encode(bundle.verifications[i]))
-                + 2 * wire.LOWER_LAYER_BUDGET
-            )
-            loop.at(loop.now + reverse_delay(i, size), partial(deliver_response, i, bundle))
-        loop.at(loop.now + vprop, partial(deliver_root, bundle.announcement))
+        for dest, msgs in bundle.routes():
+            if dest == VERIFIER:
+                loop.at(loop.now + vprop, partial(to_verifier, *msgs))
+                continue
+            # one delivery carries both messages, each with its lower-layer headers
+            size = sum(len(wire.encode(msg)) + wire.LOWER_LAYER_BUDGET for msg in msgs)
+            loop.at(loop.now + reverse_delay(dest, size), partial(to_challenger, dest, msgs))
 
     # challenger timeouts (local clocks)
     def check_timeout(i: int):
-        if deltas[i] is None and challengers[i].failure is None:
+        if challengers[i].delta_ns is None and challengers[i].failure is None:
             timed_out.append(i)
             tr(f"timeout challenger={i} t_ns={loop.now}")
 
@@ -588,28 +581,21 @@ def run_scenario(
         loop.at(t_local - offsets[i], partial(check_timeout, i))
 
     # verifier deadline: request disputes for unaccounted challengers,
-    # then settle (timer mode) once they have had time to arrive. The
-    # deadline is a set-up event scheduled after every probe, so it sees
-    # the response committed by a trigger whose key is below (deadline, 1).
+    # then settle once they have had time to arrive (`Verifier.evaluate`
+    # decides whether it may). The deadline is a set-up event scheduled
+    # after every probe, so it sees the response committed by a trigger
+    # whose key is below (deadline, 1).
     responded_by_deadline = trigger_key is not None and trigger_key < (deadline_ns, 1)
-
-    def deliver_dispute(d):
-        ok = verifier.on_dispute(loop.now, d)
-        tr(f"dispute challenger={d.challenger_id} packets={len(d.packets)} upheld={ok}")
 
     def at_deadline():
         if verifier.output is None and responded_by_deadline:
             for cid in verifier.missing_ids():
                 d = plan.dispute_for(cid, prover)
                 if d is not None:
-                    loop.at(loop.now + 2 * vprop, partial(deliver_dispute, d))
-
-    def settle():
-        if proto.timer_mode and verifier.output is None:
-            verifier.evaluate(loop.now)
+                    loop.at(loop.now + 2 * vprop, partial(to_verifier, d))
 
     loop.at(deadline_ns, at_deadline)
-    loop.at(deadline_ns + grace_ns, settle)
+    loop.at(deadline_ns + grace_ns, lambda: verifier.evaluate(loop.now))
     # the trigger's response goes on the heap after the set-up events
     if trigger_key is not None:
         loop.at(trigger_key[0] + overhead_ns, respond)
@@ -645,7 +631,7 @@ def run_scenario(
         params=params,
         schedule=schedule,
         latency_estimates_ns=l_est,
-        deltas_ns=deltas,
+        deltas_ns={i: c.delta_ns for i, c in challengers.items()},
         trigger_ns=prover.trigger_ns,
         timed_out=tuple(timed_out),
         drops=drops,

@@ -1,9 +1,10 @@
 """Protocol roles: challenger, prover, verifier.
 
-These classes are pure state machines. They never touch sockets or
-clocks; callers feed them timestamped messages and route whatever they
-return. The simulator and the live UDP harness both drive the same
-code.
+These classes are pure state machines and the whole control plane; they
+never touch sockets or clocks. Callers feed each role timestamped
+messages through `on_message`, send what `ProverBundle.routes` names and
+keep time, so the simulator and the live UDP harness share one routing
+and one settle rule (see `Verifier`).
 
 Counting is capped everywhere at k per challenger. A challenger sends
 ceil(rho * k) probes so that loss does not starve the prover, but only
@@ -16,7 +17,7 @@ cannot substitute for the others.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crypto import (
     KeyPair,
@@ -66,6 +67,9 @@ class PoBOutput:
     per_challenger: tuple[tuple[int, int], ...]
 
 
+VERIFIER = 0  # the root's destination in `ProverBundle.routes`; challengers are 1..n
+
+
 class Challenger:
     """Sends signed probes, times the prover's response, reports to the verifier."""
 
@@ -99,7 +103,6 @@ class Challenger:
         self.failure: str | None = None
         self.events: list[str] = []
         self._stashed_verification: VerificationMessage | None = None
-        self.pending_report: ChallengerReport | None = None
 
     def signature_for(self, sequence: int) -> bytes:
         return self._sigs[sequence]
@@ -123,28 +126,34 @@ class Challenger:
             out.append((t1 + round(j * spacing), pkt))
         return out
 
-    def on_response(self, now_ns: int, resp: ResponsePacket) -> None:
-        """First valid response freezes the timing measurement."""
+    def on_message(self, now_ns: int, msg) -> ChallengerReport | None:
+        """Take a response or a verification; the report for the verifier, once."""
+        if isinstance(msg, ResponsePacket):
+            return self.on_response(now_ns, msg)
+        if isinstance(msg, VerificationMessage):
+            return self.on_verification(now_ns, msg)
+        return None
+
+    def on_response(self, now_ns: int, resp: ResponsePacket) -> ChallengerReport | None:
+        """First valid response freezes the timing measurement; returns the
+        report that a verification stashed before it yields."""
         if self.delta_ns is not None or self.failure is not None:
-            return
+            return None
         if not verify(self.prover_public_key, resp.receipt + resp.root, resp.signature):
             self.events.append("response_bad_signature")
-            return
+            return None
         delta = now_ns - self.t_first_ns - 2 * self.latency_ns
         if delta <= 0:
             # a response cannot legitimately beat the round trip; a
             # prover that answered before our data reached it is cheating
             self.failure = "early_response"
             self.events.append(f"early_response delta={delta}")
-            return
+            return None
         self.delta_ns = delta
         self.receipt = resp.receipt
         self.root_seen = resp.root
-        if self._stashed_verification is not None:
-            stashed, self._stashed_verification = self._stashed_verification, None
-            rpt = self.on_verification(now_ns, stashed)
-            if rpt is not None:
-                self.pending_report = rpt
+        stashed, self._stashed_verification = self._stashed_verification, None
+        return None if stashed is None else self.on_verification(now_ns, stashed)
 
     def on_verification(self, now_ns: int, msg: VerificationMessage) -> ChallengerReport | None:
         """Check the prover's receipt really covers probes we sent, then report.
@@ -193,6 +202,13 @@ class ProverBundle:
     responses: dict[int, ResponsePacket]
     announcement: ResponsePacket
     verifications: dict[int, VerificationMessage]
+
+    def routes(self) -> list[tuple[int, tuple]]:
+        """(destination, messages) in send order: each challenger's response
+        and verification, by id, then the root to `VERIFIER`."""
+        out = [(i, (r, self.verifications[i])) for i, r in self.responses.items()]
+        out.append((VERIFIER, (self.announcement,)))
+        return out
 
 
 class Prover:
@@ -326,11 +342,11 @@ class Prover:
 class Verifier:
     """Aggregates reports into a bandwidth verdict.
 
-    Reports may arrive before the prover's root announcement; they are
-    buffered and judged once the root is known. In the default lazy
-    mode the verdict fires as soon as at least n - f challengers are
-    accounted for and the capped packet total reaches (n - f) * k. In
-    timer mode the verdict is whatever has arrived by the deadline.
+    Reports and disputes that arrive before the prover's root are held
+    and judged once it is known. A lazy verifier (f < n/3) gives its
+    verdict when n - f challengers are accounted for and the capped count
+    reaches (n - f) * k, and never on less; a timer-mode one (f < n/2)
+    settles at its deadline on whatever has arrived (`evaluate`).
     """
 
     def __init__(
@@ -352,7 +368,17 @@ class Verifier:
         self.disputes_upheld = 0
         self.output: PoBOutput | None = None
         self.output_ns: int | None = None
-        self._buffer: list[tuple[str, object]] = []
+        self._buffer: list = []
+
+    def on_message(self, now_ns: int, msg) -> bool:
+        """Take a root, a report or a dispute; True when a dispute is upheld."""
+        if isinstance(msg, ResponsePacket):
+            self.on_root(now_ns, msg)
+        elif isinstance(msg, ChallengerReport):
+            self.on_report(now_ns, msg)
+        elif isinstance(msg, DisputeSubmission):
+            return self.on_dispute(now_ns, msg)
+        return False
 
     def on_root(self, now_ns: int, resp: ResponsePacket) -> None:
         if self.root is not None:
@@ -362,17 +388,14 @@ class Verifier:
             return
         self.root = resp.root
         pending, self._buffer = self._buffer, []
-        for kind, msg in pending:
-            if kind == "report":
-                self.on_report(now_ns, msg)
-            else:
-                self.on_dispute(now_ns, msg)
+        for msg in pending:
+            self.on_message(now_ns, msg)
 
     def on_report(self, now_ns: int, rpt: ChallengerReport) -> None:
         if self.output is not None:
             return
         if self.root is None:
-            self._buffer.append(("report", rpt))
+            self._buffer.append(rpt)
             return
         cid = rpt.challenger_id
         if cid not in self.challenger_public_keys:
@@ -398,7 +421,7 @@ class Verifier:
         if self.output is not None:
             return False
         if self.root is None:
-            self._buffer.append(("dispute", d))
+            self._buffer.append(d)
             return False
         cid = d.challenger_id
         pk = self.challenger_public_keys.get(cid)
@@ -446,8 +469,9 @@ class Verifier:
         self._emit(now_ns)
 
     def evaluate(self, now_ns: int) -> PoBOutput | None:
-        """Deadline evaluation: settle for whatever has been accepted."""
-        if self.output is None and self.entries:
+        """Deadline evaluation: a timer-mode verifier settles for whatever
+        has been accepted; a lazy one keeps only a verdict it already has."""
+        if self.timer_mode and self.output is None and self.entries:
             self._emit(now_ns)
         return self.output
 

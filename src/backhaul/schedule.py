@@ -24,6 +24,8 @@ from .wire import SIG_SLOTS
 
 PACKET_BYTES = 1514
 DEFAULT_OVERPROVISION = 1.1
+# a challenger gives up on the response this many durations after its first send
+DEFAULT_TIMEOUT_FACTOR = 5.0
 
 
 class ParamsError(ValueError):
@@ -193,15 +195,12 @@ def send_schedule(
     )
 
 
-def estimate_latency(rtt_samples_ns: Sequence[int], method: str = "mean") -> int:
-    """One-way latency from round-trip samples: half the mean (or median)."""
+# round trips each challenger times before the challenge
+PING_SAMPLES = 20
+
+
+def estimate_latency(rtt_samples_ns: Sequence[int]) -> int:
+    """One-way latency from round-trip samples: half their mean."""
     if not rtt_samples_ns:
         raise ParamsError("no RTT samples")
-    if method == "mean":
-        rtt = sum(rtt_samples_ns) / len(rtt_samples_ns)
-    elif method == "median":
-        ordered = sorted(rtt_samples_ns)
-        rtt = ordered[len(ordered) // 2]
-    else:
-        raise ParamsError(f"unknown latency method {method!r}")
-    return round(rtt / 2)
+    return round(sum(rtt_samples_ns) / len(rtt_samples_ns) / 2)

@@ -147,6 +147,18 @@ class TestRejections:
             r"0 < fraction <= 1",
         )
 
+    @pytest.mark.parametrize(
+        "topology, path",
+        [
+            ({"uplink": {"loss_prob": 1.5}}, r"topology\.uplink\.loss_prob"),
+            ({"uplinks": [{}] * 9 + [{"loss_prob": 1.5}]}, r"topology\.uplinks\[9\]\.loss_prob"),
+            ({"backhaul_loss_prob": 1.5}, r"topology\.backhaul_loss_prob"),
+        ],
+        ids=["uplink", "uplinks", "backhaul"],
+    )
+    def test_loss_probability_above_one(self, topology, path):
+        self.assert_path(minimal(topology=topology), path + r": must be <= 1")
+
     def test_challenger_id_given_twice(self):
         self.assert_path(
             minimal(attack={"challengers": {"3": {"name": "rush"}, "03": {}}}),
@@ -173,6 +185,22 @@ class TestRejections:
             minimal(protocol={"theta_claimed_bps": 10**400}),
             r"theta_claimed_bps: .* too large for a float",
         )
+
+    # Python's json reads NaN and Infinity, and overflows 1e400 to infinity
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('{"protocol": {"theta_claimed_bps": NaN}}', "protocol.theta_claimed_bps"),
+            ('{"protocol": {"theta_claimed_bps": 1e400}}', "protocol.theta_claimed_bps"),
+            ('{"protocol": {"verifier_deadline_factor": Infinity}}', "protocol.verifier_deadline_factor"),
+            ('{"topology": {"backhaul_loss_prob": NaN}}', "topology.backhaul_loss_prob"),
+            ('{"topology": {"backhaul_jitter_stddev_ns": 1e400}}', "topology.backhaul_jitter_stddev_ns"),
+            ('{"topology": {"uplink": {"rate_bps": Infinity}}}', "topology.uplink.rate_bps"),
+        ],
+        ids=["theta-nan", "theta-1e400", "deadline-inf", "loss-nan", "jitter-1e400", "uplink-rate-inf"],
+    )
+    def test_non_finite_number(self, text, path):
+        self.assert_path(minimal(**json.loads(text)), re.escape(path) + ": must be finite")
 
     def test_ladder_bounds(self):
         self.assert_path(

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from backhaul.crypto import keygen
+from backhaul import wire
+from backhaul.crypto import keygen, sign
 from backhaul.live import (
     LiveError,
     ping_latency,
@@ -143,4 +144,40 @@ class TestAbsentPeers:
             )
         finally:
             sock.close()
+        assert out is None
+
+    def test_lazy_verifier_does_not_settle_on_one_corrupt_report(self):
+        # f = 1 of n = 4: a lone report claiming a 1 ns round trip must not
+        # become a verdict when the deadline passes
+        params = derive_params(
+            2e6, 4, 1, duration_ns=200 * MS, rate_policy=RatePolicy.PER_N
+        )
+        prover_key = keygen(os.urandom(32))
+        keys = {i: keygen(os.urandom(32)) for i in (1, 2, 3, 4)}
+        root = os.urandom(32)
+        announcement = wire.ResponsePacket(
+            receipt=bytes(32), root=root, signature=sign(prover_key.secret_key, bytes(32) + root)
+        )
+        corrupt = wire.ChallengerReport(
+            challenger_id=1,
+            prover_id=PROVER_ID,
+            merkle_root_seen=root,
+            rtt_ns=1,
+            packets_acknowledged=10**6,
+        )
+        sock, sender = udp_socket(), udp_socket()
+        try:
+            for msg in (announcement, corrupt):
+                sender.sendto(wire.encode(msg), sock.getsockname())
+            out = run_verifier(
+                sock,
+                params,
+                {i: kp.public_key for i, kp in keys.items()},
+                PROVER_ID,
+                prover_key.public_key,
+                deadline_ns=time.time_ns() + 300 * MS,
+            )
+        finally:
+            sock.close()
+            sender.close()
         assert out is None

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backhaul.crypto import hash_packet_set, keygen
-from backhaul.roles import Challenger, Prover, Verifier, upper_median
+from backhaul.roles import VERIFIER, Challenger, Prover, Verifier, upper_median
 from backhaul.schedule import RatePolicy, derive_params, send_schedule
 from backhaul.wire import (
     ChallengePacket,
@@ -357,6 +357,18 @@ class TestChallengerChecks:
         assert c1.on_verification(6 * MS, bundle.verifications[1]) is not None
         assert c1.on_verification(7 * MS, bundle.verifications[1]) is None
 
+    def test_verification_before_response_is_replayed(self):
+        w = world()
+        deliver_all(w)
+        bundle = w.prover.build_responses()
+        c1 = w.challengers[1]
+        assert c1.on_message(5 * MS, bundle.verifications[1]) is None  # stashed
+        rpt = c1.on_message(6 * MS, bundle.responses[1])
+        assert rpt is not None
+        assert (rpt.rtt_ns, rpt.packets_acknowledged) == (6 * MS, 5)
+        assert c1.report_sent
+        assert c1.on_message(7 * MS, bundle.verifications[1]) is None
+
     def test_receipt_matches_own_hash(self):
         w = world()
         deliver_all(w)
@@ -487,6 +499,31 @@ class TestVerifier:
         assert out.cnt == 15
         assert out.delta_ns == sorted(c.delta_ns for c in list(w.challengers.values())[:3])[1]
         assert out.reports_used == 3
+
+    def test_routes_drive_the_whole_exchange(self):
+        w = world()
+        deliver_all(w)
+        routes = w.prover.build_responses().routes()
+        assert [dest for dest, _ in routes] == [1, 2, 3, VERIFIER]
+        reports = [
+            w.challengers[dest].on_message(5 * MS, msg)
+            for dest, msgs in routes[:-1]
+            for msg in msgs
+        ]
+        for rpt in filter(None, reports):
+            assert w.verifier.on_message(5 * MS, rpt) is False  # buffered until the root
+        assert w.verifier.output is None
+        (root,) = routes[-1][1]
+        w.verifier.on_message(6 * MS, root)
+        assert w.verifier.output.cnt == 15
+
+    def test_lazy_evaluate_never_settles_on_partial_reports(self):
+        w = world(n=4, f=1, k=5)
+        deliver_all(w, skip=(4,))
+        finish(w, report_ids=[1, 2])
+        assert len(w.verifier.entries) == 2  # below n - f = 3
+        assert w.verifier.evaluate(50 * MS) is None
+        assert w.verifier.output is None
 
     def test_evaluate_without_entries_yields_nothing(self):
         w = world(timer_mode=False)

@@ -197,14 +197,9 @@ class TestEstimateLatency:
         assert estimate_latency([25 * MS] * 20) == 12_500_000
         assert estimate_latency([10 * MS, 30 * MS]) == 10 * MS
 
-    def test_median_method(self):
-        assert estimate_latency([10 * MS, 90 * MS, 20 * MS], method="median") == 10 * MS
-
     def test_rejects_bad_input(self):
         with pytest.raises(ParamsError):
             estimate_latency([])
-        with pytest.raises(ParamsError, match="method"):
-            estimate_latency([1], method="mode")
 
 
 class TestParamsObject:
