@@ -152,9 +152,11 @@ def run_challenger(
     schedule = send_schedule(params, [latency_ns] * params.n, sigs_per_packet=1)
     me = Challenger(challenger_id, keypair, prover_id, prover_public_key, params, schedule)
 
-    for t_ns, pkt in me.build_sends():
+    # encoding signs each probe, so do it all before the first paced send
+    train = [(t_ns, wire.encode(pkt)) for t_ns, pkt in me.build_sends()]
+    for t_ns, data in train:
         _sleep_until(t_ns)
-        sock.sendto(wire.encode(pkt), prover_addr)
+        sock.sendto(data, prover_addr)
 
     deadline = me.t_first_ns + round(DEFAULT_TIMEOUT_FACTOR * params.duration_ns)
     for now, _, msg in _receive(sock, lambda: deadline):

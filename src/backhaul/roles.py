@@ -17,7 +17,9 @@ cannot substitute for the others.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .crypto import (
     KeyPair,
@@ -70,8 +72,44 @@ class PoBOutput:
 VERIFIER = 0  # the root's destination in `ProverBundle.routes`; challengers are 1..n
 
 
+class _SignedOnRead(Sequence):
+    """One packet's probe signatures, each made the first time it is read.
+
+    Stands where a packet's tuple of signatures would: indexing, iteration
+    and equality read through `Challenger.signature_for`, so a probe that
+    no receipt, dispute or encoding reads is never signed.
+    """
+
+    __slots__ = ("_challenger", "_base", "_count")
+
+    def __init__(self, challenger: Challenger, base_seq: int, count: int):
+        self._challenger = challenger
+        self._base = base_seq
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, j: int) -> bytes:
+        if not 0 <= j < self._count:
+            raise IndexError(j)
+        return self._challenger.signature_for(self._base + j)
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _SignedOnRead)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 class Challenger:
-    """Sends signed probes, times the prover's response, reports to the verifier."""
+    """Sends signed probes, times the prover's response, reports to the verifier.
+
+    Probe q is signed the first time anything reads its signature, and at
+    most once; withheld, lost and late probes are never signed.
+    """
 
     def __init__(
         self,
@@ -90,11 +128,8 @@ class Challenger:
         self.schedule = schedule
         self.t_first_ns = schedule.first_send_ns[challenger_id - 1]
         self.latency_ns = schedule.latency_ns[challenger_id - 1]
-        total = params.signatures_per_challenger
-        self._sigs = {
-            q: sign(keypair.secret_key, probe_message(q, params.m0))
-            for q in range(1, total + 1)
-        }
+        self._limit = params.signatures_per_challenger
+        self._sigs: dict[int, bytes] = {}
         self.delta_ns: int | None = None
         self.receipt: bytes | None = None
         self.root_seen: bytes | None = None
@@ -105,23 +140,31 @@ class Challenger:
         self._stashed_verification: VerificationMessage | None = None
 
     def signature_for(self, sequence: int) -> bytes:
-        return self._sigs[sequence]
+        """Signature of probe `sequence`, made on its first read."""
+        sig = self._sigs.get(sequence)
+        if sig is None:
+            if not 1 <= sequence <= self._limit:
+                raise KeyError(sequence)
+            sig = sign(self.keypair.secret_key, probe_message(sequence, self.params.m0))
+            self._sigs[sequence] = sig
+        return sig
 
     def build_sends(self) -> list[tuple[int, ChallengePacket]]:
-        """(send_time_ns, packet) pairs for the whole probe train."""
+        """(send_time_ns, packet) pairs for the whole probe train; each
+        packet's signatures are made when first read."""
         out = []
         total = self.schedule.signatures
         spp = self.schedule.sigs_per_packet
         spacing = self.schedule.spacing_ns
         t1 = self.t_first_ns
-        sigs = list(self._sigs.values())  # sequence q at index q - 1
         for j in range(0, total, spp):
+            count = min(spp, total - j)
             pkt = ChallengePacket(
                 challenger_id=self.id,
                 base_seq=j + 1,
-                count=min(spp, total - j),
+                count=count,
                 nonce=struct.pack(">Q", j + 1),
-                signatures=tuple(sigs[j : j + spp]),
+                signatures=_SignedOnRead(self, j + 1, count),
             )
             out.append((t1 + round(j * spacing), pkt))
         return out
@@ -169,11 +212,11 @@ class Challenger:
         if msg.challenger_id != self.id:
             self.events.append("verification_wrong_id")
             return None
-        if msg.bitmap_bits != len(self._sigs):
+        if msg.bitmap_bits != self._limit:
             self.failure = "bitmap_size"
             return None
         seqs = sequences_from_bitmap(msg.bitmap, msg.bitmap_bits)
-        entries = [(q, self._sigs[q]) for q in seqs]
+        entries = [(q, self.signature_for(q)) for q in seqs]
         if hash_packet_set(entries) != self.receipt:
             self.failure = "receipt_mismatch"
             return None
@@ -214,16 +257,18 @@ class ProverBundle:
 class Prover:
     """Collects probes and answers once enough of the target volume arrived.
 
-    Probe signatures are not checked on the hot path; storing them is
-    enough, because any count the verifier doubts must be proven later
-    with the signatures themselves.
+    Probe signatures are not checked, nor even read, on the hot path:
+    for each sequence number the prover keeps the packet that first
+    brought it, and reads the signature bytes only at the freeze, for
+    receipts and disputes. Any count the verifier doubts must be proven
+    later with the signatures themselves.
     """
 
     def __init__(self, prover_id: int, keypair: KeyPair, params: ChallengeParams):
         self.id = prover_id
         self.keypair = keypair
         self.params = params
-        self.received: dict[int, dict[int, bytes]] = {
+        self.received: dict[int, dict[int, ChallengePacket]] = {
             i: {} for i in range(1, params.n + 1)
         }
         self.responded = False
@@ -242,7 +287,7 @@ class Prover:
         return self._capped
 
     def on_probe(self, now_ns: int, pkt: ChallengePacket) -> bool:
-        """Store fresh signatures; True exactly when this packet trips the threshold.
+        """Store fresh sequences; True exactly when this packet trips the threshold.
 
         Once the response is committed the stored sets are frozen:
         receipts, inclusion proofs, and disputes must all describe the
@@ -259,14 +304,14 @@ class Prover:
             return False
         limit = self._limit
         before = len(store)
-        for q, sig in zip(pkt.sequences(), pkt.signatures):
+        for q in pkt.sequences():
             if not 1 <= q <= limit:
                 self.dropped_seq += 1
                 continue
             if q in store:
                 self.duplicates += 1
                 continue
-            store[q] = sig
+            store[q] = pkt
         after = len(store)
         if after == before:
             return False
@@ -286,11 +331,17 @@ class Prover:
         self.trigger_ns = now_ns
         return True
 
+    def _signed(self, challenger_id: int) -> list[tuple[int, bytes]]:
+        """(q, signature) for each stored probe, by q; reads the signatures."""
+        return [
+            (q, pkt.signatures[q - pkt.base_seq])
+            for q, pkt in sorted(self.received[challenger_id].items())
+        ]
+
     def _build_leaves(self) -> list[bytes]:
         if self._leaves is None:
             self._leaves = [
-                hash_packet_set(sorted(self.received[i].items()))
-                for i in range(1, self.params.n + 1)
+                hash_packet_set(self._signed(i)) for i in range(1, self.params.n + 1)
             ]
         return self._leaves
 
@@ -333,7 +384,7 @@ class Prover:
         proof = merkle_prove(leaves, challenger_id - 1)
         return DisputeSubmission(
             challenger_id=challenger_id,
-            packets=tuple(sorted(self.received[challenger_id].items())),
+            packets=tuple(self._signed(challenger_id)),
             leaf_index=challenger_id - 1,
             siblings=proof.siblings,
         )
@@ -434,6 +485,12 @@ class Verifier:
             self.rejections.append((cid, "dispute_leaf_index"))
             return False
         limit = self.params.signatures_per_challenger
+        if len(d.packets) > limit or any(
+            a >= b for (a, _), (b, _) in pairwise(d.packets)
+        ):
+            # the datagram decoder's rule, checked before any verify
+            self.rejections.append((cid, "dispute_malformed"))
+            return False
         for q, sig in d.packets:
             if not 1 <= q <= limit or not verify(
                 pk, probe_message(q, self.params.m0), sig

@@ -15,6 +15,7 @@ the unused slots, so the payload length never varies with count.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 TAG_CHALLENGE = 0x01
@@ -48,13 +49,17 @@ class WireError(ValueError):
 
 @dataclass(frozen=True)
 class ChallengePacket:
-    """One probe datagram carrying up to 22 consecutive signatures."""
+    """One probe datagram carrying up to 22 consecutive signatures.
+
+    A decoded packet holds a plain tuple; a challenger's own packets hold
+    a sequence that signs each probe on first read (`roles.Challenger`).
+    """
 
     challenger_id: int
     base_seq: int
     count: int
     nonce: bytes
-    signatures: tuple[bytes, ...]
+    signatures: Sequence[bytes]
 
     def sequences(self) -> range:
         return range(self.base_seq, self.base_seq + self.count)

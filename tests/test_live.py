@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from backhaul import wire
+from backhaul import live, roles, wire
 from backhaul.crypto import keygen, sign
 from backhaul.live import (
     LiveError,
@@ -115,6 +115,54 @@ class TestLoopback:
         assert 1.5e6 <= verdict.measured_bps <= 3.2e6
         for s in (prover_sock, verifier_sock, *challenger_socks.values()):
             s.close()
+
+
+class TestPacing:
+    def test_train_is_signed_before_the_first_paced_send(self, monkeypatch):
+        params = derive_params(
+            2e6,
+            3,
+            0,
+            duration_ns=20 * MS,
+            rate_policy=RatePolicy.PER_N,
+            t0_ns=time.time_ns() + 50 * MS,
+            m0=os.urandom(32),
+        )
+        signs = []
+        real_sign, real_sleep = roles.sign, live._sleep_until
+
+        def counting_sign(secret_key, message):
+            signs.append(message)
+            return real_sign(secret_key, message)
+
+        signed_at_sleep = []
+
+        def recording_sleep(epoch_ns):
+            signed_at_sleep.append(len(signs))
+            real_sleep(epoch_ns)
+
+        monkeypatch.setattr(roles, "sign", counting_sign)
+        monkeypatch.setattr(live, "_sleep_until", recording_sleep)
+        sock, prover_sock = udp_socket(), udp_socket()
+        try:
+            me = run_challenger(
+                sock,
+                1,
+                keygen(os.urandom(32)),
+                PROVER_ID,
+                b"\x00" * 32,
+                prover_sock.getsockname(),
+                prover_sock.getsockname(),
+                params,
+                latency_ns=MS,
+            )
+        finally:
+            sock.close()
+            prover_sock.close()
+        total = params.signatures_per_challenger
+        assert me.delta_ns is None  # nobody answered
+        assert signed_at_sleep == [total] * total
+        assert len(signs) == total
 
 
 class TestAbsentPeers:

@@ -2,13 +2,13 @@
 
 import dataclasses
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backhaul import schedule, wire
+from backhaul import netsim, roles, schedule, wire
 from backhaul.adversary import fuzz_strategies
 from backhaul.cli import load_bundled
 from backhaul.config import parse_scenario
@@ -341,6 +341,52 @@ class TestPerProbeCost:
         probes = res.params.n * res.params.signatures_per_challenger
         assert probes > 100 * res.params.n
         assert calls <= res.params.n
+
+
+class TestLazySignatures:
+    """A probe is signed only when a receipt, a dispute or an encoding reads it."""
+
+    def run_recorded(self, monkeypatch, name):
+        """Bundled scenario at seed 0; (result, probe signs per challenger id, prover)."""
+        by_key = Counter()
+        real_sign = roles.sign
+
+        def counting_sign(secret_key, message):
+            by_key[secret_key] += 1
+            return real_sign(secret_key, message)
+
+        made = {"Challenger": [], "Prover": []}
+
+        def recording(cls):
+            class Recording(cls):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    made[cls.__name__].append(self)
+
+            return Recording
+
+        monkeypatch.setattr(roles, "sign", counting_sign)
+        monkeypatch.setattr(netsim, "Challenger", recording(roles.Challenger))
+        monkeypatch.setattr(netsim, "Prover", recording(roles.Prover))
+        res = run_scenario(load_bundled(name), seed=0, collect_trace=False)
+        signs = {c.id: by_key[c.keypair.secret_key] for c in made["Challenger"]}
+        (prover,) = made["Prover"]
+        return res, signs, prover
+
+    def test_withheld_trains_are_never_signed(self, monkeypatch):
+        res, signs, _ = self.run_recorded(monkeypatch, "withholding_250")
+        assert res.terminated
+        assert signs[9] == signs[10] == 0  # both withhold_all
+        assert all(signs[i] > 0 for i in range(1, 9))
+
+    def test_honest_run_signs_exactly_the_frozen_stores(self, monkeypatch):
+        res, signs, prover = self.run_recorded(monkeypatch, "overhead_500")
+        assert res.terminated
+        stored = sum(len(store) for store in prover.received.values())
+        assert sum(signs.values()) == stored
+        # the late overprovision tail is never signed
+        p = res.params
+        assert stored < p.n * p.signatures_per_challenger
 
 
 class TestClampedSends:

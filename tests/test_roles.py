@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backhaul.crypto import hash_packet_set, keygen
+from backhaul import roles
+from backhaul.crypto import hash_packet_set, keygen, probe_message, sign
 from backhaul.roles import VERIFIER, Challenger, Prover, Verifier, upper_median
 from backhaul.schedule import RatePolicy, derive_params, send_schedule
 from backhaul.wire import (
@@ -76,6 +77,19 @@ def world(
         keys=ckeys,
         prover_key=pkey,
     )
+
+
+def counting(monkeypatch, name):
+    """Replace roles.<name> with a wrapper; the returned list grows by one per call."""
+    calls = []
+    real = getattr(roles, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(roles, name, wrapper)
+    return calls
 
 
 def deliver_all(w, skip=()):
@@ -380,6 +394,41 @@ class TestChallengerChecks:
         assert bundle.responses[1].receipt == own
 
 
+class TestLazySignatures:
+    def test_init_and_build_sends_make_no_signature(self, monkeypatch):
+        signs = counting(monkeypatch, "sign")
+        w = world()
+        trains = {i: c.build_sends() for i, c in w.challengers.items()}
+        assert signs == []
+        _, pkt = trains[2][3]
+        first = pkt.signatures[0]
+        assert len(signs) == 1
+        c2 = w.challengers[2]
+        assert first == sign(c2.keypair.secret_key, probe_message(4, w.params.m0))
+        # read again, by index, by iteration or through the challenger: no new sign
+        assert pkt.signatures[0] == tuple(pkt.signatures)[0] == c2.signature_for(4) == first
+        assert len(signs) == 1
+
+    def test_prover_reads_signatures_only_at_the_freeze(self, monkeypatch):
+        signs = counting(monkeypatch, "sign")
+        w = world(n=4, f=1, k=5)
+        deliver_all(w, skip=(4,))
+        assert w.prover.responded
+        assert signs == []
+        w.prover.build_responses()
+        stored = sum(len(s) for s in w.prover.received.values())
+        assert stored == 15
+        assert len(signs) == stored + 5  # every stored probe, then n + 1 prover signs
+        w.prover.build_dispute(3)
+        assert len(signs) == stored + 5  # each probe is signed at most once
+
+    def test_sequence_outside_the_train_has_no_signature(self):
+        c1 = world().challengers[1]
+        for q in (0, c1.params.signatures_per_challenger + 1):
+            with pytest.raises(KeyError):
+                c1.signature_for(q)
+
+
 class TestVerifier:
     def test_reports_buffered_until_root(self):
         w = world()
@@ -462,6 +511,27 @@ class TestVerifier:
         )
         assert w.verifier.on_dispute(7 * MS, forged) is False
         assert (3, "dispute_bad_signature") in w.verifier.rejections
+
+    @pytest.mark.parametrize("shape", ["repeated", "descending", "too_long"])
+    def test_malformed_dispute_rejected_before_any_verify(self, monkeypatch, shape):
+        w = world(n=4, f=1, k=5)
+        deliver_all(w, skip=(4,))
+        bundle = w.prover.build_responses()
+        w.verifier.on_root(5 * MS, bundle.announcement)
+        d = w.prover.build_dispute(1)
+        (q1, s1), (q2, s2) = d.packets[:2]
+        packets = {
+            "repeated": ((q1, s1), (q1, s1)),
+            "descending": ((q2, s2), (q1, s1)),
+            "too_long": tuple(
+                (q, s1) for q in range(1, w.params.signatures_per_challenger + 2)
+            ),
+        }[shape]
+        verifies = counting(monkeypatch, "verify")
+        bad = DisputeSubmission(1, packets, d.leaf_index, d.siblings)
+        assert w.verifier.on_dispute(6 * MS, bad) is False
+        assert w.verifier.rejections == [(1, "dispute_malformed")]
+        assert verifies == []
 
     def test_dispute_wrong_slot_rejected(self):
         w = world(n=4, f=1, k=5)

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backhaul import wire
+from backhaul.crypto import keygen, probe_message, sign
+from backhaul.roles import Challenger
+from backhaul.schedule import derive_params, send_schedule
 
 
 def make_challenge(count=3, challenger_id=7, base_seq=45, nonce=b"\x11" * 8):
@@ -41,6 +44,25 @@ def test_challenge_round_trip_and_sequences():
     again = wire.decode(wire.encode(pkt))
     assert again == pkt
     assert list(again.sequences()) == [23, 24, 25, 26, 27]
+
+
+def test_lazily_signed_challenge_encodes_like_an_eager_one():
+    params = derive_params(2e6, 3, 0, duration_ns=200_000_000, m0=b"\x05" * 32)
+    key = keygen(b"\x09" * 32)
+    me = Challenger(2, key, 77, b"\x00" * 32, params, send_schedule(params, [0] * 3, sigs_per_packet=4))
+    _, pkt = me.build_sends()[1]
+    eager = wire.ChallengePacket(
+        challenger_id=2,
+        base_seq=5,
+        count=4,
+        nonce=pkt.nonce,
+        signatures=tuple(sign(key.secret_key, probe_message(q, params.m0)) for q in range(5, 9)),
+    )
+    assert wire.encode(pkt) == wire.encode(eager)
+    decoded = wire.decode(wire.encode(pkt))
+    assert isinstance(decoded.signatures, tuple)
+    assert decoded == pkt and pkt == decoded and pkt == eager
+    assert hash(pkt) == hash(eager)
 
 
 def test_challenge_rejects_count_out_of_range():
