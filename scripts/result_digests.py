@@ -15,9 +15,16 @@ Case sets:
           lossy jittery backhaul with a drop-tail queue, lossy jittery
           uplinks, and both (about two minutes); plus one config/ case
           per bundled scenario and per fuzz config, a digest of its
-          `scenario_to_dict` form as sorted JSON
-  golden  a few short runs that still reach every data-plane feature
-          (tests/golden_digests.json pins them)
+          `scenario_to_dict` form as sorted JSON; plus artifact/ cases,
+          the bytes the CLI writes: the JSON report, both CSVs and the
+          table of `build_report` over seeds 0-2 for every bundled
+          scenario and for the three criterion-2 configs that stall
+          with an honest prover, and the JSON and table of every ladder
+          climb above
+  golden  a few short runs that still reach every data-plane feature,
+          and the artifacts of one short report with and without
+          verdicts and of one short ladder climb (tests/golden_digests.json
+          pins them)
 
 Usage: python3 scripts/result_digests.py [--cases full|golden] [--compare FILE]
 """
@@ -33,8 +40,17 @@ import sys
 from backhaul import ladder
 from backhaul.adversary import fuzz_strategies
 from backhaul.cli import bundled_names, load_bundled
-from backhaul.config import parse_scenario, scenario_to_dict
+from backhaul.config import LadderSpec, parse_scenario, scenario_to_dict
 from backhaul.netsim import run_scenario
+from backhaul.report import (
+    build_report,
+    csv_bytes,
+    dump_report,
+    ladder_to_dict,
+    render_ladder,
+    render_table,
+    to_json_bytes,
+)
 
 MS = 1_000_000
 
@@ -76,11 +92,35 @@ FUZZ_TOPOLOGIES = {
     "both": {**LOSSY_BACKHAUL, **LOSSY_UPLINK},
 }
 LADDERS = ("cross_traffic_220", "cross_traffic_140", "cross_traffic_90")
+# criterion-2 fuzz configs whose honest prover gets no verdict
+STALLS = (6, 54, 65)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def digest(res) -> str:
-    text = "\n".join(f"{name}={getattr(res, name)!r}" for name in FIELDS)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha("\n".join(f"{name}={getattr(res, name)!r}" for name in FIELDS).encode())
+
+
+def report_artifacts(name: str, cfg, seeds) -> dict[str, str]:
+    """What `simulate --out --csv --challenger-csv` writes and prints."""
+    rep = build_report(cfg, seeds)
+    return {
+        f"{name}/json": sha(dump_report(rep, cfg)),
+        f"{name}/reps_csv": sha(csv_bytes(rep, "reps")),
+        f"{name}/challengers_csv": sha(csv_bytes(rep, "challengers")),
+        f"{name}/table": sha(render_table(rep).encode()),
+    }
+
+
+def ladder_artifacts(name: str, cfg, seed: int, res) -> dict[str, str]:
+    """What `measure --out` writes and prints."""
+    return {
+        f"{name}/json": sha(to_json_bytes(ladder_to_dict(cfg, seed, res))),
+        f"{name}/table": sha(render_ladder(res).encode()),
+    }
 
 
 def scenario(proto=None, topo=None, attack=None):
@@ -146,6 +186,18 @@ def golden_cases():
         yield f"fuzz_both_{seed}", fuzzed(both, seed, 20 * MS), seed
 
 
+def golden_artifacts() -> dict[str, str]:
+    """A report whose first two reps give no verdict, and a climb that fails its third rung."""
+    out = report_artifacts("golden/artifact/report", fuzzed(FUZZ_TOPOLOGIES["both"], 0, 20 * MS), [0, 1, 2])
+    small = scenario(
+        {"duration_ns": 20 * MS, "theta_claimed_bps": 40e6, "n": 4, "rate_policy": "per_n"},
+        {"backhaul_rate_bps": 100e6, "queue_capacity_bytes": 30_000},
+    )
+    cfg = dataclasses.replace(small, ladder=LadderSpec(theta_start_bps=40e6, step_bps=40e6, max_bps=200e6))
+    out.update(ladder_artifacts("golden/artifact/ladder", cfg, 1, ladder.run_ladder(cfg, seed=1)))
+    return out
+
+
 def full_cases():
     for name in bundled_names():
         for seed in range(3):
@@ -168,8 +220,17 @@ def config_digests() -> dict[str, str]:
     return out
 
 
+def artifact_digests() -> dict[str, str]:
+    out: dict[str, str] = {}
+    for name in bundled_names():
+        out.update(report_artifacts(f"artifact/bundled/{name}", load_bundled(name), [0, 1, 2]))
+    for seed in STALLS:
+        out.update(report_artifacts(f"artifact/stall/seed{seed}", fuzzed({}, seed), [0, 1, 2]))
+    return out
+
+
 def ladder_digests() -> dict[str, str]:
-    """One digest per rung, taken from the runs `run_ladder` makes."""
+    """One digest per rung, taken from the runs `run_ladder` makes, and the climb's artifacts."""
     out: dict[str, str] = {}
     real = ladder.run_scenario
     for name in LADDERS:
@@ -181,11 +242,13 @@ def ladder_digests() -> dict[str, str]:
                 rungs.append(res)
                 return res
 
+            cfg = load_bundled(name)
             ladder.run_scenario = recording
             try:
-                ladder.run_ladder(load_bundled(name), seed=seed)
+                climb = ladder.run_ladder(cfg, seed=seed)
             finally:
                 ladder.run_scenario = real
+            out.update(ladder_artifacts(f"artifact/ladder/{name}/seed{seed}", cfg, seed, climb))
             for i, res in enumerate(rungs):
                 out[f"ladder/{name}/seed{seed}/rung{i}"] = digest(res)
     return out
@@ -193,10 +256,13 @@ def ladder_digests() -> dict[str, str]:
 
 def compute(which: str) -> dict[str, str]:
     if which == "golden":
-        return {f"golden/{name}": digest(run_scenario(cfg, seed)) for name, cfg, seed in golden_cases()}
+        out = {f"golden/{name}": digest(run_scenario(cfg, seed)) for name, cfg, seed in golden_cases()}
+        out.update(golden_artifacts())
+        return out
     out = {name: digest(run_scenario(cfg, seed)) for name, cfg, seed in full_cases()}
     out.update(ladder_digests())
     out.update(config_digests())
+    out.update(artifact_digests())
     return out
 
 

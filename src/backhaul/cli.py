@@ -20,7 +20,7 @@ from importlib import resources
 
 from . import report as rpt
 from .adversary import AttackError
-from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario
+from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario, read_json
 from .ladder import run_ladder
 from .netsim import SimError, run_scenario
 from .schedule import ParamsError
@@ -71,6 +71,12 @@ def _add_scenario_args(p) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+def _add_csv_args(p) -> None:
+    """The CSVs `_render` writes beside the table."""
+    p.add_argument("--csv", metavar="PATH", help="write a per-run CSV here")
+    p.add_argument("--challenger-csv", metavar="PATH", help="write a per-challenger CSV here")
+
+
 def _resolve_scenario(args) -> ScenarioConfig:
     if args.config:
         return load_scenario(args.config)
@@ -85,6 +91,15 @@ def _write(path: str, data: bytes) -> None:
     _log().info("wrote %s (%d bytes)", path, len(data))
 
 
+def _render(args, report: rpt.RunReport) -> None:
+    """Print the table and write the CSVs asked for; `simulate` and `report` share it."""
+    print(rpt.render_table(report))
+    if args.csv:
+        _write(args.csv, rpt.csv_bytes(report, "reps"))
+    if args.challenger_csv:
+        _write(args.challenger_csv, rpt.csv_bytes(report, "challengers"))
+
+
 def cmd_simulate(args) -> int:
     cfg = _resolve_scenario(args)
     seeds = list(range(args.seed, args.seed + args.reps))
@@ -95,13 +110,9 @@ def cmd_simulate(args) -> int:
         _write(args.trace, ("\n".join(res.trace) + "\n").encode())
 
     report = rpt.build_report(cfg, seeds)
-    print(rpt.render_table(report))
+    _render(args, report)
     if args.out:
         _write(args.out, rpt.dump_report(report, cfg))
-    if args.csv:
-        _write(args.csv, rpt.csv_bytes(report, "reps"))
-    if args.challenger_csv:
-        _write(args.challenger_csv, rpt.csv_bytes(report, "challengers"))
     return EXIT_OK if report.terminated_reps else EXIT_NO_VERDICT
 
 
@@ -116,20 +127,12 @@ def cmd_measure(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{args.report}: invalid JSON: {e}") from e
+    obj = read_json(args.report)
     try:
         report = rpt.report_from_dict(obj)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"{args.report}: not a run report ({e})") from e
-    print(rpt.render_table(report))
-    if args.csv:
-        _write(args.csv, rpt.csv_bytes(report, "reps"))
-    if args.challenger_csv:
-        _write(args.challenger_csv, rpt.csv_bytes(report, "challengers"))
+    _render(args, report)
     return EXIT_OK
 
 
@@ -146,10 +149,7 @@ def build_parser():
     _add_scenario_args(sim)
     sim.add_argument("--reps", type=int, default=1, help="runs, seeds seed..seed+reps-1")
     sim.add_argument("--out", metavar="PATH", help="write the JSON report here")
-    sim.add_argument("--csv", metavar="PATH", help="write a per-run CSV here")
-    sim.add_argument(
-        "--challenger-csv", metavar="PATH", help="write a per-challenger CSV here"
-    )
+    _add_csv_args(sim)
     sim.add_argument(
         "--trace", metavar="PATH", help="write the first run's event trace here"
     )
@@ -162,10 +162,7 @@ def build_parser():
 
     rep = sub.add_parser("report", help="render a saved JSON report")
     rep.add_argument("report", help="report file from simulate --out")
-    rep.add_argument("--csv", metavar="PATH", help="write a per-run CSV here")
-    rep.add_argument(
-        "--challenger-csv", metavar="PATH", help="write a per-challenger CSV here"
-    )
+    _add_csv_args(rep)
     rep.set_defaults(fn=cmd_report)
     return p
 

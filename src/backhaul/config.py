@@ -269,13 +269,17 @@ def parse_scenario(obj: dict, source: str = "scenario") -> ScenarioConfig:
     return cfg
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+def read_json(path: str):
+    """The JSON value in the file at `path`; text that is not UTF-8 JSON is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
+            return json.load(fh)
+        except ValueError as e:  # not UTF-8, not JSON, or an integer too long to read
             raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    return parse_scenario(obj, source=path)
+
+
+def load_scenario(path: str) -> ScenarioConfig:
+    return parse_scenario(read_json(path), source=path)
 
 
 def _spec_to_dict(value):

@@ -7,6 +7,8 @@ randomness, and reports the measurement of the last rung that completed
 cleanly. A rung fails when the verifier produces no value or when more
 than half of the challengers gave up waiting; the climb stops at the
 first failure, since every higher rung needs strictly more capacity.
+So a climb is just its rungs, each filled from its run by
+`SimResult.record`; the estimate and its flags are read off them.
 
 The estimate inherits the single-run error bars, so callers wanting a
 tight figure should size the step accordingly instead of rerunning.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .config import ConfigError, ScenarioConfig
-from .netsim import SimResult, run_scenario
+from .netsim import run_scenario
 
 
 @dataclass(frozen=True)
@@ -39,14 +41,23 @@ class RungResult:
 @dataclass(frozen=True)
 class LadderResult:
     rungs: tuple[RungResult, ...]
-    estimate_bps: float | None
-    below_floor: bool
-    saturated: bool
 
     @property
     def last_good(self) -> RungResult | None:
         good = [r for r in self.rungs if r.completed]
         return good[-1] if good else None
+
+    @property
+    def estimate_bps(self) -> float | None:
+        return self.last_good.measured_bps if self.last_good else None
+
+    @property
+    def below_floor(self) -> bool:
+        return self.last_good is None
+
+    @property
+    def saturated(self) -> bool:
+        return bool(self.rungs) and self.rungs[-1].completed
 
 
 def rung_thetas(start_bps: float, step_bps: float, max_bps: float) -> list[float]:
@@ -71,11 +82,8 @@ def run_ladder(cfg: ScenarioConfig, seed: int) -> LadderResult:
     if cfg.ladder is None:
         raise ConfigError("scenario has no ladder section")
     lad = cfg.ladder
-    thetas = rung_thetas(lad.theta_start_bps, lad.step_bps, lad.max_bps)
-
     rungs: list[RungResult] = []
-    hit_failure = False
-    for idx, theta in enumerate(thetas):
+    for idx, theta in enumerate(rung_thetas(lad.theta_start_bps, lad.step_bps, lad.max_bps)):
         rung_seed = random.Random(f"{seed}:rung:{idx}").getrandbits(63)
         proto = dataclasses.replace(
             cfg.protocol,
@@ -84,31 +92,8 @@ def run_ladder(cfg: ScenarioConfig, seed: int) -> LadderResult:
         )
         rung_cfg = dataclasses.replace(cfg, protocol=proto, ladder=None)
         res = run_scenario(rung_cfg, seed=rung_seed, collect_trace=False)
-        rungs.append(_summarize(theta, rung_seed, res))
-        if rung_failed(cfg.protocol.n, len(res.timed_out), res.terminated):
-            hit_failure = True
+        completed = not rung_failed(cfg.protocol.n, len(res.timed_out), res.terminated)
+        rungs.append(res.record(RungResult, theta_bps=theta, seed=rung_seed, completed=completed))
+        if not completed:
             break
-
-    good = [r for r in rungs if r.completed]
-    return LadderResult(
-        rungs=tuple(rungs),
-        estimate_bps=good[-1].measured_bps if good else None,
-        below_floor=not good,
-        saturated=not hit_failure and bool(good),
-    )
-
-
-def _summarize(theta: float, rung_seed: int, res: SimResult) -> RungResult:
-    completed = not rung_failed(res.params.n, len(res.timed_out), res.terminated)
-    out = res.output
-    return RungResult(
-        theta_bps=theta,
-        seed=rung_seed,
-        completed=completed,
-        measured_bps=out.measured_bps if out else None,
-        guaranteed_bps=out.guaranteed_bps if out else None,
-        delta_ns=out.delta_ns if out else None,
-        cnt=out.cnt if out else None,
-        timed_out=len(res.timed_out),
-        drops=dict(res.drops),
-    )
+    return LadderResult(tuple(rungs))

@@ -40,7 +40,7 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 from . import wire
@@ -288,7 +288,6 @@ def _ping_latency_estimate(
 class SimResult:
     output: PoBOutput | None
     output_ns: int | None
-    terminated: bool
     params: ChallengeParams
     schedule: SendSchedule
     latency_estimates_ns: tuple[int, ...]
@@ -304,12 +303,37 @@ class SimResult:
     clamped_sends: int
 
     @property
+    def terminated(self) -> bool:
+        return self.output is not None
+
+    @property
     def measured_bps(self) -> float | None:
         return self.output.measured_bps if self.output else None
 
     @property
     def guaranteed_bps(self) -> float | None:
         return self.output.guaranteed_bps if self.output else None
+
+    def record(self, cls, **given):
+        """The record dataclass `cls` filled from this run.
+
+        A field comes from `given`, else from the verdict's field of that name
+        (None with no verdict), else from this result, else from its challenge
+        parameters; `timed_out` is counted.
+        """
+
+        def value(name: str):
+            if name in VERDICT_FIELDS:
+                return getattr(self.output, name) if self.output else None
+            if name == "timed_out":
+                return len(self.timed_out)
+            return getattr(self, name) if hasattr(self, name) else getattr(self.params, name)
+
+        return cls(**{f.name: value(f.name) for f in fields(cls) if f.init and f.name not in given}, **given)
+
+
+# the names `SimResult.record` takes from the verdict
+VERDICT_FIELDS = frozenset(f.name for f in fields(PoBOutput))
 
 
 def _resolve_uplinks(scenario: ScenarioConfig, theta0_bps: float, rng: random.Random):
@@ -627,7 +651,6 @@ def run_scenario(
     return SimResult(
         output=out,
         output_ns=verifier.output_ns,
-        terminated=out is not None,
         params=params,
         schedule=schedule,
         latency_estimates_ns=l_est,

@@ -4,6 +4,11 @@ A report is built by running one scenario several times with different
 seeds. Serialization is deliberately canonical (sorted keys, fixed
 indentation, trailing newline) so that identical runs produce identical
 bytes and reports can be diffed or content-addressed.
+
+Each record's fields are declared once, on its dataclass: `SimResult.record`
+fills a rep from its run, and the JSON form, the checked reader of saved
+reports and the CSV columns all follow `dataclasses.fields`. Only the JSON
+keys `scenario` and `id` and the CSV column `dropped` are renamed.
 """
 
 from __future__ import annotations
@@ -12,12 +17,18 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass
+import sys
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .config import ScenarioConfig, scenario_to_dict
 from .ladder import LadderResult
-from .netsim import SimResult, run_scenario
+from .netsim import VERDICT_FIELDS, run_scenario
 from .schedule import PACKET_BYTES
+
+# written names that differ from the field they hold
+_JSON_KEYS = {"scenario_name": "scenario", "challenger_id": "id"}
+_CSV_COLUMNS = {"drops": "dropped"}
 
 
 @dataclass(frozen=True)
@@ -25,12 +36,12 @@ class ChallengerRecord:
     challenger_id: int
     accepted: int
     delta_ns: int | None
+    implied_bps: float | None = field(init=False)
 
-    @property
-    def implied_bps(self) -> float | None:
-        if self.delta_ns is None or self.delta_ns <= 0:
-            return None
-        return self.accepted * PACKET_BYTES * 8 * 1e9 / self.delta_ns
+    def __post_init__(self):
+        ok = self.delta_ns is not None and self.delta_ns > 0
+        bps = self.accepted * PACKET_BYTES * 8 * 1e9 / self.delta_ns if ok else None
+        object.__setattr__(self, "implied_bps", bps)
 
 
 @dataclass(frozen=True)
@@ -44,8 +55,11 @@ class RepRecord:
     reports_used: int | None
     disputes_upheld: int | None
     timed_out: int
-    drops: dict
+    drops: dict[str, int]
     challengers: tuple[ChallengerRecord, ...]
+
+
+_REP_VERDICT_FIELDS = [f.name for f in fields(RepRecord) if f.name in VERDICT_FIELDS]
 
 
 @dataclass(frozen=True)
@@ -75,86 +89,57 @@ class RunReport:
         return mean, stdev
 
 
-def _rep_from_result(seed: int, res: SimResult) -> RepRecord:
-    out = res.output
-    challengers = []
-    if out is not None:
-        rtts = dict(res.deltas_ns)
-        for cid, accepted in out.per_challenger:
-            challengers.append(ChallengerRecord(cid, accepted, rtts.get(cid)))
-    return RepRecord(
-        seed=seed,
-        terminated=res.terminated,
-        measured_bps=out.measured_bps if out else None,
-        guaranteed_bps=out.guaranteed_bps if out else None,
-        delta_ns=out.delta_ns if out else None,
-        cnt=out.cnt if out else None,
-        reports_used=out.reports_used if out else None,
-        disputes_upheld=out.disputes_upheld if out else None,
-        timed_out=len(res.timed_out),
-        drops=dict(res.drops),
-        challengers=tuple(challengers),
-    )
-
-
 def build_report(cfg: ScenarioConfig, seeds: list[int]) -> RunReport:
     """Run the scenario once per seed and fold the outcomes together."""
     reps = []
-    params = None
     for seed in seeds:
         res = run_scenario(cfg, seed=seed, collect_trace=False)
-        params = res.params
-        reps.append(_rep_from_result(seed, res))
-    return RunReport(
-        scenario_name=cfg.name,
-        theta_claimed_bps=cfg.protocol.theta_claimed_bps,
-        n=params.n,
-        f=params.f,
-        k=params.k,
-        threshold=params.threshold,
-        reps=tuple(reps),
-    )
+        challengers = tuple(
+            ChallengerRecord(cid, accepted, res.deltas_ns.get(cid))
+            for cid, accepted in (res.output.per_challenger if res.output else ())
+        )
+        reps.append(res.record(RepRecord, seed=seed, challengers=challengers))
+    # every run shares the challenge parameters the header shows
+    return res.record(RunReport, scenario_name=cfg.name, reps=tuple(reps))
+
+
+def _json_object(items) -> dict:
+    """The `asdict` factory for a record's JSON object: its fields by name, two renamed."""
+    return {_JSON_KEYS.get(name, name): value for name, value in items}
+
+
+def _from_json(hint, value, path: str):
+    """`value`, read from JSON, as the declared type `hint`; TypeError if it is not one."""
+    if type(None) in typing.get_args(hint):  # declared `X | None`
+        if value is None:
+            return None
+        hint = typing.get_args(hint)[0]
+    if is_dataclass(hint) and type(value) is dict:
+        hints = typing.get_type_hints(hint)
+        keys = {f.name: _JSON_KEYS.get(f.name, f.name) for f in fields(hint) if f.init}
+        return hint(**{n: _from_json(hints[n], value[key], f"{path}.{key}") for n, key in keys.items()})
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple and type(value) in (list, tuple):  # JSON text has lists, report_to_dict tuples
+        return tuple(_from_json(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is dict and type(value) is dict:
+        return {_from_json(args[0], k, path): _from_json(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    if type(value) in (int, float) and not abs(value) <= sys.float_info.max:  # NaN, Infinity, 1e400
+        raise TypeError(f"{path}: expected a finite number, got {value!r}")
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is hint:
+        return value
+    raise TypeError(f"{path}: expected {hint.__name__}, got {value!r}")
 
 
 def report_to_dict(rep: RunReport, scenario: ScenarioConfig | None = None) -> dict:
     mean, stdev = rep.measured_stats()
-    out = {
-        "scenario": rep.scenario_name,
-        "theta_claimed_bps": rep.theta_claimed_bps,
-        "n": rep.n,
-        "f": rep.f,
-        "k": rep.k,
-        "threshold": rep.threshold,
-        "summary": {
-            "reps": len(rep.reps),
-            "terminated": len(rep.terminated_reps),
-            "measured_mean_bps": mean,
-            "measured_stdev_bps": stdev,
-        },
-        "reps": [
-            {
-                "seed": r.seed,
-                "terminated": r.terminated,
-                "measured_bps": r.measured_bps,
-                "guaranteed_bps": r.guaranteed_bps,
-                "delta_ns": r.delta_ns,
-                "cnt": r.cnt,
-                "reports_used": r.reports_used,
-                "disputes_upheld": r.disputes_upheld,
-                "timed_out": r.timed_out,
-                "drops": r.drops,
-                "challengers": [
-                    {
-                        "id": c.challenger_id,
-                        "accepted": c.accepted,
-                        "delta_ns": c.delta_ns,
-                        "implied_bps": c.implied_bps,
-                    }
-                    for c in r.challengers
-                ],
-            }
-            for r in rep.reps
-        ],
+    out = asdict(rep, dict_factory=_json_object)
+    out["summary"] = {
+        "reps": len(rep.reps),
+        "terminated": len(rep.terminated_reps),
+        "measured_mean_bps": mean,
+        "measured_stdev_bps": stdev,
     }
     if scenario is not None:
         out["config"] = scenario_to_dict(scenario)
@@ -167,88 +152,47 @@ def to_json_bytes(obj: dict) -> bytes:
 
 
 def report_from_dict(obj: dict) -> RunReport:
-    """Inverse of report_to_dict; ignores any embedded scenario config."""
-    reps = tuple(
-        RepRecord(
-            seed=r["seed"],
-            terminated=r["terminated"],
-            measured_bps=r["measured_bps"],
-            guaranteed_bps=r["guaranteed_bps"],
-            delta_ns=r["delta_ns"],
-            cnt=r["cnt"],
-            reports_used=r["reports_used"],
-            disputes_upheld=r["disputes_upheld"],
-            timed_out=r["timed_out"],
-            drops=dict(r["drops"]),
-            challengers=tuple(
-                ChallengerRecord(c["id"], c["accepted"], c["delta_ns"])
-                for c in r["challengers"]
-            ),
-        )
-        for r in obj["reps"]
-    )
-    return RunReport(
-        scenario_name=obj["scenario"],
-        theta_claimed_bps=obj["theta_claimed_bps"],
-        n=obj["n"],
-        f=obj["f"],
-        k=obj["k"],
-        threshold=obj["threshold"],
-        reps=reps,
-    )
+    """Inverse of report_to_dict; ignores the summary and any embedded config.
+
+    Raises KeyError for a missing key, TypeError for a value that is not of
+    its field's declared type, and ValueError for a rep whose verdict fields
+    are not set exactly when it terminated.
+    """
+    rep = _from_json(RunReport, obj, "report")
+    for i, r in enumerate(rep.reps):
+        if any((getattr(r, name) is None) == r.terminated for name in _REP_VERDICT_FIELDS):
+            raise ValueError(f"report.reps[{i}]: verdict fields disagree with terminated={r.terminated}")
+    return rep
+
+
+def _cell(value):
+    """One CSV cell: None is empty, a flag 0 or 1, a float to 3 places, counters summed."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    if isinstance(value, dict):
+        return sum(value.values())
+    return value
 
 
 def write_rep_csv(rep: RunReport, fh) -> None:
+    """One row per rep; nested records (the challengers) have their own CSV."""
+    hints = typing.get_type_hints(RepRecord)
+    names = [f.name for f in fields(RepRecord) if typing.get_origin(hints[f.name]) is not tuple]
     w = csv.writer(fh)
-    w.writerow(
-        [
-            "seed",
-            "terminated",
-            "measured_bps",
-            "guaranteed_bps",
-            "delta_ns",
-            "cnt",
-            "reports_used",
-            "disputes_upheld",
-            "timed_out",
-            "dropped",
-        ]
-    )
-    for r in rep.reps:
-        w.writerow(
-            [
-                r.seed,
-                int(r.terminated),
-                _fmt(r.measured_bps),
-                _fmt(r.guaranteed_bps),
-                r.delta_ns if r.delta_ns is not None else "",
-                r.cnt if r.cnt is not None else "",
-                r.reports_used if r.reports_used is not None else "",
-                r.disputes_upheld if r.disputes_upheld is not None else "",
-                r.timed_out,
-                sum(r.drops.values()),
-            ]
-        )
+    w.writerow([_CSV_COLUMNS.get(name, name) for name in names])
+    w.writerows([_cell(getattr(r, name)) for name in names] for r in rep.reps)
 
 
 def write_challenger_csv(rep: RunReport, fh) -> None:
+    names = [f.name for f in fields(ChallengerRecord)]
     w = csv.writer(fh)
-    w.writerow(["seed", "challenger_id", "accepted", "delta_ns", "implied_bps"])
+    w.writerow(["seed", *names])
     for r in rep.reps:
-        for c in r.challengers:
-            w.writerow(
-                [
-                    r.seed,
-                    c.challenger_id,
-                    c.accepted,
-                    c.delta_ns if c.delta_ns is not None else "",
-                    _fmt(c.implied_bps),
-                ]
-            )
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.3f}"
+        w.writerows([r.seed, *(_cell(getattr(c, name)) for name in names)] for c in r.challengers)
 
 
 def _mbit(value: float | None) -> str:
@@ -293,20 +237,7 @@ def ladder_to_dict(cfg: ScenarioConfig, seed: int, res: LadderResult) -> dict:
         "estimate_bps": res.estimate_bps,
         "below_floor": res.below_floor,
         "saturated": res.saturated,
-        "rungs": [
-            {
-                "theta_bps": r.theta_bps,
-                "seed": r.seed,
-                "completed": r.completed,
-                "measured_bps": r.measured_bps,
-                "guaranteed_bps": r.guaranteed_bps,
-                "delta_ns": r.delta_ns,
-                "cnt": r.cnt,
-                "timed_out": r.timed_out,
-                "drops": dict(r.drops),
-            }
-            for r in res.rungs
-        ],
+        "rungs": [asdict(r) for r in res.rungs],
     }
 
 

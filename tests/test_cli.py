@@ -200,15 +200,50 @@ class TestMeasure:
         assert main(["measure", "--config", str(cfg), "--seed", "1"]) == EXIT_NO_VERDICT
 
 
+# lossy jittery hops and a 20 ms challenge: seeds 0 and 1 give no verdict, seed 2 does
+LOSSY = {
+    "name": "lossy",
+    "protocol": {"theta_claimed_bps": 250e6, "n": 10, "duration_ns": 20 * MS, "rate_policy": "per_n_minus_f"},
+    "topology": {
+        "backhaul_rate_bps": 250e6,
+        "backhaul_loss_prob": 0.02,
+        "backhaul_jitter_stddev_ns": 200_000,
+        "queue_capacity_bytes": 30_000,
+        "uplink": {
+            "rate_bps": "theta0",
+            "propagation_ns": 5 * MS,
+            "loss_prob": 0.03,
+            "jitter_stddev_ns": 100_000,
+        },
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def saved_report(tmp_path_factory):
+    """A `simulate --out` report of two reps that both gave a verdict."""
+    path = tmp_path_factory.mktemp("saved") / "r.json"
+    assert main(["simulate", "--scenario", "ideal_250", "--reps", "2", "--out", str(path)]) == EXIT_OK
+    return json.loads(path.read_text())
+
+
 class TestReport:
     def test_rerender_saved_report(self, scenario_file, tmp_path, capsys):
-        saved = tmp_path / "r.json"
-        main(["simulate", "--config", scenario_file, "--seed", "5", "--out", str(saved)])
-        capsys.readouterr()
-        csv_path = tmp_path / "again.csv"
-        assert main(["report", str(saved), "--csv", str(csv_path)]) == EXIT_OK
-        assert "cli-test" in capsys.readouterr().out
-        assert csv_path.read_text().count("\n") == 2
+        def outputs(argv, name):
+            reps, challengers = tmp_path / f"{name}.csv", tmp_path / f"{name}-challengers.csv"
+            code = main([*argv, "--csv", str(reps), "--challenger-csv", str(challengers)])
+            return code, capsys.readouterr().out, reps.read_bytes(), challengers.read_bytes()
+
+        lossy = tmp_path / "lossy.json"
+        lossy.write_text(json.dumps(LOSSY))
+        cases = ((scenario_file, "1", "terminated 1/1"), (str(lossy), "3", "terminated 1/3"))
+        for config, reps, tally in cases:
+            saved = tmp_path / "r.json"
+            argv = ["simulate", "--config", config, "--seed", "0", "--reps", reps, "--out", str(saved)]
+            code, table, rep_csv, challenger_csv = outputs(argv, "first")
+            assert code == EXIT_OK and tally in table
+            # the same table, and the same bytes in both CSVs, from the saved report alone
+            assert outputs(["report", str(saved)], "again") == (EXIT_OK, table, rep_csv, challenger_csv)
 
     def test_rejects_non_report_json(self, tmp_path, capsys):
         p = tmp_path / "x.json"
@@ -216,7 +251,41 @@ class TestReport:
         assert main(["report", str(p)]) == EXIT_CONFIG
         assert "not a run report" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("measured_bps",), "x"),
+            (("delta_ns",), "x"),
+            (("measured_bps",), None),  # rep 0 terminated, so it has a measured figure
+            (("challengers", 0, "accepted"), "x"),
+            (("delta_ns",), 10**400),
+        ],
+        ids=["measured_str", "delta_str", "measured_null", "accepted_str", "delta_huge"],
+    )
+    def test_rejects_malformed_report(self, saved_report, tmp_path, capsys, where, value):
+        obj = json.loads(json.dumps(saved_report))
+        assert obj["reps"][0]["terminated"]
+        node = obj["reps"][0]
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps(obj))
+        out = tmp_path / "out.csv"
+        assert main(["report", str(p), "--csv", str(out), "--challenger-csv", str(out)]) == EXIT_CONFIG
+        assert "not a run report" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_invalid_json(self, tmp_path):
         p = tmp_path / "x.json"
         p.write_text("{oops")
         assert main(["report", str(p)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--config"], ["report"]], ids=["simulate", "report"])
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" + b"1" * 5000 + b"]"], ids=["not_utf8", "long_integer"])
+def test_unreadable_json_file_is_config_error(tmp_path, capsys, argv, data):
+    p = tmp_path / "bin.json"
+    p.write_bytes(data)
+    assert main([*argv, str(p)]) == EXIT_CONFIG
+    assert "invalid JSON" in capsys.readouterr().err

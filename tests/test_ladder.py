@@ -3,7 +3,7 @@
 import pytest
 
 from backhaul.config import ConfigError, parse_scenario
-from backhaul.ladder import run_ladder, rung_failed, rung_thetas
+from backhaul.ladder import LadderResult, RungResult, run_ladder, rung_failed, rung_thetas
 
 MS = 1_000_000
 
@@ -51,6 +51,23 @@ class TestFailureRule:
     def test_half_is_not_a_majority(self):
         assert not rung_failed(10, 5, produced_output=True)
         assert not rung_failed(10, 0, produced_output=True)
+
+
+def rung(theta, completed):
+    measured = theta if completed else None
+    return RungResult(theta, 0, completed, measured, measured, 1 if completed else None, 1, 0, {})
+
+
+class TestResult:
+    def test_read_off_the_rungs(self):
+        knee = LadderResult((rung(40e6, True), rung(60e6, True), rung(80e6, False)))
+        assert knee.estimate_bps == 60e6 and knee.last_good.theta_bps == 60e6
+        assert not knee.saturated and not knee.below_floor
+        top = LadderResult((rung(40e6, True), rung(60e6, True)))
+        assert top.saturated and top.estimate_bps == 60e6
+        for floor in (LadderResult((rung(40e6, False),)), LadderResult(())):
+            assert floor.below_floor and not floor.saturated
+            assert floor.estimate_bps is None and floor.last_good is None
 
 
 class TestClimb:

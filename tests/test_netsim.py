@@ -474,3 +474,28 @@ class TestImpairments:
             5 * MS, abs=0.2 * MS
         )
         assert slow.measured_bps < fast.measured_bps
+
+
+@dataclasses.dataclass(frozen=True)
+class Record:
+    seed: int
+    terminated: bool
+    cnt: int | None
+    timed_out: int
+    trigger_ns: int | None
+    k: int
+
+
+class TestRecord:
+    def test_fields_from_given_verdict_run_and_params(self):
+        res = run_scenario(scenario(), seed=1, collect_trace=False)
+        assert res.record(Record, seed=9) == Record(9, True, res.output.cnt, 0, res.trigger_ns, res.params.k)
+        assert res.record(Record, seed=9, cnt=7).cnt == 7
+
+    def test_no_verdict_leaves_verdict_fields_none_and_counts_timeouts(self):
+        # a 90 Mbit/s path under a 250 Mbit/s claim: no verdict, and challengers time out
+        cfg = scenario(topo={"backhaul_rate_bps": 90e6, "queue_capacity_bytes": 64_000})
+        res = run_scenario(cfg, seed=1, collect_trace=False)
+        rec = res.record(Record, seed=1)
+        assert not rec.terminated and rec.cnt is None
+        assert rec.timed_out == len(res.timed_out) > 0

@@ -3,6 +3,9 @@
 tests/golden_digests.json was written by `scripts/result_digests.py
 --cases golden` before the probe phase became a pass over sorted streams;
 a change that moves any of these digests changed what some run computes.
+Its golden/artifact/ entries, the bytes of a report's JSON, CSVs and
+table and of a ladder's JSON and table, were recorded before reports and
+ladder results took their fields from the record declarations.
 """
 
 import importlib.util
