@@ -77,28 +77,30 @@ class AttackPlan:
         challenger_id: int,
         train: list[tuple[int, ChallengePacket]],
         side_channel: bool,
-    ) -> list[tuple[int, ChallengePacket, str]]:
-        """Transform the honest (true_time, packet) train for one challenger."""
+    ) -> tuple[list[tuple[int, ChallengePacket]], str]:
+        """(sends, via): the honest (send_time, packet) train for one
+        challenger, reshaped, and the path the whole train takes.
+
+        Uplink sends keep the train's clock and are the train itself when
+        the strategy leaves it alone; side-channel sends leave at t0 on the
+        true clock.
+        """
         strat = self.spec.strategy_for(challenger_id)
         name = strat.name
         if name not in CHALLENGER_STRATEGIES:
             raise AttackError(f"unhandled challenger strategy {name!r}")
         if name in ("withhold_all", "share_keys"):
-            return []
+            return [], VIA_UPLINK
         if name == "withhold_fraction":
-            return [
-                (t, p, VIA_UPLINK)
-                for t, p in train
-                if self.rng.random() >= strat.fraction
-            ]
+            return [s for s in train if self.rng.random() >= strat.fraction], VIA_UPLINK
         if name == "delay":
-            return [(t + strat.delay_ns, p, VIA_UPLINK) for t, p in train]
+            return [(t + strat.delay_ns, p) for t, p in train], VIA_UPLINK
         if name == "rush":
             if not side_channel:
                 raise AttackError("rush strategy requires a side channel")
-            return [(self.params.t0_ns, p, VIA_SIDE) for _, p in train]
+            return [(self.params.t0_ns, p) for _, p in train], VIA_SIDE
         # the rest send the honest train and act after the probe phase
-        return [(t, p, VIA_UPLINK) for t, p in train]
+        return train, VIA_UPLINK
 
     def report_action(
         self, challenger_id: int, report: ChallengerReport | None

@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 bad configuration or arguments, 3 runtime
 failure, 4 completed but produced no verdict (nothing terminated, or
 the ladder floor was already too high).
 
-Set BACKHAUL_LOG=debug|info|warning to control log verbosity.
+Set BACKHAUL_LOG=debug|info|warning|error|critical to control log
+verbosity; any other value is a configuration error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_NO_VERDICT = 4
+
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
 def bundled_names() -> list[str]:
@@ -170,10 +173,11 @@ def build_parser():
 def main(argv=None) -> int:
     import logging
 
-    logging.basicConfig(
-        level=os.environ.get("BACKHAUL_LOG", "warning").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("BACKHAUL_LOG", "warning")
+    if level.lower() not in LOG_LEVELS:
+        print(f"error: BACKHAUL_LOG must be one of {', '.join(LOG_LEVELS)}; got {level!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "list_scenarios", False):

@@ -15,6 +15,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from cryptography.exceptions import InvalidSignature
@@ -30,6 +31,11 @@ DIGEST_LEN = 32
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
+
+# the 4-byte big-endian sequence number that opens a probe message and
+# each entry of a packet-set digest
+SEQUENCE = struct.Struct(">I")
+_BY_SEQUENCE = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,9 @@ def sign(secret_key: bytes, message: bytes) -> bytes:
     """Sign message, returning the 64-byte signature."""
     if len(secret_key) != SEED_LEN:
         raise ValueError(f"secret key must be {SEED_LEN} bytes, got {len(secret_key)}")
-    return _load_private(bytes(secret_key)).sign(bytes(message))
+    if type(secret_key) is not bytes:
+        secret_key = bytes(secret_key)
+    return _load_private(secret_key).sign(bytes(message))
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -87,13 +95,22 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     return True
 
 
-def probe_message(sequence: int, m0: bytes) -> bytes:
-    """Message covered by probe signature q: 4-byte big-endian q then m0."""
-    if not 0 <= sequence < 2**32:
-        raise ValueError(f"sequence {sequence} out of u32 range")
+def check_m0(m0: bytes) -> bytes:
+    """m0, once it is known to be a digest; a probe message ends with it."""
     if len(m0) != DIGEST_LEN:
         raise ValueError(f"m0 must be {DIGEST_LEN} bytes, got {len(m0)}")
-    return struct.pack(">I", sequence) + m0
+    return m0
+
+
+def probe_message(sequence: int, m0: bytes) -> bytes:
+    """Message covered by probe signature q: 4-byte big-endian q then m0.
+
+    A caller that signs many probes under one m0 checks it once with
+    `check_m0` and builds `SEQUENCE.pack(q) + m0` itself.
+    """
+    if not 0 <= sequence < 2**32:
+        raise ValueError(f"sequence {sequence} out of u32 range")
+    return SEQUENCE.pack(sequence) + check_m0(m0)
 
 
 def hash_packet_set(entries: Iterable[tuple[int, bytes]]) -> bytes:
@@ -104,10 +121,10 @@ def hash_packet_set(entries: Iterable[tuple[int, bytes]]) -> bytes:
     digest is independent of arrival order. The empty set hashes the
     empty string.
     """
-    pack = struct.Struct(">I").pack
+    pack = SEQUENCE.pack
     parts = []
     seen = -1
-    for seq, sig in sorted(entries, key=lambda e: e[0]):
+    for seq, sig in sorted(entries, key=_BY_SEQUENCE):
         # one combined test on the common path; sorted, so seq >= seen
         if not (seen < seq < 2**32 and len(sig) == SIG_LEN):
             if not 0 <= seq < 2**32:

@@ -171,16 +171,37 @@ class FifoLink:
         self.busy_until = 0.0
         self.queued_bytes = 0
         self.stats = LinkStats()
+        self._propagation = float(propagation_ns)
         self._pending: deque = deque()  # (departure ns, size, event), key order
         self._arrivals: list = []
 
     def send(self, event: tuple, size_bytes: int) -> None:
-        """Offer event = (t, flag, ..., payload); keys must not decrease."""
+        """Offer event = (t, flag, ..., payload); keys must not decrease.
+
+        The departures whose key is below the event's run first. Their loop
+        is `_depart`'s body inlined, since every packet calls this on every
+        link.
+        """
         t = event[0]
         pending = self._pending
-        if pending and pending[0][0] <= t:
-            self._depart_before(event)
         stats = self.stats
+        while pending:
+            dep, size, ev = pending[0]
+            # keys never tie: at equal times the full keys decide, and a
+            # departure, (t, 1, ...), follows a set-up event, (t, 0, ...)
+            if dep >= t and (dep > t or event[1] == 0 or (dep, 1) + ev > event):
+                break
+            pending.popleft()
+            self.queued_bytes -= size
+            d = self._propagation
+            if self.jitter_stddev_ns:
+                d += self.rng.gauss(0.0, self.jitter_stddev_ns)
+            arrival = int(dep + d) if d > 0.0 else dep
+            if self.ranked:
+                self._arrivals.append((arrival, 1, stats.delivered, ev[-1]))
+            else:
+                self._arrivals.append((arrival, 1, dep, 1) + ev)
+            stats.delivered += 1
         stats.sent += 1
         if self.loss_prob and self.rng.random() < self.loss_prob:
             stats.lost += 1
@@ -190,38 +211,34 @@ class FifoLink:
             stats.tail_dropped += 1
             return
         now = float(t)
-        start = self.busy_until if self.busy_until > now else now
+        busy = self.busy_until
+        start = busy if busy > now else now
         rate = self.rate_fn(start)
-        self.busy_until = start + (0.0 if rate is None else size_bytes * 8e9 / rate)
+        busy = self.busy_until = start + (0.0 if rate is None else size_bytes * 8e9 / rate)
         self.queued_bytes = queued
         if queued > stats.max_queue_bytes:
             stats.max_queue_bytes = queued
-        pending.append((int(self.busy_until), size_bytes, event))
+        pending.append((int(busy), size_bytes, event))
 
-    def _depart_before(self, key: tuple) -> None:
-        """Run the queued departures whose order key is below `key`."""
-        pending = self._pending
-        bound = key[0]
-        while pending:
-            t, size_bytes, event = pending[0]
-            # keys never tie: at equal times the full keys decide
-            if t >= bound and (t > bound or (t, 1) + event > key):
-                break
-            pending.popleft()
-            self.queued_bytes -= size_bytes
-            d = float(self.propagation_ns)
-            if self.jitter_stddev_ns:
-                d += self.rng.gauss(0.0, self.jitter_stddev_ns)
-            arrival = int(t + d) if d > 0.0 else t
-            if self.ranked:
-                self._arrivals.append((arrival, 1, self.stats.delivered, event[-1]))
-            else:
-                self._arrivals.append((arrival, 1, t, 1) + event)
-            self.stats.delivered += 1
+    def _depart(self, t: int, size_bytes: int, event: tuple) -> None:
+        """The departure at t of the head of the queue: its arrival event."""
+        self.queued_bytes -= size_bytes
+        d = self._propagation
+        if self.jitter_stddev_ns:
+            d += self.rng.gauss(0.0, self.jitter_stddev_ns)
+        arrival = int(t + d) if d > 0.0 else t
+        stats = self.stats
+        if self.ranked:
+            self._arrivals.append((arrival, 1, stats.delivered, event[-1]))
+        else:
+            self._arrivals.append((arrival, 1, t, 1) + event)
+        stats.delivered += 1
 
     def flush(self, horizon_ns: int) -> list:
         """Run the departures due by the horizon; return arrivals by it, unsorted."""
-        self._depart_before((horizon_ns + 1, 0))
+        pending = self._pending
+        while pending and pending[0][0] <= horizon_ns:
+            self._depart(*pending.popleft())
         arrivals, self._arrivals = self._arrivals, []
         return [a for a in arrivals if a[0] <= horizon_ns]
 
@@ -492,37 +509,34 @@ def run_scenario(
         max(proto.challenger_timeout_factor + 1.0, 2.0) * proto.duration_ns
     )
 
-    # probe data plane, set-up events (t, 0, index, packet) in scheduling
-    # order; a send before time zero is moved to zero, as EventLoop.at would
-    index = itertools.count()
+    # probe data plane: set-up events (t, 0, index, packet), indexed in
+    # scheduling order; a send before time zero is moved to zero, as
+    # EventLoop.at would
+    scheduled = 0
     clamped_sends = 0
 
-    def setup_event(t_ns: float, pkt) -> tuple:
-        nonlocal clamped_sends
-        t = int(t_ns)
-        if t < 0:
-            clamped_sends += 1
-            t = 0
-        return (t, 0, next(index), pkt)
+    def setup_events(sends: list, shift: int) -> list:
+        """Set-up events for (t, packet) sends at t + shift, indexed next."""
+        nonlocal scheduled, clamped_sends
+        events = [(t + shift, 0, index, pkt) for index, (t, pkt) in enumerate(sends, scheduled)]
+        scheduled += len(events)
+        if events and min(events)[0] < 0:
+            clamped_sends += sum(1 for ev in events if ev[0] < 0)
+            events = [ev if ev[0] >= 0 else (0,) + ev[1:] for ev in events]
+        return events
 
-    # probe trains, in true time, reshaped by the attack
+    # probe trains on each challenger's clock, reshaped by the attack
     side_delay = topo.side_channel_delay_ns
-    trains_true = {
-        i: [(t - offsets[i], pkt) for t, pkt in challengers[i].build_sends()]
-        for i in range(1, n + 1)
-    }
-    direct = [setup_event(params.t0_ns, pkt) for pkt in plan.prover_initial_probes(trains_true)]
+    trains = {i: challengers[i].build_sends() for i in range(1, n + 1)}
+    direct = setup_events([(params.t0_ns, pkt) for pkt in plan.prover_initial_probes(trains)], 0)
     bh_in = []
     for i in range(1, n + 1):
-        sends = plan.sends_for(i, trains_true.pop(i), side_delay is not None)
+        sends, via = plan.sends_for(i, trains.pop(i), side_delay is not None)
         tr(f"send_plan challenger={i} packets={len(sends)}")
-        train = []
-        for t, pkt, via in sends:
-            if via == VIA_SIDE:
-                direct.append(setup_event(t + side_delay, pkt))
-            else:
-                train.append(setup_event(t, pkt))
-        bh_in += link_pass(up_links[i], train, horizon)
+        if via == VIA_SIDE:
+            direct += setup_events(sends, side_delay)
+        else:
+            bh_in += link_pass(up_links[i], setup_events(sends, -offsets[i]), horizon)
     arrivals = link_pass(bh_link, bh_in, horizon)
     arrivals += [ev for ev in direct if ev[0] <= horizon]
     arrivals.sort(reverse=True)
@@ -538,13 +552,13 @@ def run_scenario(
     pop = arrivals.pop
     while arrivals:
         ev = pop()
-        now, pkt = ev[0], ev[-1]
-        honest = early is not None and pkt.challenger_id in honest_ids
-        if honest:
+        now, _, _, pkt = ev
+        if early is None or pkt.challenger_id not in honest_ids:
+            tripped = on_probe(now, pkt)
+        else:
             store = prover.received[pkt.challenger_id]
             before = min(len(store), k)
-        tripped = on_probe(now, pkt)
-        if honest:
+            tripped = on_probe(now, pkt)
             honest_capped += min(len(store), k) - before
             if not tripped and not prover.responded and honest_capped >= early:
                 tripped = prover.force_respond(now)

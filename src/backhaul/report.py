@@ -91,6 +91,8 @@ class RunReport:
 
 def build_report(cfg: ScenarioConfig, seeds: list[int]) -> RunReport:
     """Run the scenario once per seed and fold the outcomes together."""
+    if not seeds:
+        raise ValueError("a report needs at least one seed")
     reps = []
     for seed in seeds:
         res = run_scenario(cfg, seed=seed, collect_trace=False)

@@ -19,11 +19,14 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import pairwise
 
 from .crypto import (
+    SEQUENCE,
     KeyPair,
     MerkleProof,
+    check_m0,
     hash_packet_set,
     merkle_prove,
     merkle_root,
@@ -75,9 +78,10 @@ VERIFIER = 0  # the root's destination in `ProverBundle.routes`; challengers are
 class _SignedOnRead(Sequence):
     """One packet's probe signatures, each made the first time it is read.
 
-    Stands where a packet's tuple of signatures would: indexing, iteration
-    and equality read through `Challenger.signature_for`, so a probe that
-    no receipt, dispute or encoding reads is never signed.
+    Stands where a packet's tuple of signatures would: indexing (negative
+    indexes and slices too), iteration and equality read through the
+    challenger's signatures, so a probe that no receipt, dispute or
+    encoding reads is never signed.
     """
 
     __slots__ = ("_challenger", "_base", "_count")
@@ -90,10 +94,19 @@ class _SignedOnRead(Sequence):
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, j: int) -> bytes:
-        if not 0 <= j < self._count:
-            raise IndexError(j)
-        return self._challenger.signature_for(self._base + j)
+    def __getitem__(self, j):
+        try:
+            if 0 <= j < self._count:
+                q = self._base + j
+                sig = self._challenger._sigs.get(q)
+                return sig if sig is not None else self._challenger.signature_for(q)
+        except TypeError:
+            if not isinstance(j, slice):
+                raise
+            return tuple(self[i] for i in range(*j.indices(self._count)))
+        if -self._count <= j < 0:
+            return self[j + self._count]
+        raise IndexError("signature index out of range")
 
     def __eq__(self, other):
         if isinstance(other, (tuple, _SignedOnRead)):
@@ -102,6 +115,32 @@ class _SignedOnRead(Sequence):
 
     def __hash__(self) -> int:
         return hash(tuple(self))
+
+
+_NONCE = struct.Struct(">Q")
+
+
+@lru_cache(maxsize=4)
+def _train_layout(signatures: int, sigs_per_packet: int, spacing_ns: float) -> tuple:
+    """(send offset ns, base_seq, count, nonce) per packet of a probe train.
+
+    The same for every challenger of a run, so it is worked out once.
+    """
+    pack = _NONCE.pack
+    return tuple(
+        (
+            round(j * spacing_ns),
+            j + 1,
+            sigs_per_packet if j + sigs_per_packet <= signatures else signatures - j,
+            pack(j + 1),
+        )
+        for j in range(0, signatures, sigs_per_packet)
+    )
+
+
+# a ChallengePacket from its field tuple, without the named tuple's
+# Python-level __new__: build_sends makes one per probe
+_new_tuple = tuple.__new__
 
 
 class Challenger:
@@ -129,6 +168,7 @@ class Challenger:
         self.t_first_ns = schedule.first_send_ns[challenger_id - 1]
         self.latency_ns = schedule.latency_ns[challenger_id - 1]
         self._limit = params.signatures_per_challenger
+        self._m0 = check_m0(params.m0)
         self._sigs: dict[int, bytes] = {}
         self.delta_ns: int | None = None
         self.receipt: bytes | None = None
@@ -145,29 +185,25 @@ class Challenger:
         if sig is None:
             if not 1 <= sequence <= self._limit:
                 raise KeyError(sequence)
-            sig = sign(self.keypair.secret_key, probe_message(sequence, self.params.m0))
+            sig = sign(self.keypair.secret_key, SEQUENCE.pack(sequence) + self._m0)
             self._sigs[sequence] = sig
         return sig
 
     def build_sends(self) -> list[tuple[int, ChallengePacket]]:
         """(send_time_ns, packet) pairs for the whole probe train; each
         packet's signatures are made when first read."""
-        out = []
-        total = self.schedule.signatures
-        spp = self.schedule.sigs_per_packet
-        spacing = self.schedule.spacing_ns
+        sched = self.schedule
         t1 = self.t_first_ns
-        for j in range(0, total, spp):
-            count = min(spp, total - j)
-            pkt = ChallengePacket(
-                challenger_id=self.id,
-                base_seq=j + 1,
-                count=count,
-                nonce=struct.pack(">Q", j + 1),
-                signatures=_SignedOnRead(self, j + 1, count),
+        cid = self.id
+        return [
+            (
+                t1 + offset,
+                _new_tuple(ChallengePacket, (cid, base, count, nonce, _SignedOnRead(self, base, count))),
             )
-            out.append((t1 + round(j * spacing), pkt))
-        return out
+            for offset, base, count, nonce in _train_layout(
+                sched.signatures, sched.sigs_per_packet, sched.spacing_ns
+            )
+        ]
 
     def on_message(self, now_ns: int, msg) -> ChallengerReport | None:
         """Take a response or a verification; the report for the verifier, once."""
@@ -215,8 +251,11 @@ class Challenger:
         if msg.bitmap_bits != self._limit:
             self.failure = "bitmap_size"
             return None
-        seqs = sequences_from_bitmap(msg.bitmap, msg.bitmap_bits)
-        entries = [(q, self.signature_for(q)) for q in seqs]
+        made = self._sigs
+        entries = [
+            (q, made.get(q) or self.signature_for(q))
+            for q in sequences_from_bitmap(msg.bitmap, msg.bitmap_bits)
+        ]
         if hash_packet_set(entries) != self.receipt:
             self.failure = "receipt_mismatch"
             return None
@@ -278,6 +317,7 @@ class Prover:
         self.duplicates = 0
         self.late_probes = 0
         self._leaves: list[bytes] | None = None
+        self._frozen: dict[int, list[tuple[int, bytes]]] = {}
         self._limit = params.signatures_per_challenger
         self._k = params.k
         self._threshold = params.threshold
@@ -298,25 +338,27 @@ class Prover:
         if self.responded:
             self.late_probes += 1
             return False
-        store = self.received.get(pkt.challenger_id)
+        cid, q, count, _, _ = pkt
+        store = self.received.get(cid)
         if store is None:
             self.dropped_unknown += 1
             return False
         limit = self._limit
         before = len(store)
-        for q in pkt.sequences():
+        end = q + count
+        while q < end:
             if not 1 <= q <= limit:
                 self.dropped_seq += 1
-                continue
-            if q in store:
+            elif q in store:
                 self.duplicates += 1
-                continue
-            store[q] = pkt
-        after = len(store)
-        if after == before:
-            return False
+            else:
+                store[q] = pkt
+            q += 1
         k = self._k
-        self._capped += min(after, k) - min(before, k)
+        if before >= k:
+            return False  # the capped count cannot move
+        after = len(store)
+        self._capped += (after if after < k else k) - before
         if self._capped >= self._threshold:
             self.responded = True
             self.trigger_ns = now_ns
@@ -332,11 +374,15 @@ class Prover:
         return True
 
     def _signed(self, challenger_id: int) -> list[tuple[int, bytes]]:
-        """(q, signature) for each stored probe, by q; reads the signatures."""
-        return [
-            (q, pkt.signatures[q - pkt.base_seq])
-            for q, pkt in sorted(self.received[challenger_id].items())
-        ]
+        """(q, signature) for each stored probe, by q; reads the signatures
+        once per challenger, at the freeze."""
+        signed = self._frozen.get(challenger_id)
+        if signed is None:
+            signed = self._frozen[challenger_id] = [
+                (q, sigs[q - base])
+                for q, (_, base, _, _, sigs) in sorted(self.received[challenger_id].items())
+            ]
+        return signed
 
     def _build_leaves(self) -> list[bytes]:
         if self._leaves is None:
@@ -359,13 +405,13 @@ class Prover:
                 root=root,
                 signature=sign(self.keypair.secret_key, leaf + root),
             )
-            seqs = sorted(self.received[i])
+            signed = self._signed(i)
             proof = merkle_prove(leaves, i - 1)
             verifications[i] = VerificationMessage(
                 challenger_id=i,
-                acked_count=len(seqs),
+                acked_count=len(signed),
                 bitmap_bits=total_bits,
-                bitmap=bitmap_from_sequences(seqs, total_bits),
+                bitmap=bitmap_from_sequences([q for q, _ in signed], total_bits),
                 leaf_index=i - 1,
                 siblings=proof.siblings,
             )

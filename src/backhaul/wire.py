@@ -17,6 +17,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 TAG_CHALLENGE = 0x01
 TAG_RESPONSE = 0x02
@@ -47,12 +48,14 @@ class WireError(ValueError):
         self.field = field_name
 
 
-@dataclass(frozen=True)
-class ChallengePacket:
+class ChallengePacket(NamedTuple):
     """One probe datagram carrying up to 22 consecutive signatures.
 
     A decoded packet holds a plain tuple; a challenger's own packets hold
     a sequence that signs each probe on first read (`roles.Challenger`).
+    A named tuple, because a simulated run builds one per probe: it is
+    immutable and hashable like the other messages, at a third of a
+    frozen dataclass's construction cost.
     """
 
     challenger_id: int

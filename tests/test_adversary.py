@@ -64,22 +64,24 @@ class TestPlanMechanics:
 
     def test_honest_passthrough(self):
         plan = self.plan(AttackSpec())
-        sends = plan.sends_for(1, self.train(), side_channel=True)
-        assert [(t, v) for t, _, v in sends] == [
-            (1000 + 100 * j, adversary.VIA_UPLINK) for j in range(5)
-        ]
+        train = self.train()
+        sends, via = plan.sends_for(1, train, side_channel=True)
+        assert sends == train
+        assert via == adversary.VIA_UPLINK
 
     def test_delay_shifts_every_packet(self):
         spec = AttackSpec(
             challengers=((2, ChallengerStrategy("delay", delay_ns=7_000)),)
         )
-        sends = self.plan(spec).sends_for(2, self.train(), side_channel=False)
-        assert [t for t, _, _ in sends] == [8000 + 100 * j for j in range(5)]
+        sends, via = self.plan(spec).sends_for(2, self.train(), side_channel=False)
+        assert [t for t, _ in sends] == [8000 + 100 * j for j in range(5)]
+        assert via == adversary.VIA_UPLINK
 
     def test_rush_goes_to_side_channel_at_start(self):
         spec = AttackSpec(challengers=((2, ChallengerStrategy("rush")),))
-        sends = self.plan(spec).sends_for(2, self.train(), side_channel=True)
-        assert all(t == 0 and via == adversary.VIA_SIDE for t, _, via in sends)
+        sends, via = self.plan(spec).sends_for(2, self.train(), side_channel=True)
+        assert all(t == 0 for t, _ in sends)
+        assert via == adversary.VIA_SIDE
         assert len(sends) == 5
 
     def test_rush_needs_a_side_channel(self):
@@ -89,14 +91,15 @@ class TestPlanMechanics:
 
     def test_share_keys_sends_nothing_itself(self):
         spec = AttackSpec(challengers=((2, ChallengerStrategy("share_keys")),))
-        assert self.plan(spec).sends_for(2, self.train(), True) == []
+        sends, _ = self.plan(spec).sends_for(2, self.train(), True)
+        assert sends == []
 
     def test_withhold_fraction_drops_deterministically(self):
         spec = AttackSpec(
             challengers=((2, ChallengerStrategy("withhold_fraction", fraction=0.5)),)
         )
-        a = self.plan(spec).sends_for(2, self.train(), False)
-        b = self.plan(spec).sends_for(2, self.train(), False)
+        a, _ = self.plan(spec).sends_for(2, self.train(), False)
+        b, _ = self.plan(spec).sends_for(2, self.train(), False)
         assert a == b
         assert 0 < len(a) < 5
 

@@ -157,6 +157,13 @@ class TestSimulate:
     def test_zero_reps_rejected(self, scenario_file, capsys):
         assert main(["simulate", "--config", scenario_file, "--reps", "0"]) == EXIT_CONFIG
 
+    def test_unknown_log_level_is_config_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("BACKHAUL_LOG", "verbose")
+        assert main(["simulate", "--scenario", "honest_250"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "BACKHAUL_LOG" in err and "'verbose'" in err
+        assert "debug, info, warning, error, critical" in err
+
 
 class TestMeasure:
     def test_ladder_scenario(self, tmp_path, capsys):

@@ -76,6 +76,10 @@ class TestBuild:
                 c.accepted * 1514 * 8 * 1e9 / c.delta_ns
             )
 
+    def test_no_seeds_is_an_error(self, cfg):
+        with pytest.raises(ValueError, match="at least one seed"):
+            build_report(cfg, [])
+
 
 class TestSerialization:
     def test_round_trip(self, report):

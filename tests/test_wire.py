@@ -65,6 +65,26 @@ def test_lazily_signed_challenge_encodes_like_an_eager_one():
     assert hash(pkt) == hash(eager)
 
 
+def test_lazy_signatures_index_and_slice_like_a_tuple():
+    params = derive_params(2e6, 3, 0, duration_ns=200_000_000, m0=b"\x05" * 32)
+    key = keygen(b"\x09" * 32)
+    me = Challenger(2, key, 77, b"\x00" * 32, params, send_schedule(params, [0] * 3, sigs_per_packet=4))
+    _, pkt = me.build_sends()[1]
+    lazy = pkt.signatures
+    eager = wire.decode(wire.encode(pkt)).signatures
+    assert isinstance(eager, tuple)
+    for j in range(-4, 4):
+        assert lazy[j] == eager[j]
+    for j in (4, -5):
+        with pytest.raises(IndexError):
+            lazy[j]
+        with pytest.raises(IndexError):
+            eager[j]
+    for cut in (slice(0, 2), slice(-3, None), slice(None, None, -2), slice(5, 9), slice(1, 1)):
+        assert lazy[cut] == eager[cut]
+        assert isinstance(lazy[cut], tuple)
+
+
 def test_challenge_rejects_count_out_of_range():
     with pytest.raises(wire.WireError, match="count"):
         wire.encode(make_challenge(count=23))

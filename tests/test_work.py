@@ -1,0 +1,113 @@
+"""The work one run does, counted at each per-unit entry point.
+
+A refactor of the per-probe path must do exactly the same work: the same
+Ed25519 signs and verifies, the same receipt hashes, the same link sends,
+prover intake calls and control-plane heap pushes. These figures were
+recorded before the probe path was last reworked; a change that moves
+one of them changed what a run does, not only how fast it does it.
+"""
+
+import functools
+
+import pytest
+
+from backhaul import roles
+from backhaul.config import parse_scenario
+from backhaul.netsim import EventLoop, FifoLink, run_scenario
+from backhaul.roles import Prover
+
+MS = 1_000_000
+LOSSY = {
+    "backhaul_loss_prob": 0.02,
+    "backhaul_jitter_stddev_ns": 200_000,
+    "queue_capacity_bytes": 30_000,
+    "uplink": {"rate_bps": "theta0", "propagation_ns": 5 * MS, "loss_prob": 0.03, "jitter_stddev_ns": 100_000},
+}
+
+
+def scenario(proto=None, topo=None, attack=None):
+    """A 20 ms challenge at 250 Mbit/s over ten challengers, with overrides."""
+    return parse_scenario(
+        {
+            "name": "work",
+            "protocol": {
+                "theta_claimed_bps": 250e6,
+                "n": 10,
+                "f": 0,
+                "duration_ns": 20 * MS,
+                "rate_policy": "per_n_minus_f",
+                **(proto or {}),
+            },
+            "topology": {
+                "backhaul_rate_bps": 250e6,
+                "uplink": {"rate_bps": "theta0", "propagation_ns": 5 * MS},
+                **(topo or {}),
+            },
+            **({"attack": attack} if attack else {}),
+        }
+    )
+
+
+CASES = {
+    "honest": (scenario(), 1),
+    # a cross flow leaves 230 Mbit/s of the backhaul: its queue overflows
+    "lossy_drop_tail": (
+        scenario(topo={**LOSSY, "cross_flows": [{"start_ns": 0, "end_ns": 10**10, "rate_bps": 20e6}]}),
+        2,
+    ),
+    "withheld_reports_disputed": (
+        scenario(
+            {"f": 2},
+            attack={"challengers": {"3": {"name": "withhold_report"}, "8": {"name": "withhold_all"}}},
+        ),
+        2,
+    ),
+}
+
+EXPECTED = {
+    "honest": {
+        "sign": 421, "verify": 11, "hash_packet_set": 20,
+        "FifoLink.send": 920, "Prover.on_probe": 460, "EventLoop.at": 34,
+    },
+    "lossy_drop_tail": {
+        "sign": 442, "verify": 11, "hash_packet_set": 20,
+        "FifoLink.send": 908, "Prover.on_probe": 437, "EventLoop.at": 34,
+    },
+    "withheld_reports_disputed": {
+        "sign": 427, "verify": 57, "hash_packet_set": 21,
+        "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
+    },
+}
+
+
+def counted(monkeypatch):
+    counts = dict.fromkeys(
+        ("sign", "verify", "hash_packet_set", "FifoLink.send", "Prover.on_probe", "EventLoop.at"), 0
+    )
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("sign", "verify", "hash_packet_set"):
+        monkeypatch.setattr(roles, name, counting(name, getattr(roles, name)))
+    for cls, attr in ((FifoLink, "send"), (Prover, "on_probe"), (EventLoop, "at")):
+        monkeypatch.setattr(cls, attr, counting(f"{cls.__name__}.{attr}", cls.__dict__[attr]))
+    return counts
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_work_per_run(monkeypatch, case):
+    counts = counted(monkeypatch)
+    cfg, seed = CASES[case]
+    res = run_scenario(cfg, seed, collect_trace=False)
+    assert res.terminated
+    if case == "lossy_drop_tail":
+        assert res.drops["backhaul_tail_dropped"] and res.drops["uplink_lost"] and res.drops["backhaul_lost"]
+    if case == "withheld_reports_disputed":
+        assert res.output.disputes_upheld == 1
+    assert counts == EXPECTED[case]
