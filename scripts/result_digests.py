@@ -182,6 +182,18 @@ def golden_cases():
     yield "clock_offsets", scenario(
         short, {"clock_offset_range_ns": 5 * MS, "backhaul_jitter_stddev_ns": 300_000}
     ), 7
+    # every challenger on its own uplink: theta0, faster and unpaced rates,
+    # mixed propagation, jitter and loss
+    mixed = [
+        {
+            "rate_bps": ("theta0", 40e6, None)[i % 3],
+            "propagation_ns": (i + 1) * MS,
+            "jitter_stddev_ns": 50_000 * (i % 2),
+            "loss_prob": 0.03 if i % 4 == 0 else 0.0,
+        }
+        for i in range(10)
+    ]
+    yield "uplinks_mixed", scenario(short, {"uplink": {}, "uplinks": mixed}), 8
     for seed in range(8):
         yield f"fuzz_both_{seed}", fuzzed(both, seed, 20 * MS), seed
 

@@ -7,8 +7,9 @@ field path, because a silently ignored typo in a scenario file would
 invalidate whatever experiment it was meant to configure.
 
 The dataclasses declare every field, default and bound once (see
-`Rule`); `_parse` reads them and `scenario_to_dict` omits defaults.
-The rules that tie fields together are in `_check` and `parse_scenario`.
+`Rule`); `_parse` reads them and `_spec_to_dict` writes them back,
+omitting defaults. The rules that tie fields together are in `_check`
+and `parse_scenario`.
 
 All times are integer nanoseconds and all rates are bits per second.
 An uplink rate may also be the string "theta0", which resolves at run
@@ -22,7 +23,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field
 
-from .schedule import DEFAULT_OVERPROVISION, DEFAULT_TIMEOUT_FACTOR, PACKET_BYTES, RatePolicy
+from .schedule import DEFAULT_OVERPROVISION, PACKET_BYTES, RatePolicy
 from .wire import SIG_SLOTS
 
 THETA0 = "theta0"
@@ -84,7 +85,6 @@ class ProtocolSpec:
     sigs_per_packet: int = rule(int, 1, default=1, maximum=SIG_SLOTS)
     timer_mode: bool = rule(bool, default=False)
     verifier_deadline_factor: float = rule(float, 1.0, default=3.0)
-    challenger_timeout_factor: float = rule(float, 1.0, default=DEFAULT_TIMEOUT_FACTOR)
     t0_ns: int = rule(int, 0, default=0)
 
 
@@ -156,7 +156,6 @@ class LadderSpec:
     theta_start_bps: float = rule(float, 1)
     step_bps: float = rule(float, 1)
     max_bps: float = rule(float, 1)
-    timeout_factor: float = rule(float, 1, default=DEFAULT_TIMEOUT_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -247,6 +246,11 @@ def _check(spec, path: str) -> None:
     """The rules that tie the fields of one spec together."""
     if isinstance(spec, CrossFlow) and spec.end_ns <= spec.start_ns:
         raise ConfigError(f"{path}.end_ns: must exceed start_ns")
+    if isinstance(spec, TopologySpec) and spec.uplinks is not None:
+        # `uplinks` describes every challenger's link in full
+        for name, unset in (("uplink", LinkSpec()), ("uplink_propagation_range_ns", None)):
+            if getattr(spec, name) != unset:
+                raise ConfigError(f"{path}.{name}: cannot be set together with uplinks")
     if isinstance(spec, LadderSpec) and spec.max_bps < spec.theta_start_bps:
         raise ConfigError(f"{path}.max_bps: must be >= theta_start_bps")
     if isinstance(spec, ChallengerStrategy) and CHALLENGER_STRATEGIES[spec.name]:
@@ -283,6 +287,7 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 
 def _spec_to_dict(value):
+    """The JSON form `_parse` reads back, by the same field rules; defaults are left out."""
     if dataclasses.is_dataclass(value):
         out = {}
         for f in dataclasses.fields(value):
@@ -291,7 +296,10 @@ def _spec_to_dict(value):
                 continue
             if f.default_factory is not dataclasses.MISSING and v == f.default_factory():
                 continue
-            out[f.name] = _spec_to_dict(v)
+            if f.metadata["rule"].kind is dict:
+                out[f.name] = {str(cid): _spec_to_dict(s) for cid, s in v}
+            else:
+                out[f.name] = _spec_to_dict(v)
         return out
     if isinstance(value, tuple):
         return [_spec_to_dict(v) for v in value]
@@ -299,19 +307,5 @@ def _spec_to_dict(value):
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    """JSON-ready form; attack challenger list becomes an id-keyed object."""
-    out = {"name": cfg.name} if cfg.name else {}
-    out["protocol"] = _spec_to_dict(cfg.protocol)
-    out["topology"] = _spec_to_dict(cfg.topology)
-    if cfg.attack.challengers or cfg.attack.prover.name != "honest":
-        atk: dict = {}
-        if cfg.attack.challengers:
-            atk["challengers"] = {
-                str(cid): _spec_to_dict(s) for cid, s in cfg.attack.challengers
-            }
-        if cfg.attack.prover.name != "honest":
-            atk["prover"] = {"name": cfg.attack.prover.name}
-        out["attack"] = atk
-    if cfg.ladder is not None:
-        out["ladder"] = _spec_to_dict(cfg.ladder)
-    return out
+    """JSON-ready form of a scenario, which `parse_scenario` reads back."""
+    return _spec_to_dict(cfg)

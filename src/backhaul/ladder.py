@@ -85,11 +85,7 @@ def run_ladder(cfg: ScenarioConfig, seed: int) -> LadderResult:
     rungs: list[RungResult] = []
     for idx, theta in enumerate(rung_thetas(lad.theta_start_bps, lad.step_bps, lad.max_bps)):
         rung_seed = random.Random(f"{seed}:rung:{idx}").getrandbits(63)
-        proto = dataclasses.replace(
-            cfg.protocol,
-            theta_claimed_bps=theta,
-            challenger_timeout_factor=lad.timeout_factor,
-        )
+        proto = dataclasses.replace(cfg.protocol, theta_claimed_bps=theta)
         rung_cfg = dataclasses.replace(cfg, protocol=proto, ladder=None)
         res = run_scenario(rung_cfg, seed=rung_seed, collect_trace=False)
         completed = not rung_failed(cfg.protocol.n, len(res.timed_out), res.terminated)

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 from . import wire
 from .crypto import KeyPair
 from .roles import VERIFIER, Challenger, PoBOutput, Prover, Verifier
-from .schedule import DEFAULT_TIMEOUT_FACTOR, PING_SAMPLES, ChallengeParams, estimate_latency, send_schedule
+from .schedule import PING_SAMPLES, ChallengeParams, estimate_latency, send_schedule
 
 PING_TIMEOUT_NS = 500_000_000
 RECV_BUF = 2048
@@ -158,8 +158,7 @@ def run_challenger(
         _sleep_until(t_ns)
         sock.sendto(data, prover_addr)
 
-    deadline = me.t_first_ns + round(DEFAULT_TIMEOUT_FACTOR * params.duration_ns)
-    for now, _, msg in _receive(sock, lambda: deadline):
+    for now, _, msg in _receive(sock, lambda: me.give_up_ns):
         report = me.on_message(now, msg)
         if report is not None:
             sock.sendto(wire.encode(report), verifier_addr)

@@ -3,9 +3,11 @@
 Time is integer nanoseconds. Probes traverse a per-challenger uplink
 and then the shared backhaul, both FIFO links with finite service rate,
 optional propagation jitter, random loss, and (for the backhaul) a
-drop-tail queue cap. Control traffic (responses, verification data,
-reports, disputes) rides delay-only paths: it is sparse enough that its
-queueing never matters, while its serialization and propagation do.
+drop-tail queue cap; each link is described by a `LinkSpec`. Pings and
+the prover's responses cross the same links as queue-free hops
+(`_hop_ns`): they are sparse enough that their queueing never matters,
+while their serialization, propagation and jitter do. Every message to
+the verifier takes a fixed `verifier_propagation_ns`.
 
 A run has two planes. The probe data plane (uplinks, backhaul, the
 prover's intake) is computed as one ordered pass per link, because links
@@ -40,15 +42,16 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 from . import wire
 from .adversary import VIA_SIDE, AttackPlan
-from .config import ScenarioConfig, THETA0
+from .config import THETA0, LinkSpec, ScenarioConfig, TopologySpec
 from .crypto import keygen
 from .roles import VERIFIER, Challenger, PoBOutput, Prover, Verifier
 from .schedule import (
+    DEFAULT_TIMEOUT_FACTOR,
     PING_SAMPLES,
     ChallengeParams,
     RatePolicy,
@@ -153,25 +156,25 @@ class FifoLink:
 
     def __init__(
         self,
-        rate_fn,
-        propagation_ns: int,
-        jitter_stddev_ns: float,
-        loss_prob: float,
-        capacity_bytes: int | None,
+        spec: LinkSpec,
         rng: random.Random,
+        rate_fn=None,
+        capacity_bytes: int | None = None,
         ranked: bool = False,
     ):
-        self.rate_fn = rate_fn
-        self.propagation_ns = propagation_ns
-        self.jitter_stddev_ns = jitter_stddev_ns
-        self.loss_prob = loss_prob
+        """A link as `spec` describes it; `rate_fn(t)` overrides its constant rate."""
+        rate = spec.rate_bps
+        self.spec = spec
+        self.rate_fn = rate_fn if rate_fn is not None else (lambda t: rate)
+        self.jitter_stddev_ns = spec.jitter_stddev_ns
+        self.loss_prob = spec.loss_prob
         self.capacity_bytes = capacity_bytes
         self.rng = rng
         self.ranked = ranked
         self.busy_until = 0.0
         self.queued_bytes = 0
         self.stats = LinkStats()
-        self._propagation = float(propagation_ns)
+        self._propagation = float(spec.propagation_ns)
         self._pending: deque = deque()  # (departure ns, size, event), key order
         self._arrivals: list = []
 
@@ -262,26 +265,20 @@ def make_rate_fn(base_bps: float, flows=()):
     return rate
 
 
-@dataclass(frozen=True)
-class ResolvedLink:
-    rate_bps: float | None
-    propagation_ns: int
-    jitter_stddev_ns: float
-    loss_prob: float
+def _hop_ns(link: LinkSpec, size_bytes: int, rate_bps: float | None, rng: random.Random) -> float:
+    """Delay of one queue-free hop over `link`: serialize at `rate_bps` (None
+    is unpaced), propagate, add the link's jitter; never below zero."""
+    d = link.propagation_ns + (0.0 if rate_bps is None else size_bytes * 8e9 / rate_bps)
+    if link.jitter_stddev_ns:
+        d += rng.gauss(0.0, link.jitter_stddev_ns)
+    return max(0.0, d)
 
 
-def _service_ns(size_bytes: int, rate_bps: float | None) -> float:
-    return 0.0 if rate_bps is None else size_bytes * 8e9 / rate_bps
-
-
-def _ping_latency_estimate(
-    up: ResolvedLink, bh: ResolvedLink, rng: random.Random
-) -> int:
+def _ping_latency_estimate(up: LinkSpec, bh: LinkSpec, rng: random.Random) -> int:
     """One-way estimate from PING_SAMPLES analytic round trips.
 
-    Pings run before the challenge on an idle network, so queueing is
-    zero and each sample is serialization + propagation + jitter in
-    both directions, with independent loss per hop.
+    Pings run before the challenge on an idle network, so each sample is
+    four queue-free hops, with independent loss per hop.
     """
     samples = []
     for _ in range(PING_SAMPLES):
@@ -290,10 +287,7 @@ def _ping_latency_estimate(
         for link in (up, bh, bh, up):
             if link.loss_prob and rng.random() < link.loss_prob:
                 lost = True
-            hop = link.propagation_ns + _service_ns(_PING_WIRE_BYTES, link.rate_bps)
-            if link.jitter_stddev_ns:
-                hop += rng.gauss(0.0, link.jitter_stddev_ns)
-            rtt += max(0.0, hop)
+            rtt += _hop_ns(link, _PING_WIRE_BYTES, link.rate_bps, rng)
         if not lost:
             samples.append(round(rtt))
     if not samples:
@@ -353,27 +347,16 @@ class SimResult:
 VERDICT_FIELDS = frozenset(f.name for f in fields(PoBOutput))
 
 
-def _resolve_uplinks(scenario: ScenarioConfig, theta0_bps: float, rng: random.Random):
-    topo = scenario.topology
-    n = scenario.protocol.n
-    specs = topo.uplinks if topo.uplinks is not None else (topo.uplink,) * n
+def _resolve_uplinks(topo: TopologySpec, n: int, theta0_bps: float, rng: random.Random) -> list[LinkSpec]:
+    """Each challenger's uplink: a "theta0" rate resolved, and with a range
+    (only beside the shared `uplink`) a propagation drawn from it."""
     out = []
-    for i, spec in enumerate(specs):
-        prop = spec.propagation_ns
-        if topo.uplinks is None and topo.uplink_propagation_range_ns is not None:
-            lo, hi = topo.uplink_propagation_range_ns
-            prop = rng.randint(lo, hi)
-        rate = spec.rate_bps
-        if rate == THETA0:
-            rate = theta0_bps
-        out.append(
-            ResolvedLink(
-                rate_bps=rate,
-                propagation_ns=prop,
-                jitter_stddev_ns=spec.jitter_stddev_ns,
-                loss_prob=spec.loss_prob,
-            )
-        )
+    for spec in topo.uplinks or (topo.uplink,) * n:
+        if spec.rate_bps == THETA0:
+            spec = replace(spec, rate_bps=theta0_bps)
+        if topo.uplink_propagation_range_ns is not None:
+            spec = replace(spec, propagation_ns=rng.randint(*topo.uplink_propagation_range_ns))
+        out.append(spec)
     return out
 
 
@@ -427,8 +410,8 @@ def run_scenario(
         timer_mode=proto.timer_mode,
     )
 
-    uplinks = _resolve_uplinks(scenario, params.theta0_bps, random.Random(f"{seed}:topo"))
-    bh_spec = ResolvedLink(
+    uplinks = _resolve_uplinks(topo, n, params.theta0_bps, random.Random(f"{seed}:topo"))
+    backhaul = LinkSpec(
         rate_bps=topo.backhaul_rate_bps,
         propagation_ns=topo.backhaul_propagation_ns,
         jitter_stddev_ns=topo.backhaul_jitter_stddev_ns,
@@ -436,7 +419,7 @@ def run_scenario(
     )
 
     l_est = tuple(
-        _ping_latency_estimate(uplinks[i - 1], bh_spec, random.Random(f"{seed}:ping:{i}"))
+        _ping_latency_estimate(uplinks[i - 1], backhaul, random.Random(f"{seed}:ping:{i}"))
         for i in range(1, n + 1)
     )
     for i, l in enumerate(l_est, start=1):
@@ -472,26 +455,10 @@ def run_scenario(
     offsets = {i: round(rng_offsets.uniform(-r, r)) for i in range(1, n + 1)}
 
     loop = EventLoop()
-    up_links = {
-        i: FifoLink(
-            (lambda rate: (lambda t: rate))(uplinks[i - 1].rate_bps),
-            uplinks[i - 1].propagation_ns,
-            uplinks[i - 1].jitter_stddev_ns,
-            uplinks[i - 1].loss_prob,
-            None,
-            random.Random(f"{seed}:link:up:{i}"),
-        )
-        for i in range(1, n + 1)
-    }
-    bh_rate_fn = make_rate_fn(topo.backhaul_rate_bps, topo.cross_flows)
+    up_links = {i: FifoLink(uplinks[i - 1], random.Random(f"{seed}:link:up:{i}")) for i in range(1, n + 1)}
+    bh_rate_fn = make_rate_fn(backhaul.rate_bps, topo.cross_flows)
     bh_link = FifoLink(
-        bh_rate_fn,
-        topo.backhaul_propagation_ns,
-        topo.backhaul_jitter_stddev_ns,
-        topo.backhaul_loss_prob,
-        topo.queue_capacity_bytes,
-        random.Random(f"{seed}:link:bh"),
-        ranked=True,
+        backhaul, random.Random(f"{seed}:link:bh"), bh_rate_fn, topo.queue_capacity_bytes, ranked=True
     )
     rng_reverse = {
         i: random.Random(f"{seed}:reverse:{i}") for i in range(1, n + 1)
@@ -502,12 +469,9 @@ def run_scenario(
     else:
         overhead_ns = int(topo.response_overhead_ns)
     vprop = topo.verifier_propagation_ns
-    timeout_ns = round(proto.challenger_timeout_factor * proto.duration_ns)
     deadline_ns = proto.t0_ns + round(proto.verifier_deadline_factor * proto.duration_ns)
     grace_ns = 2 * vprop + 1_000_000
-    horizon = deadline_ns + grace_ns + round(
-        max(proto.challenger_timeout_factor + 1.0, 2.0) * proto.duration_ns
-    )
+    horizon = deadline_ns + grace_ns + round((DEFAULT_TIMEOUT_FACTOR + 1.0) * proto.duration_ns)
 
     # probe data plane: set-up events (t, 0, index, packet), indexed in
     # scheduling order; a send before time zero is moved to zero, as
@@ -568,17 +532,11 @@ def run_scenario(
     timed_out: list[int] = []
 
     def reverse_delay(i: int, size_bytes: int) -> float:
-        """Prover -> challenger control path: serialize + propagate, no queue."""
+        """Prover -> challenger control path: the backhaul hop, then the uplink's."""
         rng = rng_reverse[i]
         up = uplinks[i - 1]
-        d = _service_ns(size_bytes, bh_rate_fn(loop.now)) + bh_spec.propagation_ns
-        if bh_spec.jitter_stddev_ns:
-            d += rng.gauss(0.0, bh_spec.jitter_stddev_ns)
-        d = max(0.0, d)
-        d2 = _service_ns(size_bytes, up.rate_bps) + up.propagation_ns
-        if up.jitter_stddev_ns:
-            d2 += rng.gauss(0.0, up.jitter_stddev_ns)
-        return d + max(0.0, d2)
+        d = _hop_ns(backhaul, size_bytes, bh_rate_fn(loop.now), rng)
+        return d + _hop_ns(up, size_bytes, up.rate_bps, rng)
 
     def to_verifier(msg):
         upheld = verifier.on_message(loop.now, msg)
@@ -614,9 +572,8 @@ def run_scenario(
             timed_out.append(i)
             tr(f"timeout challenger={i} t_ns={loop.now}")
 
-    for i in range(1, n + 1):
-        t_local = schedule.first_send_ns[i - 1] + timeout_ns
-        loop.at(t_local - offsets[i], partial(check_timeout, i))
+    for i, c in challengers.items():
+        loop.at(c.give_up_ns - offsets[i], partial(check_timeout, i))
 
     # verifier deadline: request disputes for unaccounted challengers,
     # then settle once they have had time to arrive (`Verifier.evaluate`

@@ -35,7 +35,7 @@ from .crypto import (
     sign,
     verify,
 )
-from .schedule import ChallengeParams, SendSchedule
+from .schedule import DEFAULT_TIMEOUT_FACTOR, ChallengeParams, SendSchedule
 from .wire import (
     ChallengePacket,
     ChallengerReport,
@@ -166,6 +166,8 @@ class Challenger:
         self.params = params
         self.schedule = schedule
         self.t_first_ns = schedule.first_send_ns[challenger_id - 1]
+        # no response by this local time is a timeout
+        self.give_up_ns = self.t_first_ns + round(DEFAULT_TIMEOUT_FACTOR * params.duration_ns)
         self.latency_ns = schedule.latency_ns[challenger_id - 1]
         self._limit = params.signatures_per_challenger
         self._m0 = check_m0(params.m0)

@@ -99,6 +99,32 @@ class TestRejections:
             minimal(topology={"uplinks": [{}, {}]}), r"uplinks: 2 entries for n=10"
         )
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("uplink", {"propagation_ns": 7_000_000, "loss_prob": 0.5}),
+            ("uplink_propagation_range_ns", [5_000_000, 9_000_000]),
+        ],
+    )
+    def test_uplinks_exclude_the_shared_uplink_and_range(self, name, value):
+        self.assert_path(
+            minimal(topology={"uplinks": [{}] * 10, name: value}),
+            rf"scenario\.topology\.{name}: cannot be set together with uplinks",
+        )
+        # left at their defaults they may be spelled out
+        cfg = parse_scenario(
+            minimal(topology={"uplinks": [{}] * 10, "uplink": {}, "uplink_propagation_range_ns": None})
+        )
+        assert cfg.topology.uplinks == (LinkSpec(),) * 10
+
+    @pytest.mark.parametrize(
+        "section, key", [("protocol", "challenger_timeout_factor"), ("ladder", "timeout_factor")]
+    )
+    def test_timeout_factors_are_unknown_fields(self, section, key):
+        obj = minimal(ladder={"theta_start_bps": 1e6, "step_bps": 1e6, "max_bps": 2e6})
+        obj[section][key] = 2.0
+        self.assert_path(obj, rf"scenario\.{section}: unknown field\(s\): {key}$")
+
     def test_propagation_range_ordering(self):
         self.assert_path(
             minimal(topology={"uplink_propagation_range_ns": [5, 2]}),

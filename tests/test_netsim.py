@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from backhaul import netsim, roles, schedule, wire
 from backhaul.adversary import fuzz_strategies
 from backhaul.cli import load_bundled
-from backhaul.config import parse_scenario
+from backhaul.config import LinkSpec, parse_scenario
 from backhaul.netsim import (
     EventLoop,
     FifoLink,
@@ -87,7 +87,8 @@ def setup_event(t, index, count=1, tag=None):
 
 class TestFifoLink:
     def make(self, rate=8e9, prop=500, cap=None, loss=0.0, jitter=0.0):
-        return FifoLink(lambda t: rate, prop, jitter, loss, cap, random.Random(1))
+        spec = LinkSpec(rate_bps=rate, propagation_ns=prop, jitter_stddev_ns=jitter, loss_prob=loss)
+        return FifoLink(spec, random.Random(1), capacity_bytes=cap)
 
     def run(self, link, times, size=1000, horizon=10_000):
         """Send one packet at each set-up time; arrival times by the horizon."""
@@ -122,8 +123,35 @@ class TestFifoLink:
         assert link.stats.lost == 1
 
     def test_infinite_rate_is_pure_delay(self):
-        link = FifoLink(lambda t: None, 700, 0.0, 0.0, None, random.Random(1))
-        assert self.run(link, [0], size=10**9) == [700]
+        assert self.run(self.make(rate=None, prop=700), [0], size=10**9) == [700]
+
+    def test_rate_fn_overrides_the_spec_rate(self):
+        link = FifoLink(LinkSpec(rate_bps=1.0, propagation_ns=500), random.Random(1), rate_fn=lambda t: 8e9)
+        assert self.run(link, [0, 0]) == [1500, 2500]
+
+
+class FixedJitter:
+    """An rng whose every gauss draw is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def gauss(self, mu, sigma):
+        return self.value
+
+
+class TestHop:
+    # 8 Gbit/s serializes 1000 bytes in 1000 ns; negative jitter clamps at zero
+    @pytest.mark.parametrize("jitter, delay", [(250.0, 1750.0), (-1400.0, 100.0), (-5000.0, 0.0)])
+    def test_serialize_propagate_jitter(self, jitter, delay):
+        link = LinkSpec(propagation_ns=500, jitter_stddev_ns=1.0)
+        assert netsim._hop_ns(link, 1000, 8e9, FixedJitter(jitter)) == delay
+
+    def test_unpaced_link_costs_propagation_only(self):
+        rng = random.Random(1)
+        state = rng.getstate()
+        assert netsim._hop_ns(LinkSpec(propagation_ns=700), 10**9, None, rng) == 700.0
+        assert rng.getstate() == state  # no jitter, no draw
 
 
 class HeapLink:
@@ -134,16 +162,15 @@ class HeapLink:
     departure.
     """
 
-    def __init__(self, loop, rate, prop, jitter, loss, cap, rng):
-        self.loop, self.rate, self.prop = loop, rate, prop
-        self.jitter, self.loss, self.cap, self.rng = jitter, loss, cap, rng
+    def __init__(self, loop, spec, cap, rng):
+        self.loop, self.spec, self.cap, self.rng = loop, spec, cap, rng
         self.busy_until = 0.0
         self.queued_bytes = 0
         self.stats = LinkStats()
 
     def send(self, size, deliver):
         self.stats.sent += 1
-        if self.loss and self.rng.random() < self.loss:
+        if self.spec.loss_prob and self.rng.random() < self.spec.loss_prob:
             self.stats.lost += 1
             return
         queued = self.queued_bytes + size
@@ -152,7 +179,7 @@ class HeapLink:
             return
         now = float(self.loop.now)
         start = max(self.busy_until, now)
-        rate = self.rate(start)
+        rate = self.spec.rate_bps
         self.busy_until = start + (0.0 if rate is None else size * 8e9 / rate)
         self.queued_bytes = queued
         self.stats.max_queue_bytes = max(self.stats.max_queue_bytes, queued)
@@ -161,20 +188,19 @@ class HeapLink:
     def _depart(self, size, deliver):
         self.queued_bytes -= size
         self.stats.delivered += 1
-        d = float(self.prop)
-        if self.jitter:
-            d += self.rng.gauss(0.0, self.jitter)
+        d = float(self.spec.propagation_ns)
+        if self.spec.jitter_stddev_ns:
+            d += self.rng.gauss(0.0, self.spec.jitter_stddev_ns)
         self.loop.at(self.loop.now + max(d, 0.0), deliver)
 
 
-LINKS = st.fixed_dictionaries(
-    {
-        # 8 * 1514 Mbit/s serializes a 1514-byte packet in exactly 1000 ns
-        "rate": st.sampled_from([None, 8 * wire.WIRE_PACKET_LEN * 1e6, 1e9, 333e6]),
-        "prop": st.sampled_from([0, 1000, 2500]),
-        "jitter": st.sampled_from([0.0, 400.0]),
-        "loss": st.sampled_from([0.0, 0.25]),
-    }
+LINKS = st.builds(
+    LinkSpec,
+    # 8 * 1514 Mbit/s serializes a 1514-byte packet in exactly 1000 ns
+    rate_bps=st.sampled_from([None, 8 * wire.WIRE_PACKET_LEN * 1e6, 1e9, 333e6]),
+    propagation_ns=st.sampled_from([0, 1000, 2500]),
+    jitter_stddev_ns=st.sampled_from([0.0, 400.0]),
+    loss_prob=st.sampled_from([0.0, 0.25]),
 )
 
 
@@ -203,12 +229,7 @@ class TestOrderedPass:
 
         # reference: every hop an event on the heap, as scheduled in run_scenario
         loop = EventLoop()
-        ref_up, ref_bh = links(
-            lambda spec, c, label, _: HeapLink(
-                loop, lambda t, r=spec["rate"]: r, spec["prop"], spec["jitter"],
-                spec["loss"], c, random.Random(f"{seed}:{label}"),
-            )
-        )
+        ref_up, ref_bh = links(lambda spec, c, label, _: HeapLink(loop, spec, c, random.Random(f"{seed}:{label}")))
         seen = []
         for j, (u, t, count, direct) in enumerate(sends):
             size = count * wire.WIRE_PACKET_LEN
@@ -224,8 +245,7 @@ class TestOrderedPass:
 
         up_links, bh_link = links(
             lambda spec, c, label, ranked: FifoLink(
-                lambda t, r=spec["rate"]: r, spec["prop"], spec["jitter"],
-                spec["loss"], c, random.Random(f"{seed}:{label}"), ranked=ranked,
+                spec, random.Random(f"{seed}:{label}"), capacity_bytes=c, ranked=ranked
             )
         )
         trains = {i: [] for i in up_links}
@@ -474,6 +494,18 @@ class TestImpairments:
             5 * MS, abs=0.2 * MS
         )
         assert slow.measured_bps < fast.measured_bps
+
+
+class TestUplinks:
+    LINK = {"rate_bps": "theta0", "propagation_ns": 5 * MS, "jitter_stddev_ns": 100_000, "loss_prob": 0.03}
+
+    def test_one_uplink_each_runs_as_the_shared_uplink(self):
+        short = {"duration_ns": 20 * MS}
+        shared = scenario(short, {"uplink": self.LINK, "uplink_propagation_range_ns": None})
+        each = scenario(short, {"uplinks": [self.LINK] * 10, "uplink_propagation_range_ns": None})
+        res = run_scenario(each, seed=3)
+        assert res.drops["uplink_lost"] > 0
+        assert res == run_scenario(shared, seed=3)
 
 
 @dataclasses.dataclass(frozen=True)

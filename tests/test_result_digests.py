@@ -5,7 +5,9 @@ tests/golden_digests.json was written by `scripts/result_digests.py
 a change that moves any of these digests changed what some run computes.
 Its golden/artifact/ entries, the bytes of a report's JSON, CSVs and
 table and of a ladder's JSON and table, were recorded before reports and
-ladder results took their fields from the record declarations.
+ladder results took their fields from the record declarations. Its
+golden/uplinks_mixed entry, one uplink per challenger, was recorded
+before netsim's links were built from their `LinkSpec`.
 """
 
 import importlib.util
