@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections.abc import Callable
 
 from .config import CHALLENGER_STRATEGIES, PROVER_STRATEGIES, AttackSpec, ChallengerStrategy, ProverStrategy
 from .roles import Prover
@@ -59,18 +60,36 @@ class AttackPlan:
     def colluding(self) -> bool:
         return self.prover_name == "colluding_early"
 
-    def early_trigger_threshold(self) -> int | None:
-        """Countable honest probes at which a colluding prover responds.
+    def intake(self, prover: Prover) -> Callable[[int, ChallengePacket], bool]:
+        """The prover's probe intake: `prover.on_probe` itself unless it colludes.
 
-        (n - 2f) * k is the least honest volume consistent with any set
-        of f corrupt counts reaching the full threshold, so responding
-        here is the most aggressive timing that still yields a sound
-        verdict once counts are capped.
+        A colluding prover also responds once the honest challengers alone
+        have delivered (n - 2f) * k capped probes. That is the least honest
+        volume consistent with any set of f corrupt counts reaching the full
+        threshold, so responding there is the most aggressive timing that
+        still yields a sound verdict once counts are capped.
         """
+        on_probe = prover.on_probe
         if not self.colluding:
-            return None
+            return on_probe
         p = self.params
-        return (p.n - 2 * p.f) * p.k
+        early, k = (p.n - 2 * p.f) * p.k, p.k
+        honest = frozenset(range(1, p.n + 1)) - self.corrupt
+        honest_capped = 0  # capped probes stored for honest challengers
+
+        def colluding_intake(now_ns: int, pkt: ChallengePacket) -> bool:
+            nonlocal honest_capped
+            if pkt.challenger_id not in honest:
+                return on_probe(now_ns, pkt)
+            store = prover.received[pkt.challenger_id]
+            before = min(len(store), k)
+            tripped = on_probe(now_ns, pkt)
+            honest_capped += min(len(store), k) - before
+            if not tripped and honest_capped >= early:
+                tripped = prover.force_respond(now_ns)
+            return tripped
+
+        return colluding_intake
 
     def sends_for(
         self,

@@ -448,7 +448,6 @@ def run_scenario(
         timer_mode=proto.timer_mode,
     )
     plan = AttackPlan(scenario.attack, params, random.Random(f"{seed}:attack"))
-    honest_ids = frozenset(range(1, n + 1)) - plan.corrupt
 
     rng_offsets = random.Random(f"{seed}:offsets")
     r = topo.clock_offset_range_ns
@@ -505,28 +504,14 @@ def run_scenario(
     arrivals += [ev for ev in direct if ev[0] <= horizon]
     arrivals.sort(reverse=True)
 
-    # the prover takes every arrival, popped so each is freed once taken;
-    # a colluding prover also answers once the honest challengers alone
-    # reach `early` capped probes, and honest_capped is that running count
-    early = plan.early_trigger_threshold()
-    honest_capped = 0
-    k = params.k
+    # the prover takes every arrival, popped so each is freed once taken,
+    # through the attack's intake (its own on_probe unless it colludes)
     trigger_key = None
-    on_probe = prover.on_probe
+    intake = plan.intake(prover)
     pop = arrivals.pop
     while arrivals:
         ev = pop()
-        now, _, _, pkt = ev
-        if early is None or pkt.challenger_id not in honest_ids:
-            tripped = on_probe(now, pkt)
-        else:
-            store = prover.received[pkt.challenger_id]
-            before = min(len(store), k)
-            tripped = on_probe(now, pkt)
-            honest_capped += min(len(store), k) - before
-            if not tripped and not prover.responded and honest_capped >= early:
-                tripped = prover.force_respond(now)
-        if tripped:
+        if intake(ev[0], ev[-1]):
             trigger_key = ev[:-1]
 
     timed_out: list[int] = []

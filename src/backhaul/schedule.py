@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .wire import SIG_SLOTS
+from .wire import SIG_SLOTS, WIRE_PACKET_LEN
 
-PACKET_BYTES = 1514
+PACKET_BYTES = WIRE_PACKET_LEN
 DEFAULT_OVERPROVISION = 1.1
 # a challenger gives up on the response this many durations after its first send
 DEFAULT_TIMEOUT_FACTOR = 5.0

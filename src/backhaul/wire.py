@@ -1,15 +1,28 @@
 """Datagram formats for the measurement and verification phases.
 
-Every message starts with a one-byte type tag. Encodings are canonical:
-for each message there is exactly one valid byte string, so decode
-rejects nonzero padding, unsorted dispute entries, and bitmaps whose
-popcount disagrees with the acknowledged count. All integers are
-big-endian.
+Every message starts with a one-byte type tag; all integers are
+big-endian. Each format is declared once: `LAYOUTS` gives every message
+but the challenge packet its tag and its fields in wire order, and the
+one `encode` and the one `decode` below both walk that table.
 
-Challenge packets keep a fixed 1472-byte payload (64-byte header plus
-22 signature slots of 64 bytes); with the 42-byte lower-layer budget
-that is 1514 bytes on the wire. A partially filled packet zero-fills
-the unused slots, so the payload length never varies with count.
+Encodings are canonical: each message has exactly one valid byte
+string, so every datagram that decode accepts re-encodes to itself.
+Each field kind enforces its share of that rule on both sides:
+  "H" "I" "Q"  unsigned integer of 2, 4 or 8 bytes, at least `low`
+               (a report's rtt_ns is positive)
+  32, 64       exactly that many bytes
+  BITMAP       (bitmap_bits + 7) // 8 bytes, popcount acked_count,
+               bits past bitmap_bits zero
+  PACKETS      u32 count, then (u32 seq, 64-byte signature) pairs,
+               seq strictly ascending
+  SIBLINGS     u16 count, then 32-byte Merkle siblings
+and a datagram ends where its last field does.
+
+Challenge packets have their own pair, `_encode_challenge` and
+`_decode_challenge`: a fixed 1472-byte payload (64-byte header, zero
+padded, plus 22 signature slots of 64 bytes), 1514 bytes on the wire
+with the 42-byte lower-layer budget. A partially filled packet
+zero-fills the unused slots, so the payload length never varies.
 """
 
 from __future__ import annotations
@@ -33,11 +46,9 @@ HEADER_LEN = 64
 CHALLENGE_PAYLOAD_LEN = HEADER_LEN + SIG_SLOTS * SIG_LEN  # 1472
 LOWER_LAYER_BUDGET = 42
 WIRE_PACKET_LEN = CHALLENGE_PAYLOAD_LEN + LOWER_LAYER_BUDGET  # 1514
-RESPONSE_PAYLOAD_LEN = 128
 
 _HEADER_FMT = ">BIIH8s"
-_HEADER_FIXED = struct.calcsize(_HEADER_FMT)  # 19
-_HEADER_PAD = HEADER_LEN - _HEADER_FIXED  # 45
+_HEADER_FIXED = struct.calcsize(_HEADER_FMT)  # 19, then zero padding to HEADER_LEN
 
 
 class WireError(ValueError):
@@ -144,8 +155,65 @@ def sequences_from_bitmap(bitmap: bytes, bits: int) -> list[int]:
     return [q for q, digit in enumerate(format(value, f"0{bits}b"), 1) if digit == "1"]
 
 
+# Field kinds besides a fixed byte length (an int); see the module docstring.
+_WIDTHS = {"H": 2, "I": 4, "Q": 8}
+BITMAP = "bitmap"
+PACKETS = "packets"
+SIBLINGS = "siblings"
+_PACKET_ENTRY = 4 + SIG_LEN
+
+
+class Field(NamedTuple):
+    name: str
+    kind: str | int
+    low: int = 0  # least value of an integer field
+
+
+_PING = (Field("challenger_id", "I"), Field("nonce", "Q"))
+
+# Every message but ChallengePacket: (tag, fields in wire order after the tag).
+LAYOUTS: dict[type, tuple[int, tuple[Field, ...]]] = {
+    ResponsePacket: (TAG_RESPONSE, (Field("receipt", 32), Field("root", 32), Field("signature", SIG_LEN))),
+    VerificationMessage: (TAG_VERIFICATION, (
+        Field("challenger_id", "I"),
+        Field("acked_count", "I"),
+        Field("bitmap_bits", "I"),
+        Field("bitmap", BITMAP),
+        Field("leaf_index", "I"),
+        Field("siblings", SIBLINGS),
+    )),
+    ChallengerReport: (TAG_REPORT, (
+        Field("challenger_id", "I"),
+        Field("prover_id", "I"),
+        Field("merkle_root_seen", 32),
+        Field("rtt_ns", "Q", low=1),
+        Field("packets_acknowledged", "I"),
+    )),
+    DisputeSubmission: (TAG_DISPUTE, (
+        Field("challenger_id", "I"),
+        Field("packets", PACKETS),
+        Field("leaf_index", "I"),
+        Field("siblings", SIBLINGS),
+    )),
+    PingRequest: (TAG_PING_REQUEST, _PING),
+    PingReply: (TAG_PING_REPLY, _PING),
+}
+_BY_TAG = {tag: (cls, fields) for cls, (tag, fields) in LAYOUTS.items()}
+
+
+def _check_uint(name: str, value: int, width: int, low: int = 0) -> None:
+    if not low <= value < 1 << (8 * width):
+        raise WireError(name, f"{value} outside {low}..2**{8 * width}-1")
+
+
+def _check_len(name: str, value: bytes, length: int) -> None:
+    if len(value) != length:
+        raise WireError(name, f"expected {length} bytes, got {len(value)}")
+
+
 def _check_bitmap(bitmap: bytes, bits: int, acked: int) -> None:
-    """A bitmap of (bits + 7) // 8 bytes: popcount is acked, the tail is zero."""
+    """(bits + 7) // 8 bytes whose popcount is acked and whose tail is zero."""
+    _check_len("bitmap", bitmap, (bits + 7) // 8)
     value = int.from_bytes(bitmap, "big")
     pop = value.bit_count()
     if pop != acked:
@@ -154,34 +222,25 @@ def _check_bitmap(bitmap: bytes, bits: int, acked: int) -> None:
         raise WireError("bitmap", "bits beyond bitmap_bits must be zero")
 
 
-def _check_u32(name: str, value: int) -> None:
-    if not 0 <= value < 2**32:
-        raise WireError(name, f"{value} out of u32 range")
+def _check_ascending(packets) -> None:
+    if any(seq >= after for (seq, _), (after, _) in zip(packets, packets[1:])):
+        raise WireError("packets", "sequences not strictly ascending")
 
 
-def _check_digest(name: str, value: bytes) -> None:
-    if len(value) != 32:
-        raise WireError(name, f"expected 32 bytes, got {len(value)}")
-
-
-def encode_challenge(pkt: ChallengePacket) -> bytes:
-    _check_u32("challenger_id", pkt.challenger_id)
-    _check_u32("base_seq", pkt.base_seq)
+def _encode_challenge(pkt: ChallengePacket) -> bytes:
+    _check_uint("challenger_id", pkt.challenger_id, 4)
+    _check_uint("base_seq", pkt.base_seq, 4)
     if not 1 <= pkt.count <= SIG_SLOTS:
         raise WireError("count", f"{pkt.count} outside 1..{SIG_SLOTS}")
-    if len(pkt.nonce) != 8:
-        raise WireError("nonce", f"expected 8 bytes, got {len(pkt.nonce)}")
+    _check_len("nonce", pkt.nonce, 8)
     if len(pkt.signatures) != pkt.count:
         raise WireError("signatures", f"expected {pkt.count} entries, got {len(pkt.signatures)}")
     out = bytearray(CHALLENGE_PAYLOAD_LEN)
-    struct.pack_into(
-        _HEADER_FMT, out, 0, TAG_CHALLENGE, pkt.challenger_id, pkt.base_seq, pkt.count, pkt.nonce
-    )
+    struct.pack_into(_HEADER_FMT, out, 0, TAG_CHALLENGE, pkt.challenger_id, pkt.base_seq, pkt.count, pkt.nonce)
     for j, sig in enumerate(pkt.signatures):
         if len(sig) != SIG_LEN:
             raise WireError("signatures", f"slot {j} expected {SIG_LEN} bytes, got {len(sig)}")
-        start = HEADER_LEN + j * SIG_LEN
-        out[start : start + SIG_LEN] = sig
+        out[HEADER_LEN + j * SIG_LEN : HEADER_LEN + (j + 1) * SIG_LEN] = sig
     return bytes(out)
 
 
@@ -193,230 +252,89 @@ def _decode_challenge(data: bytes) -> ChallengePacket:
         raise WireError("count", f"{count} outside 1..{SIG_SLOTS}")
     if any(data[_HEADER_FIXED:HEADER_LEN]):
         raise WireError("header_padding", "nonzero bytes")
-    sigs = []
-    for j in range(SIG_SLOTS):
-        start = HEADER_LEN + j * SIG_LEN
-        chunk = data[start : start + SIG_LEN]
-        if j < count:
-            sigs.append(chunk)
-        elif any(chunk):
-            raise WireError("signatures", f"unused slot {j} not zero-filled")
-    return ChallengePacket(
-        challenger_id=challenger_id,
-        base_seq=base_seq,
-        count=count,
-        nonce=nonce,
-        signatures=tuple(sigs),
-    )
-
-
-def encode_response(pkt: ResponsePacket) -> bytes:
-    _check_digest("receipt", pkt.receipt)
-    _check_digest("root", pkt.root)
-    if len(pkt.signature) != SIG_LEN:
-        raise WireError("signature", f"expected {SIG_LEN} bytes, got {len(pkt.signature)}")
-    return bytes([TAG_RESPONSE]) + pkt.receipt + pkt.root + pkt.signature
-
-
-def _decode_response(data: bytes) -> ResponsePacket:
-    if len(data) != 1 + RESPONSE_PAYLOAD_LEN:
-        raise WireError("payload", f"expected {1 + RESPONSE_PAYLOAD_LEN} bytes, got {len(data)}")
-    return ResponsePacket(receipt=data[1:33], root=data[33:65], signature=data[65:129])
-
-
-def encode_verification(msg: VerificationMessage) -> bytes:
-    _check_u32("challenger_id", msg.challenger_id)
-    _check_u32("acked_count", msg.acked_count)
-    _check_u32("bitmap_bits", msg.bitmap_bits)
-    _check_u32("leaf_index", msg.leaf_index)
-    nbytes = (msg.bitmap_bits + 7) // 8
-    if len(msg.bitmap) != nbytes:
-        raise WireError("bitmap", f"expected {nbytes} bytes for {msg.bitmap_bits} bits, got {len(msg.bitmap)}")
-    _check_bitmap(msg.bitmap, msg.bitmap_bits, msg.acked_count)
-    out = struct.pack(">BIII", TAG_VERIFICATION, msg.challenger_id, msg.acked_count, msg.bitmap_bits)
-    out += msg.bitmap
-    out += struct.pack(">IH", msg.leaf_index, len(msg.siblings))
-    for i, sib in enumerate(msg.siblings):
-        if len(sib) != 32:
-            raise WireError("siblings", f"entry {i} expected 32 bytes, got {len(sib)}")
-        out += sib
-    return out
-
-
-def _decode_verification(data: bytes) -> VerificationMessage:
-    fixed = struct.calcsize(">BIII")
-    if len(data) < fixed:
-        raise WireError("payload", "truncated before bitmap")
-    _, challenger_id, acked, bits = struct.unpack_from(">BIII", data, 0)
-    nbytes = (bits + 7) // 8
-    off = fixed + nbytes
-    if len(data) < off + 6:
-        raise WireError("bitmap", "truncated bitmap or proof header")
-    bitmap = data[fixed:off]
-    _check_bitmap(bitmap, bits, acked)
-    leaf_index, nsib = struct.unpack_from(">IH", data, off)
-    off += 6
-    if len(data) != off + 32 * nsib:
-        raise WireError("siblings", f"expected {32 * nsib} bytes of siblings, got {len(data) - off}")
-    siblings = tuple(data[off + 32 * i : off + 32 * (i + 1)] for i in range(nsib))
-    return VerificationMessage(
-        challenger_id=challenger_id,
-        acked_count=acked,
-        bitmap_bits=bits,
-        bitmap=bitmap,
-        leaf_index=leaf_index,
-        siblings=siblings,
-    )
-
-
-_REPORT_FMT = ">BII32sQI"
-REPORT_LEN = struct.calcsize(_REPORT_FMT)  # 53
-
-
-def encode_report(rep: ChallengerReport) -> bytes:
-    _check_u32("challenger_id", rep.challenger_id)
-    _check_u32("prover_id", rep.prover_id)
-    _check_digest("merkle_root_seen", rep.merkle_root_seen)
-    if not 0 < rep.rtt_ns < 2**64:
-        raise WireError("rtt_ns", f"{rep.rtt_ns} must be positive u64")
-    _check_u32("packets_acknowledged", rep.packets_acknowledged)
-    return struct.pack(
-        _REPORT_FMT,
-        TAG_REPORT,
-        rep.challenger_id,
-        rep.prover_id,
-        rep.merkle_root_seen,
-        rep.rtt_ns,
-        rep.packets_acknowledged,
-    )
-
-
-def _decode_report(data: bytes) -> ChallengerReport:
-    if len(data) != REPORT_LEN:
-        raise WireError("payload", f"expected {REPORT_LEN} bytes, got {len(data)}")
-    _, cid, pid, root, rtt, acked = struct.unpack(_REPORT_FMT, data)
-    if rtt == 0:
-        raise WireError("rtt_ns", "must be positive")
-    return ChallengerReport(
-        challenger_id=cid,
-        prover_id=pid,
-        merkle_root_seen=root,
-        rtt_ns=rtt,
-        packets_acknowledged=acked,
-    )
-
-
-def encode_dispute(sub: DisputeSubmission) -> bytes:
-    _check_u32("challenger_id", sub.challenger_id)
-    _check_u32("leaf_index", sub.leaf_index)
-    out = struct.pack(">BII", TAG_DISPUTE, sub.challenger_id, len(sub.packets))
-    prev = -1
-    for seq, sig in sub.packets:
-        _check_u32("packets", seq)
-        if seq <= prev:
-            raise WireError("packets", f"sequence {seq} not strictly ascending")
-        if len(sig) != SIG_LEN:
-            raise WireError("packets", f"signature for {seq} expected {SIG_LEN} bytes, got {len(sig)}")
-        prev = seq
-        out += struct.pack(">I", seq) + sig
-    out += struct.pack(">IH", sub.leaf_index, len(sub.siblings))
-    for i, sib in enumerate(sub.siblings):
-        if len(sib) != 32:
-            raise WireError("siblings", f"entry {i} expected 32 bytes, got {len(sib)}")
-        out += sib
-    return out
-
-
-def _decode_dispute(data: bytes) -> DisputeSubmission:
-    fixed = struct.calcsize(">BII")
-    if len(data) < fixed:
-        raise WireError("payload", "truncated header")
-    _, cid, npkt = struct.unpack_from(">BII", data, 0)
-    off = fixed
-    entry = 4 + SIG_LEN
-    if len(data) < off + npkt * entry + 6:
-        raise WireError("packets", "truncated packet entries")
-    packets = []
-    prev = -1
-    for _i in range(npkt):
-        (seq,) = struct.unpack_from(">I", data, off)
-        if seq <= prev:
-            raise WireError("packets", f"sequence {seq} not strictly ascending")
-        prev = seq
-        packets.append((seq, data[off + 4 : off + entry]))
-        off += entry
-    leaf_index, nsib = struct.unpack_from(">IH", data, off)
-    off += 6
-    if len(data) != off + 32 * nsib:
-        raise WireError("siblings", f"expected {32 * nsib} bytes of siblings, got {len(data) - off}")
-    siblings = tuple(data[off + 32 * i : off + 32 * (i + 1)] for i in range(nsib))
-    return DisputeSubmission(
-        challenger_id=cid, packets=tuple(packets), leaf_index=leaf_index, siblings=siblings
-    )
-
-
-_PING_FMT = ">BIQ"
-PING_LEN = struct.calcsize(_PING_FMT)  # 13
-
-
-def encode_ping_request(msg: PingRequest) -> bytes:
-    _check_u32("challenger_id", msg.challenger_id)
-    if not 0 <= msg.nonce < 2**64:
-        raise WireError("nonce", f"{msg.nonce} out of u64 range")
-    return struct.pack(_PING_FMT, TAG_PING_REQUEST, msg.challenger_id, msg.nonce)
-
-
-def encode_ping_reply(msg: PingReply) -> bytes:
-    _check_u32("challenger_id", msg.challenger_id)
-    if not 0 <= msg.nonce < 2**64:
-        raise WireError("nonce", f"{msg.nonce} out of u64 range")
-    return struct.pack(_PING_FMT, TAG_PING_REPLY, msg.challenger_id, msg.nonce)
-
-
-def _decode_ping(data: bytes, cls):
-    if len(data) != PING_LEN:
-        raise WireError("payload", f"expected {PING_LEN} bytes, got {len(data)}")
-    _, cid, nonce = struct.unpack(_PING_FMT, data)
-    return cls(challenger_id=cid, nonce=nonce)
-
-
-_ENCODERS = {
-    ChallengePacket: encode_challenge,
-    ResponsePacket: encode_response,
-    VerificationMessage: encode_verification,
-    ChallengerReport: encode_report,
-    DisputeSubmission: encode_dispute,
-    PingRequest: encode_ping_request,
-    PingReply: encode_ping_reply,
-}
+    end = HEADER_LEN + count * SIG_LEN
+    if any(data[end:]):
+        raise WireError("signatures", f"slots past {count} not zero-filled")
+    sigs = tuple(data[start : start + SIG_LEN] for start in range(HEADER_LEN, end, SIG_LEN))
+    return ChallengePacket(challenger_id, base_seq, count, nonce, sigs)
 
 
 def encode(message) -> bytes:
     """Serialize any wire message by type."""
+    if type(message) is ChallengePacket:
+        return _encode_challenge(message)
     try:
-        enc = _ENCODERS[type(message)]
+        tag, fields = LAYOUTS[type(message)]
     except KeyError:
         raise WireError("message", f"unknown message type {type(message).__name__}")
-    return enc(message)
+    out = bytearray([tag])
+    for name, kind, low in fields:
+        value = getattr(message, name)
+        if kind in _WIDTHS:
+            _check_uint(name, value, _WIDTHS[kind], low)
+            out += value.to_bytes(_WIDTHS[kind], "big")
+        elif kind == BITMAP:
+            _check_bitmap(value, message.bitmap_bits, message.acked_count)
+            out += value
+        elif kind == PACKETS:
+            out += len(value).to_bytes(4, "big")
+            for seq, sig in value:
+                _check_uint(name, seq, 4)
+                _check_len(name, sig, SIG_LEN)
+                out += seq.to_bytes(4, "big") + sig
+            _check_ascending(value)
+        elif kind == SIBLINGS:
+            _check_uint(name, len(value), 2)
+            out += len(value).to_bytes(2, "big")
+            for sib in value:
+                _check_len(name, sib, 32)
+                out += sib
+        else:
+            _check_len(name, value, kind)
+            out += value
+    return bytes(out)
 
 
 def decode(data: bytes):
     """Parse a datagram by its leading type tag."""
     if not data:
         raise WireError("tag", "empty datagram")
-    tag = data[0]
-    if tag == TAG_CHALLENGE:
+    if data[0] == TAG_CHALLENGE:
         return _decode_challenge(data)
-    if tag == TAG_RESPONSE:
-        return _decode_response(data)
-    if tag == TAG_VERIFICATION:
-        return _decode_verification(data)
-    if tag == TAG_REPORT:
-        return _decode_report(data)
-    if tag == TAG_DISPUTE:
-        return _decode_dispute(data)
-    if tag == TAG_PING_REQUEST:
-        return _decode_ping(data, PingRequest)
-    if tag == TAG_PING_REPLY:
-        return _decode_ping(data, PingReply)
-    raise WireError("tag", f"unknown message tag 0x{tag:02x}")
+    try:
+        cls, fields = _BY_TAG[data[0]]
+    except KeyError:
+        raise WireError("tag", f"unknown message tag 0x{data[0]:02x}")
+    off = 1
+
+    def take(name: str, length: int) -> bytes:
+        nonlocal off
+        if len(data) < off + length:
+            raise WireError(name, f"needs {length} bytes at offset {off}, datagram has {len(data)}")
+        off += length
+        return data[off - length : off]
+
+    values = {}
+    for name, kind, low in fields:
+        if kind in _WIDTHS:
+            value = int.from_bytes(take(name, _WIDTHS[kind]), "big")
+            _check_uint(name, value, _WIDTHS[kind], low)
+        elif kind == BITMAP:
+            value = take(name, (values["bitmap_bits"] + 7) // 8)
+            _check_bitmap(value, values["bitmap_bits"], values["acked_count"])
+        elif kind == PACKETS:
+            raw = take(name, int.from_bytes(take(name, 4), "big") * _PACKET_ENTRY)
+            value = tuple(
+                (int.from_bytes(raw[i : i + 4], "big"), raw[i + 4 : i + _PACKET_ENTRY])
+                for i in range(0, len(raw), _PACKET_ENTRY)
+            )
+            _check_ascending(value)
+        elif kind == SIBLINGS:
+            raw = take(name, int.from_bytes(take(name, 2), "big") * 32)
+            value = tuple(raw[i : i + 32] for i in range(0, len(raw), 32))
+        else:
+            value = take(name, kind)
+        values[name] = value
+    if off != len(data):
+        raise WireError("payload", f"expected {off} bytes, got {len(data)}")
+    return cls(**values)

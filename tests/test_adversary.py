@@ -19,7 +19,9 @@ from backhaul.config import (
     ProverStrategy,
     parse_scenario,
 )
+from backhaul.crypto import keygen
 from backhaul.netsim import run_scenario
+from backhaul.roles import Prover
 from backhaul.schedule import derive_params
 from backhaul.wire import ChallengePacket
 
@@ -104,13 +106,37 @@ class TestPlanMechanics:
         assert 0 < len(a) < 5
 
     def test_early_trigger_only_when_colluding(self):
-        honest = self.plan(AttackSpec(), n=10, f=2)
-        assert honest.early_trigger_threshold() is None
-        coll = self.plan(
-            AttackSpec(prover=ProverStrategy("colluding_early")), n=10, f=2
+        params = derive_params(THETA, 10, 2, duration_ns=100 * MS)
+        prover = Prover(0, keygen(bytes(32)), params)
+        assert AttackPlan(AttackSpec(), params, random.Random(0)).intake(prover) == prover.on_probe
+        spec = AttackSpec(
+            challengers=((1, ChallengerStrategy("share_keys")), (2, ChallengerStrategy("share_keys"))),
+            prover=ProverStrategy("colluding_early"),
         )
-        k = coll.params.k
-        assert coll.early_trigger_threshold() == (10 - 4) * k
+        intake = AttackPlan(spec, params, random.Random(0)).intake(prover)
+        k = params.k
+        early = (10 - 4) * k
+
+        def probe(cid, q):
+            return ChallengePacket(cid, q, 1, bytes(8), (bytes(64),))
+
+        def honest_probes():
+            for cid in range(3, 11):
+                yield from ((probe(cid, q), True) for q in range(1, k + 1))
+                yield probe(cid, 1), False  # a duplicate
+                yield probe(cid, k + 1), False  # past the cap
+
+        assert not intake(0, probe(1, 1))  # corrupt probes do not count toward it
+        honest_capped = 0
+        for pkt, fresh in honest_probes():
+            honest_capped += fresh
+            tripped = intake(honest_capped, pkt)
+            assert tripped == (fresh and honest_capped == early)
+            if tripped:
+                break
+        assert honest_capped == early
+        assert prover.responded and prover.trigger_ns == early
+        assert prover.capped_total() == early + 1 < params.threshold
 
     def test_misreport_rewrites_report_fields(self):
         spec = AttackSpec(

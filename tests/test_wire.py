@@ -349,3 +349,118 @@ def test_dispute_round_trip_property(data):
     encoded = wire.encode(sub)
     assert wire.decode(encoded) == sub
     assert wire.encode(wire.decode(encoded)) == encoded
+
+
+# Hand-built byte layouts: each expected encoding is packed field by field,
+# independently of wire's own formats.
+
+
+def test_response_layout_hand_built():
+    pkt = wire.ResponsePacket(receipt=b"\x01" * 32, root=b"\x02" * 32, signature=b"\x03" * 64)
+    assert wire.encode(pkt) == b"\x02" + b"\x01" * 32 + b"\x02" * 32 + b"\x03" * 64
+
+
+def test_verification_layout_hand_built():
+    msg = make_verification(acked=(1, 3, 10), bits=12)
+    expected = (
+        b"\x03"
+        + struct.pack(">I", 4)  # challenger_id
+        + struct.pack(">I", 3)  # acked_count
+        + struct.pack(">I", 12)  # bitmap_bits
+        + bytes([0b10100000, 0b01000000])  # sequences 1, 3, 10; tail zero
+        + struct.pack(">I", 3)  # leaf_index
+        + struct.pack(">H", 2)  # sibling count
+        + b"\x05" * 32
+        + b"\x06" * 32
+    )
+    assert wire.encode(msg) == expected
+
+
+def test_report_layout_hand_built():
+    rep = wire.ChallengerReport(
+        challenger_id=2,
+        prover_id=0x01020304,
+        merkle_root_seen=b"\x09" * 32,
+        rtt_ns=99_802_880,
+        packets_acknowledged=206,
+    )
+    expected = (
+        b"\x04"
+        + bytes([0, 0, 0, 2])
+        + bytes([1, 2, 3, 4])
+        + b"\x09" * 32
+        + (99_802_880).to_bytes(8, "big")
+        + bytes([0, 0, 0, 206])
+    )
+    assert wire.encode(rep) == expected
+
+
+def test_dispute_layout_hand_built():
+    sub = wire.DisputeSubmission(
+        challenger_id=5,
+        packets=((1, b"\x01" * 64), (300, b"\x02" * 64)),
+        leaf_index=4,
+        siblings=(b"\x0a" * 32,),
+    )
+    expected = (
+        b"\x05"
+        + struct.pack(">I", 5)  # challenger_id
+        + struct.pack(">I", 2)  # packet count
+        + struct.pack(">I", 1)
+        + b"\x01" * 64
+        + struct.pack(">I", 300)
+        + b"\x02" * 64
+        + struct.pack(">I", 4)  # leaf_index
+        + struct.pack(">H", 1)  # sibling count
+        + b"\x0a" * 32
+    )
+    assert wire.encode(sub) == expected
+    empty = wire.DisputeSubmission(challenger_id=9, packets=(), leaf_index=8, siblings=())
+    assert wire.encode(empty) == b"\x05" + bytes([0, 0, 0, 9]) + bytes(4) + bytes([0, 0, 0, 8]) + bytes(2)
+
+
+def test_ping_layouts_hand_built():
+    body = bytes([0, 0, 0, 3]) + bytes([0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 1])
+    assert wire.encode(wire.PingRequest(challenger_id=3, nonce=0xDEADBEEF00000001)) == b"\x06" + body
+    assert wire.encode(wire.PingReply(challenger_id=3, nonce=0xDEADBEEF00000001)) == b"\x07" + body
+
+
+# Mutation property: flipped, truncated and extended datagrams either raise
+# WireError or decode to a message that re-encodes to exactly those bytes.
+
+MUTATION_SEEDS = (
+    make_challenge(count=3),
+    wire.ResponsePacket(receipt=b"\x01" * 32, root=b"\x02" * 32, signature=b"\x03" * 64),
+    make_verification(acked=(1, 3, 10), bits=12),
+    make_verification(acked=(), bits=0),
+    wire.ChallengerReport(
+        challenger_id=2, prover_id=0, merkle_root_seen=b"\x09" * 32, rtt_ns=1, packets_acknowledged=206
+    ),
+    wire.DisputeSubmission(
+        challenger_id=5, packets=((1, b"\x01" * 64), (2, b"\x02" * 64)), leaf_index=4, siblings=(b"\x0a" * 32,)
+    ),
+    wire.DisputeSubmission(challenger_id=9, packets=(), leaf_index=8, siblings=()),
+    wire.PingRequest(challenger_id=3, nonce=0),
+    wire.PingReply(challenger_id=3, nonce=2**64 - 1),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_mutated_datagrams_reject_or_reencode_identically(data):
+    good = wire.encode(data.draw(st.sampled_from(MUTATION_SEEDS)))
+    raw = bytearray(good)
+    kind = data.draw(st.sampled_from(("flip", "truncate", "extend")))
+    if kind == "flip":
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            i = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+            raw[i] = data.draw(st.integers(min_value=0, max_value=255))
+    elif kind == "truncate":
+        del raw[data.draw(st.integers(min_value=0, max_value=len(raw) - 1)) :]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=80))
+    try:
+        msg = wire.decode(bytes(raw))
+    except wire.WireError:
+        return
+    assert wire.encode(msg) == bytes(raw)
