@@ -194,6 +194,14 @@ def golden_cases():
         for i in range(10)
     ]
     yield "uplinks_mixed", scenario(short, {"uplink": {}, "uplinks": mixed}), 8
+    # a timer-mode verifier (f < n/2) settles at its deadline with disputes
+    timer = {
+        "2": {"name": "withhold_report"},
+        "5": {"name": "misreport_rtt", "rtt_ns": 1},
+        "7": {"name": "withhold_all"},
+        "9": {"name": "bad_merkle_claim"},
+    }
+    yield "timer_mode", scenario({**short, "f": 4, "timer_mode": True}, both, {"challengers": timer}), 9
     for seed in range(8):
         yield f"fuzz_both_{seed}", fuzzed(both, seed, 20 * MS), seed
 

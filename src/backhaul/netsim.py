@@ -9,11 +9,17 @@ the prover's responses cross the same links as queue-free hops
 while their serialization, propagation and jitter do. Every message to
 the verifier takes a fixed `verifier_propagation_ns`.
 
-A run has two planes. The probe data plane (uplinks, backhaul, the
-prover's intake) is computed as one ordered pass per link, because links
-are FIFO and nothing feeds back into it but the prover's trigger. The
-sparse control plane (response, reports, disputes, timeouts, the verifier
-deadline and settle) runs on `EventLoop`, a heap of timed callbacks.
+`run_scenario` is one step per phase of a run:
+1. set-up: keys, parameters, links, attack plan, clock offsets, and the
+   deadline, settle time and horizon;
+2. pings: latency estimates, then the schedule and the roles;
+3. probe pass: the data plane (uplinks, backhaul, the prover's intake),
+   one ordered pass per link (`stage_probes`), because links are FIFO and
+   nothing feeds back into it but the prover's trigger;
+4. settle: the sparse control plane (response, reports, disputes,
+   timeouts, the verifier deadline and settle) on `EventLoop`, a heap of
+   timed callbacks;
+5. result: the `SimResult`.
 
 Both planes run in the order of an event heap keyed (time, insertion
 counter). On the data plane each event carries an order key instead:
@@ -90,15 +96,8 @@ def calibrate_overhead(theta_bps: float) -> int:
     slopes, clamped at zero: receipt building scales with the number of
     stored signatures, which scales with the claimed rate.
     """
-    pts = OVERHEAD_KNOTS
-    if theta_bps <= pts[1][0]:
-        (x0, y0), (x1, y1) = pts[0], pts[1]
-    else:
-        (x0, y0), (x1, y1) = pts[-2], pts[-1]
-        for j in range(len(pts) - 1):
-            if pts[j][0] <= theta_bps <= pts[j + 1][0]:
-                (x0, y0), (x1, y1) = pts[j], pts[j + 1]
-                break
+    segments = list(itertools.pairwise(OVERHEAD_KNOTS))
+    (x0, y0), (x1, y1) = next((seg for seg in segments if theta_bps <= seg[1][0]), segments[-1])
     y = y0 + (y1 - y0) * (theta_bps - x0) / (x1 - x0)
     return max(0, round(y))
 
@@ -380,243 +379,241 @@ def link_pass(link: FifoLink, events: list, horizon_ns: int) -> list:
     return link.flush(horizon_ns)
 
 
-def run_scenario(
-    scenario: ScenarioConfig, seed: int, collect_trace: bool = True
-) -> SimResult:
-    proto, topo = scenario.protocol, scenario.topology
-    n = proto.n
-    trace: list[str] = []
+def stage_probes(groups, bh_link: FifoLink, horizon_ns: int) -> tuple[list, int]:
+    """The probe data plane: (the prover's arrivals by the horizon, last first;
+    the number of sends moved to time zero, as `EventLoop.at` would).
 
-    def tr(line: str) -> None:
-        if collect_trace:
-            trace.append(line)
-
-    m0 = hashlib.sha256(f"{seed}:m0".encode()).digest()
-    ckeys = {
-        i: keygen(hashlib.sha256(f"{seed}:challenger-key:{i}".encode()).digest())
-        for i in range(1, n + 1)
-    }
-    pkey = keygen(hashlib.sha256(f"{seed}:prover-key".encode()).digest())
-
-    params = derive_params(
-        proto.theta_claimed_bps,
-        n,
-        proto.f,
-        proto.duration_ns,
-        rate_policy=RatePolicy(proto.rate_policy),
-        overprovision=proto.overprovision,
-        t0_ns=proto.t0_ns,
-        m0=m0,
-        timer_mode=proto.timer_mode,
-    )
-
-    uplinks = _resolve_uplinks(topo, n, params.theta0_bps, random.Random(f"{seed}:topo"))
-    backhaul = LinkSpec(
-        rate_bps=topo.backhaul_rate_bps,
-        propagation_ns=topo.backhaul_propagation_ns,
-        jitter_stddev_ns=topo.backhaul_jitter_stddev_ns,
-        loss_prob=topo.backhaul_loss_prob,
-    )
-
-    l_est = tuple(
-        _ping_latency_estimate(uplinks[i - 1], backhaul, random.Random(f"{seed}:ping:{i}"))
-        for i in range(1, n + 1)
-    )
-    for i, l in enumerate(l_est, start=1):
-        tr(f"ping challenger={i} estimate_ns={l}")
-
-    schedule = send_schedule(params, l_est, sigs_per_packet=proto.sigs_per_packet)
-    tr(
-        "schedule k={} signatures={} spacing_ns={:.3f} threshold={}".format(
-            params.k,
-            params.signatures_per_challenger,
-            params.spacing_ns,
-            params.threshold,
-        )
-    )
-
-    challengers = {
-        i: Challenger(i, ckeys[i], PROVER_ID, pkey.public_key, params, schedule)
-        for i in range(1, n + 1)
-    }
-    prover = Prover(PROVER_ID, pkey, params)
-    verifier = Verifier(
-        params,
-        {i: ckeys[i].public_key for i in range(1, n + 1)},
-        PROVER_ID,
-        pkey.public_key,
-        timer_mode=proto.timer_mode,
-    )
-    plan = AttackPlan(scenario.attack, params, random.Random(f"{seed}:attack"))
-
-    rng_offsets = random.Random(f"{seed}:offsets")
-    r = topo.clock_offset_range_ns
-    offsets = {i: round(rng_offsets.uniform(-r, r)) for i in range(1, n + 1)}
-
-    loop = EventLoop()
-    up_links = {i: FifoLink(uplinks[i - 1], random.Random(f"{seed}:link:up:{i}")) for i in range(1, n + 1)}
-    bh_rate_fn = make_rate_fn(backhaul.rate_bps, topo.cross_flows)
-    bh_link = FifoLink(
-        backhaul, random.Random(f"{seed}:link:bh"), bh_rate_fn, topo.queue_capacity_bytes, ranked=True
-    )
-    rng_reverse = {
-        i: random.Random(f"{seed}:reverse:{i}") for i in range(1, n + 1)
-    }
-
-    if topo.response_overhead_ns == "auto":
-        overhead_ns = calibrate_overhead(proto.theta_claimed_bps)
-    else:
-        overhead_ns = int(topo.response_overhead_ns)
-    vprop = topo.verifier_propagation_ns
-    deadline_ns = proto.t0_ns + round(proto.verifier_deadline_factor * proto.duration_ns)
-    grace_ns = 2 * vprop + 1_000_000
-    horizon = deadline_ns + grace_ns + round((DEFAULT_TIMEOUT_FACTOR + 1.0) * proto.duration_ns)
-
-    # probe data plane: set-up events (t, 0, index, packet), indexed in
-    # scheduling order; a send before time zero is moved to zero, as
-    # EventLoop.at would
-    scheduled = 0
-    clamped_sends = 0
-
-    def setup_events(sends: list, shift: int) -> list:
-        """Set-up events for (t, packet) sends at t + shift, indexed next."""
-        nonlocal scheduled, clamped_sends
-        events = [(t + shift, 0, index, pkt) for index, (t, pkt) in enumerate(sends, scheduled)]
-        scheduled += len(events)
-        if events and min(events)[0] < 0:
-            clamped_sends += sum(1 for ev in events if ev[0] < 0)
-            events = [ev if ev[0] >= 0 else (0,) + ev[1:] for ev in events]
-        return events
-
-    # probe trains on each challenger's clock, reshaped by the attack
-    side_delay = topo.side_channel_delay_ns
-    trains = {i: challengers[i].build_sends() for i in range(1, n + 1)}
-    direct = setup_events([(params.t0_ns, pkt) for pkt in plan.prover_initial_probes(trains)], 0)
+    `groups` gives (uplink, shift_ns, sends) in scheduling order. A send
+    (t, packet) becomes the set-up event (t + shift_ns, 0, index, packet) on
+    the uplink, then the backhaul, or straight to the prover if it is None.
+    """
+    index = clamped = 0
+    direct: list = []
+    trains: dict = {}
+    for link, shift, sends in groups:
+        events = direct if link is None else trains.setdefault(link, [])
+        for t, pkt in sends:
+            t += shift
+            if t < 0:
+                t = 0
+                clamped += 1
+            events.append((t, 0, index, pkt))
+            index += 1
     bh_in = []
-    for i in range(1, n + 1):
-        sends, via = plan.sends_for(i, trains.pop(i), side_delay is not None)
-        tr(f"send_plan challenger={i} packets={len(sends)}")
-        if via == VIA_SIDE:
-            direct += setup_events(sends, side_delay)
-        else:
-            bh_in += link_pass(up_links[i], setup_events(sends, -offsets[i]), horizon)
-    arrivals = link_pass(bh_link, bh_in, horizon)
-    arrivals += [ev for ev in direct if ev[0] <= horizon]
+    for link, events in trains.items():
+        bh_in += link_pass(link, events, horizon_ns)
+    arrivals = link_pass(bh_link, bh_in, horizon_ns)
+    arrivals += [ev for ev in direct if ev[0] <= horizon_ns]
     arrivals.sort(reverse=True)
+    return arrivals, clamped
 
-    # the prover takes every arrival, popped so each is freed once taken,
-    # through the attack's intake (its own on_probe unless it colludes)
-    trigger_key = None
-    intake = plan.intake(prover)
-    pop = arrivals.pop
-    while arrivals:
-        ev = pop()
-        if intake(ev[0], ev[-1]):
-            trigger_key = ev[:-1]
 
-    timed_out: list[int] = []
+class _Run:
+    """One run: `__init__` is the set-up, each later phase one method, and the
+    control plane's callbacks follow `settle`."""
 
-    def reverse_delay(i: int, size_bytes: int) -> float:
-        """Prover -> challenger control path: the backhaul hop, then the uplink's."""
-        rng = rng_reverse[i]
-        up = uplinks[i - 1]
-        d = _hop_ns(backhaul, size_bytes, bh_rate_fn(loop.now), rng)
-        return d + _hop_ns(up, size_bytes, up.rate_bps, rng)
+    def __init__(self, scenario: ScenarioConfig, seed: int, collect_trace: bool):
+        proto, topo = scenario.protocol, scenario.topology
+        self.proto, self.topo, self.seed = proto, topo, seed
+        self.trace: list[str] | None = [] if collect_trace else None
+        self.ids = ids = range(1, proto.n + 1)
+        self.ckeys = {i: keygen(hashlib.sha256(f"{seed}:challenger-key:{i}".encode()).digest()) for i in ids}
+        self.pkey = keygen(hashlib.sha256(f"{seed}:prover-key".encode()).digest())
+        self.params = params = derive_params(
+            proto.theta_claimed_bps,
+            proto.n,
+            proto.f,
+            proto.duration_ns,
+            rate_policy=RatePolicy(proto.rate_policy),
+            overprovision=proto.overprovision,
+            t0_ns=proto.t0_ns,
+            m0=hashlib.sha256(f"{seed}:m0".encode()).digest(),
+            timer_mode=proto.timer_mode,
+        )
+        uplinks = _resolve_uplinks(topo, proto.n, params.theta0_bps, random.Random(f"{seed}:topo"))
+        self.up_links = {i: FifoLink(uplinks[i - 1], random.Random(f"{seed}:link:up:{i}")) for i in ids}
+        backhaul = LinkSpec(
+            rate_bps=topo.backhaul_rate_bps,
+            propagation_ns=topo.backhaul_propagation_ns,
+            jitter_stddev_ns=topo.backhaul_jitter_stddev_ns,
+            loss_prob=topo.backhaul_loss_prob,
+        )
+        bh_rate_fn = make_rate_fn(backhaul.rate_bps, topo.cross_flows)
+        self.bh_link = FifoLink(
+            backhaul, random.Random(f"{seed}:link:bh"), bh_rate_fn, topo.queue_capacity_bytes, ranked=True
+        )
+        self.rng_reverse = {i: random.Random(f"{seed}:reverse:{i}") for i in ids}
+        self.plan = AttackPlan(scenario.attack, params, random.Random(f"{seed}:attack"))
+        rng_offsets = random.Random(f"{seed}:offsets")
+        r = topo.clock_offset_range_ns
+        self.offsets = {i: round(rng_offsets.uniform(-r, r)) for i in ids}
+        if topo.response_overhead_ns == "auto":
+            self.overhead_ns = calibrate_overhead(proto.theta_claimed_bps)
+        else:
+            self.overhead_ns = int(topo.response_overhead_ns)
+        self.vprop = topo.verifier_propagation_ns
+        self.deadline_ns = deadline = proto.t0_ns + round(proto.verifier_deadline_factor * proto.duration_ns)
+        self.settle_ns = deadline + 2 * self.vprop + 1_000_000
+        self.horizon = self.settle_ns + round((DEFAULT_TIMEOUT_FACTOR + 1.0) * proto.duration_ns)
 
-    def to_verifier(msg):
-        upheld = verifier.on_message(loop.now, msg)
-        if isinstance(msg, wire.ChallengerReport):
-            tr(f"report challenger={msg.challenger_id} rtt_ns={msg.rtt_ns} acked={msg.packets_acknowledged}")
-        elif isinstance(msg, wire.DisputeSubmission):
-            tr(f"dispute challenger={msg.challenger_id} packets={len(msg.packets)} upheld={upheld}")
+    def tr(self, line: str) -> None:
+        if self.trace is not None:
+            self.trace.append(line)
 
-    def to_challenger(i: int, msgs):
-        c = challengers[i]
-        local = loop.now + offsets[i]
-        reports = [c.on_message(local, msg) for msg in msgs]
-        tr(f"response challenger={i} t_ns={loop.now} delta_ns={c.delta_ns}")
-        for rpt in reports:
-            rpt = plan.report_action(i, rpt)
-            if rpt is not None:
-                loop.at(loop.now + vprop, partial(to_verifier, rpt))
+    def ping(self) -> tuple[tuple[int, ...], SendSchedule]:
+        """(latency estimates, schedule); the roles are built on the schedule."""
+        params, bh_spec = self.params, self.bh_link.spec
+        l_est = tuple(
+            _ping_latency_estimate(self.up_links[i].spec, bh_spec, random.Random(f"{self.seed}:ping:{i}"))
+            for i in self.ids
+        )
+        for i, l in enumerate(l_est, start=1):
+            self.tr(f"ping challenger={i} estimate_ns={l}")
 
-    def respond():
-        bundle = prover.build_responses()
-        tr(f"trigger t_ns={prover.trigger_ns} capped={prover.capped_total()}")
+        schedule = send_schedule(params, l_est, sigs_per_packet=self.proto.sigs_per_packet)
+        self.tr(
+            f"schedule k={params.k} signatures={params.signatures_per_challenger} "
+            f"spacing_ns={params.spacing_ns:.3f} threshold={params.threshold}"
+        )
+        ppub = self.pkey.public_key
+        self.challengers = {i: Challenger(i, self.ckeys[i], PROVER_ID, ppub, params, schedule) for i in self.ids}
+        self.prover = Prover(PROVER_ID, self.pkey, params)
+        cpubs = {i: key.public_key for i, key in self.ckeys.items()}
+        self.verifier = Verifier(params, cpubs, PROVER_ID, ppub, timer_mode=self.proto.timer_mode)
+        return l_est, schedule
+
+    def probe_pass(self) -> tuple[tuple | None, int]:
+        """The data plane through the prover's intake: (trigger key or None, clamped sends)."""
+        plan, side_delay = self.plan, self.topo.side_channel_delay_ns
+        # probe trains on each challenger's clock, reshaped by the attack
+        trains = {i: c.build_sends() for i, c in self.challengers.items()}
+        groups = [(None, 0, [(self.params.t0_ns, pkt) for pkt in plan.prover_initial_probes(trains)])]
+        for i in self.ids:
+            sends, via = plan.sends_for(i, trains.pop(i), side_delay is not None)
+            self.tr(f"send_plan challenger={i} packets={len(sends)}")
+            if via == VIA_SIDE:
+                groups.append((None, side_delay, sends))
+            else:
+                groups.append((self.up_links[i], -self.offsets[i], sends))
+        arrivals, clamped_sends = stage_probes(groups, self.bh_link, self.horizon)
+
+        # the prover takes every arrival, popped so each is freed once taken,
+        # through the attack's intake (its own on_probe unless it colludes)
+        trigger_key = None
+        intake = plan.intake(self.prover)
+        pop = arrivals.pop
+        while arrivals:
+            ev = pop()
+            if intake(ev[0], ev[-1]):
+                trigger_key = ev[:-1]
+        return trigger_key, clamped_sends
+
+    def settle(self, trigger_key: tuple | None) -> tuple[int, ...]:
+        """The control plane on an `EventLoop`: challenger timeouts (local clocks)
+        by id, then deadline, settle and response; the ids that timed out."""
+        self.loop = loop = EventLoop()
+        self.timed_out: list[int] = []
+        for i, c in self.challengers.items():
+            loop.at(c.give_up_ns - self.offsets[i], partial(self.check_timeout, i))
+        loop.at(self.deadline_ns, partial(self.at_deadline, trigger_key))
+        # settle once the disputes can have arrived; `Verifier.evaluate` decides if it may
+        loop.at(self.settle_ns, partial(self.verifier.evaluate, self.settle_ns))
+        if trigger_key is not None:
+            loop.at(trigger_key[0] + self.overhead_ns, self.respond)
+        loop.run(self.horizon)
+        return tuple(self.timed_out)
+
+    def respond(self) -> None:
+        bundle = self.prover.build_responses()
+        self.tr(f"trigger t_ns={self.prover.trigger_ns} capped={self.prover.capped_total()}")
+        now = self.loop.now
         for dest, msgs in bundle.routes():
             if dest == VERIFIER:
-                loop.at(loop.now + vprop, partial(to_verifier, *msgs))
+                self.loop.at(now + self.vprop, partial(self.to_verifier, *msgs))
                 continue
-            # one delivery carries both messages, each with its lower-layer headers
+            # one delivery carries both messages, each with its lower-layer
+            # headers, over the backhaul hop and then the uplink's
             size = sum(len(wire.encode(msg)) + wire.LOWER_LAYER_BUDGET for msg in msgs)
-            loop.at(loop.now + reverse_delay(dest, size), partial(to_challenger, dest, msgs))
+            rng, bh, up = self.rng_reverse[dest], self.bh_link, self.up_links[dest].spec
+            d = _hop_ns(bh.spec, size, bh.rate_fn(now), rng) + _hop_ns(up, size, up.rate_bps, rng)
+            self.loop.at(now + d, partial(self.to_challenger, dest, msgs))
 
-    # challenger timeouts (local clocks)
-    def check_timeout(i: int):
-        if challengers[i].delta_ns is None and challengers[i].failure is None:
-            timed_out.append(i)
-            tr(f"timeout challenger={i} t_ns={loop.now}")
+    def to_challenger(self, i: int, msgs) -> None:
+        c, now = self.challengers[i], self.loop.now
+        reports = [c.on_message(now + self.offsets[i], msg) for msg in msgs]
+        self.tr(f"response challenger={i} t_ns={now} delta_ns={c.delta_ns}")
+        for rpt in reports:
+            rpt = self.plan.report_action(i, rpt)
+            if rpt is not None:
+                self.loop.at(now + self.vprop, partial(self.to_verifier, rpt))
 
-    for i, c in challengers.items():
-        loop.at(c.give_up_ns - offsets[i], partial(check_timeout, i))
+    def to_verifier(self, msg) -> None:
+        upheld = self.verifier.on_message(self.loop.now, msg)
+        if isinstance(msg, wire.ChallengerReport):
+            self.tr(f"report challenger={msg.challenger_id} rtt_ns={msg.rtt_ns} acked={msg.packets_acknowledged}")
+        elif isinstance(msg, wire.DisputeSubmission):
+            self.tr(f"dispute challenger={msg.challenger_id} packets={len(msg.packets)} upheld={upheld}")
 
-    # verifier deadline: request disputes for unaccounted challengers,
-    # then settle once they have had time to arrive (`Verifier.evaluate`
-    # decides whether it may). The deadline is a set-up event scheduled
-    # after every probe, so it sees the response committed by a trigger
-    # whose key is below (deadline, 1).
-    responded_by_deadline = trigger_key is not None and trigger_key < (deadline_ns, 1)
+    def check_timeout(self, i: int) -> None:
+        c = self.challengers[i]
+        if c.delta_ns is None and c.failure is None:
+            self.timed_out.append(i)
+            self.tr(f"timeout challenger={i} t_ns={self.loop.now}")
 
-    def at_deadline():
-        if verifier.output is None and responded_by_deadline:
-            for cid in verifier.missing_ids():
-                d = plan.dispute_for(cid, prover)
+    def at_deadline(self, trigger_key: tuple | None) -> None:
+        """Request disputes for unaccounted challengers if the prover responded
+        by now. The deadline is a set-up event scheduled after every probe, so
+        it sees the response committed by a trigger whose key is below (deadline, 1)."""
+        if self.verifier.output is None and trigger_key is not None and trigger_key < (self.deadline_ns, 1):
+            for cid in self.verifier.missing_ids():
+                d = self.plan.dispute_for(cid, self.prover)
                 if d is not None:
-                    loop.at(loop.now + 2 * vprop, partial(to_verifier, d))
+                    self.loop.at(self.loop.now + 2 * self.vprop, partial(self.to_verifier, d))
 
-    loop.at(deadline_ns, at_deadline)
-    loop.at(deadline_ns + grace_ns, lambda: verifier.evaluate(loop.now))
-    # the trigger's response goes on the heap after the set-up events
-    if trigger_key is not None:
-        loop.at(trigger_key[0] + overhead_ns, respond)
-    loop.run(horizon)
-
-    drops = {
-        "uplink_lost": sum(l.stats.lost for l in up_links.values()),
-        "backhaul_lost": bh_link.stats.lost,
-        "backhaul_tail_dropped": bh_link.stats.tail_dropped,
-        "prover_duplicates": prover.duplicates,
-        "prover_unknown": prover.dropped_unknown,
-        "prover_bad_sequence": prover.dropped_seq,
-        "prover_late": prover.late_probes,
-    }
-    failures = {
-        i: c.failure for i, c in challengers.items() if c.failure is not None
-    }
-    out = verifier.output
-    tr(
-        "outcome terminated={} measured_bps={} guaranteed_bps={} cnt={} "
-        "drops={}".format(
-            out is not None,
-            f"{out.measured_bps:.3f}" if out else "none",
-            f"{out.guaranteed_bps:.3f}" if out else "none",
-            out.cnt if out else 0,
-            sorted(drops.items()),
+    def result(self, l_est: tuple, schedule: SendSchedule, timed_out: tuple, clamped_sends: int) -> SimResult:
+        prover, verifier, bh_stats = self.prover, self.verifier, self.bh_link.stats
+        drops = {
+            "uplink_lost": sum(l.stats.lost for l in self.up_links.values()),
+            "backhaul_lost": bh_stats.lost,
+            "backhaul_tail_dropped": bh_stats.tail_dropped,
+            "prover_duplicates": prover.duplicates,
+            "prover_unknown": prover.dropped_unknown,
+            "prover_bad_sequence": prover.dropped_seq,
+            "prover_late": prover.late_probes,
+        }
+        out = verifier.output
+        self.tr(
+            "outcome terminated={} measured_bps={} guaranteed_bps={} cnt={} "
+            "drops={}".format(
+                out is not None,
+                f"{out.measured_bps:.3f}" if out else "none",
+                f"{out.guaranteed_bps:.3f}" if out else "none",
+                out.cnt if out else 0,
+                sorted(drops.items()),
+            )
         )
-    )
-    return SimResult(
-        output=out,
-        output_ns=verifier.output_ns,
-        params=params,
-        schedule=schedule,
-        latency_estimates_ns=l_est,
-        deltas_ns={i: c.delta_ns for i, c in challengers.items()},
-        trigger_ns=prover.trigger_ns,
-        timed_out=tuple(timed_out),
-        drops=drops,
-        max_queue_bytes=bh_link.stats.max_queue_bytes,
-        challenger_failures=failures,
-        rejections=tuple(verifier.rejections),
-        trace=tuple(trace),
-        clamped_sends=clamped_sends,
-    )
+        return SimResult(
+            output=out,
+            output_ns=verifier.output_ns,
+            params=self.params,
+            schedule=schedule,
+            latency_estimates_ns=l_est,
+            deltas_ns={i: c.delta_ns for i, c in self.challengers.items()},
+            trigger_ns=prover.trigger_ns,
+            timed_out=timed_out,
+            drops=drops,
+            max_queue_bytes=bh_stats.max_queue_bytes,
+            challenger_failures={i: c.failure for i, c in self.challengers.items() if c.failure is not None},
+            rejections=tuple(verifier.rejections),
+            trace=tuple(self.trace or ()),
+            clamped_sends=clamped_sends,
+        )
+
+
+def run_scenario(scenario: ScenarioConfig, seed: int, collect_trace: bool = True) -> SimResult:
+    """Simulate one challenge run of `scenario` at `seed`, one step per phase."""
+    run = _Run(scenario, seed, collect_trace)
+    l_est, schedule = run.ping()
+    trigger_key, clamped_sends = run.probe_pass()
+    timed_out = run.settle(trigger_key)
+    return run.result(l_est, schedule, timed_out, clamped_sends)

@@ -35,7 +35,7 @@ from .crypto import (
     sign,
     verify,
 )
-from .schedule import DEFAULT_TIMEOUT_FACTOR, ChallengeParams, SendSchedule
+from .schedule import DEFAULT_TIMEOUT_FACTOR, ChallengeParams, SendSchedule, check_corruption_bound
 from .wire import (
     ChallengePacket,
     ChallengerReport,
@@ -442,10 +442,10 @@ class Verifier:
     """Aggregates reports into a bandwidth verdict.
 
     Reports and disputes that arrive before the prover's root are held
-    and judged once it is known. A lazy verifier (f < n/3) gives its
-    verdict when n - f challengers are accounted for and the capped count
-    reaches (n - f) * k, and never on less; a timer-mode one (f < n/2)
-    settles at its deadline on whatever has arrived (`evaluate`).
+    and judged once it is known. A lazy verifier (f < n/3, else
+    `ParamsError`) gives its verdict when n - f challengers are accounted
+    for and the capped count reaches (n - f) * k, and never on less; a
+    timer-mode one (f < n/2) settles at its deadline on what has arrived (`evaluate`).
     """
 
     def __init__(
@@ -456,6 +456,7 @@ class Verifier:
         prover_public_key: bytes,
         timer_mode: bool = False,
     ):
+        check_corruption_bound(params.n, params.f, timer_mode)
         self.params = params
         self.challenger_public_keys = dict(challenger_public_keys)
         self.prover_id = prover_id

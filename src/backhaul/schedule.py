@@ -89,6 +89,13 @@ class ChallengeParams:
         return self.b * 8 * 1e9 / self.theta_claimed_bps
 
 
+def check_corruption_bound(n: int, f: int, timer_mode: bool) -> None:
+    """A lazy verifier tolerates f < n/3 corrupt challengers; a timer-mode one,
+    which closes collection on a deadline instead of waiting, f < n/2."""
+    if f >= (n / 2 if timer_mode else n / 3):
+        raise ParamsError(f"f={f} not tolerable with n={n}: need f < {'n/2' if timer_mode else 'n/3'}")
+
+
 def derive_params(
     theta_claimed_bps: float,
     n: int,
@@ -104,19 +111,14 @@ def derive_params(
     """Derive per-challenger rate and packet count for a claimed bandwidth.
 
     m0 should be fresh per challenge; the zero default is for parameter
-    arithmetic only. timer_mode relaxes the corruption bound from n/3 to
-    n/2 (the verifier then closes collection on a deadline instead of
-    waiting lazily).
+    arithmetic only. timer_mode picks the corruption bound
+    (`check_corruption_bound`).
     """
     if n < 1:
         raise ParamsError(f"n must be positive, got {n}")
     if f < 0:
         raise ParamsError(f"f must be nonnegative, got {f}")
-    bound = n / 2 if timer_mode else n / 3
-    if f >= bound:
-        raise ParamsError(
-            f"f={f} not tolerable with n={n}: need f < {'n/2' if timer_mode else 'n/3'}"
-        )
+    check_corruption_bound(n, f, timer_mode)
     if theta_claimed_bps <= 0:
         raise ParamsError(f"theta_claimed must be positive, got {theta_claimed_bps}")
     if duration_ns <= 0:

@@ -19,8 +19,8 @@ from backhaul.netsim import (
     SimError,
     calibrate_overhead,
     make_rate_fn,
-    link_pass,
     run_scenario,
+    stage_probes,
 )
 
 MS = 1_000_000
@@ -248,23 +248,37 @@ class TestOrderedPass:
                 spec, random.Random(f"{seed}:{label}"), capacity_bytes=c, ranked=ranked
             )
         )
-        trains = {i: [] for i in up_links}
-        direct = []
-        for j, (u, t, count, to_prover) in enumerate(sends):
-            ev = setup_event(t, j, count)
-            (direct if to_prover else trains[u % len(ups) + 1]).append(ev)
-        # staged as in run_scenario
-        bh_in = []
-        for i, train in trains.items():
-            bh_in += link_pass(up_links[i], train, horizon)
-        arrivals = link_pass(bh_link, bh_in, horizon)
-        arrivals += [ev for ev in direct if ev[0] <= horizon]
-        arrivals.sort()
+        # one group per send, in scheduling order, staged as run_scenario stages them
+        groups = [
+            (None if to_prover else up_links[u % len(ups) + 1], 0, [(t, Probe(count, j))])
+            for j, (u, t, count, to_prover) in enumerate(sends)
+        ]
+        arrivals, clamped = stage_probes(groups, bh_link, horizon)
 
-        assert [(ev[0], ev[-1].tag) for ev in arrivals] == seen
+        assert clamped == 0
+        assert [(ev[0], ev[-1].tag) for ev in reversed(arrivals)] == seen
         for i in up_links:
             assert up_links[i].stats == ref_up[i].stats
         assert bh_link.stats == ref_bh.stats
+
+    def test_stage_indexes_in_scheduling_order_and_moves_early_sends_to_zero(self):
+        up, bh = (FifoLink(LinkSpec(propagation_ns=100), random.Random(0), ranked=r) for r in (False, True))
+        groups = [
+            (None, -5, [(3, Probe(1, "a")), (7, Probe(1, "b"))]),
+            (up, -50, [(20, Probe(1, "c")), (60, Probe(1, "d"))]),
+            (None, 0, [(0, Probe(1, "e"))]),
+        ]
+        arrivals, clamped = stage_probes(groups, bh, horizon_ns=1000)
+        assert clamped == 2  # "a" and "c"
+        # set-up events keep their scheduling index; at time 0, "a" (index 0) precedes "e" (index 4)
+        assert [(ev[0], ev[-1].tag) for ev in reversed(arrivals)] == [
+            (0, "a"),
+            (0, "e"),
+            (2, "b"),
+            (200, "c"),
+            (210, "d"),
+        ]
+        assert up.stats.delivered == bh.stats.delivered == 2
 
 
 class TestRateFn:

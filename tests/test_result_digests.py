@@ -7,7 +7,10 @@ Its golden/artifact/ entries, the bytes of a report's JSON, CSVs and
 table and of a ladder's JSON and table, were recorded before reports and
 ladder results took their fields from the record declarations. Its
 golden/uplinks_mixed entry, one uplink per challenger, was recorded
-before netsim's links were built from their `LinkSpec`.
+before netsim's links were built from their `LinkSpec`. Its
+golden/timer_mode entry, a timer-mode verifier that settles at its
+deadline with disputes, was recorded before `run_scenario` became one
+step per phase.
 """
 
 import importlib.util

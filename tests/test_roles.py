@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from backhaul import roles
 from backhaul.crypto import hash_packet_set, keygen, probe_message, sign
 from backhaul.roles import VERIFIER, Challenger, Prover, Verifier, upper_median
-from backhaul.schedule import RatePolicy, derive_params, send_schedule
+from backhaul.schedule import ParamsError, RatePolicy, derive_params, send_schedule
 from backhaul.wire import (
     ChallengePacket,
     ChallengerReport,
@@ -569,6 +569,15 @@ class TestVerifier:
         assert out.cnt == 15
         assert out.delta_ns == sorted(c.delta_ns for c in list(w.challengers.values())[:3])[1]
         assert out.reports_used == 3
+
+    def test_lazy_verifier_refuses_the_timer_mode_bound(self):
+        # n=5, f=2 is only sound with a deadline: a lazy verifier would take
+        # two corrupt reports with rtt_ns=1 and one honest one as n - f
+        w = world(n=5, f=2, k=5, timer_mode=True)
+        keys = {i: kp.public_key for i, kp in w.keys.items()}
+        with pytest.raises(ParamsError, match="need f < n/3"):
+            Verifier(w.params, keys, PROVER_ID, w.prover_key.public_key)
+        assert Verifier(w.params, keys, PROVER_ID, w.prover_key.public_key, timer_mode=True).timer_mode
 
     def test_routes_drive_the_whole_exchange(self):
         w = world()
