@@ -5,12 +5,20 @@ primitives needed are: deterministic keypairs, sign/verify, a canonical
 digest over a set of (sequence number, signature) pairs, and a Merkle
 tree whose leaves are those digests, one per challenger.
 
+libsodium signs (`crypto_sign_ed25519_detached`, loaded by its soname
+through ctypes) and `cryptography` verifies. Both follow RFC 8032, so a
+signature is the same bytes either way. Verification stays where it is
+because libsodium's verifier also refuses small-order and non-canonical
+points that `cryptography` accepts: moving it would change which roots
+and disputes the verifier turns away.
+
 Domain separation: leaf hashes are prefixed 0x00 and interior hashes
 0x01 so a leaf digest can never be replayed as an interior node.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -19,10 +27,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 SEED_LEN = 32
 KEY_LEN = 32
@@ -36,6 +41,28 @@ _NODE_PREFIX = b"\x01"
 # each entry of a packet-set digest
 SEQUENCE = struct.Struct(">I")
 _BY_SEQUENCE = itemgetter(0)
+
+# by soname, not ctypes.util.find_library, which runs ldconfig in a subprocess
+_SONAME = "libsodium.so.23"
+try:
+    _sodium = ctypes.CDLL(_SONAME)
+except OSError as exc:
+    raise ImportError(
+        f"backhaul signs with libsodium and could not load {_SONAME} ({exc}); "
+        "install it, e.g. the Debian/Ubuntu package libsodium23"
+    ) from None
+if _sodium.sodium_init() < 0:
+    raise ImportError(f"{_SONAME}: sodium_init failed")
+# both return 0 on every input of the right lengths, so no caller checks
+_seed_keypair = _sodium.crypto_sign_ed25519_seed_keypair
+_seed_keypair.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p)
+_seed_keypair.restype = ctypes.c_int
+_sign_detached = _sodium.crypto_sign_ed25519_detached
+_sign_detached.argtypes = (
+    ctypes.c_char_p, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p
+)
+_sign_detached.restype = ctypes.c_int
+_Signature = ctypes.c_char * SIG_LEN
 
 
 @dataclass(frozen=True)
@@ -55,8 +82,14 @@ class MerkleProof:
 
 
 @lru_cache(maxsize=256)
-def _load_private(secret_key: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(secret_key)
+def _expanded(seed: bytes) -> bytes:
+    """libsodium's 64-byte secret key for a seed: the seed, then the public key."""
+    if len(seed) != SEED_LEN:  # libsodium reads SEED_LEN bytes whatever the length
+        raise ValueError(f"secret key must be {SEED_LEN} bytes, got {len(seed)}")
+    public = ctypes.create_string_buffer(KEY_LEN)
+    secret = ctypes.create_string_buffer(SEED_LEN + KEY_LEN)
+    _seed_keypair(public, secret, seed)
+    return secret.raw
 
 
 @lru_cache(maxsize=256)
@@ -69,8 +102,7 @@ def keygen(seed: bytes) -> KeyPair:
     if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_LEN:
         raise ValueError(f"seed must be {SEED_LEN} bytes, got {len(seed) if isinstance(seed, (bytes, bytearray)) else type(seed)}")
     seed = bytes(seed)
-    priv = _load_private(seed)
-    return KeyPair(secret_key=seed, public_key=priv.public_key().public_bytes_raw())
+    return KeyPair(secret_key=seed, public_key=_expanded(seed)[SEED_LEN:])
 
 
 def sign(secret_key: bytes, message: bytes) -> bytes:
@@ -79,7 +111,10 @@ def sign(secret_key: bytes, message: bytes) -> bytes:
         raise ValueError(f"secret key must be {SEED_LEN} bytes, got {len(secret_key)}")
     if type(secret_key) is not bytes:
         secret_key = bytes(secret_key)
-    return _load_private(secret_key).sign(bytes(message))
+    message = bytes(message)
+    signature = _Signature()
+    _sign_detached(signature, None, message, len(message), _expanded(secret_key))
+    return signature.raw
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:

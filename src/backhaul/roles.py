@@ -50,8 +50,9 @@ from .wire import (
 def upper_median(values):
     """Element at index floor(m/2) of the sorted values (the larger middle).
 
-    With m >= n - f values of which at most f are adversarial and
-    f < n/3, this index always lands on an honestly reported value.
+    With at most f adversarial values among m >= 2f, at least one honest
+    value lies at or below it, so low values alone cannot choose it; with
+    m >= 2f + 1 honest values bound it on both sides.
     """
     if not values:
         raise ValueError("upper_median of empty sequence")
@@ -444,8 +445,12 @@ class Verifier:
     Reports and disputes that arrive before the prover's root are held
     and judged once it is known. A lazy verifier (f < n/3, else
     `ParamsError`) gives its verdict when n - f challengers are accounted
-    for and the capped count reaches (n - f) * k, and never on less; a
-    timer-mode one (f < n/2) settles at its deadline on what has arrived (`evaluate`).
+    for, the capped count reaches (n - f) * k and at least 2f of them
+    reported an RTT, and never on less; a timer-mode one (f < n/2)
+    settles at its deadline on what has arrived (`evaluate`).
+
+    An upheld dispute accounts for a challenger with its proven count and
+    no RTT; that challenger's report, if it comes later, adds only the RTT.
     """
 
     def __init__(
@@ -504,7 +509,8 @@ class Verifier:
         if rpt.prover_id != self.prover_id:
             self.rejections.append((cid, "wrong_prover"))
             return
-        if cid in self.entries:
+        prior = self.entries.get(cid)
+        if prior is not None and prior[1] is not None:
             self.rejections.append((cid, "duplicate"))
             return
         if rpt.merkle_root_seen != self.root:
@@ -513,7 +519,9 @@ class Verifier:
         if rpt.rtt_ns <= 0:
             self.rejections.append((cid, "nonpositive_rtt"))
             return
-        self.entries[cid] = (min(rpt.packets_acknowledged, self.params.k), rpt.rtt_ns)
+        # after an upheld dispute, its proven count stands
+        count = min(rpt.packets_acknowledged, self.params.k) if prior is None else prior[0]
+        self.entries[cid] = (count, rpt.rtt_ns)
         self._maybe_emit(now_ns)
 
     def on_dispute(self, now_ns: int, d: DisputeSubmission) -> bool:
@@ -571,6 +579,10 @@ class Verifier:
         if len(self.entries) < p.n - p.f:
             return
         if self.cnt() < p.threshold:
+            return
+        # the upper median of m RTTs sits at index floor(m/2); m >= 2f puts
+        # at least f samples below it, so f corrupt ones cannot choose it
+        if sum(rtt is not None for _, rtt in self.entries.values()) < 2 * p.f:
             return
         self._emit(now_ns)
 

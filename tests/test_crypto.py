@@ -1,7 +1,11 @@
+import array
+import ctypes
 import hashlib
+import importlib.util
 import struct
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +53,50 @@ def test_keygen_rejects_bad_seed_length():
         crypto.keygen(b"\x00" * 31)
     with pytest.raises(ValueError):
         crypto.keygen(b"\x00" * 33)
+
+
+BYTES_LIKE = st.sampled_from([bytes, bytearray, memoryview])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.binary(min_size=32, max_size=32),
+    # sizes drawn first, so long messages are as likely as short ones
+    msg=st.integers(0, 2000).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+    key_type=BYTES_LIKE,
+    msg_type=BYTES_LIKE,
+)
+def test_sign_and_keygen_match_the_openssl_signer(seed, msg, key_type, msg_type):
+    # the reference: `cryptography`'s own Ed25519 signer and key derivation
+    reference = Ed25519PrivateKey.from_private_bytes(seed)
+    sig = crypto.sign(key_type(seed), msg_type(msg))
+    assert type(sig) is bytes
+    assert sig == reference.sign(msg)
+    assert crypto.keygen(seed).public_key == reference.public_key().public_bytes_raw()
+    assert crypto.verify(crypto.keygen(seed).public_key, msg, sig)
+
+
+@pytest.mark.parametrize("length", [31, 33])
+@pytest.mark.parametrize("key_type", [bytes, bytearray, memoryview])
+def test_sign_rejects_bad_key_length(length, key_type):
+    with pytest.raises(ValueError, match=f"secret key must be 32 bytes, got {length}"):
+        crypto.sign(key_type(bytes(length)), b"msg")
+
+
+def test_sign_measures_the_key_in_bytes():
+    # 32 items of 2 bytes each: 64 bytes once converted
+    with pytest.raises(ValueError):
+        crypto.sign(memoryview(array.array("H", bytes(64))), b"msg")
+
+
+def test_missing_libsodium_is_one_import_error(monkeypatch):
+    def absent(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", absent)
+    spec = importlib.util.spec_from_file_location("crypto_without_sodium", crypto.__file__)
+    with pytest.raises(ImportError, match="libsodium.so.23.*libsodium23"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_verify_rejects_wrong_message_and_truncation():

@@ -522,6 +522,49 @@ class TestUplinks:
         assert res == run_scenario(shared, seed=3)
 
 
+class TestLateReports:
+    """Responses that reach the challengers after the verifier's deadline.
+
+    The deadline's disputes account for every silent challenger with no
+    RTT, so the reports that follow decide the delay the verdict uses.
+    """
+
+    CLAIM = 50e6
+    BASE = {"duration_ns": 30 * MS, "n": 4, "f": 1, "theta_claimed_bps": CLAIM, "rate_policy": "per_n_minus_f"}
+    SOUND = CLAIM * (1 + 1514 * 8 / (CLAIM * 0.03))
+
+    def check_sound(self, res, reports_used, disputes_upheld):
+        assert res.terminated
+        assert res.guaranteed_bps <= self.SOUND
+        assert (res.output.reports_used, res.output.disputes_upheld) == (reports_used, disputes_upheld)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_corrupt_rtt_does_not_settle_the_verdict(self, seed):
+        # challenger 1's report alone arrives before the deadline
+        uplinks = [{"rate_bps": "theta0", "propagation_ns": (1 if i == 0 else 50) * MS} for i in range(4)]
+        cfg = scenario(
+            self.BASE,
+            {"backhaul_rate_bps": self.CLAIM, "uplinks": uplinks, "uplink_propagation_range_ns": None},
+            {"challengers": {"1": {"name": "misreport_rtt", "rtt_ns": 1}}},
+        )
+        self.check_sound(run_scenario(cfg, seed), 2, 3)
+
+    def test_reports_after_upheld_disputes_give_a_verdict(self):
+        uplink = {"rate_bps": "theta0", "propagation_ns": 5 * MS}
+        cfg = scenario(
+            self.BASE,
+            {
+                "backhaul_rate_bps": self.CLAIM,
+                "backhaul_propagation_ns": 50 * MS,
+                "uplink": uplink,
+                "uplink_propagation_range_ns": None,
+            },
+        )
+        res = run_scenario(cfg, seed=1)
+        assert res.rejections == ()
+        self.check_sound(res, 2, 4)
+
+
 @dataclasses.dataclass(frozen=True)
 class Record:
     seed: int

@@ -1,5 +1,6 @@
 """Role state machines driven by hand, with hand-computed expectations."""
 
+import dataclasses
 import hashlib
 import random
 from types import SimpleNamespace
@@ -496,6 +497,41 @@ class TestVerifier:
         assert out.disputes_upheld == 2
         # f = 1, n = 4: guarantee scales by (n - 2f) / (n - f)
         assert out.guaranteed_bps == pytest.approx(out.measured_bps * 2 / 3)
+
+    def test_lazy_verdict_needs_2f_rtts(self):
+        # n=4, f=1: one corrupt report and three upheld disputes account for
+        # n - f challengers at full count, but the upper median of a single
+        # RTT is the corrupt one
+        w = world(n=4, f=1, k=5)
+        deliver_all(w)
+        bundle, reports = finish(w, report_ids=[])
+        v = w.verifier
+        v.on_report(6 * MS, dataclasses.replace(reports[1], rtt_ns=1))
+        for i in (2, 3, 4):
+            assert v.on_dispute(7 * MS, w.prover.build_dispute(i)) is True
+        assert v.cnt() == w.params.threshold == 15
+        assert v.output is None
+        v.on_report(8 * MS, reports[2])  # an honest report, late
+        out = v.output
+        assert out is not None
+        assert out.delta_ns == reports[2].rtt_ns
+        assert (out.reports_used, out.disputes_upheld) == (2, 3)
+
+    def test_late_report_adds_only_its_rtt_to_a_disputed_entry(self):
+        w = world(n=4, f=1, k=5)
+        deliver_all(w)
+        bundle, reports = finish(w, report_ids=[])
+        v = w.verifier
+        dispute = w.prover.build_dispute(1)
+        assert v.on_dispute(7 * MS, dispute) is True
+        assert v.entries[1] == (len(dispute.packets), None)
+        short = dataclasses.replace(reports[1], packets_acknowledged=0)
+        v.on_report(8 * MS, short)
+        # the proven count stands
+        assert v.entries[1] == (len(dispute.packets), reports[1].rtt_ns)
+        v.on_report(9 * MS, reports[1])
+        assert v.rejections == [(1, "duplicate")]
+        assert v.entries[1] == (len(dispute.packets), reports[1].rtt_ns)
 
     def test_dispute_with_tampered_signature_rejected(self):
         w = world(n=4, f=1, k=5)
