@@ -5,12 +5,17 @@ primitives needed are: deterministic keypairs, sign/verify, a canonical
 digest over a set of (sequence number, signature) pairs, and a Merkle
 tree whose leaves are those digests, one per challenger.
 
-libsodium signs (`crypto_sign_ed25519_detached`, loaded by its soname
-through ctypes) and `cryptography` verifies. Both follow RFC 8032, so a
-signature is the same bytes either way. Verification stays where it is
-because libsodium's verifier also refuses small-order and non-canonical
-points that `cryptography` accepts: moving it would change which roots
-and disputes the verifier turns away.
+libsodium signs and verifies (`crypto_sign_ed25519_detached` and
+`crypto_sign_ed25519_verify_detached`, loaded by its soname through
+ctypes); signatures are RFC 8032 bytes. Ed25519 libraries disagree on
+which signatures are valid, and a verdict must mean the same thing to
+every party that checks it, so the trust boundary has one library and
+one rule, libsodium's strict one: non-canonical encodings of R, S or the
+public key are refused, and so are a small-order R and a small-order
+key. Under a small-order key anyone can forge: with the identity as the
+key, the signature (identity, 0) passes a permissive verifier, OpenSSL's
+among them, for every message. `check_public_key` refuses such keys
+where they enter the roles.
 
 Domain separation: leaf hashes are prefixed 0x00 and interior hashes
 0x01 so a leaf digest can never be replayed as an interior node.
@@ -25,9 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 SEED_LEN = 32
 KEY_LEN = 32
@@ -62,7 +64,26 @@ _sign_detached.argtypes = (
     ctypes.c_char_p, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p
 )
 _sign_detached.restype = ctypes.c_int
+# 0 for a valid signature, -1 otherwise
+_verify_detached = _sodium.crypto_sign_ed25519_verify_detached
+_verify_detached.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p)
+_verify_detached.restype = ctypes.c_int
 _Signature = ctypes.c_char * SIG_LEN
+_BYTES_LIKE = (bytes, bytearray, memoryview)
+
+# a public key encodes y (the low 255 bits, little-endian) and the sign of x
+_P = 2**255 - 19
+_Y_MASK = (1 << 255) - 1
+# y of the eight small-order points: the identity, the point of order 2,
+# the two of order 4 and the four of order 8 (p and p + 1, which libsodium
+# also lists, are non-canonical y = 0 and y = 1)
+_SMALL_ORDER_Y = frozenset({
+    0,
+    1,
+    _P - 1,
+    2707385501144840649318225287225658788936804267575313519463743609750303402022,
+    55188659117513257062467267217118295137698188065244968500265048394206261417927,
+})
 
 
 @dataclass(frozen=True)
@@ -92,11 +113,6 @@ def _expanded(seed: bytes) -> bytes:
     return secret.raw
 
 
-@lru_cache(maxsize=256)
-def _load_public(public_key: bytes) -> Ed25519PublicKey:
-    return Ed25519PublicKey.from_public_bytes(public_key)
-
-
 def keygen(seed: bytes) -> KeyPair:
     """Derive a keypair deterministically from a 32-byte seed."""
     if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_LEN:
@@ -119,15 +135,38 @@ def sign(secret_key: bytes, message: bytes) -> bytes:
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff signature is valid; malformed inputs return False, never raise."""
-    if not isinstance(public_key, (bytes, bytearray)) or len(public_key) != KEY_LEN:
+    if not (
+        isinstance(public_key, _BYTES_LIKE)
+        and isinstance(message, _BYTES_LIKE)
+        and isinstance(signature, _BYTES_LIKE)
+    ):
         return False
-    if not isinstance(signature, (bytes, bytearray)) or len(signature) != SIG_LEN:
+    # lengths in bytes, so a memoryview of wider items is measured as sent
+    public_key, message, signature = bytes(public_key), bytes(message), bytes(signature)
+    if len(public_key) != KEY_LEN or len(signature) != SIG_LEN:
         return False
-    try:
-        _load_public(bytes(public_key)).verify(bytes(signature), bytes(message))
-    except (InvalidSignature, ValueError):
-        return False
-    return True
+    return _verify_detached(signature, message, len(message), public_key) == 0
+
+
+def check_public_key(public_key: bytes) -> bytes:
+    """public_key as bytes, once it is 32 bytes whose y is canonical and not
+    that of a small-order point: the keys libsodium's verifier refuses on
+    sight, and under which a signature can be forged without the secret.
+
+    A key off the curve passes here; `verify` refuses every signature
+    under it, so nothing under it is forgeable.
+    """
+    if not isinstance(public_key, _BYTES_LIKE):
+        raise ValueError(f"public key must be bytes, got {type(public_key).__name__}")
+    key = bytes(public_key)
+    if len(key) != KEY_LEN:
+        raise ValueError(f"public key must be {KEY_LEN} bytes, got {len(key)}")
+    y = int.from_bytes(key, "little") & _Y_MASK
+    if y >= _P:
+        raise ValueError(f"public key {key.hex()} is not canonical")
+    if y in _SMALL_ORDER_Y:
+        raise ValueError(f"public key {key.hex()} is a point of small order")
+    return key
 
 
 def check_m0(m0: bytes) -> bytes:

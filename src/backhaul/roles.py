@@ -27,6 +27,7 @@ from .crypto import (
     KeyPair,
     MerkleProof,
     check_m0,
+    check_public_key,
     hash_packet_set,
     merkle_prove,
     merkle_root,
@@ -163,7 +164,7 @@ class Challenger:
         self.id = challenger_id
         self.keypair = keypair
         self.prover_id = prover_id
-        self.prover_public_key = prover_public_key
+        self.prover_public_key = check_public_key(prover_public_key)
         self.params = params
         self.schedule = schedule
         self.t_first_ns = schedule.first_send_ns[challenger_id - 1]
@@ -463,9 +464,11 @@ class Verifier:
     ):
         check_corruption_bound(params.n, params.f, timer_mode)
         self.params = params
-        self.challenger_public_keys = dict(challenger_public_keys)
+        self.challenger_public_keys = {
+            cid: check_public_key(key) for cid, key in challenger_public_keys.items()
+        }
         self.prover_id = prover_id
-        self.prover_public_key = prover_public_key
+        self.prover_public_key = check_public_key(prover_public_key)
         self.timer_mode = timer_mode
         self.root: bytes | None = None
         self.entries: dict[int, tuple[int, int | None]] = {}

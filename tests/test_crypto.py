@@ -2,14 +2,22 @@ import array
 import ctypes
 import hashlib
 import importlib.util
+import os
 import struct
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backhaul import crypto
+from backhaul.roles import Challenger, Verifier
+from backhaul.schedule import derive_params, send_schedule
 
 # RFC 8032 section 7.1 TEST 1 and TEST 2 vectors.
 RFC_SEED_1 = bytes.fromhex("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60")
@@ -65,15 +73,17 @@ BYTES_LIKE = st.sampled_from([bytes, bytearray, memoryview])
     msg=st.integers(0, 2000).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
     key_type=BYTES_LIKE,
     msg_type=BYTES_LIKE,
+    sig_type=BYTES_LIKE,
 )
-def test_sign_and_keygen_match_the_openssl_signer(seed, msg, key_type, msg_type):
+def test_sign_and_keygen_match_the_openssl_signer(seed, msg, key_type, msg_type, sig_type):
     # the reference: `cryptography`'s own Ed25519 signer and key derivation
     reference = Ed25519PrivateKey.from_private_bytes(seed)
     sig = crypto.sign(key_type(seed), msg_type(msg))
     assert type(sig) is bytes
     assert sig == reference.sign(msg)
-    assert crypto.keygen(seed).public_key == reference.public_key().public_bytes_raw()
-    assert crypto.verify(crypto.keygen(seed).public_key, msg, sig)
+    public_key = crypto.keygen(seed).public_key
+    assert public_key == reference.public_key().public_bytes_raw()
+    assert crypto.verify(key_type(public_key), msg_type(msg), sig_type(sig))
 
 
 @pytest.mark.parametrize("length", [31, 33])
@@ -97,6 +107,24 @@ def test_missing_libsodium_is_one_import_error(monkeypatch):
     spec = importlib.util.spec_from_file_location("crypto_without_sodium", crypto.__file__)
     with pytest.raises(ImportError, match="libsodium.so.23.*libsodium23"):
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_verify_measures_key_and_signature_in_bytes():
+    kp = crypto.keygen(b"\x07" * 32)
+    sig = crypto.sign(kp.secret_key, b"payload")
+    # 32 items of 2 bytes each: a 64-byte key
+    assert not crypto.verify(memoryview(kp.public_key * 2).cast("H"), b"payload", sig)
+    # 16 and 32 items of 2 bytes each: the key and the signature themselves
+    assert crypto.verify(memoryview(kp.public_key).cast("H"), b"payload", memoryview(sig).cast("H"))
+
+
+@pytest.mark.parametrize("bad", [None, 32, "x" * 32, [0] * 32])
+def test_verify_returns_false_for_non_bytes(bad):
+    kp = crypto.keygen(b"\x07" * 32)
+    sig = crypto.sign(kp.secret_key, b"payload")
+    assert not crypto.verify(bad, b"payload", sig)
+    assert not crypto.verify(kp.public_key, bad, sig)
+    assert not crypto.verify(kp.public_key, b"payload", bad)
 
 
 def test_verify_rejects_wrong_message_and_truncation():
@@ -276,3 +304,245 @@ def test_sign_verify_round_trip_property(seed, msg):
     sig = crypto.sign(kp.secret_key, msg)
     assert len(sig) == 64
     assert crypto.verify(kp.public_key, msg, sig)
+
+
+# A pure-Python edwards25519 (RFC 8032 section 5.1), only to build the
+# encodings libsodium's verifier must refuse; nothing here comes from the
+# module under test.
+P = 2**255 - 19
+L = 2**252 + 27742317777372353535851937790883648493
+D = -121665 * pow(121666, -1, P) % P
+IDENTITY = (0, 1)
+
+
+def _add(a, b):
+    (x1, y1), (x2, y2) = a, b
+    t = D * x1 * x2 * y1 * y2 % P
+    return (
+        (x1 * y2 + x2 * y1) * pow(1 + t, -1, P) % P,
+        (y1 * y2 + x1 * x2) * pow(1 - t, -1, P) % P,
+    )
+
+
+def _mul(k, point):
+    acc = IDENTITY
+    while k:
+        if k & 1:
+            acc = _add(acc, point)
+        point = _add(point, point)
+        k >>= 1
+    return acc
+
+
+def _decode(y):
+    """The point with this y and an even x, or None off the curve."""
+    x2 = (y * y - 1) * pow(D * y * y + 1, -1, P) % P
+    x = pow(x2, (P + 3) // 8, P)
+    if (x * x - x2) % P:
+        x = x * pow(2, (P - 1) // 4, P) % P
+    if (x * x - x2) % P:
+        return None
+    return (P - x if x & 1 else x), y
+
+
+def _alias(y, sign_bit):
+    """32 bytes holding y, or a non-canonical y + p, and the sign bit of x."""
+    return (y | sign_bit << 255).to_bytes(32, "little")
+
+
+def _encode(point):
+    x, y = point
+    return _alias(y, x & 1)
+
+
+BASE = _decode(4 * pow(5, -1, P) % P)
+
+
+@lru_cache(maxsize=None)
+def small_order_points():
+    """The eight points of order dividing 8: multiples of one of order 8,
+    found as L times a point of the full group."""
+    for y in range(2, 100):
+        point = _decode(y)
+        if point is not None:
+            torsion = _mul(L, point)
+            if _mul(4, torsion) != IDENTITY:
+                return tuple(_mul(i, torsion) for i in range(8))
+    raise AssertionError("no point of order 8 found")
+
+
+def _secret_scalar(seed):
+    h = int.from_bytes(hashlib.sha512(seed).digest()[:32], "little")
+    return h & ((1 << 254) - 8) | 1 << 254
+
+
+def _challenge(r_enc, a_enc, msg):
+    return int.from_bytes(hashlib.sha512(r_enc + a_enc + msg).digest(), "little") % L
+
+
+def test_python_curve_matches_keygen():
+    seed = b"\x33" * 32
+    assert _encode(_mul(_secret_scalar(seed), BASE)) == crypto.keygen(seed).public_key
+    assert _mul(L, BASE) == IDENTITY
+
+
+def _roles_refuse(key):
+    params = derive_params(2e6, 3, 0, duration_ns=200_000_000)
+    schedule = send_schedule(params, [0] * 3, sigs_per_packet=4)
+    good = crypto.keygen(b"\x0b" * 32)
+    with pytest.raises(ValueError, match="public key"):
+        Challenger(1, good, 77, key, params, schedule)
+    with pytest.raises(ValueError, match="public key"):
+        Verifier(params, {1: good.public_key}, 77, key)
+    with pytest.raises(ValueError, match="public key"):
+        Verifier(params, {1: good.public_key, 2: key}, 77, good.public_key)
+
+
+def test_small_order_points_are_refused_as_keys():
+    points = small_order_points()
+    assert len({_encode(t) for t in points}) == 8
+    assert all(_mul(8, t) == IDENTITY for t in points)
+    for _, y in points:
+        for sign_bit in (0, 1):
+            key = _alias(y, sign_bit)
+            _roles_refuse(key)
+            # (R, 0) with R = -kA satisfies [S]B = R + [k]A for any message,
+            # so a verifier that took this key would take a forgery
+            for msg in (b"", b"probe"):
+                for r_point in points:
+                    r_enc = _encode(r_point)
+                    assert not crypto.verify(key, msg, r_enc + bytes(32))
+
+
+def test_identity_key_with_identity_signature_is_refused():
+    key = b"\x01" + bytes(31)
+    forgery = key + bytes(32)
+    assert not crypto.verify(key, b"a message", forgery)
+    assert not crypto.verify(key, b"another message", forgery)
+    _roles_refuse(key)
+
+
+def test_non_canonical_s_is_refused():
+    kp = crypto.keygen(b"\x44" * 32)
+    sig = crypto.sign(kp.secret_key, b"msg")
+    s = int.from_bytes(sig[32:], "little")
+    assert crypto.verify(kp.public_key, b"msg", sig)
+    assert not crypto.verify(kp.public_key, b"msg", sig[:32] + (s + L).to_bytes(32, "little"))
+
+
+def test_small_order_and_non_canonical_r_are_refused():
+    # R = the identity: canonical (small order; cryptography 48 accepts it), as
+    # y = p + 1, and as x = 0 with the sign bit set. S = k*a makes
+    # [S]B = R + [k]A hold for the decoded point
+    seed = b"\x55" * 32
+    kp = crypto.keygen(seed)
+    a = _secret_scalar(seed)
+    for r_enc in (_alias(1, 0), _alias(1 + P, 0), _alias(1, 1)):
+        for msg in (b"", b"msg"):
+            s = _challenge(r_enc, kp.public_key, msg) * a % L
+            assert not crypto.verify(kp.public_key, msg, r_enc + s.to_bytes(32, "little"))
+
+
+def test_non_canonical_keys_are_refused():
+    kp = crypto.keygen(b"\x66" * 32)
+    sig = crypto.sign(kp.secret_key, b"msg")
+    # y + p fits in 255 bits for y < 19 only; every such y, on the curve or not
+    for y in range(19):
+        for sign_bit in (0, 1):
+            key = _alias(y + P, sign_bit)
+            _roles_refuse(key)
+            assert not crypto.verify(key, b"msg", sig)
+            assert not crypto.verify(key, b"msg", _encode(IDENTITY) + bytes(32))
+
+
+def test_check_public_key_passes_keygen_keys():
+    for i in range(32):
+        key = crypto.keygen(bytes([i]) * 32).public_key
+        assert crypto.check_public_key(bytearray(key)) == key
+    for bad in (b"\x09" * 31, b"\x09" * 33, None, "x" * 32):
+        with pytest.raises(ValueError, match="public key"):
+            crypto.check_public_key(bad)
+
+
+def _small_order_encoding(data):
+    _, y = data.draw(st.sampled_from(small_order_points()))
+    return _alias(y, data.draw(st.integers(0, 1)))
+
+
+def _mutate(kind, pk, sig, data):
+    r, s = sig[:32], sig[32:]
+    if kind == "flip":
+        blob = bytearray(pk + sig)
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        blob[bit // 8] ^= 1 << bit % 8
+        return bytes(blob[:32]), bytes(blob[32:])
+    if kind == "small_r":
+        return pk, _small_order_encoding(data) + s
+    if kind == "small_a":
+        return _small_order_encoding(data), sig
+    if kind == "s_plus_l":
+        return pk, r + (int.from_bytes(s, "little") + L).to_bytes(32, "little")
+    if kind == "s_zero":
+        return pk, r + bytes(32)
+    # y + p: a non-canonical alias of one of the 19 smallest y
+    alias = _alias(data.draw(st.integers(0, 18)) + P, data.draw(st.integers(0, 1)))
+    if kind == "a_plus_p":
+        return alias, sig
+    return pk, alias + s
+
+
+MUTATIONS = st.lists(
+    st.sampled_from(["flip", "small_r", "small_a", "s_plus_l", "s_zero", "a_plus_p", "r_plus_p"]),
+    max_size=3,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32), msg=st.binary(max_size=64), kinds=MUTATIONS, data=st.data())
+def test_every_signature_libsodium_accepts_openssl_accepts(seed, msg, kinds, data):
+    kp = crypto.keygen(seed)
+    pk, sig = kp.public_key, crypto.sign(kp.secret_key, msg)
+    for kind in kinds:
+        pk, sig = _mutate(kind, pk, sig, data)
+    if not kinds:
+        assert crypto.verify(pk, msg, sig)
+    if crypto.verify(pk, msg, sig):
+        try:
+            Ed25519PublicKey.from_public_bytes(pk).verify(sig, msg)
+        except InvalidSignature:
+            pytest.fail(f"libsodium accepts what OpenSSL refuses: {pk.hex()} {sig.hex()} {msg.hex()}")
+
+
+def test_runtime_imports_and_runs_without_cryptography():
+    # `cryptography` is a test dependency only: the reference verifier above
+    code = """
+import sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "cryptography":
+            raise ImportError(f"{name} is not installed")
+
+sys.meta_path.insert(0, Refuse())
+try:
+    import cryptography
+except ImportError:
+    pass
+else:
+    raise SystemExit("the import was not refused")
+import backhaul.cli
+from backhaul.netsim import run_scenario
+
+result = run_scenario(backhaul.cli.load_bundled("ideal_250"), 0)
+assert result.output is not None, result
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "cryptography")
+assert not loaded, loaded
+print("ok")
+"""
+    src = str(Path(crypto.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"

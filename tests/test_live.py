@@ -150,7 +150,7 @@ class TestPacing:
                 1,
                 keygen(os.urandom(32)),
                 PROVER_ID,
-                b"\x00" * 32,
+                keygen(os.urandom(32)).public_key,
                 prover_sock.getsockname(),
                 prover_sock.getsockname(),
                 params,
@@ -187,7 +187,7 @@ class TestAbsentPeers:
                 params,
                 {},
                 PROVER_ID,
-                b"\x00" * 32,
+                keygen(os.urandom(32)).public_key,
                 deadline_ns=time.time_ns() + 100 * MS,
             )
         finally:

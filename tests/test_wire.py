@@ -49,7 +49,7 @@ def test_challenge_round_trip_and_sequences():
 def test_lazily_signed_challenge_encodes_like_an_eager_one():
     params = derive_params(2e6, 3, 0, duration_ns=200_000_000, m0=b"\x05" * 32)
     key = keygen(b"\x09" * 32)
-    me = Challenger(2, key, 77, b"\x00" * 32, params, send_schedule(params, [0] * 3, sigs_per_packet=4))
+    me = Challenger(2, key, 77, keygen(b"\x0a" * 32).public_key, params, send_schedule(params, [0] * 3, sigs_per_packet=4))
     _, pkt = me.build_sends()[1]
     eager = wire.ChallengePacket(
         challenger_id=2,
@@ -68,7 +68,7 @@ def test_lazily_signed_challenge_encodes_like_an_eager_one():
 def test_lazy_signatures_index_and_slice_like_a_tuple():
     params = derive_params(2e6, 3, 0, duration_ns=200_000_000, m0=b"\x05" * 32)
     key = keygen(b"\x09" * 32)
-    me = Challenger(2, key, 77, b"\x00" * 32, params, send_schedule(params, [0] * 3, sigs_per_packet=4))
+    me = Challenger(2, key, 77, keygen(b"\x0a" * 32).public_key, params, send_schedule(params, [0] * 3, sigs_per_packet=4))
     _, pkt = me.build_sends()[1]
     lazy = pkt.signatures
     eager = wire.decode(wire.encode(pkt)).signatures
