@@ -204,6 +204,10 @@ def golden_cases():
     yield "timer_mode", scenario({**short, "f": 4, "timer_mode": True}, both, {"challengers": timer}), 9
     for seed in range(8):
         yield f"fuzz_both_{seed}", fuzzed(both, seed, 20 * MS), seed
+    # deadline disputes: a dispute_forger's answer rejected as
+    # dispute_bad_signature, and a lazy verdict from 9 reports plus 1 upheld dispute
+    for seed in (14, 27):
+        yield f"fuzz_both_{seed}", fuzzed(both, seed, 20 * MS), seed
 
 
 def golden_artifacts() -> dict[str, str]:

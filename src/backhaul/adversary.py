@@ -148,20 +148,13 @@ class AttackPlan:
         return out
 
     def dispute_for(self, challenger_id: int, prover: Prover) -> DisputeSubmission | None:
-        if self.prover_name == "dispute_forger":
-            count = min(self.params.k, 8)
-            packets = tuple(
-                (q, self.rng.randbytes(64)) for q in range(1, count + 1)
-            )
-            depth = max(1, (self.params.n - 1).bit_length())
-            siblings = tuple(self.rng.randbytes(32) for _ in range(depth))
-            return DisputeSubmission(
-                challenger_id=challenger_id,
-                packets=packets,
-                leaf_index=challenger_id - 1,
-                siblings=siblings,
-            )
-        return prover.build_dispute(challenger_id)
+        """The prover's dispute: its own, or a forger's random signatures and siblings."""
+        if self.prover_name != "dispute_forger":
+            return prover.build_dispute(challenger_id)
+        rng, p = self.rng, self.params
+        packets = tuple((q, rng.randbytes(64)) for q in range(1, min(p.k, 8) + 1))
+        siblings = tuple(rng.randbytes(32) for _ in range(max(1, (p.n - 1).bit_length())))
+        return DisputeSubmission(challenger_id, packets, challenger_id - 1, siblings)
 
 
 def fuzz_strategies(seed: int, n: int, f: int) -> AttackSpec:

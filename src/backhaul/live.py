@@ -3,9 +3,13 @@
 The roles from `roles` are driven over blocking sockets, between actual
 hosts or across loopback. These endpoints only carry datagrams and keep
 time: each role takes what arrives through its `on_message`, the prover
-sends what `ProverBundle.routes` names, and the settle rule is the
-verifier's own, so a lazy verifier never settles on partial reports.
+sends what `ProverBundle.routes` names, and the settle and dispute rules
+are the roles' own, so a lazy verifier never settles on partial reports.
 Every message is one datagram in the binary wire formats.
+The verifier requests disputes at its deadline; the prover sends each
+to its own `verifier_addr`, never to the request's source. A dispute is
+one datagram, at most MAX_DATAGRAM bytes (about 960 probes): a larger
+one is not sent but counted in `ProverStats.disputes_unsent`.
 
 Time is wall clock (`time.time_ns`): the start instant t0 in the
 parameters is an epoch timestamp the participants must share, which on
@@ -14,10 +18,6 @@ train using its own measured latency as the reference, so first
 arrivals line up only as well as challenger latencies agree; a
 coordinator that knows all latencies can pass them in explicitly for
 tighter alignment.
-
-Recovering a withheld report needs the verifier to request a dispute
-from the prover, and the wire formats have no such request yet; that
-recovery stays in the simulator.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import wire
-from .crypto import KeyPair
+from .crypto import KeyPair, check_public_key
 from .roles import VERIFIER, Challenger, PoBOutput, Prover, Verifier
 from .schedule import PING_SAMPLES, ChallengeParams, estimate_latency, send_schedule
 
-PING_TIMEOUT_NS = 500_000_000
-RECV_BUF = 2048
+REPLY_TIMEOUT_NS = 500_000_000  # a ping's wait for its echo, the verifier's for disputes
+MAX_DATAGRAM = 65_507  # the largest UDP payload over IPv4
 
 
 class LiveError(RuntimeError):
@@ -54,7 +54,7 @@ def _receive(sock: socket.socket, until: Callable[[], int]) -> Iterator[tuple[in
     while (rest := until() - time.time_ns()) > 0:
         sock.settimeout(min(0.05, rest / 1e9))
         try:
-            data, src = sock.recvfrom(RECV_BUF)
+            data, src = sock.recvfrom(MAX_DATAGRAM)
             msg = wire.decode(data)
         except (socket.timeout, wire.WireError):
             continue
@@ -73,7 +73,7 @@ def ping_latency(
         ping = wire.PingRequest(challenger_id=challenger_id, nonce=nonce)
         t0 = time.time_ns()
         sock.sendto(wire.encode(ping), prover_addr)
-        for now, _, msg in _receive(sock, lambda: t0 + PING_TIMEOUT_NS):
+        for now, _, msg in _receive(sock, lambda: t0 + REPLY_TIMEOUT_NS):
             if isinstance(msg, wire.PingReply) and msg.nonce == nonce:
                 rtts.append(now - t0)
                 break
@@ -88,6 +88,7 @@ class ProverStats:
     probes_seen: int
     challengers_seen: int
     pings_answered: int
+    disputes_unsent: int
 
 
 def serve_prover(
@@ -99,15 +100,16 @@ def serve_prover(
     stop_ns: int,
     linger_ns: int = 200_000_000,
 ) -> ProverStats:
-    """Answer pings, collect probes, respond once the threshold trips.
+    """Answer pings, collect probes, respond once the threshold trips, and
+    send the verifier the disputes it requests.
 
     Runs until `stop_ns` (epoch) or until the response has been out for
-    `linger_ns` (so late pings from slow challengers still get echoed).
+    `linger_ns` (so late pings from slow challengers still get echoed, and
+    the verifier's dispute requests, sent at its deadline, answered).
     """
     prover = Prover(prover_id, keypair, params)
     addrs: dict[int, Addr] = {}
-    pings = 0
-    probes = 0
+    pings = probes = unsent = 0
     stop = stop_ns
 
     for now, src, msg in _receive(sock, lambda: stop):
@@ -126,11 +128,18 @@ def serve_prover(
                         continue  # never heard from: no address to answer
                     for out in msgs:
                         sock.sendto(wire.encode(out), addr)
+        elif (dispute := prover.on_message(now, msg)) is not None:
+            data = wire.encode(dispute)
+            if len(data) > MAX_DATAGRAM:
+                unsent += 1
+            else:
+                sock.sendto(data, verifier_addr)
     return ProverStats(
         responded=prover.responded,
         probes_seen=probes,
         challengers_seen=len(addrs),
         pings_answered=pings,
+        disputes_unsent=unsent,
     )
 
 
@@ -146,6 +155,7 @@ def run_challenger(
     latency_ns: int | None = None,
 ) -> Challenger:
     """Ping, send the paced train, await the receipt, report to the verifier."""
+    check_public_key(prover_public_key)  # before any ping, not after them
     if latency_ns is None:
         latency_ns = ping_latency(sock, challenger_id, prover_addr)
     # every slot uses our own latency: we are our own alignment reference
@@ -173,12 +183,23 @@ def run_verifier(
     challenger_public_keys: dict[int, bytes],
     prover_id: int,
     prover_public_key: bytes,
+    prover_addr: Addr,
     deadline_ns: int,
 ) -> PoBOutput | None:
-    """Collect the announcement and reports; verdict or None by the deadline."""
+    """Collect the announcement and reports until the deadline, then for one
+    reply bound the disputes it requests; the first verdict, or None."""
     verifier = Verifier(params, challenger_public_keys, prover_id, prover_public_key)
-    for now, _, msg in _receive(sock, lambda: deadline_ns):
-        verifier.on_message(now, msg)
-        if verifier.output is not None:
-            return verifier.output
+
+    def listen(until_ns: int) -> None:
+        for now, _, msg in _receive(sock, lambda: until_ns):
+            verifier.on_message(now, msg)
+            if verifier.output is not None:
+                return
+
+    listen(deadline_ns)
+    requests = verifier.at_deadline()
+    for req in requests:
+        sock.sendto(wire.encode(req), prover_addr)
+    if requests:
+        listen(deadline_ns + REPLY_TIMEOUT_NS)
     return verifier.evaluate(time.time_ns())

@@ -482,8 +482,8 @@ class _Run:
         self.verifier = Verifier(params, cpubs, PROVER_ID, ppub, timer_mode=self.proto.timer_mode)
         return l_est, schedule
 
-    def probe_pass(self) -> tuple[tuple | None, int]:
-        """The data plane through the prover's intake: (trigger key or None, clamped sends)."""
+    def probe_pass(self) -> int:
+        """The data plane through the prover's intake; the number of clamped sends."""
         plan, side_delay = self.plan, self.topo.side_channel_delay_ns
         # probe trains on each challenger's clock, reshaped by the attack
         trains = {i: c.build_sends() for i, c in self.challengers.items()}
@@ -499,27 +499,25 @@ class _Run:
 
         # the prover takes every arrival, popped so each is freed once taken,
         # through the attack's intake (its own on_probe unless it colludes)
-        trigger_key = None
         intake = plan.intake(self.prover)
         pop = arrivals.pop
         while arrivals:
             ev = pop()
-            if intake(ev[0], ev[-1]):
-                trigger_key = ev[:-1]
-        return trigger_key, clamped_sends
+            intake(ev[0], ev[-1])
+        return clamped_sends
 
-    def settle(self, trigger_key: tuple | None) -> tuple[int, ...]:
+    def settle(self) -> tuple[int, ...]:
         """The control plane on an `EventLoop`: challenger timeouts (local clocks)
         by id, then deadline, settle and response; the ids that timed out."""
         self.loop = loop = EventLoop()
         self.timed_out: list[int] = []
         for i, c in self.challengers.items():
             loop.at(c.give_up_ns - self.offsets[i], partial(self.check_timeout, i))
-        loop.at(self.deadline_ns, partial(self.at_deadline, trigger_key))
+        loop.at(self.deadline_ns, self.at_deadline)
         # settle once the disputes can have arrived; `Verifier.evaluate` decides if it may
         loop.at(self.settle_ns, partial(self.verifier.evaluate, self.settle_ns))
-        if trigger_key is not None:
-            loop.at(trigger_key[0] + self.overhead_ns, self.respond)
+        if self.prover.trigger_ns is not None:
+            loop.at(self.prover.trigger_ns + self.overhead_ns, self.respond)
         loop.run(self.horizon)
         return tuple(self.timed_out)
 
@@ -560,15 +558,15 @@ class _Run:
             self.timed_out.append(i)
             self.tr(f"timeout challenger={i} t_ns={self.loop.now}")
 
-    def at_deadline(self, trigger_key: tuple | None) -> None:
-        """Request disputes for unaccounted challengers if the prover responded
-        by now. The deadline is a set-up event scheduled after every probe, so
-        it sees the response committed by a trigger whose key is below (deadline, 1)."""
-        if self.verifier.output is None and trigger_key is not None and trigger_key < (self.deadline_ns, 1):
-            for cid in self.verifier.missing_ids():
-                d = self.plan.dispute_for(cid, self.prover)
-                if d is not None:
-                    self.loop.at(self.loop.now + 2 * self.vprop, partial(self.to_verifier, d))
+    def at_deadline(self) -> None:
+        """Hand the verifier's dispute requests to the prover, which answers
+        through the attack's `dispute_for`; each answer reaches the verifier
+        one verifier round trip later."""
+        now, prover = self.loop.now, self.prover
+        build = partial(self.plan.dispute_for, prover=prover)
+        for req in self.verifier.at_deadline():
+            if (d := prover.on_message(now, req, build)) is not None:
+                self.loop.at(now + 2 * self.vprop, partial(self.to_verifier, d))
 
     def result(self, l_est: tuple, schedule: SendSchedule, timed_out: tuple, clamped_sends: int) -> SimResult:
         prover, verifier, bh_stats = self.prover, self.verifier, self.bh_link.stats
@@ -614,6 +612,6 @@ def run_scenario(scenario: ScenarioConfig, seed: int, collect_trace: bool = True
     """Simulate one challenge run of `scenario` at `seed`, one step per phase."""
     run = _Run(scenario, seed, collect_trace)
     l_est, schedule = run.ping()
-    trigger_key, clamped_sends = run.probe_pass()
-    timed_out = run.settle(trigger_key)
+    clamped_sends = run.probe_pass()
+    timed_out = run.settle()
     return run.result(l_est, schedule, timed_out, clamped_sends)

@@ -3,8 +3,8 @@
 These classes are pure state machines and the whole control plane; they
 never touch sockets or clocks. Callers feed each role timestamped
 messages through `on_message`, send what `ProverBundle.routes` names and
-keep time, so the simulator and the live UDP harness share one routing
-and one settle rule (see `Verifier`).
+keep time, so the simulator and the live UDP harness share one routing,
+one settle rule (see `Verifier`) and one dispute rule (`at_deadline`).
 
 Counting is capped everywhere at k per challenger. A challenger sends
 ceil(rho * k) probes so that loss does not starve the prover, but only
@@ -40,6 +40,7 @@ from .schedule import DEFAULT_TIMEOUT_FACTOR, ChallengeParams, SendSchedule, che
 from .wire import (
     ChallengePacket,
     ChallengerReport,
+    DisputeRequest,
     DisputeSubmission,
     ResponsePacket,
     VerificationMessage,
@@ -426,6 +427,13 @@ class Prover:
         )
         return ProverBundle(responses, announcement, verifications)
 
+    def on_message(self, now_ns: int, msg, build_dispute=None) -> DisputeSubmission | None:
+        """Answer a `DisputeRequest` by `build_dispute` (default: our own) if the
+        response went out strictly before `now_ns`, else with nothing."""
+        if not isinstance(msg, DisputeRequest) or self.trigger_ns is None or self.trigger_ns >= now_ns:
+            return None
+        return (build_dispute or self.build_dispute)(msg.challenger_id)
+
     def build_dispute(self, challenger_id: int) -> DisputeSubmission | None:
         """Raw signed probes proving the count for one challenger."""
         if not self.responded or challenger_id not in self.received:
@@ -566,11 +574,12 @@ class Verifier:
         self._maybe_emit(now_ns)
         return True
 
-    def missing_ids(self) -> list[int]:
-        """Challengers with no accepted report or upheld dispute yet."""
-        return [
-            i for i in range(1, self.params.n + 1) if i not in self.entries
-        ]
+    def at_deadline(self) -> list[DisputeRequest]:
+        """The dispute rule, run at the deadline: a request to the prover for each
+        challenger with no accepted report or upheld dispute, none after a verdict."""
+        if self.output is not None:
+            return []
+        return [DisputeRequest(i) for i in range(1, self.params.n + 1) if i not in self.entries]
 
     def cnt(self) -> int:
         return sum(count for count, _ in self.entries.values())

@@ -39,6 +39,7 @@ TAG_REPORT = 0x04
 TAG_DISPUTE = 0x05
 TAG_PING_REQUEST = 0x06
 TAG_PING_REPLY = 0x07
+TAG_DISPUTE_REQUEST = 0x08
 
 SIG_SLOTS = 22
 SIG_LEN = 64
@@ -122,6 +123,13 @@ class DisputeSubmission:
 
 
 @dataclass(frozen=True)
+class DisputeRequest:
+    """Verifier-to-prover request for one challenger's dispute."""
+
+    challenger_id: int
+
+
+@dataclass(frozen=True)
 class PingRequest:
     challenger_id: int
     nonce: int
@@ -195,6 +203,7 @@ LAYOUTS: dict[type, tuple[int, tuple[Field, ...]]] = {
         Field("leaf_index", "I"),
         Field("siblings", SIBLINGS),
     )),
+    DisputeRequest: (TAG_DISPUTE_REQUEST, (Field("challenger_id", "I"),)),
     PingRequest: (TAG_PING_REQUEST, _PING),
     PingReply: (TAG_PING_REPLY, _PING),
 }

@@ -10,7 +10,10 @@ golden/uplinks_mixed entry, one uplink per challenger, was recorded
 before netsim's links were built from their `LinkSpec`. Its
 golden/timer_mode entry, a timer-mode verifier that settles at its
 deadline with disputes, was recorded before `run_scenario` became one
-step per phase.
+step per phase. Its golden/fuzz_both_14 entry, a dispute_forger's answer
+rejected as dispute_bad_signature, and golden/fuzz_both_27, a lazy
+verdict from 9 reports and 1 upheld dispute, were recorded before the
+deadline's dispute rule moved from the simulator into the roles.
 """
 
 import importlib.util

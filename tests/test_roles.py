@@ -16,6 +16,7 @@ from backhaul.schedule import ParamsError, RatePolicy, derive_params, send_sched
 from backhaul.wire import (
     ChallengePacket,
     ChallengerReport,
+    DisputeRequest,
     DisputeSubmission,
     VerificationMessage,
     bitmap_from_sequences,
@@ -484,7 +485,7 @@ class TestVerifier:
         bundle, reports = finish(w, report_ids=[1, 2])
         v = w.verifier
         assert v.output is None  # 2 entries < n - f = 3
-        assert set(v.missing_ids()) == {3, 4}
+        assert v.at_deadline() == [DisputeRequest(3), DisputeRequest(4)]
         # empty dispute for the silent challenger: upheld, adds zero
         assert v.on_dispute(7 * MS, w.prover.build_dispute(4)) is True
         assert v.entries[4] == (0, None)
@@ -643,3 +644,40 @@ class TestVerifier:
     def test_evaluate_without_entries_yields_nothing(self):
         w = world(timer_mode=False)
         assert w.verifier.evaluate(50 * MS) is None
+
+
+class TestDeadlineDisputes:
+    def test_prover_answers_only_a_request_after_its_trigger(self):
+        w = world(n=4, f=1, k=5)
+        req = DisputeRequest(4)
+        assert w.prover.on_message(1 * MS, req) is None  # no response yet
+        deliver_all(w, skip=(4,))
+        t = w.prover.trigger_ns
+        assert t is not None
+        assert w.prover.on_message(t - 1, req) is None
+        assert w.prover.on_message(t, req) is None
+        assert w.prover.on_message(t + 1, req) == w.prover.build_dispute(4)
+
+    def test_prover_answers_through_the_given_builder(self):
+        w = world(n=4, f=1, k=5)
+        deliver_all(w, skip=(4,))
+        t = w.prover.trigger_ns
+        asked = []
+
+        def forge(cid):
+            asked.append(cid)
+            return DisputeSubmission(cid, (), cid - 1, ())
+
+        assert w.prover.on_message(t, DisputeRequest(3), forge) is None
+        assert w.prover.on_message(t + 1, DisputeRequest(3), forge) == DisputeSubmission(3, (), 2, ())
+        assert asked == [3]
+
+    def test_at_deadline_is_empty_once_a_verdict_exists(self):
+        w = world(n=4, f=1, k=5)
+        deliver_all(w, skip=(4,))
+        _, reports = finish(w, report_ids=[1, 2])
+        assert w.verifier.at_deadline() == [DisputeRequest(3), DisputeRequest(4)]
+        w.verifier.on_report(6 * MS, reports[3])
+        assert w.verifier.output is not None
+        assert 4 not in w.verifier.entries
+        assert w.verifier.at_deadline() == []

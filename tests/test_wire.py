@@ -425,6 +425,16 @@ def test_ping_layouts_hand_built():
     assert wire.encode(wire.PingReply(challenger_id=3, nonce=0xDEADBEEF00000001)) == b"\x07" + body
 
 
+def test_dispute_request_layout_hand_built():
+    raw = b"\x08" + bytes([0, 0, 0x01, 0x02])
+    req = wire.DisputeRequest(challenger_id=258)
+    assert wire.encode(req) == raw
+    assert wire.decode(raw) == req
+    for bad in (raw[:-1], raw + b"\x00"):
+        with pytest.raises(wire.WireError):
+            wire.decode(bad)
+
+
 # Mutation property: flipped, truncated and extended datagrams either raise
 # WireError or decode to a message that re-encodes to exactly those bytes.
 
@@ -442,6 +452,7 @@ MUTATION_SEEDS = (
     wire.DisputeSubmission(challenger_id=9, packets=(), leaf_index=8, siblings=()),
     wire.PingRequest(challenger_id=3, nonce=0),
     wire.PingReply(challenger_id=3, nonce=2**64 - 1),
+    wire.DisputeRequest(challenger_id=7),
 )
 
 
