@@ -6,8 +6,8 @@ time: each role takes what arrives through its `on_message`, the prover
 sends what `ProverBundle.routes` names, and the settle and dispute rules
 are the roles' own, so a lazy verifier never settles on partial reports.
 Every message is one datagram in the binary wire formats.
-The verifier requests disputes at its deadline; the prover sends each
-to its own `verifier_addr`, never to the request's source. A dispute is
+The verifier requests disputes at its deadline; the prover answers only
+requests from its own `verifier_addr`, each challenger id once. A dispute is
 one datagram, at most MAX_DATAGRAM bytes (about 960 probes): a larger
 one is not sent but counted in `ProverStats.disputes_unsent`.
 
@@ -98,21 +98,21 @@ def serve_prover(
     params: ChallengeParams,
     verifier_addr: Addr,
     stop_ns: int,
-    linger_ns: int = 200_000_000,
 ) -> ProverStats:
     """Answer pings, collect probes, respond once the threshold trips, and
     send the verifier the disputes it requests.
 
-    Runs until `stop_ns` (epoch) or until the response has been out for
-    `linger_ns` (so late pings from slow challengers still get echoed, and
-    the verifier's dispute requests, sent at its deadline, answered).
+    Runs until `stop_ns` (epoch), which must cover the verifier's deadline
+    plus REPLY_TIMEOUT_NS: the verifier requests its disputes at the
+    deadline. Only requests from `verifier_addr`, the numeric (host, port)
+    the verifier sends from, are answered, each challenger id once.
     """
     prover = Prover(prover_id, keypair, params)
     addrs: dict[int, Addr] = {}
+    disputed: set[int] = set()
     pings = probes = unsent = 0
-    stop = stop_ns
 
-    for now, src, msg in _receive(sock, lambda: stop):
+    for now, src, msg in _receive(sock, lambda: stop_ns):
         if isinstance(msg, wire.PingRequest):
             pings += 1
             reply = wire.PingReply(challenger_id=msg.challenger_id, nonce=msg.nonce)
@@ -121,14 +121,16 @@ def serve_prover(
             probes += 1
             addrs[msg.challenger_id] = src
             if prover.on_probe(now, msg):
-                stop = min(stop_ns, now + linger_ns)
                 for dest, msgs in prover.build_responses().routes():
                     addr = verifier_addr if dest == VERIFIER else addrs.get(dest)
                     if addr is None:
                         continue  # never heard from: no address to answer
                     for out in msgs:
                         sock.sendto(wire.encode(out), addr)
+        elif not isinstance(msg, wire.DisputeRequest) or src != verifier_addr or msg.challenger_id in disputed:
+            continue  # not a request, a stranger's, or one already answered
         elif (dispute := prover.on_message(now, msg)) is not None:
+            disputed.add(msg.challenger_id)
             data = wire.encode(dispute)
             if len(data) > MAX_DATAGRAM:
                 unsent += 1

@@ -140,11 +140,9 @@ class LinkStats:
 class FifoLink:
     """One-direction FIFO pipe: service at rate(t), then propagation.
 
-    The link is one ordered pass: `send` takes probe events in ascending
-    order key (module docstring), and each departure runs as soon as its
-    own key, (departure ns, 1) + the send's key, is below the next send's
-    key. `flush` runs what is left up to the horizon and hands over the
-    arrival events, (arrival ns, 1) + the departure's key.
+    `send` only queues: it draws the packet's loss, applies the drop-tail
+    cap and books the packet's departure. `link_pass` takes the link's
+    probe events in key order and runs the departures between the sends.
 
     Departures leave in key order, so among one link's arrivals the
     departure's rank orders them as its full key would. A `ranked` link
@@ -165,7 +163,6 @@ class FifoLink:
         rate = spec.rate_bps
         self.spec = spec
         self.rate_fn = rate_fn if rate_fn is not None else (lambda t: rate)
-        self.jitter_stddev_ns = spec.jitter_stddev_ns
         self.loss_prob = spec.loss_prob
         self.capacity_bytes = capacity_bytes
         self.rng = rng
@@ -173,37 +170,12 @@ class FifoLink:
         self.busy_until = 0.0
         self.queued_bytes = 0
         self.stats = LinkStats()
-        self._propagation = float(spec.propagation_ns)
         self._pending: deque = deque()  # (departure ns, size, event), key order
-        self._arrivals: list = []
 
     def send(self, event: tuple, size_bytes: int) -> None:
-        """Offer event = (t, flag, ..., payload); keys must not decrease.
-
-        The departures whose key is below the event's run first. Their loop
-        is `_depart`'s body inlined, since every packet calls this on every
-        link.
-        """
-        t = event[0]
-        pending = self._pending
+        """Offer event = (t, flag, ..., payload): draw its loss, apply the
+        drop-tail cap, and queue its departure. Keys must not decrease."""
         stats = self.stats
-        while pending:
-            dep, size, ev = pending[0]
-            # keys never tie: at equal times the full keys decide, and a
-            # departure, (t, 1, ...), follows a set-up event, (t, 0, ...)
-            if dep >= t and (dep > t or event[1] == 0 or (dep, 1) + ev > event):
-                break
-            pending.popleft()
-            self.queued_bytes -= size
-            d = self._propagation
-            if self.jitter_stddev_ns:
-                d += self.rng.gauss(0.0, self.jitter_stddev_ns)
-            arrival = int(dep + d) if d > 0.0 else dep
-            if self.ranked:
-                self._arrivals.append((arrival, 1, stats.delivered, ev[-1]))
-            else:
-                self._arrivals.append((arrival, 1, dep, 1) + ev)
-            stats.delivered += 1
         stats.sent += 1
         if self.loss_prob and self.rng.random() < self.loss_prob:
             stats.lost += 1
@@ -212,7 +184,7 @@ class FifoLink:
         if self.capacity_bytes is not None and queued > self.capacity_bytes:
             stats.tail_dropped += 1
             return
-        now = float(t)
+        now = float(event[0])
         busy = self.busy_until
         start = busy if busy > now else now
         rate = self.rate_fn(start)
@@ -220,29 +192,7 @@ class FifoLink:
         self.queued_bytes = queued
         if queued > stats.max_queue_bytes:
             stats.max_queue_bytes = queued
-        pending.append((int(busy), size_bytes, event))
-
-    def _depart(self, t: int, size_bytes: int, event: tuple) -> None:
-        """The departure at t of the head of the queue: its arrival event."""
-        self.queued_bytes -= size_bytes
-        d = self._propagation
-        if self.jitter_stddev_ns:
-            d += self.rng.gauss(0.0, self.jitter_stddev_ns)
-        arrival = int(t + d) if d > 0.0 else t
-        stats = self.stats
-        if self.ranked:
-            self._arrivals.append((arrival, 1, stats.delivered, event[-1]))
-        else:
-            self._arrivals.append((arrival, 1, t, 1) + event)
-        stats.delivered += 1
-
-    def flush(self, horizon_ns: int) -> list:
-        """Run the departures due by the horizon; return arrivals by it, unsorted."""
-        pending = self._pending
-        while pending and pending[0][0] <= horizon_ns:
-            self._depart(*pending.popleft())
-        arrivals, self._arrivals = self._arrivals, []
-        return [a for a in arrivals if a[0] <= horizon_ns]
+        self._pending.append((int(busy), size_bytes, event))
 
 
 def make_rate_fn(base_bps: float, flows=()):
@@ -362,21 +312,48 @@ def _resolve_uplinks(topo: TopologySpec, n: int, theta0_bps: float, rng: random.
 def link_pass(link: FifoLink, events: list, horizon_ns: int) -> list:
     """Send probe events through `link` in key order; its arrivals by the horizon.
 
+    The one place where a link's sends and departures interleave. Before
+    each send it runs the departures whose key, (departure ns, 1) + the
+    send's key, is below the send's key. After the last send, or at the
+    first send past the horizon, it runs those due by the horizon, as if
+    before a send keyed (horizon_ns, 2). A departure's arrival event is
+    (arrival ns, 1) + its key, or (arrival ns, 1, rank, payload) on a
+    `ranked` link.
+
     Consumes `events`, so each one is freed as the link takes it. The
     arrivals come back in departure order, which is key order only on a
     link without jitter.
     """
+    last = (horizon_ns, 2)  # after every event due by the horizon, before any later one
+    events.append(last)
     events.sort(reverse=True)
-    pop = events.pop
-    send = link.send
-    packet_len = wire.WIRE_PACKET_LEN
-    while events:
+    pop, send, packet_len = events.pop, link.send, wire.WIRE_PACKET_LEN
+    pending, stats, rng, ranked = link._pending, link.stats, link.rng, link.ranked
+    propagation, jitter = float(link.spec.propagation_ns), link.spec.jitter_stddev_ns
+    arrivals: list = []
+    while True:
         ev = pop()
-        if ev[0] > horizon_ns:
+        t = ev[0]
+        while pending:
+            dep, size, sent = pending[0]
+            # keys never tie: at equal times the full keys decide, and a
+            # departure, (t, 1, ...), follows a set-up event, (t, 0, ...)
+            if dep >= t and (dep > t or ev[1] == 0 or (dep, 1) + sent > ev):
+                break
+            pending.popleft()
+            link.queued_bytes -= size
+            d = propagation
+            if jitter:
+                d += rng.gauss(0.0, jitter)
+            arrival = int(dep + d) if d > 0.0 else dep
+            if arrival <= horizon_ns:
+                arrivals.append((arrival, 1, stats.delivered, sent[-1]) if ranked else (arrival, 1, dep, 1) + sent)
+            stats.delivered += 1
+        if ev is last:
             break
         send(ev, ev[-1].count * packet_len)
     events.clear()
-    return link.flush(horizon_ns)
+    return arrivals
 
 
 def stage_probes(groups, bh_link: FifoLink, horizon_ns: int) -> tuple[list, int]:

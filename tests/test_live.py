@@ -139,7 +139,6 @@ def run_with_dead_report(params, dead_id):
             params,
             verifier_addr,
             stop_ns=deadline + live.REPLY_TIMEOUT_NS,
-            linger_ns=10**10,
         )
 
     def verifier_main():
@@ -227,30 +226,13 @@ class TestDeadlineDisputes:
         params = derive_params(1e9, 1, 0, duration_ns=12 * MS, m0=os.urandom(32))
         assert params.k == 991
         prover_sock, verifier_sock, me = udp_socket(), udp_socket(), udp_socket()
-        results = {}
-
-        def prover_main():
-            results["stats"] = serve_prover(
-                prover_sock,
-                PROVER_ID,
-                keygen(os.urandom(32)),
-                params,
-                verifier_sock.getsockname(),
-                stop_ns=time.time_ns() + 3_000 * MS,
-            )
-
-        prover = threading.Thread(target=prover_main)
-        prover.start()
+        prover, results = serve_in_thread(prover_sock, params, verifier_sock.getsockname())
         try:
             addr = prover_sock.getsockname()
-            sig = bytes(64)  # the prover stores probes without checking them
-            for base in range(1, params.k + 1, wire.SIG_SLOTS):
-                count = min(wire.SIG_SLOTS, params.k + 1 - base)
-                pkt = wire.ChallengePacket(1, base, count, bytes(8), (sig,) * count)
-                me.sendto(wire.encode(pkt), addr)
+            send_unchecked_train(me, addr, params.k)
             me.settimeout(2)
             assert isinstance(wire.decode(me.recv(live.MAX_DATAGRAM)), wire.ResponsePacket)
-            me.sendto(wire.encode(wire.DisputeRequest(1)), addr)
+            verifier_sock.sendto(wire.encode(wire.DisputeRequest(1)), addr)
             # the prover keeps serving: a ping after the request is echoed
             me.sendto(wire.encode(wire.PingRequest(challenger_id=1, nonce=5)), addr)
             replies = [wire.decode(me.recv(live.MAX_DATAGRAM)) for _ in range(2)]
@@ -268,6 +250,72 @@ class TestDeadlineDisputes:
         stats = results["stats"]
         assert stats.responded
         assert stats.disputes_unsent == 1
+
+    def test_only_the_verifiers_first_request_is_answered(self):
+        params = derive_params(2e6, 1, 0, duration_ns=200 * MS, m0=os.urandom(32))
+        socks = prover_sock, verifier_sock, me, stranger = [udp_socket() for _ in range(4)]
+        prover, results = serve_in_thread(prover_sock, params, verifier_sock.getsockname())
+        addr = prover_sock.getsockname()
+        request = wire.encode(wire.DisputeRequest(1))
+        try:
+            send_unchecked_train(me, addr, params.k)
+            me.settimeout(2)
+            verifier_sock.settimeout(2)
+            assert isinstance(wire.decode(me.recv(live.MAX_DATAGRAM)), wire.ResponsePacket)
+            assert isinstance(wire.decode(verifier_sock.recv(live.MAX_DATAGRAM)), wire.ResponsePacket)
+            verifier_sock.settimeout(0.1)
+
+            for _ in range(50):
+                stranger.sendto(request, addr)
+            ping_through(me, addr, nonce=1)
+            with pytest.raises(socket.timeout):
+                verifier_sock.recv(live.MAX_DATAGRAM)
+
+            for _ in range(2):
+                verifier_sock.sendto(request, addr)
+            ping_through(me, addr, nonce=2)
+            dispute = wire.decode(verifier_sock.recv(live.MAX_DATAGRAM))
+            assert isinstance(dispute, wire.DisputeSubmission) and dispute.challenger_id == 1
+            with pytest.raises(socket.timeout):
+                verifier_sock.recv(live.MAX_DATAGRAM)  # the second request drew nothing
+            prover.join(timeout=5)
+            assert not prover.is_alive()
+        finally:
+            for sock in socks:
+                sock.close()
+        assert results["stats"].disputes_unsent == 0
+
+
+def serve_in_thread(sock, params, verifier_addr, stop_ms=1_000):
+    """(thread, results): `serve_prover` on `sock` for `stop_ms`, its stats in
+    results["stats"] once the thread ends."""
+    results = {}
+
+    def main():
+        results["stats"] = serve_prover(
+            sock, PROVER_ID, keygen(os.urandom(32)), params, verifier_addr, stop_ns=time.time_ns() + stop_ms * MS
+        )
+
+    thread = threading.Thread(target=main)
+    thread.start()
+    return thread, results
+
+
+def send_unchecked_train(sock, prover_addr, k):
+    """Challenger 1's k probes with zero signatures: the prover stores probes
+    without checking them, so they trip its threshold all the same."""
+    sig = bytes(64)
+    for base in range(1, k + 1, wire.SIG_SLOTS):
+        count = min(wire.SIG_SLOTS, k + 1 - base)
+        sock.sendto(wire.encode(wire.ChallengePacket(1, base, count, bytes(8), (sig,) * count)), prover_addr)
+
+
+def ping_through(sock, prover_addr, nonce):
+    """Ping the prover and await the echo: it reads its datagrams in order,
+    so everything sent to it before the ping has been handled."""
+    sock.sendto(wire.encode(wire.PingRequest(challenger_id=1, nonce=nonce)), prover_addr)
+    while wire.decode(sock.recv(live.MAX_DATAGRAM)) != wire.PingReply(challenger_id=1, nonce=nonce):
+        pass
 
 
 class TestPacing:

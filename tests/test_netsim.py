@@ -85,19 +85,24 @@ def setup_event(t, index, count=1, tag=None):
     return (t, 0, index, Probe(count, index if tag is None else tag))
 
 
+# 8 * 1514 Mbit/s serializes a one-signature probe, 1514 bytes, in exactly 1000 ns
+PROBE_BYTES = wire.WIRE_PACKET_LEN
+PROBE_RATE = 8 * PROBE_BYTES * 1e6
+
+
 class TestFifoLink:
-    def make(self, rate=8e9, prop=500, cap=None, loss=0.0, jitter=0.0):
+    def make(self, rate=PROBE_RATE, prop=500, cap=None, loss=0.0, jitter=0.0):
         spec = LinkSpec(rate_bps=rate, propagation_ns=prop, jitter_stddev_ns=jitter, loss_prob=loss)
         return FifoLink(spec, random.Random(1), capacity_bytes=cap)
 
-    def run(self, link, times, size=1000, horizon=10_000):
-        """Send one packet at each set-up time; arrival times by the horizon."""
-        for j, t in enumerate(times):
-            link.send(setup_event(t, j), size)
-        return sorted(ev[0] for ev in link.flush(horizon))
+    def run(self, link, times, count=1, horizon=10_000):
+        """One `count`-signature probe at each set-up time through `link_pass`;
+        the arrival times by the horizon."""
+        events = [setup_event(t, j, count) for j, t in enumerate(times)]
+        return sorted(ev[0] for ev in netsim.link_pass(link, events, horizon))
 
     def test_serializes_back_to_back(self):
-        link = self.make()  # 8 Gbit/s: 1000 bytes = 1000 ns
+        link = self.make()
         assert self.run(link, [0, 0, 0]) == [1500, 2500, 3500]
         assert link.stats.delivered == 3
 
@@ -105,13 +110,13 @@ class TestFifoLink:
         assert self.run(self.make(prop=0), [0, 5_000]) == [1000, 6000]
 
     def test_drop_tail_at_capacity(self):
-        link = self.make(cap=2500)
+        link = self.make(cap=2 * PROBE_BYTES + PROBE_BYTES // 2)
         assert len(self.run(link, [0, 0, 0])) == 2
         assert link.stats.tail_dropped == 1
-        assert link.stats.max_queue_bytes == 2000
+        assert link.stats.max_queue_bytes == 2 * PROBE_BYTES
 
     def test_queue_drains(self):
-        link = self.make(cap=2500)
+        link = self.make(cap=2 * PROBE_BYTES + PROBE_BYTES // 2)
         # after the first departs there is room again
         self.run(link, [0, 0, 1500])
         assert link.stats.tail_dropped == 0
@@ -123,11 +128,20 @@ class TestFifoLink:
         assert link.stats.lost == 1
 
     def test_infinite_rate_is_pure_delay(self):
-        assert self.run(self.make(rate=None, prop=700), [0], size=10**9) == [700]
+        assert self.run(self.make(rate=None, prop=700), [0], count=10**6) == [700]
 
     def test_rate_fn_overrides_the_spec_rate(self):
-        link = FifoLink(LinkSpec(rate_bps=1.0, propagation_ns=500), random.Random(1), rate_fn=lambda t: 8e9)
+        link = FifoLink(LinkSpec(rate_bps=1.0, propagation_ns=500), random.Random(1), rate_fn=lambda t: PROBE_RATE)
         assert self.run(link, [0, 0]) == [1500, 2500]
+
+    @pytest.mark.parametrize("horizon, arrivals, sent", [(1000, [1000], 2), (999, [], 1)])
+    def test_departure_at_the_horizon_is_delivered(self, horizon, arrivals, sent):
+        link = self.make(prop=0)
+        # the first probe departs and arrives at 1000 ns; a send at the horizon
+        # is taken (its departure, at 2000 ns, is not run), one past it is not
+        assert self.run(link, [0, 1000], horizon=horizon) == arrivals
+        assert link.stats.delivered == len(arrivals)
+        assert link.stats.sent == sent
 
 
 class FixedJitter:
@@ -196,8 +210,7 @@ class HeapLink:
 
 LINKS = st.builds(
     LinkSpec,
-    # 8 * 1514 Mbit/s serializes a 1514-byte packet in exactly 1000 ns
-    rate_bps=st.sampled_from([None, 8 * wire.WIRE_PACKET_LEN * 1e6, 1e9, 333e6]),
+    rate_bps=st.sampled_from([None, PROBE_RATE, 1e9, 333e6]),
     propagation_ns=st.sampled_from([0, 1000, 2500]),
     jitter_stddev_ns=st.sampled_from([0.0, 400.0]),
     loss_prob=st.sampled_from([0.0, 0.25]),
