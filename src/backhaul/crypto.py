@@ -14,8 +14,8 @@ one rule, libsodium's strict one: non-canonical encodings of R, S or the
 public key are refused, and so are a small-order R and a small-order
 key. Under a small-order key anyone can forge: with the identity as the
 key, the signature (identity, 0) passes a permissive verifier, OpenSSL's
-among them, for every message. `check_public_key` refuses such keys
-where they enter the roles.
+among them, for every message. `check_public_key` refuses such keys, and
+keys off the curve, where they enter the roles.
 
 Domain separation: leaf hashes are prefixed 0x00 and interior hashes
 0x01 so a leaf digest can never be replayed as an interior node.
@@ -73,7 +73,9 @@ _BYTES_LIKE = (bytes, bytearray, memoryview)
 
 # a public key encodes y (the low 255 bits, little-endian) and the sign of x
 _P = 2**255 - 19
+_D = -121665 * pow(121666, -1, _P) % _P  # the curve is -x^2 + y^2 = 1 + d x^2 y^2
 _Y_MASK = (1 << 255) - 1
+_X_SIGN = 1 << 255
 # y of the eight small-order points: the identity, the point of order 2,
 # the two of order 4 and the four of order 8 (p and p + 1, which libsodium
 # also lists, are non-canonical y = 0 and y = 1)
@@ -149,12 +151,13 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
 
 
 def check_public_key(public_key: bytes) -> bytes:
-    """public_key as bytes, once it is 32 bytes whose y is canonical and not
-    that of a small-order point: the keys libsodium's verifier refuses on
-    sight, and under which a signature can be forged without the secret.
+    """public_key as bytes, once it is 32 bytes that encode a point on the
+    curve whose y is canonical and not that of a small-order point: the
+    keys libsodium's verifier refuses on sight, and under which a signature
+    can be forged without the secret.
 
-    A key off the curve passes here; `verify` refuses every signature
-    under it, so nothing under it is forgeable.
+    A point of mixed order (a small-order component beside the main one)
+    passes, as it does in `verify`.
     """
     if not isinstance(public_key, _BYTES_LIKE):
         raise ValueError(f"public key must be bytes, got {type(public_key).__name__}")
@@ -166,7 +169,26 @@ def check_public_key(public_key: bytes) -> bytes:
         raise ValueError(f"public key {key.hex()} is not canonical")
     if y in _SMALL_ORDER_Y:
         raise ValueError(f"public key {key.hex()} is a point of small order")
+    if not _on_curve(key):
+        raise ValueError(f"public key {key.hex()} is not a point on the curve")
     return key
+
+
+@lru_cache(maxsize=256)
+def _on_curve(key: bytes) -> bool:
+    """Whether a key with canonical y decodes to a point: x^2 = u / v, with
+    u = y^2 - 1 and v = d y^2 + 1, has a root mod p, and the root x = 0
+    comes with a clear sign bit. Cached, as a run checks the prover's key
+    once per role and a modular power costs far more than the checks above.
+    """
+    encoded = int.from_bytes(key, "little")
+    y2 = (encoded & _Y_MASK) ** 2
+    u, v = y2 - 1, _D * y2 + 1
+    if u % _P == 0:
+        return not encoded & _X_SIGN
+    # v is never 0 (-1/d is not a square), and u / v is a square exactly
+    # when u * v is: Euler's criterion
+    return pow(u * v, (_P - 1) // 2, _P) == 1
 
 
 def check_m0(m0: bytes) -> bytes:

@@ -16,7 +16,9 @@ cannot substitute for the others.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -390,10 +392,45 @@ class Prover:
         return signed
 
     def _build_leaves(self) -> list[bytes]:
+        """Each challenger's receipt, by id, made once at the freeze.
+
+        The receipts are shared out by id over the CPUs this process may
+        use, the ids interleaved: share w takes ids w, w + W, ... . The
+        caller computes share 1 and starts a thread for each other share,
+        and joins them all before the leaves are used. Threads are enough
+        because libsodium signs through ctypes, which releases the GIL.
+        Every packet stored under id i is one of challenger i's, and signs
+        through that challenger's cache, so one thread reads it and each
+        probe is signed once. A failure raises what the serial loop would:
+        that of the lowest failing id.
+        """
         if self._leaves is None:
-            self._leaves = [
-                hash_packet_set(self._signed(i)) for i in range(1, self.params.n + 1)
-            ]
+            n = self.params.n
+            width = min(n, len(os.sched_getaffinity(0)))
+            leaves: list[bytes] = [b""] * n
+            failures: dict[int, BaseException] = {}
+
+            def share(first: int) -> None:
+                for i in range(first, n + 1, width):
+                    try:
+                        leaves[i - 1] = hash_packet_set(self._signed(i))
+                    except BaseException as exc:  # raised on the caller, below
+                        failures[i] = exc
+                        return
+
+            helpers = []
+            try:
+                for first in range(2, width + 1):
+                    helper = threading.Thread(target=share, args=(first,))
+                    helper.start()
+                    helpers.append(helper)
+                share(1)
+            finally:
+                for helper in helpers:
+                    helper.join()
+            if failures:
+                raise failures[min(failures)]
+            self._leaves = leaves
         return self._leaves
 
     def build_responses(self) -> ProverBundle:

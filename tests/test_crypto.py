@@ -464,6 +464,66 @@ def test_check_public_key_passes_keygen_keys():
             crypto.check_public_key(bad)
 
 
+# libsodium's own test of a key: canonical, on the curve, not of small
+# order, and in the main subgroup
+_SODIUM = ctypes.CDLL(crypto._SONAME)
+_is_valid_point = _SODIUM.crypto_core_ed25519_is_valid_point
+_is_valid_point.argtypes = (ctypes.c_char_p,)
+_is_valid_point.restype = ctypes.c_int
+
+
+@pytest.mark.parametrize("y", [2, 7, 8])
+def test_keys_off_the_curve_are_refused(y):
+    assert _decode(y) is None
+    kp = crypto.keygen(b"\x77" * 32)
+    sig = crypto.sign(kp.secret_key, b"msg")
+    for sign_bit in (0, 1):
+        key = _alias(y, sign_bit)
+        assert _is_valid_point(key) == 0
+        with pytest.raises(ValueError, match="not a point on the curve"):
+            crypto.check_public_key(key)
+        _roles_refuse(key)
+        assert not crypto.verify(key, b"msg", sig)
+
+
+def _mixed_order_signature(seed, torsion, msg=b"probe"):
+    """(key, signature) under A + T, T of small order: a nonce r whose
+    challenge k has [k]T = identity makes S = r + k a a valid signature."""
+    a = _secret_scalar(seed)
+    key = _encode(_add(_mul(a, BASE), torsion))
+    for r in range(1, 64):
+        r_enc = _encode(_mul(r, BASE))
+        k = _challenge(r_enc, key, msg)
+        if _mul(k, torsion) == IDENTITY:
+            return key, r_enc + ((r + k * a) % L).to_bytes(32, "little")
+    raise AssertionError("no nonce found")
+
+
+def test_keys_of_mixed_order_pass_as_verify_accepts_them():
+    for torsion in small_order_points():
+        if torsion == IDENTITY:
+            continue
+        key, sig = _mixed_order_signature(b"\x12" * 32, torsion)
+        assert _is_valid_point(key) == 0  # outside the main subgroup
+        assert crypto.check_public_key(key) == key
+        assert crypto.verify(key, b"probe", sig)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32))
+def test_every_keygen_key_passes(seed):
+    key = crypto.keygen(seed).public_key
+    assert _is_valid_point(key) == 1
+    assert crypto.check_public_key(key) == key
+
+
+@settings(max_examples=1000, deadline=None)
+@given(key=st.binary(min_size=32, max_size=32))
+def test_every_key_libsodium_takes_check_public_key_takes(key):
+    if _is_valid_point(key):
+        assert crypto.check_public_key(key) == key
+
+
 def _small_order_encoding(data):
     _, y = data.draw(st.sampled_from(small_order_points()))
     return _alias(y, data.draw(st.integers(0, 1)))

@@ -49,6 +49,8 @@ class TestLoopback:
         challenger_socks = {i: udp_socket() for i in (1, 2, 3)}
         prover_addr = prover_sock.getsockname()
         verifier_addr = verifier_sock.getsockname()
+        # the prover serves until the verifier's deadline plus one reply bound
+        deadline = params.t0_ns + 3 * params.duration_ns
 
         results = {}
 
@@ -59,7 +61,7 @@ class TestLoopback:
                 prover_key,
                 params,
                 verifier_addr,
-                stop_ns=params.t0_ns + 5 * params.duration_ns,
+                stop_ns=deadline + live.REPLY_TIMEOUT_NS,
             )
 
         def verifier_main():
@@ -70,7 +72,7 @@ class TestLoopback:
                 PROVER_ID,
                 prover_key.public_key,
                 prover_addr,
-                deadline_ns=params.t0_ns + 6 * params.duration_ns,
+                deadline_ns=deadline,
             )
 
         def challenger_main(cid):

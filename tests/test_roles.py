@@ -2,15 +2,22 @@
 
 import dataclasses
 import hashlib
+import json
+import os
 import random
+import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_result_digests import ROOT, load_script
 
 from backhaul import roles
+from backhaul.config import parse_scenario
 from backhaul.crypto import hash_packet_set, keygen, probe_message, sign
+from backhaul.netsim import run_scenario
 from backhaul.roles import VERIFIER, Challenger, Prover, Verifier, upper_median
 from backhaul.schedule import ParamsError, RatePolicy, derive_params, send_schedule
 from backhaul.wire import (
@@ -429,6 +436,113 @@ class TestLazySignatures:
         for q in (0, c1.params.signatures_per_challenger + 1):
             with pytest.raises(KeyError):
                 c1.signature_for(q)
+
+
+def cpus(monkeypatch, count):
+    """Let the freeze see `count` usable CPUs, whatever this host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def store_unevenly(w, *provers):
+    """Each prover stores a different subset of challenger i's train, in
+    reverse order, and none of the last one's (n > 1); then it responds."""
+    n = w.params.n
+    for i, c in w.challengers.items():
+        train = c.build_sends()
+        picked = [] if i == n > 1 else train[i % 2 :: 1 + i % 3]
+        for p in provers:
+            for t, pkt in reversed(picked):
+                p.on_probe(t, pkt)
+    for p in provers:
+        assert p.force_respond(10 * MS)
+
+
+class TestSplitFreeze:
+    """`Prover._build_leaves` shares the receipts out over threads by id."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 10])
+    @pytest.mark.parametrize("width", [1, 2, 4, 16])
+    def test_leaves_and_bundle_equal_the_serial_loop(self, monkeypatch, n, width):
+        cpus(monkeypatch, width)
+        w = world(n=n, k=5)
+        twin = Prover(PROVER_ID, w.prover_key, w.params)
+        store_unevenly(w, w.prover, twin)
+        sizes = [len(w.prover.received[i]) for i in range(1, n + 1)]
+        assert sum(sizes) and (n == 1 or 0 in sizes)
+        threads = threading.active_count()
+        serial = [hash_packet_set(twin._signed(i)) for i in range(1, n + 1)]
+        assert w.prover._build_leaves() == serial
+        assert threading.active_count() == threads
+        twin._leaves = serial
+        assert w.prover.build_responses() == twin.build_responses()
+        assert w.prover._signed(n) == twin._signed(n)
+
+    def test_each_probe_signed_once_under_fast_switching(self, monkeypatch):
+        lock = threading.Lock()
+        signed = []
+        real = roles.sign
+
+        def locked_sign(secret_key, message):
+            with lock:
+                signed.append((secret_key, message))
+            return real(secret_key, message)
+
+        monkeypatch.setattr(roles, "sign", locked_sign)
+        cpus(monkeypatch, 8)  # more threads than this host has cores
+        w = world(n=10, k=5)
+        store_unevenly(w, w.prover)
+        expected = json.loads((ROOT / "tests" / "golden_digests.json").read_text())
+        digests = load_script()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            w.prover.build_responses()
+            freeze = list(signed)
+            golden = digests.compute("golden")
+        finally:
+            sys.setswitchinterval(interval)
+        probes = [s for s in freeze if s[0] != w.prover_key.secret_key]
+        stored = sum(len(store) for store in w.prover.received.values())
+        assert len(probes) == len(set(probes)) == stored
+        assert len(freeze) == stored + 11  # and n + 1 prover signs
+        assert digests.differences(expected, golden) == []
+
+    @pytest.mark.parametrize(
+        "failing, raised",
+        [((2, 3), 2), ((3,), 3), ((3, 4), 3), ((4,), 4), ((1, 2, 3), 1)],
+    )
+    def test_a_share_failure_raises_the_serial_loops_exception(self, monkeypatch, failing, raised):
+        cpus(monkeypatch, 3)  # the caller takes ids 1 and 4, helpers 2 and 5, and 3
+        w = world(n=5, k=5)
+        store_unevenly(w, w.prover)
+        errors = {}
+        for i in failing:
+            errors[i] = RuntimeError(f"no signature from challenger {i}")
+
+            def fail(q, error=errors[i]):
+                raise error
+
+            w.challengers[i].signature_for = fail
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            w.prover.build_responses()
+        assert info.value is errors[raised]
+        assert threading.active_count() == threads
+        assert w.prover._leaves is None
+
+    def test_no_thread_outlives_a_run(self, monkeypatch):
+        cpus(monkeypatch, 4)
+        cfg = parse_scenario(
+            {
+                "name": "freezes",
+                "protocol": {"theta_claimed_bps": 50e6, "n": 4, "f": 0, "duration_ns": 2 * MS},
+                "topology": {"backhaul_rate_bps": 50e6, "uplink": {"rate_bps": "theta0", "propagation_ns": MS}},
+            }
+        )
+        threads = threading.active_count()
+        for seed in range(200):
+            assert run_scenario(cfg, seed, collect_trace=False).output is not None
+        assert threading.active_count() == threads
 
 
 class TestVerifier:

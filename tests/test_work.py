@@ -8,6 +8,7 @@ one of them changed what a run does, not only how fast it does it.
 """
 
 import functools
+import threading
 
 import pytest
 
@@ -85,10 +86,13 @@ def counted(monkeypatch):
         ("sign", "verify", "hash_packet_set", "FifoLink.send", "Prover.on_probe", "EventLoop.at"), 0
     )
 
+    lock = threading.Lock()  # the freeze signs on helper threads
+
     def counting(name, fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            with lock:
+                counts[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
