@@ -100,8 +100,18 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def recorded_repr(name: str, value) -> str:
+    """repr(value) as the recorded digests saw it. A schedule's repr showed
+    `sigs_per_packet=1` until probes became one signature each; that constant
+    is put back, so every field that remains is still compared."""
+    text = repr(value)
+    if name == "schedule":
+        text = text.replace(", first_send_ns=", ", sigs_per_packet=1, first_send_ns=", 1)
+    return text
+
+
 def digest(res) -> str:
-    return sha("\n".join(f"{name}={getattr(res, name)!r}" for name in FIELDS).encode())
+    return sha("\n".join(f"{name}={recorded_repr(name, getattr(res, name))}" for name in FIELDS).encode())
 
 
 def report_artifacts(name: str, cfg, seeds) -> dict[str, str]:

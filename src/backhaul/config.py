@@ -24,7 +24,6 @@ import math
 from dataclasses import MISSING, dataclass, field
 
 from .schedule import DEFAULT_OVERPROVISION, PACKET_BYTES, RatePolicy
-from .wire import SIG_SLOTS
 
 THETA0 = "theta0"
 
@@ -82,7 +81,6 @@ class ProtocolSpec:
     duration_ns: int = rule(int, 1, default=100_000_000)
     rate_policy: str = rule(None, default=RatePolicy.PER_N_MINUS_F.value, literals=tuple(p.value for p in RatePolicy))
     overprovision: float = rule(float, 1.0, default=DEFAULT_OVERPROVISION)
-    sigs_per_packet: int = rule(int, 1, default=1, maximum=SIG_SLOTS)
     timer_mode: bool = rule(bool, default=False)
     verifier_deadline_factor: float = rule(float, 1.0, default=3.0)
     t0_ns: int = rule(int, 0, default=0)

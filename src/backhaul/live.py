@@ -161,7 +161,7 @@ def run_challenger(
     if latency_ns is None:
         latency_ns = ping_latency(sock, challenger_id, prover_addr)
     # every slot uses our own latency: we are our own alignment reference
-    schedule = send_schedule(params, [latency_ns] * params.n, sigs_per_packet=1)
+    schedule = send_schedule(params, [latency_ns] * params.n)
     me = Challenger(challenger_id, keypair, prover_id, prover_public_key, params, schedule)
 
     # encoding signs each probe, so do it all before the first paced send

@@ -32,9 +32,8 @@ and children are inserted in the order their parents ran. So each
 link's RNG sees its loss draws (at send) and jitter draws (at departure)
 in the same order as under a heap, ties at equal nanoseconds included.
 
-A wire packet carrying c signatures occupies c * 1514 bytes of link
-time, so grouping signatures changes message count but never the bytes
-a link must move.
+A probe is one wire packet with one signature, WIRE_PACKET_LEN (1514)
+bytes of link time, the packet size `b` the verdict counts.
 
 Every random draw comes from a stream seeded with the run seed and a
 purpose label, so the same (scenario, seed) pair replays into the same
@@ -351,7 +350,7 @@ def link_pass(link: FifoLink, events: list, horizon_ns: int) -> list:
             stats.delivered += 1
         if ev is last:
             break
-        send(ev, ev[-1].count * packet_len)
+        send(ev, packet_len)
     events.clear()
     return arrivals
 
@@ -447,7 +446,7 @@ class _Run:
         for i, l in enumerate(l_est, start=1):
             self.tr(f"ping challenger={i} estimate_ns={l}")
 
-        schedule = send_schedule(params, l_est, sigs_per_packet=self.proto.sigs_per_packet)
+        schedule = send_schedule(params, l_est)
         self.tr(
             f"schedule k={params.k} signatures={params.signatures_per_challenger} "
             f"spacing_ns={params.spacing_ns:.3f} threshold={params.threshold}"

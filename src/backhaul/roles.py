@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise
@@ -80,67 +79,32 @@ class PoBOutput:
 VERIFIER = 0  # the root's destination in `ProverBundle.routes`; challengers are 1..n
 
 
-class _SignedOnRead(Sequence):
-    """One packet's probe signatures, each made the first time it is read.
+class _SignatureOnRead:
+    """Probe q's signature in a challenger's own packet: `bytes()` of it
+    signs the probe through `Challenger.signature_for`, so a probe that no
+    receipt, dispute or encoding reads is never signed."""
 
-    Stands where a packet's tuple of signatures would: indexing (negative
-    indexes and slices too), iteration and equality read through the
-    challenger's signatures, so a probe that no receipt, dispute or
-    encoding reads is never signed.
-    """
+    __slots__ = ("_challenger", "_q")
 
-    __slots__ = ("_challenger", "_base", "_count")
-
-    def __init__(self, challenger: Challenger, base_seq: int, count: int):
+    def __init__(self, challenger: Challenger, q: int):
         self._challenger = challenger
-        self._base = base_seq
-        self._count = count
+        self._q = q
 
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, j):
-        try:
-            if 0 <= j < self._count:
-                q = self._base + j
-                sig = self._challenger._sigs.get(q)
-                return sig if sig is not None else self._challenger.signature_for(q)
-        except TypeError:
-            if not isinstance(j, slice):
-                raise
-            return tuple(self[i] for i in range(*j.indices(self._count)))
-        if -self._count <= j < 0:
-            return self[j + self._count]
-        raise IndexError("signature index out of range")
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _SignedOnRead)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
+    def __bytes__(self) -> bytes:
+        return self._challenger.signature_for(self._q)
 
 
 _NONCE = struct.Struct(">Q")
 
 
 @lru_cache(maxsize=4)
-def _train_layout(signatures: int, sigs_per_packet: int, spacing_ns: float) -> tuple:
-    """(send offset ns, base_seq, count, nonce) per packet of a probe train.
+def _train_layout(signatures: int, spacing_ns: float) -> tuple:
+    """(send offset ns, sequence, nonce) per probe of a train.
 
     The same for every challenger of a run, so it is worked out once.
     """
     pack = _NONCE.pack
-    return tuple(
-        (
-            round(j * spacing_ns),
-            j + 1,
-            sigs_per_packet if j + sigs_per_packet <= signatures else signatures - j,
-            pack(j + 1),
-        )
-        for j in range(0, signatures, sigs_per_packet)
-    )
+    return tuple((round((q - 1) * spacing_ns), q, pack(q)) for q in range(1, signatures + 1))
 
 
 # a ChallengePacket from its field tuple, without the named tuple's
@@ -198,18 +162,13 @@ class Challenger:
 
     def build_sends(self) -> list[tuple[int, ChallengePacket]]:
         """(send_time_ns, packet) pairs for the whole probe train; each
-        packet's signatures are made when first read."""
+        probe's signature is made when first read."""
         sched = self.schedule
         t1 = self.t_first_ns
         cid = self.id
         return [
-            (
-                t1 + offset,
-                _new_tuple(ChallengePacket, (cid, base, count, nonce, _SignedOnRead(self, base, count))),
-            )
-            for offset, base, count, nonce in _train_layout(
-                sched.signatures, sched.sigs_per_packet, sched.spacing_ns
-            )
+            (t1 + offset, _new_tuple(ChallengePacket, (cid, q, nonce, _SignatureOnRead(self, q))))
+            for offset, q, nonce in _train_layout(sched.signatures, sched.spacing_ns)
         ]
 
     def on_message(self, now_ns: int, msg) -> ChallengerReport | None:
@@ -334,7 +293,7 @@ class Prover:
         return self._capped
 
     def on_probe(self, now_ns: int, pkt: ChallengePacket) -> bool:
-        """Store fresh sequences; True exactly when this packet trips the threshold.
+        """Store a fresh probe; True exactly when it trips the threshold.
 
         Once the response is committed the stored sets are frozen:
         receipts, inclusion proofs, and disputes must all describe the
@@ -345,27 +304,21 @@ class Prover:
         if self.responded:
             self.late_probes += 1
             return False
-        cid, q, count, _, _ = pkt
+        cid, q, _, _ = pkt
         store = self.received.get(cid)
         if store is None:
             self.dropped_unknown += 1
             return False
-        limit = self._limit
-        before = len(store)
-        end = q + count
-        while q < end:
-            if not 1 <= q <= limit:
-                self.dropped_seq += 1
-            elif q in store:
-                self.duplicates += 1
-            else:
-                store[q] = pkt
-            q += 1
-        k = self._k
-        if before >= k:
+        if not 1 <= q <= self._limit:
+            self.dropped_seq += 1
+            return False
+        if q in store:
+            self.duplicates += 1
+            return False
+        store[q] = pkt
+        if len(store) > self._k:
             return False  # the capped count cannot move
-        after = len(store)
-        self._capped += (after if after < k else k) - before
+        self._capped += 1
         if self._capped >= self._threshold:
             self.responded = True
             self.trigger_ns = now_ns
@@ -386,8 +339,7 @@ class Prover:
         signed = self._frozen.get(challenger_id)
         if signed is None:
             signed = self._frozen[challenger_id] = [
-                (q, sigs[q - base])
-                for q, (_, base, _, _, sigs) in sorted(self.received[challenger_id].items())
+                (q, bytes(pkt.signature)) for q, pkt in sorted(self.received[challenger_id].items())
             ]
         return signed
 

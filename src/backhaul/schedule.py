@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .wire import SIG_SLOTS, WIRE_PACKET_LEN
+from .wire import WIRE_PACKET_LEN
 
 PACKET_BYTES = WIRE_PACKET_LEN
 DEFAULT_OVERPROVISION = 1.1
@@ -155,43 +155,30 @@ def challenge_data_bytes(params: ChallengeParams) -> int:
 class SendSchedule:
     """Aligned first-send times plus pacing for each challenger.
 
-    Signature q of challenger i goes out at first_send_ns[i-1] plus
-    (q - 1) * spacing_ns, grouped into wire packets of sigs_per_packet
-    consecutive sequence numbers; a packet is sent at its first
-    signature's slot. `Challenger.build_sends` builds that train.
+    Each challenger sends `signatures` probes, one signature each: probe q
+    of challenger i goes out at first_send_ns[i-1] plus (q - 1) *
+    spacing_ns. `Challenger.build_sends` builds that train.
     """
 
     t0_ns: int
     spacing_ns: float
     signatures: int
-    sigs_per_packet: int
     first_send_ns: tuple[int, ...]
     latency_ns: tuple[int, ...]
 
-    @property
-    def wire_packets_per_challenger(self) -> int:
-        return math.ceil(self.signatures / self.sigs_per_packet)
 
-
-def send_schedule(
-    params: ChallengeParams,
-    latencies_ns: Sequence[int],
-    sigs_per_packet: int,
-) -> SendSchedule:
+def send_schedule(params: ChallengeParams, latencies_ns: Sequence[int]) -> SendSchedule:
     """Build the latency-aligned schedule from per-challenger estimates."""
     if len(latencies_ns) != params.n:
         raise ParamsError(f"need {params.n} latency estimates, got {len(latencies_ns)}")
     if any(l < 0 for l in latencies_ns):
         raise ParamsError("latency estimates must be nonnegative")
-    if not 1 <= sigs_per_packet <= SIG_SLOTS:
-        raise ParamsError(f"sigs_per_packet {sigs_per_packet} outside 1..{SIG_SLOTS}")
     l_ref = max(latencies_ns)
     first = tuple(params.t0_ns + (l_ref - l) for l in latencies_ns)
     return SendSchedule(
         t0_ns=params.t0_ns,
         spacing_ns=params.spacing_ns,
         signatures=params.signatures_per_challenger,
-        sigs_per_packet=sigs_per_packet,
         first_send_ns=first,
         latency_ns=tuple(latencies_ns),
     )

@@ -21,14 +21,14 @@ and a datagram ends where its last field does.
 Challenge packets have their own pair, `_encode_challenge` and
 `_decode_challenge`: a fixed 1472-byte payload (64-byte header, zero
 padded, plus 22 signature slots of 64 bytes), 1514 bytes on the wire
-with the 42-byte lower-layer budget. A partially filled packet
-zero-fills the unused slots, so the payload length never varies.
+with the 42-byte lower-layer budget. A probe carries one signature: the
+header's count is always 1 and slots 2-22 are zero, so every probe is
+the full 1514 bytes the measurement counts.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,23 +61,20 @@ class WireError(ValueError):
 
 
 class ChallengePacket(NamedTuple):
-    """One probe datagram carrying up to 22 consecutive signatures.
+    """One probe datagram: one sequence number and its signature.
 
-    A decoded packet holds a plain tuple; a challenger's own packets hold
-    a sequence that signs each probe on first read (`roles.Challenger`).
-    A named tuple, because a simulated run builds one per probe: it is
-    immutable and hashable like the other messages, at a third of a
-    frozen dataclass's construction cost.
+    `bytes(signature)` reads the signature. A decoded packet holds the
+    bytes themselves; a challenger's own packets hold an object that
+    signs the probe on that first read (`roles.Challenger`). A named
+    tuple, because a simulated run builds one per probe: it is immutable
+    like the other messages, at a third of a frozen dataclass's
+    construction cost.
     """
 
     challenger_id: int
-    base_seq: int
-    count: int
+    sequence: int
     nonce: bytes
-    signatures: Sequence[bytes]
-
-    def sequences(self) -> range:
-        return range(self.base_seq, self.base_seq + self.count)
+    signature: bytes
 
 
 @dataclass(frozen=True)
@@ -238,34 +235,28 @@ def _check_ascending(packets) -> None:
 
 def _encode_challenge(pkt: ChallengePacket) -> bytes:
     _check_uint("challenger_id", pkt.challenger_id, 4)
-    _check_uint("base_seq", pkt.base_seq, 4)
-    if not 1 <= pkt.count <= SIG_SLOTS:
-        raise WireError("count", f"{pkt.count} outside 1..{SIG_SLOTS}")
+    _check_uint("sequence", pkt.sequence, 4)
     _check_len("nonce", pkt.nonce, 8)
-    if len(pkt.signatures) != pkt.count:
-        raise WireError("signatures", f"expected {pkt.count} entries, got {len(pkt.signatures)}")
+    sig = bytes(pkt.signature)
+    _check_len("signature", sig, SIG_LEN)
     out = bytearray(CHALLENGE_PAYLOAD_LEN)
-    struct.pack_into(_HEADER_FMT, out, 0, TAG_CHALLENGE, pkt.challenger_id, pkt.base_seq, pkt.count, pkt.nonce)
-    for j, sig in enumerate(pkt.signatures):
-        if len(sig) != SIG_LEN:
-            raise WireError("signatures", f"slot {j} expected {SIG_LEN} bytes, got {len(sig)}")
-        out[HEADER_LEN + j * SIG_LEN : HEADER_LEN + (j + 1) * SIG_LEN] = sig
+    struct.pack_into(_HEADER_FMT, out, 0, TAG_CHALLENGE, pkt.challenger_id, pkt.sequence, 1, pkt.nonce)
+    out[HEADER_LEN : HEADER_LEN + SIG_LEN] = sig
     return bytes(out)
 
 
 def _decode_challenge(data: bytes) -> ChallengePacket:
     if len(data) != CHALLENGE_PAYLOAD_LEN:
         raise WireError("payload", f"expected {CHALLENGE_PAYLOAD_LEN} bytes, got {len(data)}")
-    _, challenger_id, base_seq, count, nonce = struct.unpack_from(_HEADER_FMT, data, 0)
-    if not 1 <= count <= SIG_SLOTS:
-        raise WireError("count", f"{count} outside 1..{SIG_SLOTS}")
+    _, challenger_id, sequence, count, nonce = struct.unpack_from(_HEADER_FMT, data, 0)
+    if count != 1:
+        raise WireError("count", f"{count} signatures, a probe carries 1")
     if any(data[_HEADER_FIXED:HEADER_LEN]):
         raise WireError("header_padding", "nonzero bytes")
-    end = HEADER_LEN + count * SIG_LEN
+    end = HEADER_LEN + SIG_LEN
     if any(data[end:]):
-        raise WireError("signatures", f"slots past {count} not zero-filled")
-    sigs = tuple(data[start : start + SIG_LEN] for start in range(HEADER_LEN, end, SIG_LEN))
-    return ChallengePacket(challenger_id, base_seq, count, nonce, sigs)
+        raise WireError("signature", "slots past 1 not zero-filled")
+    return ChallengePacket(challenger_id, sequence, nonce, data[HEADER_LEN:end])
 
 
 def encode(message) -> bytes:

@@ -222,12 +222,10 @@ class TestCriterion06DataVolume:
         pf = derive_params(THETA, 10, 2, duration_ns=DURATION)
         assert (pf.k, pf.signatures_per_challenger, pf.threshold) == (258, 284, 2064)
         assert overprovision_count(210, 1.1) == 231  # exact rational rounding
-        sched = send_schedule(p, [2 * MS] * 10, sigs_per_packet=22)
-        assert sched.wire_packets_per_challenger == 11
         ok(
             "criterion-06 data volume",
             f"k=206, 227 signatures, {volume:,} bytes per challenge "
-            f"(= 1.1x the claimed volume), 11 wire packets at 22 sigs each",
+            f"(= 1.1x the claimed volume), one {p.b}-byte probe per signature",
         )
 
 
@@ -320,7 +318,7 @@ class TestCriterion09Evidence:
         assert params.k == k
         keys = {i: crypto.keygen(rng.randbytes(32)) for i in range(1, n + 1)}
         prover_key = crypto.keygen(rng.randbytes(32))
-        sched = send_schedule(params, [MS] * n, sigs_per_packet=1)
+        sched = send_schedule(params, [MS] * n)
         challengers = {
             i: Challenger(
                 i, keys[i], prover_id, prover_key.public_key, params, sched

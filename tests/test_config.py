@@ -198,13 +198,13 @@ class TestRejections:
             r"scenario\.topology\.cross_flows: expected a list",
         )
 
-    def test_sigs_per_packet_fits_the_wire_format(self):
-        self.assert_path(
-            minimal(protocol={"sigs_per_packet": 23}),
-            r"protocol\.sigs_per_packet: must be <= 22",
-        )
-        cfg = parse_scenario(minimal(protocol={"sigs_per_packet": 22}))
-        assert cfg.protocol.sigs_per_packet == 22
+    def test_sigs_per_packet_is_an_unknown_field(self):
+        # a probe carries one signature; the knob is gone, whatever its value
+        for value in (1, 22, 23):
+            self.assert_path(
+                minimal(protocol={"sigs_per_packet": value}),
+                r"scenario\.protocol: unknown field\(s\): sigs_per_packet$",
+            )
 
     def test_integer_too_large_for_a_float(self):
         self.assert_path(

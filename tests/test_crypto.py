@@ -388,7 +388,7 @@ def test_python_curve_matches_keygen():
 
 def _roles_refuse(key):
     params = derive_params(2e6, 3, 0, duration_ns=200_000_000)
-    schedule = send_schedule(params, [0] * 3, sigs_per_packet=4)
+    schedule = send_schedule(params, [0] * 3)
     good = crypto.keygen(b"\x0b" * 32)
     with pytest.raises(ValueError, match="public key"):
         Challenger(1, good, 77, key, params, schedule)

@@ -305,11 +305,13 @@ def serve_in_thread(sock, params, verifier_addr, stop_ms=1_000):
 
 def send_unchecked_train(sock, prover_addr, k):
     """Challenger 1's k probes with zero signatures: the prover stores probes
-    without checking them, so they trip its threshold all the same."""
-    sig = bytes(64)
-    for base in range(1, k + 1, wire.SIG_SLOTS):
-        count = min(wire.SIG_SLOTS, k + 1 - base)
-        sock.sendto(wire.encode(wire.ChallengePacket(1, base, count, bytes(8), (sig,) * count)), prover_addr)
+    without checking them, so they trip its threshold all the same. Sent in
+    chunks of 32, each drained by a ping before the next: on loopback a
+    default 212 992-byte receive buffer overflows within a burst of 100."""
+    for q in range(1, k + 1):
+        sock.sendto(wire.encode(wire.ChallengePacket(1, q, bytes(8), bytes(64))), prover_addr)
+        if q % 32 == 0 and q < k:
+            ping_through(sock, prover_addr, nonce=2**63 + q)
 
 
 def ping_through(sock, prover_addr, nonce):

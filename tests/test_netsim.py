@@ -24,7 +24,7 @@ from backhaul.netsim import (
 )
 
 MS = 1_000_000
-Probe = namedtuple("Probe", "count tag")
+Probe = namedtuple("Probe", "tag")
 
 
 def scenario(proto=None, topo=None, attack=None, name="t"):
@@ -80,12 +80,12 @@ class TestEventLoop:
         assert seen == [1]
 
 
-def setup_event(t, index, count=1, tag=None):
+def setup_event(t, index, tag=None):
     """A set-up probe event (t, 0, index, payload) as run_scenario builds it."""
-    return (t, 0, index, Probe(count, index if tag is None else tag))
+    return (t, 0, index, Probe(index if tag is None else tag))
 
 
-# 8 * 1514 Mbit/s serializes a one-signature probe, 1514 bytes, in exactly 1000 ns
+# 8 * 1514 Mbit/s serializes a probe, 1514 bytes, in exactly 1000 ns
 PROBE_BYTES = wire.WIRE_PACKET_LEN
 PROBE_RATE = 8 * PROBE_BYTES * 1e6
 
@@ -95,10 +95,10 @@ class TestFifoLink:
         spec = LinkSpec(rate_bps=rate, propagation_ns=prop, jitter_stddev_ns=jitter, loss_prob=loss)
         return FifoLink(spec, random.Random(1), capacity_bytes=cap)
 
-    def run(self, link, times, count=1, horizon=10_000):
-        """One `count`-signature probe at each set-up time through `link_pass`;
-        the arrival times by the horizon."""
-        events = [setup_event(t, j, count) for j, t in enumerate(times)]
+    def run(self, link, times, horizon=10_000):
+        """One probe at each set-up time through `link_pass`; the arrival
+        times by the horizon."""
+        events = [setup_event(t, j) for j, t in enumerate(times)]
         return sorted(ev[0] for ev in netsim.link_pass(link, events, horizon))
 
     def test_serializes_back_to_back(self):
@@ -128,7 +128,7 @@ class TestFifoLink:
         assert link.stats.lost == 1
 
     def test_infinite_rate_is_pure_delay(self):
-        assert self.run(self.make(rate=None, prop=700), [0], count=10**6) == [700]
+        assert self.run(self.make(rate=None, prop=700), [0, 0, 0]) == [700, 700, 700]
 
     def test_rate_fn_overrides_the_spec_rate(self):
         link = FifoLink(LinkSpec(rate_bps=1.0, propagation_ns=500), random.Random(1), rate_fn=lambda t: PROBE_RATE)
@@ -227,7 +227,6 @@ class TestOrderedPass:
             st.tuples(
                 st.integers(0, 2),  # uplink, modulo their number
                 st.sampled_from([0, 1000, 1000, 2000, 3500]),  # ties at equal ns
-                st.integers(1, 2),  # signatures per packet
                 st.booleans(),  # direct to the prover instead of an uplink
             ),
             max_size=30,
@@ -244,14 +243,14 @@ class TestOrderedPass:
         loop = EventLoop()
         ref_up, ref_bh = links(lambda spec, c, label, _: HeapLink(loop, spec, c, random.Random(f"{seed}:{label}")))
         seen = []
-        for j, (u, t, count, direct) in enumerate(sends):
-            size = count * wire.WIRE_PACKET_LEN
+        size = wire.WIRE_PACKET_LEN
+        for j, (u, t, direct) in enumerate(sends):
             got = lambda j=j: seen.append((loop.now, j))
             if direct:
                 loop.at(t, got)
             else:
                 up = ref_up[u % len(ups) + 1]
-                loop.at(t, lambda up=up, size=size, got=got: up.send(
+                loop.at(t, lambda up=up, got=got: up.send(
                     size, lambda: ref_bh.send(size, got)
                 ))
         loop.run(horizon)
@@ -263,8 +262,8 @@ class TestOrderedPass:
         )
         # one group per send, in scheduling order, staged as run_scenario stages them
         groups = [
-            (None if to_prover else up_links[u % len(ups) + 1], 0, [(t, Probe(count, j))])
-            for j, (u, t, count, to_prover) in enumerate(sends)
+            (None if to_prover else up_links[u % len(ups) + 1], 0, [(t, Probe(j))])
+            for j, (u, t, to_prover) in enumerate(sends)
         ]
         arrivals, clamped = stage_probes(groups, bh_link, horizon)
 
@@ -277,9 +276,9 @@ class TestOrderedPass:
     def test_stage_indexes_in_scheduling_order_and_moves_early_sends_to_zero(self):
         up, bh = (FifoLink(LinkSpec(propagation_ns=100), random.Random(0), ranked=r) for r in (False, True))
         groups = [
-            (None, -5, [(3, Probe(1, "a")), (7, Probe(1, "b"))]),
-            (up, -50, [(20, Probe(1, "c")), (60, Probe(1, "d"))]),
-            (None, 0, [(0, Probe(1, "e"))]),
+            (None, -5, [(3, Probe("a")), (7, Probe("b"))]),
+            (up, -50, [(20, Probe("c")), (60, Probe("d"))]),
+            (None, 0, [(0, Probe("e"))]),
         ]
         arrivals, clamped = stage_probes(groups, bh, horizon_ns=1000)
         assert clamped == 2  # "a" and "c"

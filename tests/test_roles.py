@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_result_digests import ROOT, load_script
 
-from backhaul import roles
+from backhaul import roles, wire
 from backhaul.config import parse_scenario
 from backhaul.crypto import hash_packet_set, keygen, probe_message, sign
 from backhaul.netsim import run_scenario
@@ -59,7 +59,7 @@ def world(
         timer_mode=timer_mode,
     )
     assert params.k == k
-    sched = send_schedule(params, latencies or [0] * n, sigs_per_packet=1)
+    sched = send_schedule(params, latencies or [0] * n)
     ckeys = {
         i: keygen(hashlib.sha256(f"ck:{seed}:{i}".encode()).digest())
         for i in range(1, n + 1)
@@ -240,8 +240,7 @@ class TestRunningCount:
         probes=st.lists(
             st.tuples(
                 st.integers(0, 4),  # challenger id; 0 and 4 are unknown
-                st.integers(0, 8),  # base sequence; 0, 7 and 8 are out of range
-                st.integers(1, 3),  # signatures in the packet
+                st.integers(0, 8),  # sequence; 0, 7 and 8 are out of range
             ),
             max_size=40,
         )
@@ -250,9 +249,8 @@ class TestRunningCount:
         w = world(n=3, k=4, rho=1.5)  # 6 probes per challenger, 4 count
         prover, k, threshold = w.prover, w.params.k, w.params.threshold
         reached = False
-        for t, (cid, base, count) in enumerate(probes):
-            sigs = tuple(bytes([base + x]) * 64 for x in range(count))
-            pkt = ChallengePacket(cid, base, count, bytes(8), sigs)
+        for t, (cid, q) in enumerate(probes):
+            pkt = ChallengePacket(cid, q, bytes(8), bytes([q]) * 64)
             tripped = prover.on_probe(t, pkt)
             total = sum(min(len(s), k) for s in prover.received.values())
             assert prover.capped_total() == total
@@ -273,7 +271,7 @@ class TestProverHygiene:
     def test_unknown_challenger_dropped(self):
         w = world()
         _, pkt = w.challengers[1].build_sends()[0]
-        alien = ChallengePacket(99, pkt.base_seq, pkt.count, pkt.nonce, pkt.signatures)
+        alien = ChallengePacket(99, pkt.sequence, pkt.nonce, pkt.signature)
         assert w.prover.on_probe(0, alien) is False
         assert w.prover.dropped_unknown == 1
         assert all(not s for s in w.prover.received.values())
@@ -282,7 +280,7 @@ class TestProverHygiene:
         w = world()
         _, pkt = w.challengers[1].build_sends()[0]
         limit = w.params.signatures_per_challenger
-        rogue = ChallengePacket(1, limit + 1, 1, pkt.nonce, pkt.signatures)
+        rogue = ChallengePacket(1, limit + 1, pkt.nonce, pkt.signature)
         w.prover.on_probe(0, rogue)
         assert w.prover.dropped_seq == 1
         assert not w.prover.received[1]
@@ -328,7 +326,7 @@ class TestChallengerChecks:
         # drop probe 5 of challenger 1 on the way in
         for i, c in w.challengers.items():
             for t, pkt in c.build_sends():
-                if i == 1 and pkt.base_seq == 5:
+                if i == 1 and pkt.sequence == 5:
                     continue
                 w.prover.on_probe(t, pkt)
         assert w.prover.responded
@@ -410,12 +408,12 @@ class TestLazySignatures:
         trains = {i: c.build_sends() for i, c in w.challengers.items()}
         assert signs == []
         _, pkt = trains[2][3]
-        first = pkt.signatures[0]
+        first = bytes(pkt.signature)
         assert len(signs) == 1
         c2 = w.challengers[2]
         assert first == sign(c2.keypair.secret_key, probe_message(4, w.params.m0))
-        # read again, by index, by iteration or through the challenger: no new sign
-        assert pkt.signatures[0] == tuple(pkt.signatures)[0] == c2.signature_for(4) == first
+        # read again, from the packet or through the challenger: no new sign
+        assert bytes(pkt.signature) == c2.signature_for(4) == first
         assert len(signs) == 1
 
     def test_prover_reads_signatures_only_at_the_freeze(self, monkeypatch):
@@ -430,6 +428,27 @@ class TestLazySignatures:
         assert len(signs) == stored + 5  # every stored probe, then n + 1 prover signs
         w.prover.build_dispute(3)
         assert len(signs) == stored + 5  # each probe is signed at most once
+
+    def test_each_reader_shares_one_signature_per_probe(self, monkeypatch):
+        signs = counting(monkeypatch, "sign")
+        w = world(n=4, f=1, k=5)
+        deliver_all(w, skip=(4,))
+        stored = [pkt for store in w.prover.received.values() for pkt in store.values()]
+        assert len(stored) == 15 and signs == []
+        bundle, reports = finish(w)  # the freeze, then each challenger's receipt check
+        assert sorted(reports) == [1, 2, 3, 4]  # 4 acknowledges none
+        assert len(signs) == 15 + 5  # every stored probe, then n + 1 prover signs
+        dispute = w.prover.build_dispute(2)
+        encoded = {wire.encode(pkt)[64:128] for pkt in stored}
+        assert len(signs) == 15 + 5  # the dispute and the encodings read the same signatures
+        assert encoded == {sig for i in (1, 2, 3) for _, sig in w.prover._signed(i)}
+        assert set(dispute.packets) == set(w.prover._signed(2))
+        # a probe no receipt covers is signed by its first reader, and only then
+        _, unsent = w.challengers[4].build_sends()[0]
+        first = wire.encode(unsent)
+        assert len(signs) == 21
+        assert wire.encode(unsent) == first and bytes(unsent.signature) == first[64:128]
+        assert len(signs) == 21
 
     def test_sequence_outside_the_train_has_no_signature(self):
         c1 = world().challengers[1]

@@ -118,65 +118,51 @@ class TestOverprovision:
 
 
 def train(p, s, cid):
-    """(send_time_ns, base_seq, count) per wire packet, from the challenger's own sends."""
+    """(send_time_ns, sequence) per probe, from the challenger's own sends."""
     keypair = keygen(bytes([cid]) * 32)
     me = Challenger(cid, keypair, 0, keypair.public_key, p, s)
-    return [(t, pkt.base_seq, pkt.count) for t, pkt in me.build_sends()]
+    return [(t, pkt.sequence) for t, pkt in me.build_sends()]
 
 
 class TestSendSchedule:
     def test_alignment_two_challengers(self):
         p = mk(50e6, 2, 0, 100, t0_ns=1_000 * MS)
-        s = send_schedule(p, [10 * MS, 30 * MS], sigs_per_packet=22)
+        s = send_schedule(p, [10 * MS, 30 * MS])
         assert s.first_send_ns == (1_020 * MS, 1_000 * MS)
         # both first probes land at the same instant
         assert s.first_send_ns[0] + 10 * MS == s.first_send_ns[1] + 30 * MS
 
-    def test_packet_grouping_reference(self):
-        p = mk(250e6, 10, 0, 100)
-        s = send_schedule(p, [0] * 10, sigs_per_packet=22)
-        assert s.signatures == 227
-        assert s.wire_packets_per_challenger == 11
-        sched = train(p, s, 1)
-        assert [c for _, _, c in sched] == [22] * 10 + [7]
-        assert [b for _, b, c in sched] == [1 + 22 * j for j in range(11)]
-        assert sum(c for _, _, c in sched) == 227
-
     def test_packet_times_follow_signature_slots(self):
         p = mk(250e6, 3, 0, 100, policy=RatePolicy.PER_N_MINUS_F)
-        s = send_schedule(p, [5 * MS, 0, 2 * MS], sigs_per_packet=22)
+        s = send_schedule(p, [5 * MS, 0, 2 * MS])
         for cid in (1, 2, 3):
-            for t, base, _ in train(p, s, cid):
-                # a packet goes out in the pacing slot of its first signature
-                assert t == s.first_send_ns[cid - 1] + round((base - 1) * s.spacing_ns)
+            for t, q in train(p, s, cid):
+                # probe q goes out in its own pacing slot
+                assert t == s.first_send_ns[cid - 1] + round((q - 1) * s.spacing_ns)
 
     def test_one_signature_per_packet(self):
         p = mk(250e6, 10, 0, 100)
-        s = send_schedule(p, [0] * 10, sigs_per_packet=1)
+        s = send_schedule(p, [0] * 10)
         sched = train(p, s, 4)
-        assert len(sched) == 227
-        assert all(c == 1 for _, _, c in sched)
+        assert s.signatures == 227
+        assert [q for _, q in sched] == list(range(1, 228))
         # consecutive sends separated by the pacing gap (rounded)
         gaps = {sched[j + 1][0] - sched[j][0] for j in range(226)}
         assert gaps <= {484480}
 
     def test_spacing_spans_duration(self):
         p = mk(250e6, 10, 0, 100)
-        s = send_schedule(p, [0] * 10, sigs_per_packet=1)
-        last, _, _ = train(p, s, 1)[p.k - 1]
+        s = send_schedule(p, [0] * 10)
+        last, _ = train(p, s, 1)[p.k - 1]
         # k-th probe leaves one pacing slot before the nominal duration ends
         assert abs((last - p.t0_ns) - (p.duration_ns - p.spacing_ns)) <= p.spacing_ns
 
     def test_input_validation(self):
         p = mk(250e6, 10, 0, 100)
         with pytest.raises(ParamsError, match="estimates"):
-            send_schedule(p, [0] * 9, sigs_per_packet=22)
+            send_schedule(p, [0] * 9)
         with pytest.raises(ParamsError, match="nonnegative"):
-            send_schedule(p, [0] * 9 + [-1], sigs_per_packet=22)
-        with pytest.raises(ParamsError, match="1..22"):
-            send_schedule(p, [0] * 10, sigs_per_packet=0)
-        with pytest.raises(ParamsError, match="1..22"):
-            send_schedule(p, [0] * 10, sigs_per_packet=23)
+            send_schedule(p, [0] * 9 + [-1])
 
     @settings(max_examples=200)
     @given(
@@ -186,7 +172,7 @@ class TestSendSchedule:
     def test_alignment_identity(self, lats, t0):
         n = len(lats)
         p = derive_params(25e6 * n, n, 0, 100 * MS, t0_ns=t0)
-        s = send_schedule(p, lats, sigs_per_packet=22)
+        s = send_schedule(p, lats)
         arrivals = {s.first_send_ns[i] + lats[i] for i in range(n)}
         assert arrivals == {t0 + max(lats)}
         assert min(s.first_send_ns) == t0

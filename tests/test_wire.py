@@ -1,4 +1,3 @@
-import math
 import struct
 
 import pytest
@@ -8,103 +7,65 @@ from hypothesis import strategies as st
 from backhaul import wire
 from backhaul.crypto import keygen, probe_message, sign
 from backhaul.roles import Challenger
-from backhaul.schedule import derive_params, send_schedule
+from backhaul.schedule import ChallengeParams, RatePolicy, challenge_data_bytes, derive_params, send_schedule
 
 
-def make_challenge(count=3, challenger_id=7, base_seq=45, nonce=b"\x11" * 8):
-    sigs = tuple(bytes([i]) * 64 for i in range(1, count + 1))
-    return wire.ChallengePacket(
-        challenger_id=challenger_id, base_seq=base_seq, count=count, nonce=nonce, signatures=sigs
-    )
+def make_challenge(challenger_id=7, sequence=45, nonce=b"\x11" * 8, signature=b"\x01" * 64):
+    return wire.ChallengePacket(challenger_id=challenger_id, sequence=sequence, nonce=nonce, signature=signature)
 
 
 def test_challenge_payload_always_1472_bytes():
-    for count in (1, 2, 11, 22):
-        data = wire.encode(make_challenge(count=count))
-        assert len(data) == 1472
-        assert len(data) + wire.LOWER_LAYER_BUDGET == 1514
+    data = wire.encode(make_challenge())
+    assert len(data) == 1472
+    assert len(data) + wire.LOWER_LAYER_BUDGET == 1514 == wire.WIRE_PACKET_LEN
 
 
 def test_challenge_layout_hand_built():
     # Independent byte-level construction of the same packet.
-    pkt = make_challenge(count=2, challenger_id=3, base_seq=100, nonce=b"\xab" * 8)
+    pkt = make_challenge(challenger_id=3, sequence=100, nonce=b"\xab" * 8)
     expected = bytearray(1472)
     expected[0] = 0x01
     expected[1:5] = struct.pack(">I", 3)
     expected[5:9] = struct.pack(">I", 100)
-    expected[9:11] = struct.pack(">H", 2)
+    expected[9:11] = struct.pack(">H", 1)
     expected[11:19] = b"\xab" * 8
     expected[64:128] = b"\x01" * 64
-    expected[128:192] = b"\x02" * 64
     assert wire.encode(pkt) == bytes(expected)
-
-
-def test_challenge_round_trip_and_sequences():
-    pkt = make_challenge(count=5, base_seq=23)
-    again = wire.decode(wire.encode(pkt))
-    assert again == pkt
-    assert list(again.sequences()) == [23, 24, 25, 26, 27]
 
 
 def test_lazily_signed_challenge_encodes_like_an_eager_one():
     params = derive_params(2e6, 3, 0, duration_ns=200_000_000, m0=b"\x05" * 32)
     key = keygen(b"\x09" * 32)
-    me = Challenger(2, key, 77, keygen(b"\x0a" * 32).public_key, params, send_schedule(params, [0] * 3, sigs_per_packet=4))
-    _, pkt = me.build_sends()[1]
-    eager = wire.ChallengePacket(
-        challenger_id=2,
-        base_seq=5,
-        count=4,
-        nonce=pkt.nonce,
-        signatures=tuple(sign(key.secret_key, probe_message(q, params.m0)) for q in range(5, 9)),
-    )
-    assert wire.encode(pkt) == wire.encode(eager)
-    decoded = wire.decode(wire.encode(pkt))
-    assert isinstance(decoded.signatures, tuple)
-    assert decoded == pkt and pkt == decoded and pkt == eager
-    assert hash(pkt) == hash(eager)
-
-
-def test_lazy_signatures_index_and_slice_like_a_tuple():
-    params = derive_params(2e6, 3, 0, duration_ns=200_000_000, m0=b"\x05" * 32)
-    key = keygen(b"\x09" * 32)
-    me = Challenger(2, key, 77, keygen(b"\x0a" * 32).public_key, params, send_schedule(params, [0] * 3, sigs_per_packet=4))
-    _, pkt = me.build_sends()[1]
-    lazy = pkt.signatures
-    eager = wire.decode(wire.encode(pkt)).signatures
-    assert isinstance(eager, tuple)
-    for j in range(-4, 4):
-        assert lazy[j] == eager[j]
-    for j in (4, -5):
-        with pytest.raises(IndexError):
-            lazy[j]
-        with pytest.raises(IndexError):
-            eager[j]
-    for cut in (slice(0, 2), slice(-3, None), slice(None, None, -2), slice(5, 9), slice(1, 1)):
-        assert lazy[cut] == eager[cut]
-        assert isinstance(lazy[cut], tuple)
+    me = Challenger(2, key, 77, keygen(b"\x0a" * 32).public_key, params, send_schedule(params, [0] * 3))
+    _, pkt = me.build_sends()[4]
+    signature = sign(key.secret_key, probe_message(5, params.m0))
+    eager = wire.ChallengePacket(challenger_id=2, sequence=5, nonce=pkt.nonce, signature=signature)
+    data = wire.encode(pkt)
+    assert data == wire.encode(eager)
+    assert len(data) == 1472
+    assert data[9:11] == b"\x00\x01"  # the count: one signature
+    assert data[64:128] == signature and not any(data[128:])  # slots 2-22 zero
+    assert wire.decode(data) == eager
 
 
 def test_challenge_rejects_count_out_of_range():
-    with pytest.raises(wire.WireError, match="count"):
-        wire.encode(make_challenge(count=23))
-    good = bytearray(wire.encode(make_challenge(count=2)))
-    struct.pack_into(">H", good, 9, 23)
-    with pytest.raises(wire.WireError, match="count"):
-        wire.decode(bytes(good))
-    struct.pack_into(">H", good, 9, 0)
-    with pytest.raises(wire.WireError, match="count"):
-        wire.decode(bytes(good))
+    # a probe carries exactly one signature
+    for count in (0, 2, 22, 255):
+        data = bytearray(wire.encode(make_challenge()))
+        struct.pack_into(">H", data, 9, count)
+        with pytest.raises(wire.WireError, match="count") as info:
+            wire.decode(bytes(data))
+        assert info.value.field == "count"
 
 
 def test_challenge_rejects_noncanonical_padding():
-    data = bytearray(wire.encode(make_challenge(count=1)))
+    data = bytearray(wire.encode(make_challenge()))
     data[63] = 1  # header pad
     with pytest.raises(wire.WireError, match="header_padding"):
         wire.decode(bytes(data))
-    data = bytearray(wire.encode(make_challenge(count=1)))
+    data = bytearray(wire.encode(make_challenge()))
     data[200] = 1  # unused slot
-    with pytest.raises(wire.WireError, match="signatures"):
+    with pytest.raises(wire.WireError, match="signature"):
         wire.decode(bytes(data))
 
 
@@ -117,11 +78,12 @@ def test_challenge_rejects_truncation():
 
 
 def test_full_transmission_slot_arithmetic():
-    # ceil(1.1k / 22) packets carry at least 1.1k signature slots.
+    # ceil(1.1k) probes of one signature each, every one a full-size packet
     for k in range(1, 2000, 13):
-        sigs = math.ceil(k * 11 / 10)
-        packets = math.ceil(sigs / wire.SIG_SLOTS)
-        assert packets * wire.SIG_SLOTS >= sigs
+        p = ChallengeParams(1e9, 1, 0, 1, k, 1e9, RatePolicy.PER_N)
+        sigs = -(-k * 11 // 10)
+        assert p.signatures_per_challenger == sigs
+        assert challenge_data_bytes(p) == sigs * wire.WIRE_PACKET_LEN
 
 
 def test_response_all_zero_payload_after_tag():
@@ -284,13 +246,11 @@ def test_tags_are_distinct():
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_challenge_round_trip_property(data):
-    count = data.draw(st.integers(min_value=1, max_value=22))
     pkt = wire.ChallengePacket(
         challenger_id=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        base_seq=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        count=count,
+        sequence=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
         nonce=data.draw(st.binary(min_size=8, max_size=8)),
-        signatures=tuple(data.draw(st.binary(min_size=64, max_size=64)) for _ in range(count)),
+        signature=data.draw(st.binary(min_size=64, max_size=64)),
     )
     encoded = wire.encode(pkt)
     assert wire.decode(encoded) == pkt
@@ -439,7 +399,7 @@ def test_dispute_request_layout_hand_built():
 # WireError or decode to a message that re-encodes to exactly those bytes.
 
 MUTATION_SEEDS = (
-    make_challenge(count=3),
+    make_challenge(),
     wire.ResponsePacket(receipt=b"\x01" * 32, root=b"\x02" * 32, signature=b"\x03" * 64),
     make_verification(acked=(1, 3, 10), bits=12),
     make_verification(acked=(), bits=0),
