@@ -1,9 +1,12 @@
 """Adversarial behaviors for challengers and the prover.
 
-Strategies are applied at three seams the simulator exposes: what a
-challenger puts on the wire, what it tells the verifier afterwards, and
-how the prover times and defends its response. Everything else runs the
-honest code, so an attack can only do what a real attacker could.
+Strategies are applied at three seams that the simulator and the UDP
+harness both expose: what a challenger puts on the wire, what it tells
+the verifier afterwards, and how the prover times and defends its
+response. Everything else runs the honest code, so an attack can only do
+what a real attacker could. Over UDP no side channel exists (`rush`
+raises `AttackError`) and the prover never holds a challenger's secret
+key (`share_keys` sends nothing, as `withhold_all`).
 
 Challenger strategies:
   honest              follow the schedule
@@ -32,11 +35,13 @@ from __future__ import annotations
 import dataclasses
 import random
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from .config import CHALLENGER_STRATEGIES, PROVER_STRATEGIES, AttackSpec, ChallengerStrategy, ProverStrategy
-from .roles import Prover
-from .schedule import ChallengeParams
 from .wire import ChallengePacket, ChallengerReport, DisputeSubmission
+
+if TYPE_CHECKING:
+    from .roles import Prover, Session
 
 VIA_UPLINK = "uplink"
 VIA_SIDE = "side"
@@ -47,11 +52,11 @@ class AttackError(RuntimeError):
 
 
 class AttackPlan:
-    """Resolved attack: answers the simulator's questions at each seam."""
+    """A session's attack, resolved: answers a transport's questions at each seam."""
 
-    def __init__(self, spec: AttackSpec, params: ChallengeParams, rng: random.Random):
-        self.spec = spec
-        self.params = params
+    def __init__(self, session: Session, rng: random.Random):
+        self.spec = spec = session.attack
+        self.params = session.params
         self.rng = rng
         self.corrupt = set(spec.corrupt_ids)
         self.prover_name = spec.prover.name

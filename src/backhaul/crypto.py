@@ -15,7 +15,7 @@ public key are refused, and so are a small-order R and a small-order
 key. Under a small-order key anyone can forge: with the identity as the
 key, the signature (identity, 0) passes a permissive verifier, OpenSSL's
 among them, for every message. `check_public_key` refuses such keys, and
-keys off the curve, where they enter the roles.
+keys off the curve, when a `roles.Session` is built.
 
 Domain separation: leaf hashes are prefixed 0x00 and interior hashes
 0x01 so a leaf digest can never be replayed as an interior node.

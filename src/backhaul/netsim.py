@@ -10,9 +10,9 @@ while their serialization, propagation and jitter do. Every message to
 the verifier takes a fixed `verifier_propagation_ns`.
 
 `run_scenario` is one step per phase of a run:
-1. set-up: keys, parameters, links, attack plan, clock offsets, and the
-   deadline, settle time and horizon;
-2. pings: latency estimates, then the schedule and the roles;
+1. set-up: the session `live` runs too (`session_for`: keys, parameters,
+   deadline, attack), links, attack plan, clock offsets, settle, horizon;
+2. pings: latency estimates, then the schedule and the session's roles;
 3. probe pass: the data plane (uplinks, backhaul, the prover's intake),
    one ordered pass per link (`stage_probes`), because links are FIFO and
    nothing feeds back into it but the prover's trigger;
@@ -52,9 +52,9 @@ from functools import partial
 
 from . import wire
 from .adversary import VIA_SIDE, AttackPlan
-from .config import THETA0, LinkSpec, ScenarioConfig, TopologySpec
-from .crypto import keygen
-from .roles import VERIFIER, Challenger, PoBOutput, Prover, Verifier
+from .config import THETA0, AttackSpec, LinkSpec, ProtocolSpec, ScenarioConfig, TopologySpec
+from .crypto import KeyPair, keygen
+from .roles import VERIFIER, Challenger, PoBOutput, Prover, Session, Verifier
 from .schedule import (
     DEFAULT_TIMEOUT_FACTOR,
     PING_SAMPLES,
@@ -384,28 +384,36 @@ def stage_probes(groups, bh_link: FifoLink, horizon_ns: int) -> tuple[list, int]
     return arrivals, clamped
 
 
+def session_for(proto: ProtocolSpec, attack: AttackSpec, seed: int) -> tuple[Session, KeyPair, dict[int, KeyPair]]:
+    """(session, the prover's keypair, each challenger's by id) of one run at
+    `seed`: the keys and m0 come from the seed under fixed labels, and the
+    verifier's deadline is `verifier_deadline_factor` durations after t0."""
+
+    def derived(label: str) -> bytes:
+        return hashlib.sha256(f"{seed}:{label}".encode()).digest()
+
+    ckeys = {i: keygen(derived(f"challenger-key:{i}")) for i in range(1, proto.n + 1)}
+    pkey = keygen(derived("prover-key"))
+    params = derive_params(
+        proto.theta_claimed_bps, proto.n, proto.f, proto.duration_ns, RatePolicy(proto.rate_policy),
+        proto.overprovision, proto.t0_ns, derived("m0"), timer_mode=proto.timer_mode,
+    )
+    cpubs = {i: key.public_key for i, key in ckeys.items()}
+    deadline_ns = proto.t0_ns + round(proto.verifier_deadline_factor * proto.duration_ns)
+    return Session(params, PROVER_ID, pkey.public_key, cpubs, deadline_ns, proto.timer_mode, attack), pkey, ckeys
+
+
 class _Run:
     """One run: `__init__` is the set-up, each later phase one method, and the
     control plane's callbacks follow `settle`."""
 
     def __init__(self, scenario: ScenarioConfig, seed: int, collect_trace: bool):
         proto, topo = scenario.protocol, scenario.topology
-        self.proto, self.topo, self.seed = proto, topo, seed
+        self.topo, self.seed = topo, seed
         self.trace: list[str] | None = [] if collect_trace else None
         self.ids = ids = range(1, proto.n + 1)
-        self.ckeys = {i: keygen(hashlib.sha256(f"{seed}:challenger-key:{i}".encode()).digest()) for i in ids}
-        self.pkey = keygen(hashlib.sha256(f"{seed}:prover-key".encode()).digest())
-        self.params = params = derive_params(
-            proto.theta_claimed_bps,
-            proto.n,
-            proto.f,
-            proto.duration_ns,
-            rate_policy=RatePolicy(proto.rate_policy),
-            overprovision=proto.overprovision,
-            t0_ns=proto.t0_ns,
-            m0=hashlib.sha256(f"{seed}:m0".encode()).digest(),
-            timer_mode=proto.timer_mode,
-        )
+        self.session, self.pkey, self.ckeys = session_for(proto, scenario.attack, seed)
+        self.params = params = self.session.params
         uplinks = _resolve_uplinks(topo, proto.n, params.theta0_bps, random.Random(f"{seed}:topo"))
         self.up_links = {i: FifoLink(uplinks[i - 1], random.Random(f"{seed}:link:up:{i}")) for i in ids}
         backhaul = LinkSpec(
@@ -419,7 +427,7 @@ class _Run:
             backhaul, random.Random(f"{seed}:link:bh"), bh_rate_fn, topo.queue_capacity_bytes, ranked=True
         )
         self.rng_reverse = {i: random.Random(f"{seed}:reverse:{i}") for i in ids}
-        self.plan = AttackPlan(scenario.attack, params, random.Random(f"{seed}:attack"))
+        self.plan = AttackPlan(self.session, random.Random(f"{seed}:attack"))
         rng_offsets = random.Random(f"{seed}:offsets")
         r = topo.clock_offset_range_ns
         self.offsets = {i: round(rng_offsets.uniform(-r, r)) for i in ids}
@@ -428,8 +436,7 @@ class _Run:
         else:
             self.overhead_ns = int(topo.response_overhead_ns)
         self.vprop = topo.verifier_propagation_ns
-        self.deadline_ns = deadline = proto.t0_ns + round(proto.verifier_deadline_factor * proto.duration_ns)
-        self.settle_ns = deadline + 2 * self.vprop + 1_000_000
+        self.settle_ns = self.session.deadline_ns + 2 * self.vprop + 1_000_000
         self.horizon = self.settle_ns + round((DEFAULT_TIMEOUT_FACTOR + 1.0) * proto.duration_ns)
 
     def tr(self, line: str) -> None:
@@ -451,11 +458,10 @@ class _Run:
             f"schedule k={params.k} signatures={params.signatures_per_challenger} "
             f"spacing_ns={params.spacing_ns:.3f} threshold={params.threshold}"
         )
-        ppub = self.pkey.public_key
-        self.challengers = {i: Challenger(i, self.ckeys[i], PROVER_ID, ppub, params, schedule) for i in self.ids}
-        self.prover = Prover(PROVER_ID, self.pkey, params)
-        cpubs = {i: key.public_key for i, key in self.ckeys.items()}
-        self.verifier = Verifier(params, cpubs, PROVER_ID, ppub, timer_mode=self.proto.timer_mode)
+        session = self.session
+        self.challengers = {i: Challenger(session, i, self.ckeys[i], schedule) for i in self.ids}
+        self.prover = Prover(session, self.pkey)
+        self.verifier = Verifier(session)
         return l_est, schedule
 
     def probe_pass(self) -> int:
@@ -489,7 +495,7 @@ class _Run:
         self.timed_out: list[int] = []
         for i, c in self.challengers.items():
             loop.at(c.give_up_ns - self.offsets[i], partial(self.check_timeout, i))
-        loop.at(self.deadline_ns, self.at_deadline)
+        loop.at(self.session.deadline_ns, self.at_deadline)
         # settle once the disputes can have arrived; `Verifier.evaluate` decides if it may
         loop.at(self.settle_ns, partial(self.verifier.evaluate, self.settle_ns))
         if self.prover.trigger_ns is not None:

@@ -1,10 +1,13 @@
 """Protocol roles: challenger, prover, verifier.
 
 These classes are pure state machines and the whole control plane; they
-never touch sockets or clocks. Callers feed each role timestamped
-messages through `on_message`, send what `ProverBundle.routes` names and
-keep time, so the simulator and the live UDP harness share one routing,
-one settle rule (see `Verifier`) and one dispute rule (`at_deadline`).
+never touch sockets or clocks. Every role of one run is built from one
+`Session`, what all parties agree on before it starts, and its own
+keypair. Callers feed each role timestamped messages through
+`on_message`, send what `ProverBundle.routes` names and keep time, so
+the simulator and the live UDP harness share one set-up, one routing,
+one settle rule (see `Verifier`) and one dispute rule (`at_deadline`,
+answered once per id by `Prover.on_message`).
 
 Counting is capped everywhere at k per challenger. A challenger sends
 ceil(rho * k) probes so that loss does not starve the prover, but only
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise
 
+from .config import AttackSpec
 from .crypto import (
     SEQUENCE,
     KeyPair,
@@ -48,6 +52,32 @@ from .wire import (
     bitmap_from_sequences,
     sequences_from_bitmap,
 )
+
+
+@dataclass(frozen=True)
+class Session:
+    """What every party of one run agrees on before it starts; no secret key.
+
+    Building one refuses any public key `check_public_key` refuses and any f
+    its verifier mode cannot tolerate, so the roles take it as checked. The
+    verifier requests its disputes, and settles, at `deadline_ns`; `attack`
+    is resolved by `adversary.AttackPlan`.
+    """
+
+    params: ChallengeParams
+    prover_id: int
+    prover_public_key: bytes
+    challenger_public_keys: dict[int, bytes]
+    deadline_ns: int
+    timer_mode: bool = False
+    attack: AttackSpec = AttackSpec()
+
+    def __post_init__(self):
+        # a copy of its own: the caller's dict may change after the checks
+        object.__setattr__(self, "challenger_public_keys", dict(self.challenger_public_keys))
+        check_corruption_bound(self.params.n, self.params.f, self.timer_mode)
+        for key in (self.prover_public_key, *self.challenger_public_keys.values()):
+            check_public_key(key)
 
 
 def upper_median(values):
@@ -119,20 +149,11 @@ class Challenger:
     most once; withheld, lost and late probes are never signed.
     """
 
-    def __init__(
-        self,
-        challenger_id: int,
-        keypair: KeyPair,
-        prover_id: int,
-        prover_public_key: bytes,
-        params: ChallengeParams,
-        schedule: SendSchedule,
-    ):
+    def __init__(self, session: Session, challenger_id: int, keypair: KeyPair, schedule: SendSchedule):
         self.id = challenger_id
         self.keypair = keypair
-        self.prover_id = prover_id
-        self.prover_public_key = check_public_key(prover_public_key)
-        self.params = params
+        self.session = session
+        self.params = params = session.params
         self.schedule = schedule
         self.t_first_ns = schedule.first_send_ns[challenger_id - 1]
         # no response by this local time is a timeout
@@ -184,7 +205,7 @@ class Challenger:
         report that a verification stashed before it yields."""
         if self.delta_ns is not None or self.failure is not None:
             return None
-        if not verify(self.prover_public_key, resp.receipt + resp.root, resp.signature):
+        if not verify(self.session.prover_public_key, resp.receipt + resp.root, resp.signature):
             self.events.append("response_bad_signature")
             return None
         delta = now_ns - self.t_first_ns - 2 * self.latency_ns
@@ -236,7 +257,7 @@ class Challenger:
         self.report_sent = True
         return ChallengerReport(
             challenger_id=self.id,
-            prover_id=self.prover_id,
+            prover_id=self.session.prover_id,
             merkle_root_seen=self.root_seen,
             rtt_ns=self.delta_ns,
             packets_acknowledged=msg.acked_count,
@@ -269,13 +290,10 @@ class Prover:
     later with the signatures themselves.
     """
 
-    def __init__(self, prover_id: int, keypair: KeyPair, params: ChallengeParams):
-        self.id = prover_id
+    def __init__(self, session: Session, keypair: KeyPair):
         self.keypair = keypair
-        self.params = params
-        self.received: dict[int, dict[int, ChallengePacket]] = {
-            i: {} for i in range(1, params.n + 1)
-        }
+        self.params = params = session.params
+        self.received: dict[int, dict[int, ChallengePacket]] = {i: {} for i in range(1, params.n + 1)}
         self.responded = False
         self.trigger_ns: int | None = None
         self.dropped_unknown = 0
@@ -288,6 +306,7 @@ class Prover:
         self._k = params.k
         self._threshold = params.threshold
         self._capped = 0  # sum over challengers of min(stored, k)
+        self._disputed: set[int] = set()  # ids whose dispute request was answered
 
     def capped_total(self) -> int:
         return self._capped
@@ -418,10 +437,15 @@ class Prover:
 
     def on_message(self, now_ns: int, msg, build_dispute=None) -> DisputeSubmission | None:
         """Answer a `DisputeRequest` by `build_dispute` (default: our own) if the
-        response went out strictly before `now_ns`, else with nothing."""
+        response went out strictly before `now_ns` and no earlier request for
+        its id was answered, else with nothing."""
         if not isinstance(msg, DisputeRequest) or self.trigger_ns is None or self.trigger_ns >= now_ns:
             return None
-        return (build_dispute or self.build_dispute)(msg.challenger_id)
+        if (cid := msg.challenger_id) in self._disputed:
+            return None
+        if (dispute := (build_dispute or self.build_dispute)(cid)) is not None:
+            self._disputed.add(cid)
+        return dispute
 
     def build_dispute(self, challenger_id: int) -> DisputeSubmission | None:
         """Raw signed probes proving the count for one challenger."""
@@ -441,8 +465,8 @@ class Verifier:
     """Aggregates reports into a bandwidth verdict.
 
     Reports and disputes that arrive before the prover's root are held
-    and judged once it is known. A lazy verifier (f < n/3, else
-    `ParamsError`) gives its verdict when n - f challengers are accounted
+    and judged once it is known. A lazy verifier (f < n/3; its `Session`
+    refuses more) gives its verdict when n - f challengers are accounted
     for, the capped count reaches (n - f) * k and at least 2f of them
     reported an RTT, and never on less; a timer-mode one (f < n/2)
     settles at its deadline on what has arrived (`evaluate`).
@@ -451,22 +475,10 @@ class Verifier:
     no RTT; that challenger's report, if it comes later, adds only the RTT.
     """
 
-    def __init__(
-        self,
-        params: ChallengeParams,
-        challenger_public_keys: dict[int, bytes],
-        prover_id: int,
-        prover_public_key: bytes,
-        timer_mode: bool = False,
-    ):
-        check_corruption_bound(params.n, params.f, timer_mode)
-        self.params = params
-        self.challenger_public_keys = {
-            cid: check_public_key(key) for cid, key in challenger_public_keys.items()
-        }
-        self.prover_id = prover_id
-        self.prover_public_key = check_public_key(prover_public_key)
-        self.timer_mode = timer_mode
+    def __init__(self, session: Session):
+        self.session = session
+        self.params = session.params
+        self.timer_mode = session.timer_mode
         self.root: bytes | None = None
         self.entries: dict[int, tuple[int, int | None]] = {}
         self.rejections: list[tuple[int, str]] = []
@@ -488,7 +500,7 @@ class Verifier:
     def on_root(self, now_ns: int, resp: ResponsePacket) -> None:
         if self.root is not None:
             return
-        if not verify(self.prover_public_key, resp.receipt + resp.root, resp.signature):
+        if not verify(self.session.prover_public_key, resp.receipt + resp.root, resp.signature):
             self.rejections.append((0, "root_bad_signature"))
             return
         self.root = resp.root
@@ -503,10 +515,10 @@ class Verifier:
             self._buffer.append(rpt)
             return
         cid = rpt.challenger_id
-        if cid not in self.challenger_public_keys:
+        if cid not in self.session.challenger_public_keys:
             self.rejections.append((cid, "unknown_challenger"))
             return
-        if rpt.prover_id != self.prover_id:
+        if rpt.prover_id != self.session.prover_id:
             self.rejections.append((cid, "wrong_prover"))
             return
         prior = self.entries.get(cid)
@@ -532,7 +544,7 @@ class Verifier:
             self._buffer.append(d)
             return False
         cid = d.challenger_id
-        pk = self.challenger_public_keys.get(cid)
+        pk = self.session.challenger_public_keys.get(cid)
         if pk is None:
             self.rejections.append((cid, "dispute_unknown_challenger"))
             return False

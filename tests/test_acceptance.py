@@ -23,7 +23,7 @@ from backhaul.config import ProverStrategy, parse_scenario
 from backhaul.ladder import run_ladder
 from backhaul.netsim import run_scenario
 from backhaul.report import build_report, dump_report
-from backhaul.roles import Challenger, Prover, Verifier
+from backhaul.roles import Challenger, Prover, Session, Verifier
 from backhaul.schedule import (
     RatePolicy,
     derive_params,
@@ -319,13 +319,11 @@ class TestCriterion09Evidence:
         keys = {i: crypto.keygen(rng.randbytes(32)) for i in range(1, n + 1)}
         prover_key = crypto.keygen(rng.randbytes(32))
         sched = send_schedule(params, [MS] * n)
-        challengers = {
-            i: Challenger(
-                i, keys[i], prover_id, prover_key.public_key, params, sched
-            )
-            for i in range(1, n + 1)
-        }
-        prover = Prover(prover_id, prover_key, params)
+        session = Session(
+            params, prover_id, prover_key.public_key, {i: keys[i].public_key for i in keys}, deadline_ns=duration
+        )
+        challengers = {i: Challenger(session, i, keys[i], sched) for i in range(1, n + 1)}
+        prover = Prover(session, prover_key)
         sends = [(t, p) for c in challengers.values() for t, p in c.build_sends()]
         rng.shuffle(sends)
         for t, pkt in sorted(sends, key=lambda x: x[0]):
@@ -334,12 +332,7 @@ class TestCriterion09Evidence:
             prover.force_respond(0)
         bundle = prover.build_responses()
 
-        verifier = Verifier(
-            params,
-            {i: keys[i].public_key for i in keys},
-            prover_id,
-            prover_key.public_key,
-        )
+        verifier = Verifier(session)
         verifier.on_root(0, bundle.announcement)
         silent = rng.randint(1, n)
         now = duration

@@ -21,7 +21,7 @@ from backhaul.config import (
 )
 from backhaul.crypto import keygen
 from backhaul.netsim import run_scenario
-from backhaul.roles import Prover
+from backhaul.roles import Prover, Session
 from backhaul.schedule import derive_params
 from backhaul.wire import ChallengePacket
 
@@ -55,10 +55,14 @@ def corrupt(ids, name, **params):
     return {"challengers": {str(i): {"name": name, **params} for i in ids}}
 
 
+def session(params, spec=AttackSpec()):
+    return Session(params, 0, keygen(bytes(32)).public_key, {}, deadline_ns=0, attack=spec)
+
+
 class TestPlanMechanics:
     def plan(self, spec, n=4, f=1):
         params = derive_params(1e6, n, f, duration_ns=100 * MS)
-        return AttackPlan(spec, params, random.Random(0))
+        return AttackPlan(session(params, spec), random.Random(0))
 
     def train(self):
         pkt = ChallengePacket(1, 1, bytes(8), bytes(64))
@@ -107,13 +111,13 @@ class TestPlanMechanics:
 
     def test_early_trigger_only_when_colluding(self):
         params = derive_params(THETA, 10, 2, duration_ns=100 * MS)
-        prover = Prover(0, keygen(bytes(32)), params)
-        assert AttackPlan(AttackSpec(), params, random.Random(0)).intake(prover) == prover.on_probe
+        prover = Prover(session(params), keygen(bytes(32)))
+        assert AttackPlan(session(params), random.Random(0)).intake(prover) == prover.on_probe
         spec = AttackSpec(
             challengers=((1, ChallengerStrategy("share_keys")), (2, ChallengerStrategy("share_keys"))),
             prover=ProverStrategy("colluding_early"),
         )
-        intake = AttackPlan(spec, params, random.Random(0)).intake(prover)
+        intake = AttackPlan(session(params, spec), random.Random(0)).intake(prover)
         k = params.k
         early = (10 - 4) * k
 

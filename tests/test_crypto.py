@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backhaul import crypto
-from backhaul.roles import Challenger, Verifier
-from backhaul.schedule import derive_params, send_schedule
+from backhaul.roles import Session
+from backhaul.schedule import derive_params
 
 # RFC 8032 section 7.1 TEST 1 and TEST 2 vectors.
 RFC_SEED_1 = bytes.fromhex("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60")
@@ -387,15 +387,23 @@ def test_python_curve_matches_keygen():
 
 
 def _roles_refuse(key):
+    """The session every role is built from refuses `key` as the prover's
+    and as a challenger's, so no role ever holds it."""
     params = derive_params(2e6, 3, 0, duration_ns=200_000_000)
-    schedule = send_schedule(params, [0] * 3)
     good = crypto.keygen(b"\x0b" * 32)
     with pytest.raises(ValueError, match="public key"):
-        Challenger(1, good, 77, key, params, schedule)
+        Session(params, 77, key, {1: good.public_key}, deadline_ns=0)
     with pytest.raises(ValueError, match="public key"):
-        Verifier(params, {1: good.public_key}, 77, key)
-    with pytest.raises(ValueError, match="public key"):
-        Verifier(params, {1: good.public_key, 2: key}, 77, good.public_key)
+        Session(params, 77, good.public_key, {1: good.public_key, 2: key}, deadline_ns=0)
+
+
+def test_session_keeps_only_the_keys_it_checked():
+    params = derive_params(2e6, 3, 0, duration_ns=200_000_000)
+    good = crypto.keygen(b"\x0b" * 32)
+    keys = {1: good.public_key}
+    session = Session(params, 77, good.public_key, keys, deadline_ns=0)
+    keys[2] = b"\x01" + bytes(31)  # the identity, added after the checks
+    assert session.challenger_public_keys == {1: good.public_key}
 
 
 def test_small_order_points_are_refused_as_keys():

@@ -1,6 +1,6 @@
 """Loopback end-to-end over real UDP sockets."""
 
-import os
+import dataclasses
 import socket
 import threading
 import time
@@ -8,7 +8,9 @@ import time
 import pytest
 
 from backhaul import live, roles, wire
-from backhaul.crypto import keygen, sign
+from backhaul.adversary import AttackError
+from backhaul.config import parse_scenario
+from backhaul.crypto import sign
 from backhaul.live import (
     LiveError,
     ping_latency,
@@ -16,10 +18,11 @@ from backhaul.live import (
     run_verifier,
     serve_prover,
 )
-from backhaul.schedule import RatePolicy, derive_params
+from backhaul.netsim import run_scenario, session_for
 
 MS = 1_000_000
-PROVER_ID = 77
+# the simulator's stand-in for loopback: unpaced uplinks, no propagation
+LOOPBACK = {"backhaul_rate_bps": 1e9, "verifier_propagation_ns": 0}
 
 
 def udp_socket():
@@ -28,210 +31,151 @@ def udp_socket():
     return s
 
 
-class TestLoopback:
-    def test_three_challenger_measurement(self):
-        # 2 Mbit/s claim, 200 ms window: 11 probes per challenger, 33 needed
-        params = derive_params(
-            2e6,
-            3,
-            0,
-            duration_ns=200 * MS,
-            rate_policy=RatePolicy.PER_N,
-            t0_ns=time.time_ns() + 500 * MS,
-            m0=os.urandom(32),
-        )
-        assert params.k == 11 and params.threshold == 33
-
-        prover_key = keygen(os.urandom(32))
-        keys = {i: keygen(os.urandom(32)) for i in (1, 2, 3)}
-        prover_sock = udp_socket()
-        verifier_sock = udp_socket()
-        challenger_socks = {i: udp_socket() for i in (1, 2, 3)}
-        prover_addr = prover_sock.getsockname()
-        verifier_addr = verifier_sock.getsockname()
-        # the prover serves until the verifier's deadline plus one reply bound
-        deadline = params.t0_ns + 3 * params.duration_ns
-
-        results = {}
-
-        def prover_main():
-            results["prover"] = serve_prover(
-                prover_sock,
-                PROVER_ID,
-                prover_key,
-                params,
-                verifier_addr,
-                stop_ns=deadline + live.REPLY_TIMEOUT_NS,
-            )
-
-        def verifier_main():
-            results["verdict"] = run_verifier(
-                verifier_sock,
-                params,
-                {i: kp.public_key for i, kp in keys.items()},
-                PROVER_ID,
-                prover_key.public_key,
-                prover_addr,
-                deadline_ns=deadline,
-            )
-
-        def challenger_main(cid):
-            results[cid] = run_challenger(
-                challenger_socks[cid],
-                cid,
-                keys[cid],
-                PROVER_ID,
-                prover_key.public_key,
-                prover_addr,
-                verifier_addr,
-                params,
-            )
-
-        threads = [
-            threading.Thread(target=prover_main),
-            threading.Thread(target=verifier_main),
-            *(threading.Thread(target=challenger_main, args=(i,)) for i in (1, 2, 3)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in threads)
-
-        stats = results["prover"]
-        assert stats.responded
-        assert stats.challengers_seen == 3
-        assert stats.pings_answered == 60
-
-        for cid in (1, 2, 3):
-            me = results[cid]
-            assert me.failure is None
-            assert me.report_sent
-            assert me.acked_count >= params.k
-
-        verdict = results["verdict"]
-        assert verdict is not None
-        assert verdict.cnt == 33
-        assert verdict.reports_used == 3
-        assert verdict.disputes_upheld == 0
-        # pacing quantization makes ~2.2 Mbit/s the ideal loopback reading
-        assert 1.5e6 <= verdict.measured_bps <= 3.2e6
-        for s in (prover_sock, verifier_sock, *challenger_socks.values()):
-            s.close()
+def scenario(attack=None, **protocol):
+    """A scenario on the simulator's loopback topology; each attack entry is
+    (challenger id, strategy name, its parameters)."""
+    challengers = {str(i): {"name": name, **kw} for i, name, kw in attack or ()}
+    return parse_scenario({"protocol": protocol, "topology": LOOPBACK, "attack": {"challengers": challengers}})
 
 
-def run_with_dead_report(params, dead_id):
-    """A loopback measurement in which challenger `dead_id` sends its report
-    to a socket nobody reads: (verdict, prover stats). The prover serves
-    until the verifier's deadline plus one reply bound."""
-    ids = range(1, params.n + 1)
-    prover_key = keygen(os.urandom(32))
-    keys = {i: keygen(os.urandom(32)) for i in ids}
-    socks = {name: udp_socket() for name in ("prover", "verifier", "dead", *ids)}
-    prover_addr = socks["prover"].getsockname()
-    verifier_addr = socks["verifier"].getsockname()
-    deadline = params.t0_ns + 3 * params.duration_ns
+def live_session(cfg, start_ms=300):
+    """(session, prover keypair, challenger keypairs) of `cfg` at seed 0, its
+    t0 `start_ms` from now: the deadline is the scenario's, three durations
+    after t0 by default, and the prover serves until one reply bound later."""
+    return session_for(dataclasses.replace(cfg.protocol, t0_ns=time.time_ns() + start_ms * MS), cfg.attack, seed=0)
+
+
+def run_loopback(session, prover_key, keys):
+    """One run over loopback, a thread for the prover and for each challenger
+    and the verifier on the caller's: (verifier, prover stats, challengers by id)."""
+    socks = {name: udp_socket() for name in ("prover", "verifier", *keys)}
+    prover_addr, verifier_addr = socks["prover"].getsockname(), socks["verifier"].getsockname()
     results = {}
 
     def prover_main():
-        results["prover"] = serve_prover(
-            socks["prover"],
-            PROVER_ID,
-            prover_key,
-            params,
-            verifier_addr,
-            stop_ns=deadline + live.REPLY_TIMEOUT_NS,
-        )
-
-    def verifier_main():
-        results["verdict"] = run_verifier(
-            socks["verifier"],
-            params,
-            {i: kp.public_key for i, kp in keys.items()},
-            PROVER_ID,
-            prover_key.public_key,
-            prover_addr,
-            deadline_ns=deadline,
-        )
+        results["prover"] = serve_prover(socks["prover"], session, prover_key, verifier_addr)
 
     def challenger_main(cid):
-        report_to = socks["dead"] if cid == dead_id else socks["verifier"]
-        run_challenger(
-            socks[cid],
-            cid,
-            keys[cid],
-            PROVER_ID,
-            prover_key.public_key,
-            prover_addr,
-            report_to.getsockname(),
-            params,
-        )
+        results[cid] = run_challenger(socks[cid], session, cid, keys[cid], prover_addr, verifier_addr)
 
     threads = [
         threading.Thread(target=prover_main),
-        threading.Thread(target=verifier_main),
-        *(threading.Thread(target=challenger_main, args=(i,)) for i in ids),
+        *(threading.Thread(target=challenger_main, args=(i,)) for i in keys),
     ]
     try:
         for t in threads:
             t.start()
+        verifier = run_verifier(socks["verifier"], session, prover_addr)
         for t in threads:
             t.join(timeout=10)
         assert not any(t.is_alive() for t in threads)
     finally:
         for sock in socks.values():
             sock.close()
-    return results["verdict"], results["prover"]
+    return verifier, results.pop("prover"), results
+
+
+class TestLoopback:
+    def test_three_challenger_measurement(self):
+        # 2 Mbit/s claim, 200 ms window: 11 probes per challenger, 33 needed
+        session, prover_key, keys = live_session(
+            scenario(theta_claimed_bps=2e6, n=3, duration_ns=200 * MS, rate_policy="per_n")
+        )
+        assert session.params.k == 11 and session.params.threshold == 33
+        verifier, stats, challengers = run_loopback(session, prover_key, keys)
+
+        assert stats.responded
+        assert stats.challengers_seen == 3
+        assert stats.pings_answered == 60
+
+        for me in challengers.values():
+            assert me.failure is None
+            assert me.report_sent
+            assert me.acked_count >= session.params.k
+
+        verdict = verifier.output
+        assert verdict is not None
+        assert verdict.cnt == 33
+        assert verdict.reports_used == 3
+        assert verdict.disputes_upheld == 0
+        # pacing quantization makes ~2.2 Mbit/s the ideal loopback reading
+        assert 1.5e6 <= verdict.measured_bps <= 3.2e6
+
+    def test_timer_mode_session_settles_at_its_deadline(self):
+        # f = 2 of n = 5 is only tolerable with a deadline; a lazy verifier
+        # would refuse it, so the verdict comes from `evaluate` at the deadline
+        cfg = scenario(theta_claimed_bps=2e6, n=5, f=2, duration_ns=200 * MS, timer_mode=True)
+        session, prover_key, keys = live_session(cfg)
+        assert session.timer_mode and session.params.threshold == 33
+        verifier, stats, _ = run_loopback(session, prover_key, keys)
+        assert stats.responded
+        verdict = verifier.output
+        assert verdict is not None
+        assert verifier.output_ns >= session.deadline_ns
+        assert verdict.reports_used == 5
+        assert verdict.cnt == 33
 
 
 class TestDeadlineDisputes:
     def test_withheld_report_is_recovered_by_a_dispute(self):
         # f = 1 of n = 4: k = 8, threshold 24, so the three reports alone
         # fall short and the verdict waits for the fourth count
-        params = derive_params(
-            2e6,
-            4,
-            1,
-            duration_ns=200 * MS,
-            rate_policy=RatePolicy.PER_N,
-            t0_ns=time.time_ns() + 500 * MS,
-            m0=os.urandom(32),
+        cfg = scenario(
+            [(2, "withhold_report", {})], theta_claimed_bps=2e6, n=4, f=1, duration_ns=200 * MS, rate_policy="per_n"
         )
-        verdict, stats = run_with_dead_report(params, dead_id=2)
+        session, prover_key, keys = live_session(cfg)
+        verifier, stats, challengers = run_loopback(session, prover_key, keys)
+        assert challengers[2].report_sent  # made, and withheld by the attack
         assert stats.responded and stats.disputes_unsent == 0
+        verdict = verifier.output
         assert verdict is not None
         assert verdict.disputes_upheld == 1
         assert verdict.reports_used == 3
-        assert verdict.cnt >= params.threshold
+        assert verdict.cnt >= session.params.threshold
 
     def test_dispute_over_2048_bytes_is_upheld(self):
         # f = 0 of n = 3: the prover waits for k = 33 probes from each, so
         # the dispute carries at least 33 probes, 2 323 bytes or more
-        params = derive_params(
-            10e6,
-            3,
-            0,
-            duration_ns=120 * MS,
-            rate_policy=RatePolicy.PER_N,
-            t0_ns=time.time_ns() + 500 * MS,
-            m0=os.urandom(32),
+        cfg = scenario(
+            [(3, "withhold_report", {})], theta_claimed_bps=10e6, n=3, duration_ns=120 * MS, rate_policy="per_n"
         )
-        assert params.k == 33
-        verdict, _ = run_with_dead_report(params, dead_id=3)
+        session, prover_key, keys = live_session(cfg)
+        assert session.params.k == 33
+        verdict = run_loopback(session, prover_key, keys)[0].output
         assert verdict is not None
         assert verdict.disputes_upheld == 1
         assert dict(verdict.per_challenger)[3] == 33
 
+    def test_one_unpaced_burst_of_991_probes_draws_a_response(self):
+        # the prover's receive buffer holds every probe of the run; at the
+        # host default (212 992 bytes) it kept about 211 of these 991
+        session, prover_key, _ = live_session(
+            scenario(theta_claimed_bps=1e9, n=1, duration_ns=12 * MS), start_ms=200
+        )
+        assert session.params.k == 991
+        prover_sock, verifier_sock, me = udp_socket(), udp_socket(), udp_socket()
+        prover, results = serve_in_thread(prover_sock, session, prover_key, verifier_sock.getsockname())
+        try:
+            send_unchecked_train(me, prover_sock.getsockname(), session.params.k)
+            me.settimeout(2)
+            assert isinstance(wire.decode(me.recv(live.MAX_DATAGRAM)), wire.ResponsePacket)
+            prover.join(timeout=5)
+            assert not prover.is_alive()
+        finally:
+            for sock in (prover_sock, verifier_sock, me):
+                sock.close()
+        assert results["stats"].probes_seen == 991
+
     def test_oversize_dispute_is_counted_not_sent(self):
         # n = 1 at 1 Gbit/s over 12 ms: k = 991, so the dispute holds at
         # least 991 probes, over the one-datagram limit
-        params = derive_params(1e9, 1, 0, duration_ns=12 * MS, m0=os.urandom(32))
-        assert params.k == 991
+        session, prover_key, _ = live_session(scenario(theta_claimed_bps=1e9, n=1, duration_ns=12 * MS))
+        assert session.params.k == 991
         prover_sock, verifier_sock, me = udp_socket(), udp_socket(), udp_socket()
-        prover, results = serve_in_thread(prover_sock, params, verifier_sock.getsockname())
+        prover, results = serve_in_thread(prover_sock, session, prover_key, verifier_sock.getsockname())
         try:
             addr = prover_sock.getsockname()
-            send_unchecked_train(me, addr, params.k)
+            send_unchecked_train(me, addr, session.params.k)
             me.settimeout(2)
             assert isinstance(wire.decode(me.recv(live.MAX_DATAGRAM)), wire.ResponsePacket)
             verifier_sock.sendto(wire.encode(wire.DisputeRequest(1)), addr)
@@ -254,13 +198,13 @@ class TestDeadlineDisputes:
         assert stats.disputes_unsent == 1
 
     def test_only_the_verifiers_first_request_is_answered(self):
-        params = derive_params(2e6, 1, 0, duration_ns=200 * MS, m0=os.urandom(32))
+        session, prover_key, _ = live_session(scenario(theta_claimed_bps=2e6, n=1, duration_ns=200 * MS), start_ms=0)
         socks = prover_sock, verifier_sock, me, stranger = [udp_socket() for _ in range(4)]
-        prover, results = serve_in_thread(prover_sock, params, verifier_sock.getsockname())
+        prover, results = serve_in_thread(prover_sock, session, prover_key, verifier_sock.getsockname())
         addr = prover_sock.getsockname()
         request = wire.encode(wire.DisputeRequest(1))
         try:
-            send_unchecked_train(me, addr, params.k)
+            send_unchecked_train(me, addr, session.params.k)
             me.settimeout(2)
             verifier_sock.settimeout(2)
             assert isinstance(wire.decode(me.recv(live.MAX_DATAGRAM)), wire.ResponsePacket)
@@ -288,15 +232,13 @@ class TestDeadlineDisputes:
         assert results["stats"].disputes_unsent == 0
 
 
-def serve_in_thread(sock, params, verifier_addr, stop_ms=1_000):
-    """(thread, results): `serve_prover` on `sock` for `stop_ms`, its stats in
+def serve_in_thread(sock, session, keypair, verifier_addr):
+    """(thread, results): `serve_prover` on `sock`, its stats in
     results["stats"] once the thread ends."""
     results = {}
 
     def main():
-        results["stats"] = serve_prover(
-            sock, PROVER_ID, keygen(os.urandom(32)), params, verifier_addr, stop_ns=time.time_ns() + stop_ms * MS
-        )
+        results["stats"] = serve_prover(sock, session, keypair, verifier_addr)
 
     thread = threading.Thread(target=main)
     thread.start()
@@ -304,14 +246,13 @@ def serve_in_thread(sock, params, verifier_addr, stop_ms=1_000):
 
 
 def send_unchecked_train(sock, prover_addr, k):
-    """Challenger 1's k probes with zero signatures: the prover stores probes
-    without checking them, so they trip its threshold all the same. Sent in
-    chunks of 32, each drained by a ping before the next: on loopback a
-    default 212 992-byte receive buffer overflows within a burst of 100."""
+    """Challenger 1's k probes with zero signatures, in one unpaced burst: the
+    prover stores probes without checking them, so they trip its threshold all
+    the same. A ping first: once it is echoed, the prover has sized its
+    receive buffer."""
+    ping_through(sock, prover_addr, nonce=2**63)
     for q in range(1, k + 1):
         sock.sendto(wire.encode(wire.ChallengePacket(1, q, bytes(8), bytes(64))), prover_addr)
-        if q % 32 == 0 and q < k:
-            ping_through(sock, prover_addr, nonce=2**63 + q)
 
 
 def ping_through(sock, prover_addr, nonce):
@@ -322,16 +263,50 @@ def ping_through(sock, prover_addr, nonce):
         pass
 
 
+class TestNetsimAgainstLoopback:
+    """The simulator and the UDP harness run the same session the same way.
+
+    Each case is one scenario; the simulator runs it at t0 = 0 (its float
+    link clock cannot hold nanoseconds at epoch-scale times) and loopback
+    at an epoch t0, so their params differ in t0_ns alone. `measured` is
+    the host's timing over loopback, so it only has to agree within a
+    factor of 2. Left out of the cases: `withhold_fraction`, since each
+    transport draws its own RNG, and `share_keys` / `colluding_early`,
+    since over UDP the prover never holds a challenger's secret key.
+    """
+
+    CASES = {
+        "honest": ((), 0),
+        "withhold_report": ([(2, "withhold_report", {})], 1),
+        # an honest prover stalls on one under-reported count: no verdict on
+        # either transport until the deadline also disputes short reports
+        "misreport_count": ([(1, "misreport_count", {"count": 1})], None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_outcome_on_both_transports(self, case):
+        attack, upheld = self.CASES[case]
+        cfg = scenario(attack, theta_claimed_bps=4e6, n=4, f=1, duration_ns=150 * MS)
+        sim = run_scenario(cfg, seed=0, collect_trace=False)
+        session, prover_key, keys = live_session(cfg, start_ms=300)
+        verifier, _, _ = run_loopback(session, prover_key, keys)
+
+        assert dataclasses.replace(session.params, t0_ns=0) == sim.params
+        assert sorted(reason for _, reason in verifier.rejections) == sorted(reason for _, reason in sim.rejections)
+        out = verifier.output
+        if upheld is None:
+            assert out is None and sim.output is None
+            return
+        assert out is not None and sim.output is not None
+        assert out.disputes_upheld == sim.output.disputes_upheld == upheld
+        assert [i for i, _ in out.per_challenger] == [i for i, _ in sim.output.per_challenger] == [1, 2, 3, 4]
+        assert 0.5 <= out.measured_bps / sim.output.measured_bps <= 2
+
+
 class TestPacing:
     def test_train_is_signed_before_the_first_paced_send(self, monkeypatch):
-        params = derive_params(
-            2e6,
-            3,
-            0,
-            duration_ns=20 * MS,
-            rate_policy=RatePolicy.PER_N,
-            t0_ns=time.time_ns() + 50 * MS,
-            m0=os.urandom(32),
+        session, _, keys = live_session(
+            scenario(theta_claimed_bps=2e6, n=3, duration_ns=20 * MS, rate_policy="per_n"), start_ms=50
         )
         signs = []
         real_sign, real_sleep = roles.sign, live._sleep_until
@@ -350,21 +325,12 @@ class TestPacing:
         monkeypatch.setattr(live, "_sleep_until", recording_sleep)
         sock, prover_sock = udp_socket(), udp_socket()
         try:
-            me = run_challenger(
-                sock,
-                1,
-                keygen(os.urandom(32)),
-                PROVER_ID,
-                keygen(os.urandom(32)).public_key,
-                prover_sock.getsockname(),
-                prover_sock.getsockname(),
-                params,
-                latency_ns=MS,
-            )
+            addr = prover_sock.getsockname()
+            me = run_challenger(sock, session, 1, keys[1], addr, addr, latency_ns=MS)
         finally:
             sock.close()
             prover_sock.close()
-        total = params.signatures_per_challenger
+        total = session.params.signatures_per_challenger
         assert me.delta_ns is None  # nobody answered
         assert signed_at_sleep == [total] * total
         assert len(signs) == total
@@ -382,63 +348,49 @@ class TestAbsentPeers:
             me.close()
 
     def test_invalid_prover_key_fails_before_any_ping(self):
-        dead = udp_socket()  # bound but never served
-        me = udp_socket()
-        params = derive_params(2e6, 3, 0, duration_ns=200 * MS, rate_policy=RatePolicy.PER_N)
+        # the session refuses the key, so no endpoint is ever built on it
+        session, _, _ = live_session(scenario(theta_claimed_bps=2e6, n=3, rate_policy="per_n"))
         identity = b"\x01" + bytes(31)  # a small-order point
-        start = time.monotonic()
+        with pytest.raises(ValueError, match="public key"):
+            dataclasses.replace(session, prover_public_key=identity)
+
+    def test_rush_has_no_side_channel_over_udp(self):
+        cfg = scenario([(1, "rush", {})], theta_claimed_bps=2e6, n=4, f=1, rate_policy="per_n")
+        session, _, keys = live_session(cfg, start_ms=50)
+        sock, prover_sock = udp_socket(), udp_socket()
         try:
-            with pytest.raises(ValueError, match="public key"):
-                run_challenger(
-                    me,
-                    1,
-                    keygen(os.urandom(32)),
-                    PROVER_ID,
-                    identity,
-                    dead.getsockname(),
-                    dead.getsockname(),
-                    params,
-                )
+            addr = prover_sock.getsockname()
+            with pytest.raises(AttackError, match="side channel"):
+                run_challenger(sock, session, 1, keys[1], addr, addr, latency_ns=MS)
+            prover_sock.settimeout(0.05)
+            with pytest.raises(socket.timeout):
+                prover_sock.recv(live.MAX_DATAGRAM)  # not one probe went out
         finally:
-            dead.close()
-            me.close()
-        assert time.monotonic() - start < 1.0
+            sock.close()
+            prover_sock.close()
 
     def test_verifier_with_no_traffic_returns_none(self):
-        params = derive_params(
-            2e6, 3, 0, duration_ns=200 * MS, rate_policy=RatePolicy.PER_N
-        )
+        session, _, _ = live_session(scenario(theta_claimed_bps=2e6, n=3, duration_ns=100 * MS), start_ms=0)
         sock, dead = udp_socket(), udp_socket()
         try:
-            out = run_verifier(
-                sock,
-                params,
-                {},
-                PROVER_ID,
-                keygen(os.urandom(32)).public_key,
-                dead.getsockname(),
-                deadline_ns=time.time_ns() + 100 * MS,
-            )
+            verifier = run_verifier(sock, session, dead.getsockname())
         finally:
             sock.close()
             dead.close()
-        assert out is None
+        assert verifier.output is None
 
     def test_lazy_verifier_does_not_settle_on_one_corrupt_report(self):
         # f = 1 of n = 4: a lone report claiming a 1 ns round trip must not
         # become a verdict when the deadline passes
-        params = derive_params(
-            2e6, 4, 1, duration_ns=200 * MS, rate_policy=RatePolicy.PER_N
-        )
-        prover_key = keygen(os.urandom(32))
-        keys = {i: keygen(os.urandom(32)) for i in (1, 2, 3, 4)}
-        root = os.urandom(32)
+        cfg = scenario(theta_claimed_bps=2e6, n=4, f=1, duration_ns=100 * MS, rate_policy="per_n")
+        session, prover_key, _ = live_session(cfg, start_ms=0)
+        root = bytes(range(32))
         announcement = wire.ResponsePacket(
             receipt=bytes(32), root=root, signature=sign(prover_key.secret_key, bytes(32) + root)
         )
         corrupt = wire.ChallengerReport(
             challenger_id=1,
-            prover_id=PROVER_ID,
+            prover_id=session.prover_id,
             merkle_root_seen=root,
             rtt_ns=1,
             packets_acknowledged=10**6,
@@ -447,16 +399,9 @@ class TestAbsentPeers:
         try:
             for msg in (announcement, corrupt):
                 sender.sendto(wire.encode(msg), sock.getsockname())
-            out = run_verifier(
-                sock,
-                params,
-                {i: kp.public_key for i, kp in keys.items()},
-                PROVER_ID,
-                prover_key.public_key,
-                sender.getsockname(),
-                deadline_ns=time.time_ns() + 300 * MS,
-            )
+            verifier = run_verifier(sock, session, sender.getsockname())
         finally:
             sock.close()
             sender.close()
-        assert out is None
+        assert verifier.output is None
+        assert 1 in verifier.entries  # the report was taken, and settled nothing

@@ -18,7 +18,7 @@ from backhaul import roles, wire
 from backhaul.config import parse_scenario
 from backhaul.crypto import hash_packet_set, keygen, probe_message, sign
 from backhaul.netsim import run_scenario
-from backhaul.roles import VERIFIER, Challenger, Prover, Verifier, upper_median
+from backhaul.roles import VERIFIER, Challenger, Prover, Session, Verifier, upper_median
 from backhaul.schedule import ParamsError, RatePolicy, derive_params, send_schedule
 from backhaul.wire import (
     ChallengePacket,
@@ -65,24 +65,22 @@ def world(
         for i in range(1, n + 1)
     }
     pkey = keygen(hashlib.sha256(f"pk:{seed}".encode()).digest())
-    challengers = {
-        i: Challenger(i, ckeys[i], PROVER_ID, pkey.public_key, params, sched)
-        for i in range(1, n + 1)
-    }
-    prover = Prover(PROVER_ID, pkey, params)
-    verifier = Verifier(
+    session = Session(
         params,
-        {i: ckeys[i].public_key for i in range(1, n + 1)},
         PROVER_ID,
         pkey.public_key,
+        {i: ckeys[i].public_key for i in range(1, n + 1)},
+        deadline_ns=3 * duration_ns,
         timer_mode=timer_mode,
     )
+    challengers = {i: Challenger(session, i, ckeys[i], sched) for i in range(1, n + 1)}
     return SimpleNamespace(
+        session=session,
         params=params,
         schedule=sched,
         challengers=challengers,
-        prover=prover,
-        verifier=verifier,
+        prover=Prover(session, pkey),
+        verifier=Verifier(session),
         keys=ckeys,
         prover_key=pkey,
     )
@@ -484,7 +482,7 @@ class TestSplitFreeze:
     def test_leaves_and_bundle_equal_the_serial_loop(self, monkeypatch, n, width):
         cpus(monkeypatch, width)
         w = world(n=n, k=5)
-        twin = Prover(PROVER_ID, w.prover_key, w.params)
+        twin = Prover(w.session, w.prover_key)
         store_unevenly(w, w.prover, twin)
         sizes = [len(w.prover.received[i]) for i in range(1, n + 1)]
         assert sum(sizes) and (n == 1 or 0 in sizes)
@@ -742,12 +740,12 @@ class TestVerifier:
 
     def test_lazy_verifier_refuses_the_timer_mode_bound(self):
         # n=5, f=2 is only sound with a deadline: a lazy verifier would take
-        # two corrupt reports with rtt_ns=1 and one honest one as n - f
+        # two corrupt reports with rtt_ns=1 and one honest one as n - f, so
+        # no lazy session, and so no lazy verifier, can be built for it
         w = world(n=5, f=2, k=5, timer_mode=True)
-        keys = {i: kp.public_key for i, kp in w.keys.items()}
         with pytest.raises(ParamsError, match="need f < n/3"):
-            Verifier(w.params, keys, PROVER_ID, w.prover_key.public_key)
-        assert Verifier(w.params, keys, PROVER_ID, w.prover_key.public_key, timer_mode=True).timer_mode
+            dataclasses.replace(w.session, timer_mode=False)
+        assert Verifier(w.session).timer_mode
 
     def test_routes_drive_the_whole_exchange(self):
         w = world()
@@ -790,6 +788,17 @@ class TestDeadlineDisputes:
         assert w.prover.on_message(t - 1, req) is None
         assert w.prover.on_message(t, req) is None
         assert w.prover.on_message(t + 1, req) == w.prover.build_dispute(4)
+
+    def test_prover_answers_each_id_once(self):
+        w = world(n=4, f=1, k=5)
+        assert w.prover.on_message(1 * MS, DisputeRequest(4)) is None  # before the trigger
+        deliver_all(w, skip=(4,))
+        t = w.prover.trigger_ns
+        assert w.prover.on_message(t + 1, DisputeRequest(4), lambda cid: None) is None  # no answer
+        assert w.prover.on_message(t + 1, DisputeRequest(4)) == w.prover.build_dispute(4)
+        assert w.prover.on_message(t + 2, DisputeRequest(4)) is None
+        assert w.prover.on_message(t + 3, DisputeRequest(3)) == w.prover.build_dispute(3)
+        assert w.prover.on_message(t + 4, DisputeRequest(3)) is None
 
     def test_prover_answers_through_the_given_builder(self):
         w = world(n=4, f=1, k=5)

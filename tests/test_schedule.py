@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backhaul.crypto import keygen
-from backhaul.roles import Challenger
+from backhaul.roles import Challenger, Session
 from backhaul.schedule import (
     PACKET_BYTES,
     ChallengeParams,
@@ -120,7 +120,7 @@ class TestOverprovision:
 def train(p, s, cid):
     """(send_time_ns, sequence) per probe, from the challenger's own sends."""
     keypair = keygen(bytes([cid]) * 32)
-    me = Challenger(cid, keypair, 0, keypair.public_key, p, s)
+    me = Challenger(Session(p, 0, keypair.public_key, {}, deadline_ns=0), cid, keypair, s)
     return [(t, pkt.sequence) for t, pkt in me.build_sends()]
 
 

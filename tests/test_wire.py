@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from backhaul import wire
 from backhaul.crypto import keygen, probe_message, sign
-from backhaul.roles import Challenger
+from backhaul.roles import Challenger, Session
 from backhaul.schedule import ChallengeParams, RatePolicy, challenge_data_bytes, derive_params, send_schedule
 
 
@@ -36,7 +36,8 @@ def test_challenge_layout_hand_built():
 def test_lazily_signed_challenge_encodes_like_an_eager_one():
     params = derive_params(2e6, 3, 0, duration_ns=200_000_000, m0=b"\x05" * 32)
     key = keygen(b"\x09" * 32)
-    me = Challenger(2, key, 77, keygen(b"\x0a" * 32).public_key, params, send_schedule(params, [0] * 3))
+    session = Session(params, 77, keygen(b"\x0a" * 32).public_key, {}, deadline_ns=0)
+    me = Challenger(session, 2, key, send_schedule(params, [0] * 3))
     _, pkt = me.build_sends()[4]
     signature = sign(key.secret_key, probe_message(5, params.m0))
     eager = wire.ChallengePacket(challenger_id=2, sequence=5, nonce=pkt.nonce, signature=signature)
