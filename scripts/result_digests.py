@@ -1,9 +1,22 @@
 """Print one SHA-256 digest per simulated case, as canonical JSON.
 
-A digest covers the `SimResult` fields listed in FIELDS, each by name and
-repr, so a field added to `SimResult` later does not move it. Comparing
-the digests of two checkouts shows in one command whether a change to
-the simulator kept every result bit-identical:
+A run's digest is SHA-256 over compact, sorted-key JSON of a value
+encoding of its `SimResult`. LISTED names, for each recorded class, the
+stored values it contributes; a listed record becomes `{name: value}`,
+each read by `getattr`. A float is written by `float.hex`, bytes as hex
+and an enum by its `.value`; a tuple becomes a list and a dict a list of
+`[key, value]` pairs sorted by key; None, bool, int and str stay as JSON.
+Anything else raises TypeError, so an unlisted record cannot slip in
+through its repr. Config and artifact digests hash the bytes they cover.
+
+A field added to a listed class stays out of the digests until it is
+listed. To drop a listed name, unlist it, run this script with the
+parent's code on the path and compare the change against that output.
+To add one, compare with it still unlisted, then list it. Either way,
+re-record tests/golden_digests.json with `--cases golden`.
+
+Comparing the digests of two checkouts shows in one command whether a
+change to the simulator kept every result bit-identical:
 
     PYTHONPATH=/path/to/parent/src python3 scripts/result_digests.py > parent.json
     PYTHONPATH=src python3 scripts/result_digests.py --compare parent.json
@@ -33,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import hashlib
 import json
 import sys
@@ -41,7 +55,7 @@ from backhaul import ladder
 from backhaul.adversary import fuzz_strategies
 from backhaul.cli import bundled_names, load_bundled
 from backhaul.config import LadderSpec, parse_scenario, scenario_to_dict
-from backhaul.netsim import run_scenario
+from backhaul.netsim import SimResult, run_scenario
 from backhaul.report import (
     build_report,
     csv_bytes,
@@ -51,26 +65,51 @@ from backhaul.report import (
     render_table,
     to_json_bytes,
 )
+from backhaul.roles import PoBOutput
+from backhaul.schedule import ChallengeParams
 
 MS = 1_000_000
 
-# SimResult fields as of the first recorded digests; keep this list fixed
-FIELDS = (
-    "output",
-    "output_ns",
-    "terminated",
-    "params",
-    "schedule",
-    "latency_estimates_ns",
-    "deltas_ns",
-    "trigger_ns",
-    "timed_out",
-    "drops",
-    "max_queue_bytes",
-    "challenger_failures",
-    "rejections",
-    "trace",
-)
+# the stored values each recorded class contributes to a digest
+LISTED = {
+    SimResult: (
+        "output",
+        "output_ns",
+        "params",
+        "latency_estimates_ns",
+        "deltas_ns",
+        "trigger_ns",
+        "timed_out",
+        "drops",
+        "max_queue_bytes",
+        "challenger_failures",
+        "rejections",
+        "trace",
+        "clamped_sends",
+    ),
+    PoBOutput: (
+        "measured_bps",
+        "guaranteed_bps",
+        "delta_ns",
+        "cnt",
+        "reports_used",
+        "disputes_upheld",
+        "per_challenger",
+    ),
+    ChallengeParams: (
+        "theta_claimed_bps",
+        "n",
+        "f",
+        "duration_ns",
+        "k",
+        "theta0_bps",
+        "rate_policy",
+        "overprovision",
+        "b",
+        "t0_ns",
+        "m0",
+    ),
+}
 
 LOSSY_BACKHAUL = {
     "backhaul_loss_prob": 0.02,
@@ -100,18 +139,26 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def recorded_repr(name: str, value) -> str:
-    """repr(value) as the recorded digests saw it. A schedule's repr showed
-    `sigs_per_packet=1` until probes became one signature each; that constant
-    is put back, so every field that remains is still compared."""
-    text = repr(value)
-    if name == "schedule":
-        text = text.replace(", first_send_ns=", ", sigs_per_packet=1, first_send_ns=", 1)
-    return text
+def encode(value):
+    """`value` as JSON data, by the rules in the module docstring."""
+    names = LISTED.get(type(value))
+    if names is not None:
+        return {name: encode(getattr(value, name)) for name in names}
+    if value is None or type(value) in (bool, int, str):
+        return value
+    if type(value) in (float, bytes):
+        return value.hex()
+    if isinstance(value, enum.Enum):
+        return encode(value.value)
+    if type(value) is tuple:
+        return [encode(v) for v in value]
+    if type(value) is dict:
+        return [[encode(k), encode(v)] for k, v in sorted(value.items())]
+    raise TypeError(f"no digest encoding for {type(value).__name__}")
 
 
 def digest(res) -> str:
-    return sha("\n".join(f"{name}={recorded_repr(name, getattr(res, name))}" for name in FIELDS).encode())
+    return sha(json.dumps(encode(res), sort_keys=True, separators=(",", ":")).encode())
 
 
 def report_artifacts(name: str, cfg, seeds) -> dict[str, str]:

@@ -9,10 +9,11 @@ searches for available bandwidth, `report` folds runs into artifacts,
 """
 
 from .config import ScenarioConfig, load_scenario, parse_scenario
+from .crypto import keygen
 from .ladder import LadderResult, run_ladder
 from .netsim import SimResult, run_scenario
 from .report import RunReport, build_report
-from .roles import Challenger, PoBOutput, Prover, Verifier
+from .roles import Challenger, PoBOutput, Prover, Session, Verifier
 from .schedule import ChallengeParams, RatePolicy, derive_params, send_schedule
 
 __version__ = "0.1.0"
@@ -26,11 +27,13 @@ __all__ = [
     "RatePolicy",
     "RunReport",
     "ScenarioConfig",
+    "Session",
     "SimResult",
     "Verifier",
     "__version__",
     "build_report",
     "derive_params",
+    "keygen",
     "load_scenario",
     "parse_scenario",
     "run_ladder",

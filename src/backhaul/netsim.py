@@ -60,7 +60,6 @@ from .schedule import (
     PING_SAMPLES,
     ChallengeParams,
     RatePolicy,
-    SendSchedule,
     derive_params,
     estimate_latency,
     send_schedule,
@@ -248,7 +247,6 @@ class SimResult:
     output: PoBOutput | None
     output_ns: int | None
     params: ChallengeParams
-    schedule: SendSchedule
     latency_estimates_ns: tuple[int, ...]
     deltas_ns: dict[int, int | None]
     trigger_ns: int | None
@@ -443,8 +441,8 @@ class _Run:
         if self.trace is not None:
             self.trace.append(line)
 
-    def ping(self) -> tuple[tuple[int, ...], SendSchedule]:
-        """(latency estimates, schedule); the roles are built on the schedule."""
+    def ping(self) -> tuple[int, ...]:
+        """The latency estimates; the roles are built on the schedule they give."""
         params, bh_spec = self.params, self.bh_link.spec
         l_est = tuple(
             _ping_latency_estimate(self.up_links[i].spec, bh_spec, random.Random(f"{self.seed}:ping:{i}"))
@@ -462,7 +460,7 @@ class _Run:
         self.challengers = {i: Challenger(session, i, self.ckeys[i], schedule) for i in self.ids}
         self.prover = Prover(session, self.pkey)
         self.verifier = Verifier(session)
-        return l_est, schedule
+        return l_est
 
     def probe_pass(self) -> int:
         """The data plane through the prover's intake; the number of clamped sends."""
@@ -550,7 +548,7 @@ class _Run:
             if (d := prover.on_message(now, req, build)) is not None:
                 self.loop.at(now + 2 * self.vprop, partial(self.to_verifier, d))
 
-    def result(self, l_est: tuple, schedule: SendSchedule, timed_out: tuple, clamped_sends: int) -> SimResult:
+    def result(self, l_est: tuple, timed_out: tuple, clamped_sends: int) -> SimResult:
         prover, verifier, bh_stats = self.prover, self.verifier, self.bh_link.stats
         drops = {
             "uplink_lost": sum(l.stats.lost for l in self.up_links.values()),
@@ -576,7 +574,6 @@ class _Run:
             output=out,
             output_ns=verifier.output_ns,
             params=self.params,
-            schedule=schedule,
             latency_estimates_ns=l_est,
             deltas_ns={i: c.delta_ns for i, c in self.challengers.items()},
             trigger_ns=prover.trigger_ns,
@@ -593,7 +590,7 @@ class _Run:
 def run_scenario(scenario: ScenarioConfig, seed: int, collect_trace: bool = True) -> SimResult:
     """Simulate one challenge run of `scenario` at `seed`, one step per phase."""
     run = _Run(scenario, seed, collect_trace)
-    l_est, schedule = run.ping()
+    l_est = run.ping()
     clamped_sends = run.probe_pass()
     timed_out = run.settle()
-    return run.result(l_est, schedule, timed_out, clamped_sends)
+    return run.result(l_est, timed_out, clamped_sends)

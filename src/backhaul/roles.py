@@ -154,7 +154,6 @@ class Challenger:
         self.keypair = keypair
         self.session = session
         self.params = params = session.params
-        self.schedule = schedule
         self.t_first_ns = schedule.first_send_ns[challenger_id - 1]
         # no response by this local time is a timeout
         self.give_up_ns = self.t_first_ns + round(DEFAULT_TIMEOUT_FACTOR * params.duration_ns)
@@ -184,12 +183,11 @@ class Challenger:
     def build_sends(self) -> list[tuple[int, ChallengePacket]]:
         """(send_time_ns, packet) pairs for the whole probe train; each
         probe's signature is made when first read."""
-        sched = self.schedule
         t1 = self.t_first_ns
         cid = self.id
         return [
             (t1 + offset, _new_tuple(ChallengePacket, (cid, q, nonce, _SignatureOnRead(self, q))))
-            for offset, q, nonce in _train_layout(sched.signatures, sched.spacing_ns)
+            for offset, q, nonce in _train_layout(self._limit, self.params.spacing_ns)
         ]
 
     def on_message(self, now_ns: int, msg) -> ChallengerReport | None:

@@ -18,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .wire import WIRE_PACKET_LEN
 
@@ -59,9 +59,10 @@ class ChallengeParams:
     theta0_bps: float
     rate_policy: RatePolicy
     overprovision: float = DEFAULT_OVERPROVISION
-    b: int = PACKET_BYTES
     t0_ns: int = 0
     m0: bytes = bytes(32)
+    # bytes per probe packet, the same for every challenge
+    b: ClassVar[int] = PACKET_BYTES
     _signatures: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,7 +106,6 @@ def derive_params(
     overprovision: float = DEFAULT_OVERPROVISION,
     t0_ns: int = 0,
     m0: bytes = bytes(32),
-    b: int = PACKET_BYTES,
     timer_mode: bool = False,
 ) -> ChallengeParams:
     """Derive per-challenger rate and packet count for a claimed bandwidth.
@@ -126,7 +126,7 @@ def derive_params(
     if len(m0) != 32:
         raise ParamsError(f"m0 must be 32 bytes, got {len(m0)}")
     m = n if rate_policy is RatePolicy.PER_N else n - f
-    k = round(duration_ns * 1e-9 * theta_claimed_bps / (m * b * 8))
+    k = round(duration_ns * 1e-9 * theta_claimed_bps / (m * PACKET_BYTES * 8))
     if k < 1:
         raise ParamsError(
             f"duration {duration_ns} ns too short: k={k} at theta={theta_claimed_bps} n={n}"
@@ -140,7 +140,6 @@ def derive_params(
         theta0_bps=theta_claimed_bps / m,
         rate_policy=rate_policy,
         overprovision=overprovision,
-        b=b,
         t0_ns=t0_ns,
         m0=m0,
     )
@@ -153,16 +152,15 @@ def challenge_data_bytes(params: ChallengeParams) -> int:
 
 @dataclass(frozen=True)
 class SendSchedule:
-    """Aligned first-send times plus pacing for each challenger.
+    """What the pings decide: each challenger's aligned first send and
+    estimated one-way latency, indexed by id - 1.
 
-    Each challenger sends `signatures` probes, one signature each: probe q
+    Everything else about the train comes from `ChallengeParams`: probe q
     of challenger i goes out at first_send_ns[i-1] plus (q - 1) *
-    spacing_ns. `Challenger.build_sends` builds that train.
+    `spacing_ns`, for q up to `signatures_per_challenger`, one signature
+    each. `Challenger.build_sends` builds that train.
     """
 
-    t0_ns: int
-    spacing_ns: float
-    signatures: int
     first_send_ns: tuple[int, ...]
     latency_ns: tuple[int, ...]
 
@@ -174,14 +172,7 @@ def send_schedule(params: ChallengeParams, latencies_ns: Sequence[int]) -> SendS
     if any(l < 0 for l in latencies_ns):
         raise ParamsError("latency estimates must be nonnegative")
     l_ref = max(latencies_ns)
-    first = tuple(params.t0_ns + (l_ref - l) for l in latencies_ns)
-    return SendSchedule(
-        t0_ns=params.t0_ns,
-        spacing_ns=params.spacing_ns,
-        signatures=params.signatures_per_challenger,
-        first_send_ns=first,
-        latency_ns=tuple(latencies_ns),
-    )
+    return SendSchedule(tuple(params.t0_ns + (l_ref - l) for l in latencies_ns), tuple(latencies_ns))
 
 
 # round trips each challenger times before the challenge

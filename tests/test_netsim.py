@@ -356,7 +356,7 @@ class TestIdealRun:
         assert res.timed_out == ()
         # the overprovision tail arrives after the prover commits its answer
         p = res.params
-        rho_k = res.schedule.signatures
+        rho_k = p.signatures_per_challenger
         assert res.drops["prover_late"] == p.n * rho_k - p.threshold
         assert all(v == 0 for k, v in res.drops.items() if k != "prover_late")
 

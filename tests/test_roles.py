@@ -823,3 +823,22 @@ class TestDeadlineDisputes:
         assert w.verifier.output is not None
         assert 4 not in w.verifier.entries
         assert w.verifier.at_deadline() == []
+
+
+class TestPackageExports:
+    def test_every_exported_name_resolves(self):
+        import backhaul
+
+        assert all(hasattr(backhaul, name) for name in backhaul.__all__)
+
+    def test_one_sessions_roles_build_from_top_level_imports(self):
+        from backhaul import Challenger, Prover, Session, Verifier, derive_params, keygen, send_schedule
+
+        params = derive_params(3e6, 3, 0, 100 * MS)
+        ckeys = {i: keygen(bytes([i]) * 32) for i in (1, 2, 3)}
+        pkey = keygen(bytes(32))
+        session = Session(params, 0, pkey.public_key, {i: k.public_key for i, k in ckeys.items()}, deadline_ns=0)
+        sched = send_schedule(params, [0, 0, 0])
+        challengers = [Challenger(session, i, ckeys[i], sched) for i in ckeys]
+        assert [len(c.build_sends()) for c in challengers] == [params.signatures_per_challenger] * 3
+        assert Prover(session, pkey).params is Verifier(session).params is params

@@ -138,13 +138,13 @@ class TestSendSchedule:
         for cid in (1, 2, 3):
             for t, q in train(p, s, cid):
                 # probe q goes out in its own pacing slot
-                assert t == s.first_send_ns[cid - 1] + round((q - 1) * s.spacing_ns)
+                assert t == s.first_send_ns[cid - 1] + round((q - 1) * p.spacing_ns)
 
     def test_one_signature_per_packet(self):
         p = mk(250e6, 10, 0, 100)
         s = send_schedule(p, [0] * 10)
         sched = train(p, s, 4)
-        assert s.signatures == 227
+        assert p.signatures_per_challenger == 227
         assert [q for _, q in sched] == list(range(1, 228))
         # consecutive sends separated by the pacing gap (rounded)
         gaps = {sched[j + 1][0] - sched[j][0] for j in range(226)}
