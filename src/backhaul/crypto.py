@@ -15,7 +15,10 @@ public key are refused, and so are a small-order R and a small-order
 key. Under a small-order key anyone can forge: with the identity as the
 key, the signature (identity, 0) passes a permissive verifier, OpenSSL's
 among them, for every message. `check_public_key` refuses such keys, and
-keys off the curve, when a `roles.Session` is built.
+keys off the curve, when a `roles.Session` is built: a non-canonical or
+small-order y by integer tests, and a key that does not decode to a point
+by libsodium's decoder (`crypto_core_ed25519_add`), which checks no
+subgroup, so keys of mixed order pass as they pass `verify`.
 
 Domain separation: leaf hashes are prefixed 0x00 and interior hashes
 0x01 so a leaf digest can never be replayed as an interior node.
@@ -68,14 +71,18 @@ _sign_detached.restype = ctypes.c_int
 _verify_detached = _sodium.crypto_sign_ed25519_verify_detached
 _verify_detached.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p)
 _verify_detached.restype = ctypes.c_int
+# 0 with the sum of two points, -1 when an operand does not decode to a
+# point on the curve; 1.0.18 checks no subgroup, so a key of mixed order decodes
+_point_add = _sodium.crypto_core_ed25519_add
+_point_add.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p)
+_point_add.restype = ctypes.c_int
 _Signature = ctypes.c_char * SIG_LEN
+_Point = ctypes.c_char * KEY_LEN
 _BYTES_LIKE = (bytes, bytearray, memoryview)
 
 # a public key encodes y (the low 255 bits, little-endian) and the sign of x
 _P = 2**255 - 19
-_D = -121665 * pow(121666, -1, _P) % _P  # the curve is -x^2 + y^2 = 1 + d x^2 y^2
 _Y_MASK = (1 << 255) - 1
-_X_SIGN = 1 << 255
 # y of the eight small-order points: the identity, the point of order 2,
 # the two of order 4 and the four of order 8 (p and p + 1, which libsodium
 # also lists, are non-canonical y = 0 and y = 1)
@@ -157,7 +164,10 @@ def check_public_key(public_key: bytes) -> bytes:
     can be forged without the secret.
 
     A point of mixed order (a small-order component beside the main one)
-    passes, as it does in `verify`.
+    passes, as it does in `verify`. The y checks are integer tests; whether
+    the key decodes to a point is libsodium's, adding the key to itself.
+    The only points with x = 0 (y = 1 and y = -1) are of small order and
+    refused first, so the sign bit needs no test of its own.
     """
     if not isinstance(public_key, _BYTES_LIKE):
         raise ValueError(f"public key must be bytes, got {type(public_key).__name__}")
@@ -169,26 +179,9 @@ def check_public_key(public_key: bytes) -> bytes:
         raise ValueError(f"public key {key.hex()} is not canonical")
     if y in _SMALL_ORDER_Y:
         raise ValueError(f"public key {key.hex()} is a point of small order")
-    if not _on_curve(key):
+    if _point_add(_Point(), key, key) != 0:
         raise ValueError(f"public key {key.hex()} is not a point on the curve")
     return key
-
-
-@lru_cache(maxsize=256)
-def _on_curve(key: bytes) -> bool:
-    """Whether a key with canonical y decodes to a point: x^2 = u / v, with
-    u = y^2 - 1 and v = d y^2 + 1, has a root mod p, and the root x = 0
-    comes with a clear sign bit. Cached, as a run checks the prover's key
-    once per role and a modular power costs far more than the checks above.
-    """
-    encoded = int.from_bytes(key, "little")
-    y2 = (encoded & _Y_MASK) ** 2
-    u, v = y2 - 1, _D * y2 + 1
-    if u % _P == 0:
-        return not encoded & _X_SIGN
-    # v is never 0 (-1/d is not a square), and u / v is a square exactly
-    # when u * v is: Euler's criterion
-    return pow(u * v, (_P - 1) // 2, _P) == 1
 
 
 def check_m0(m0: bytes) -> bytes:

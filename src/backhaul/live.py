@@ -165,17 +165,21 @@ def run_challenger(
 def run_verifier(sock: socket.socket, session: Session, prover_addr: Addr) -> Verifier:
     """Collect the announcement and reports until the session's deadline, then
     for one reply bound the disputes it requests; the verifier once it has
-    evaluated, its `output` the first verdict or None."""
+    evaluated, its `output` the first verdict or None. A verifier that heard
+    no message by the deadline requests nothing: no prover is answering."""
     verifier = Verifier(session)
 
-    def listen(until_ns: int) -> None:
+    def listen(until_ns: int) -> bool:
+        heard = False
         for now, _, msg in _receive(sock, until_ns):
+            heard = True
             verifier.on_message(now, msg)
             if verifier.output is not None:
-                return
+                break
+        return heard
 
-    listen(session.deadline_ns)
-    requests = verifier.at_deadline()
+    heard = listen(session.deadline_ns)
+    requests = verifier.at_deadline() if heard else []
     for req in requests:
         sock.sendto(wire.encode(req), prover_addr)
     if requests:

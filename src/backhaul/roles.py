@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise
@@ -122,6 +123,47 @@ class _SignatureOnRead:
 
     def __bytes__(self) -> bytes:
         return self._challenger.signature_for(self._q)
+
+
+def _fan_out(items: Sequence, work: Callable) -> None:
+    """`work` on every item, over the CPUs this process may use.
+
+    The items are interleaved into W = min(len(items), usable CPUs) shares:
+    share w takes items w, w + W, ... . The caller runs share 0 and a thread
+    runs each other share, and all are joined before this returns. Threads
+    are enough because libsodium signs and verifies through ctypes, which
+    releases the GIL. A share stops at its first item whose `work` raises;
+    the exception of the lowest such item is raised here, after the join.
+    """
+    if not items:
+        return
+    width = min(len(items), len(os.sched_getaffinity(0)))
+    failures: dict[int, BaseException] = {}
+
+    def share(first: int) -> None:
+        for i in range(first, len(items), width):
+            try:
+                work(items[i])
+            except BaseException as exc:  # raised on the caller, below
+                failures[i] = exc
+                return
+
+    helpers = []
+    try:
+        for first in range(1, width):
+            helper = threading.Thread(target=share, args=(first,))
+            helper.start()
+            helpers.append(helper)
+        share(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+
+
+class _BadSignature(Exception):
+    """A disputed probe whose q is out of range or whose signature fails."""
 
 
 _NONCE = struct.Struct(">Q")
@@ -361,44 +403,20 @@ class Prover:
         return signed
 
     def _build_leaves(self) -> list[bytes]:
-        """Each challenger's receipt, by id, made once at the freeze.
-
-        The receipts are shared out by id over the CPUs this process may
-        use, the ids interleaved: share w takes ids w, w + W, ... . The
-        caller computes share 1 and starts a thread for each other share,
-        and joins them all before the leaves are used. Threads are enough
-        because libsodium signs through ctypes, which releases the GIL.
-        Every packet stored under id i is one of challenger i's, and signs
-        through that challenger's cache, so one thread reads it and each
-        probe is signed once. A failure raises what the serial loop would:
-        that of the lowest failing id.
+        """Each challenger's receipt, by id, made once at the freeze and
+        shared out by id over the CPUs (`_fan_out`). Every packet stored
+        under id i is one of challenger i's, and signs through that
+        challenger's cache, so one thread reads it and each probe is signed
+        once. A failure raises what the serial loop would: that of the
+        lowest failing id.
         """
         if self._leaves is None:
-            n = self.params.n
-            width = min(n, len(os.sched_getaffinity(0)))
-            leaves: list[bytes] = [b""] * n
-            failures: dict[int, BaseException] = {}
+            leaves: list[bytes] = [b""] * self.params.n
 
-            def share(first: int) -> None:
-                for i in range(first, n + 1, width):
-                    try:
-                        leaves[i - 1] = hash_packet_set(self._signed(i))
-                    except BaseException as exc:  # raised on the caller, below
-                        failures[i] = exc
-                        return
+            def receipt(i: int) -> None:
+                leaves[i - 1] = hash_packet_set(self._signed(i))
 
-            helpers = []
-            try:
-                for first in range(2, width + 1):
-                    helper = threading.Thread(target=share, args=(first,))
-                    helper.start()
-                    helpers.append(helper)
-                share(1)
-            finally:
-                for helper in helpers:
-                    helper.join()
-            if failures:
-                raise failures[min(failures)]
+            _fan_out(range(1, self.params.n + 1), receipt)
             self._leaves = leaves
         return self._leaves
 
@@ -535,7 +553,12 @@ class Verifier:
         self._maybe_emit(now_ns)
 
     def on_dispute(self, now_ns: int, d: DisputeSubmission) -> bool:
-        """Recount one challenger from raw signed probes. True if upheld."""
+        """Recount one challenger from raw signed probes. True if upheld.
+
+        The first probe is verified alone, then the rest over the CPUs
+        (`_fan_out`), each share stopping at its own first failure: an
+        upheld dispute makes one verify per probe, a forged first probe one.
+        """
         if self.output is not None:
             return False
         if self.root is None:
@@ -551,19 +574,26 @@ class Verifier:
         if d.leaf_index != cid - 1:
             self.rejections.append((cid, "dispute_leaf_index"))
             return False
-        limit = self.params.signatures_per_challenger
+        limit, m0 = self.params.signatures_per_challenger, self.params.m0
         if len(d.packets) > limit or any(
             a >= b for (a, _), (b, _) in pairwise(d.packets)
         ):
             # the datagram decoder's rule, checked before any verify
             self.rejections.append((cid, "dispute_malformed"))
             return False
-        for q, sig in d.packets:
-            if not 1 <= q <= limit or not verify(
-                pk, probe_message(q, self.params.m0), sig
-            ):
-                self.rejections.append((cid, "dispute_bad_signature"))
-                return False
+
+        def check(packet: tuple[int, bytes]) -> None:
+            q, sig = packet
+            if not 1 <= q <= limit or not verify(pk, probe_message(q, m0), sig):
+                raise _BadSignature
+
+        try:
+            # the first probe alone, so a forged dispute costs one verify
+            _fan_out(d.packets[:1], check)
+            _fan_out(d.packets[1:], check)
+        except _BadSignature:
+            self.rejections.append((cid, "dispute_bad_signature"))
+            return False
         leaf = hash_packet_set(d.packets)
         if not merkle_verify(self.root, leaf, MerkleProof(d.leaf_index, d.siblings)):
             self.rejections.append((cid, "dispute_proof"))

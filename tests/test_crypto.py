@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from backhaul import crypto
@@ -530,6 +530,21 @@ def test_every_keygen_key_passes(seed):
 def test_every_key_libsodium_takes_check_public_key_takes(key):
     if _is_valid_point(key):
         assert crypto.check_public_key(key) == key
+
+
+@settings(max_examples=1000, deadline=None)
+@given(key=st.binary(min_size=32, max_size=32))
+def test_a_key_passes_exactly_when_it_decodes(key):
+    # past the canonical and small-order tests, the decode is libsodium's;
+    # it must agree with the curve equation, under either sign bit
+    y = int.from_bytes(key, "little") & (2**255 - 1)
+    assume(y < P and y not in {y for _, y in small_order_points()})
+    try:
+        taken = crypto.check_public_key(key) == key
+    except ValueError as exc:
+        assert "not a point on the curve" in str(exc)
+        taken = False
+    assert taken == (_decode(y) is not None)
 
 
 def _small_order_encoding(data):

@@ -374,10 +374,16 @@ class TestAbsentPeers:
         sock, dead = udp_socket(), udp_socket()
         try:
             verifier = run_verifier(sock, session, dead.getsockname())
+            returned_ns = time.time_ns()
+            dead.setblocking(False)
+            with pytest.raises(BlockingIOError):  # no dispute request was sent
+                dead.recvfrom(live.MAX_DATAGRAM)
         finally:
             sock.close()
             dead.close()
         assert verifier.output is None
+        # no wait for dispute answers after the deadline
+        assert returned_ns < session.deadline_ns + live.REPLY_TIMEOUT_NS // 5
 
     def test_lazy_verifier_does_not_settle_on_one_corrupt_report(self):
         # f = 1 of n = 4: a lone report claiming a 1 ns round trip must not

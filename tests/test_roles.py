@@ -562,6 +562,86 @@ class TestSplitFreeze:
         assert threading.active_count() == threads
 
 
+def tampered(d, kind):
+    """Dispute `d` with one defect: every signature random (`forged`), the
+    middle probe's signature flipped, the last probe's q past the train, or
+    a flipped Merkle sibling."""
+    packets, siblings = list(d.packets), d.siblings
+    mid, last = len(packets) // 2, len(packets) - 1
+    if kind == "forged":
+        rng = random.Random(5)
+        packets = [(q, rng.randbytes(64)) for q, _ in packets]
+    elif kind == "bad_middle":
+        q, sig = packets[mid]
+        packets[mid] = (q, bytes([sig[0] ^ 1]) + sig[1:])
+    elif kind == "q_out_of_range":
+        packets[last] = (packets[last][0] + 1, packets[last][1])
+    elif kind == "bad_merkle_path":
+        siblings = (bytes([siblings[0][0] ^ 1]) + siblings[0][1:],) + siblings[1:]
+    return DisputeSubmission(d.challenger_id, tuple(packets), d.leaf_index, siblings)
+
+
+class TestSplitDisputes:
+    """`Verifier.on_dispute` verifies the first probe alone, then the rest
+    over threads; the outcome is the serial loop's."""
+
+    @pytest.mark.parametrize("kind", ["honest", "forged", "bad_middle", "q_out_of_range", "bad_merkle_path"])
+    @pytest.mark.parametrize("width", [1, 2, 4, 16])
+    def test_outcome_equals_a_serial_twin(self, monkeypatch, kind, width):
+        w = world(n=3, k=40)
+        deliver_all(w)
+        bundle = w.prover.build_responses()
+        d = tampered(w.prover.build_dispute(2), kind)
+        assert d.packets[-1][0] == w.params.signatures_per_challenger + (kind == "q_out_of_range")
+        twin = Verifier(w.session)
+        for v in (w.verifier, twin):
+            v.on_root(5 * MS, bundle.announcement)
+        cpus(monkeypatch, 1)
+        serial = twin.on_dispute(7 * MS, d)
+        cpus(monkeypatch, width)
+        verifies = counting(monkeypatch, "verify")
+        threads = threading.active_count()
+        assert w.verifier.on_dispute(7 * MS, d) is serial is (kind == "honest")
+        assert threading.active_count() == threads
+        v = w.verifier
+        assert (v.rejections, v.entries, v.disputes_upheld) == (twin.rejections, twin.entries, twin.disputes_upheld)
+        if kind == "honest":
+            assert v.entries == {2: (40, None)} and v.disputes_upheld == 1
+            assert len(verifies) == len(d.packets) == 40
+        elif kind == "forged":
+            assert len(verifies) == 1
+        if kind == "bad_merkle_path":
+            assert v.rejections == [(2, "dispute_proof")]
+        elif kind != "honest":
+            assert v.rejections == [(2, "dispute_bad_signature")]
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 16])
+    def test_a_failure_deep_in_stops_only_its_share(self, monkeypatch, width):
+        # shares never wait on each other, so the verifies depend on W only,
+        # however the threads interleave: the failing share stops at the
+        # failure, every other share runs on
+        w = world(n=3, k=40)
+        deliver_all(w)
+        w.verifier.on_root(5 * MS, w.prover.build_responses().announcement)
+        d = tampered(w.prover.build_dispute(2), "bad_middle")
+        cpus(monkeypatch, width)
+        verifies = counting(monkeypatch, "verify")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert w.verifier.on_dispute(7 * MS, d) is False
+        finally:
+            sys.setswitchinterval(interval)
+        expected = 1  # the first probe, alone
+        rest = range(1, len(d.packets))  # indices of the probes shared out
+        for first in range(min(width, len(rest))):
+            for i in rest[first::width]:
+                expected += 1
+                if i == len(d.packets) // 2:  # the flipped signature
+                    break
+        assert len(verifies) == expected
+
+
 class TestVerifier:
     def test_reports_buffered_until_root(self):
         w = world()

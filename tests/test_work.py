@@ -63,6 +63,17 @@ CASES = {
         ),
         2,
     ),
+    # the forger's first random signature fails: one verify for the dispute
+    "forged_dispute": (
+        scenario(
+            {"f": 2},
+            attack={
+                "challengers": {"3": {"name": "withhold_report"}, "8": {"name": "withhold_all"}},
+                "prover": {"name": "dispute_forger"},
+            },
+        ),
+        2,
+    ),
 }
 
 EXPECTED = {
@@ -76,6 +87,10 @@ EXPECTED = {
     },
     "withheld_reports_disputed": {
         "sign": 427, "verify": 57, "hash_packet_set": 21,
+        "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
+    },
+    "forged_dispute": {
+        "sign": 427, "verify": 12, "hash_packet_set": 20,
         "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
     },
 }
@@ -109,7 +124,9 @@ def test_work_per_run(monkeypatch, case):
     counts = counted(monkeypatch)
     cfg, seed = CASES[case]
     res = run_scenario(cfg, seed, collect_trace=False)
-    assert res.terminated
+    assert res.terminated == (case != "forged_dispute")
+    if case == "forged_dispute":
+        assert res.rejections == ((3, "dispute_bad_signature"),)
     if case == "lossy_drop_tail":
         assert res.drops["backhaul_tail_dropped"] and res.drops["uplink_lost"] and res.drops["backhaul_lost"]
     if case == "withheld_reports_disputed":
