@@ -103,14 +103,6 @@ class KeyPair:
     public_key: bytes
 
 
-@dataclass(frozen=True)
-class MerkleProof:
-    """Bottom-up sibling path for one leaf of the receipt tree."""
-
-    leaf_index: int
-    siblings: tuple[bytes, ...]
-
-
 @lru_cache(maxsize=256)
 def _expanded(seed: bytes) -> bytes:
     """libsodium's 64-byte secret key for a seed: the seed, then the public key."""
@@ -255,8 +247,9 @@ def merkle_root(leaves: Sequence[bytes]) -> bytes:
     return level[0]
 
 
-def merkle_prove(leaves: Sequence[bytes], index: int) -> MerkleProof:
-    """Inclusion proof for leaves[index] against merkle_root(leaves)."""
+def merkle_prove(leaves: Sequence[bytes], index: int) -> tuple[bytes, ...]:
+    """Inclusion proof for leaves[index] against merkle_root(leaves): the
+    sibling hashes bottom-up, RFC 6962's audit path for that leaf index."""
     if not 0 <= index < len(leaves):
         raise ValueError(f"leaf index {index} out of range for {len(leaves)} leaves")
     level = [_leaf_hash(leaf) for leaf in _padded(leaves)]
@@ -266,20 +259,21 @@ def merkle_prove(leaves: Sequence[bytes], index: int) -> MerkleProof:
         siblings.append(level[pos ^ 1])
         level = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
         pos //= 2
-    return MerkleProof(leaf_index=index, siblings=tuple(siblings))
+    return tuple(siblings)
 
 
-def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof) -> bool:
-    """True iff leaf sits at proof.leaf_index under root. Malformed input returns False."""
+def merkle_verify(root: bytes, leaf: bytes, index: int, siblings: Sequence[bytes]) -> bool:
+    """True iff leaf sits at `index` under root, by the bottom-up sibling
+    hashes `merkle_prove` gives. Malformed input returns False."""
     if not isinstance(root, (bytes, bytearray)) or len(root) != DIGEST_LEN:
         return False
     if not isinstance(leaf, (bytes, bytearray)) or len(leaf) != DIGEST_LEN:
         return False
-    if proof.leaf_index < 0 or proof.leaf_index >= 2 ** len(proof.siblings):
+    if index < 0 or index >= 2 ** len(siblings):
         return False
     node = _leaf_hash(bytes(leaf))
-    pos = proof.leaf_index
-    for sib in proof.siblings:
+    pos = index
+    for sib in siblings:
         if not isinstance(sib, (bytes, bytearray)) or len(sib) != DIGEST_LEN:
             return False
         if pos & 1:

@@ -89,6 +89,7 @@ class ProverStats:
     challengers_seen: int
     pings_answered: int
     disputes_unsent: int
+    spoofed: int  # probes dropped for naming an id bound to another source
 
 
 def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifier_addr: Addr) -> ProverStats:
@@ -97,7 +98,9 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
 
     Serves until the session's deadline plus REPLY_TIMEOUT_NS, the
     verifier's wait for its disputes. Only requests from `verifier_addr`, the
-    numeric (host, port) the verifier sends from, are answered.
+    numeric (host, port) the verifier sends from, are answered. Each of the
+    session's ids is bound to the source of the first ping or probe naming
+    it, and answered there; a probe naming it from elsewhere is dropped.
     """
     params = session.params
     # room for every probe of the run; the kernel doubles this, capped at net.core.rmem_max
@@ -106,18 +109,21 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
     prover = Prover(session, keypair)
     plan = AttackPlan(session, random.Random(params.m0))
     intake, build = plan.intake(prover), partial(plan.dispute_for, prover=prover)
-    addrs: dict[int, Addr] = {}
-    pings = probes = unsent = 0
+    addrs: dict[int, Addr] = {}  # challenger id -> its bound source
+    pings = probes = unsent = spoofed = 0
 
     for now, src, msg in _receive(sock, session.deadline_ns + REPLY_TIMEOUT_NS):
         if isinstance(msg, wire.PingRequest):
             pings += 1
+            if 1 <= msg.challenger_id <= params.n:
+                addrs.setdefault(msg.challenger_id, src)
             reply = wire.PingReply(challenger_id=msg.challenger_id, nonce=msg.nonce)
             sock.sendto(wire.encode(reply), src)
         elif isinstance(msg, wire.ChallengePacket):
             probes += 1
-            addrs[msg.challenger_id] = src
-            if intake(now, msg):
+            if 1 <= msg.challenger_id <= params.n and addrs.setdefault(msg.challenger_id, src) != src:
+                spoofed += 1
+            elif intake(now, msg):
                 for dest, msgs in prover.build_responses().routes():
                     addr = verifier_addr if dest == VERIFIER else addrs.get(dest)
                     if addr is None:
@@ -130,7 +136,7 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
                 unsent += 1
             else:
                 sock.sendto(data, verifier_addr)
-    return ProverStats(prover.responded, probes, len(addrs), pings, unsent)
+    return ProverStats(prover.responded, probes, len(addrs), pings, unsent, spoofed)
 
 
 def run_challenger(

@@ -31,7 +31,6 @@ from .config import AttackSpec
 from .crypto import (
     SEQUENCE,
     KeyPair,
-    MerkleProof,
     check_m0,
     check_public_key,
     hash_packet_set,
@@ -210,7 +209,7 @@ class Challenger:
         self.report_sent = False
         self.failure: str | None = None
         self.events: list[str] = []
-        self._stashed_verification: VerificationMessage | None = None
+        self._stashed: list[VerificationMessage] = []  # verifications before the response
 
     def signature_for(self, sequence: int) -> bytes:
         """Signature of probe `sequence`, made on its first read."""
@@ -242,7 +241,7 @@ class Challenger:
 
     def on_response(self, now_ns: int, resp: ResponsePacket) -> ChallengerReport | None:
         """First valid response freezes the timing measurement; returns the
-        report that a verification stashed before it yields."""
+        report that the first good verification stashed before it yields."""
         if self.delta_ns is not None or self.failure is not None:
             return None
         if not verify(self.session.prover_public_key, resp.receipt + resp.root, resp.signature):
@@ -258,40 +257,27 @@ class Challenger:
         self.delta_ns = delta
         self.receipt = resp.receipt
         self.root_seen = resp.root
-        stashed, self._stashed_verification = self._stashed_verification, None
-        return None if stashed is None else self.on_verification(now_ns, stashed)
+        stashed, self._stashed = self._stashed, []
+        for msg in stashed:
+            if (report := self.on_verification(now_ns, msg)) is not None:
+                return report
+        return None
 
     def on_verification(self, now_ns: int, msg: VerificationMessage) -> ChallengerReport | None:
         """Check the prover's receipt really covers probes we sent, then report.
 
-        A verification that outruns its response is stashed and replayed
-        once the response lands; datagrams may reorder in transit.
+        A verification is unsigned, so one that fails a check is only
+        recorded in `events`: a forgery cannot fail the challenger, whose
+        genuine verification may still follow. Those that outrun the
+        response are stashed and replayed once it lands; datagrams may
+        reorder in transit.
         """
-        if self.delta_ns is None and self.failure is None and not self.report_sent:
-            self._stashed_verification = msg
-            return None
+        if self.delta_ns is None and self.failure is None:
+            self._stashed.append(msg)
         if self.delta_ns is None or self.report_sent:
             return None
-        if msg.challenger_id != self.id:
-            self.events.append("verification_wrong_id")
-            return None
-        if msg.bitmap_bits != self._limit:
-            self.failure = "bitmap_size"
-            return None
-        made = self._sigs
-        entries = [
-            (q, made.get(q) or self.signature_for(q))
-            for q in sequences_from_bitmap(msg.bitmap, msg.bitmap_bits)
-        ]
-        if hash_packet_set(entries) != self.receipt:
-            self.failure = "receipt_mismatch"
-            return None
-        if msg.leaf_index != self.id - 1:
-            self.failure = "leaf_index"
-            return None
-        proof = MerkleProof(msg.leaf_index, msg.siblings)
-        if not merkle_verify(self.root_seen, self.receipt, proof):
-            self.failure = "receipt_not_in_root"
+        if (reason := self._refute(msg)) is not None:
+            self.events.append(reason)
             return None
         self.acked_count = msg.acked_count
         self.report_sent = True
@@ -302,6 +288,25 @@ class Challenger:
             rtt_ns=self.delta_ns,
             packets_acknowledged=msg.acked_count,
         )
+
+    def _refute(self, msg: VerificationMessage) -> str | None:
+        """The first check a verification fails, or None if it holds."""
+        if msg.challenger_id != self.id:
+            return "verification_wrong_id"
+        if msg.bitmap_bits != self._limit:
+            return "bitmap_size"
+        made = self._sigs
+        entries = [
+            (q, made.get(q) or self.signature_for(q))
+            for q in sequences_from_bitmap(msg.bitmap, msg.bitmap_bits)
+        ]
+        if hash_packet_set(entries) != self.receipt:
+            return "receipt_mismatch"
+        if msg.leaf_index != self.id - 1:
+            return "leaf_index"
+        if not merkle_verify(self.root_seen, self.receipt, msg.leaf_index, msg.siblings):
+            return "receipt_not_in_root"
+        return None
 
 
 @dataclass(frozen=True)
@@ -435,14 +440,13 @@ class Prover:
                 signature=sign(self.keypair.secret_key, leaf + root),
             )
             signed = self._signed(i)
-            proof = merkle_prove(leaves, i - 1)
             verifications[i] = VerificationMessage(
                 challenger_id=i,
                 acked_count=len(signed),
                 bitmap_bits=total_bits,
                 bitmap=bitmap_from_sequences([q for q, _ in signed], total_bits),
                 leaf_index=i - 1,
-                siblings=proof.siblings,
+                siblings=merkle_prove(leaves, i - 1),
             )
         announcement = ResponsePacket(
             receipt=bytes(32),
@@ -468,12 +472,11 @@ class Prover:
         if not self.responded or challenger_id not in self.received:
             return None
         leaves = self._build_leaves()
-        proof = merkle_prove(leaves, challenger_id - 1)
         return DisputeSubmission(
             challenger_id=challenger_id,
             packets=tuple(self._signed(challenger_id)),
             leaf_index=challenger_id - 1,
-            siblings=proof.siblings,
+            siblings=merkle_prove(leaves, challenger_id - 1),
         )
 
 
@@ -595,7 +598,7 @@ class Verifier:
             self.rejections.append((cid, "dispute_bad_signature"))
             return False
         leaf = hash_packet_set(d.packets)
-        if not merkle_verify(self.root, leaf, MerkleProof(d.leaf_index, d.siblings)):
+        if not merkle_verify(self.root, leaf, d.leaf_index, d.siblings):
             self.rejections.append((cid, "dispute_proof"))
             return False
         self.entries[cid] = (min(len(d.packets), self.params.k), None)

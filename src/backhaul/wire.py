@@ -2,15 +2,16 @@
 
 Every message starts with a one-byte type tag; all integers are
 big-endian. Each format is declared once: `LAYOUTS` gives every message
-but the challenge packet its tag and its fields in wire order, and the
-one `encode` and the one `decode` below both walk that table.
+its tag and its fields in wire order, and the one `encode` and the one
+`decode` below both walk that table.
 
 Encodings are canonical: each message has exactly one valid byte
 string, so every datagram that decode accepts re-encodes to itself.
 Each field kind enforces its share of that rule on both sides:
   "H" "I" "Q"  unsigned integer of 2, 4 or 8 bytes, at least `low`
                (a report's rtt_ns is positive)
-  32, 64       exactly that many bytes
+  32, 64       exactly that many bytes, `bytes()` of a value not bytes
+  b"..."       those bytes exactly, held by no message attribute
   BITMAP       (bitmap_bits + 7) // 8 bytes, popcount acked_count,
                bits past bitmap_bits zero
   PACKETS      u32 count, then (u32 seq, 64-byte signature) pairs,
@@ -18,17 +19,15 @@ Each field kind enforces its share of that rule on both sides:
   SIBLINGS     u16 count, then 32-byte Merkle siblings
 and a datagram ends where its last field does.
 
-Challenge packets have their own pair, `_encode_challenge` and
-`_decode_challenge`: a fixed 1472-byte payload (64-byte header, zero
-padded, plus 22 signature slots of 64 bytes), 1514 bytes on the wire
-with the 42-byte lower-layer budget. A probe carries one signature: the
-header's count is always 1 and slots 2-22 are zero, so every probe is
-the full 1514 bytes the measurement counts.
+A challenge packet is a fixed 1472-byte payload, 1514 bytes on the wire
+with the 42-byte lower-layer budget: a 64-byte header, whose count is
+always 1 and whose padding is zero, then 22 signature slots of 64 bytes,
+of which only the first is used. So every probe is the full 1514 bytes
+the measurement counts.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,9 +46,6 @@ HEADER_LEN = 64
 CHALLENGE_PAYLOAD_LEN = HEADER_LEN + SIG_SLOTS * SIG_LEN  # 1472
 LOWER_LAYER_BUDGET = 42
 WIRE_PACKET_LEN = CHALLENGE_PAYLOAD_LEN + LOWER_LAYER_BUDGET  # 1514
-
-_HEADER_FMT = ">BIIH8s"
-_HEADER_FIXED = struct.calcsize(_HEADER_FMT)  # 19, then zero padding to HEADER_LEN
 
 
 class WireError(ValueError):
@@ -160,7 +156,7 @@ def sequences_from_bitmap(bitmap: bytes, bits: int) -> list[int]:
     return [q for q, digit in enumerate(format(value, f"0{bits}b"), 1) if digit == "1"]
 
 
-# Field kinds besides a fixed byte length (an int); see the module docstring.
+# Field kinds besides a byte length (int) or constant (bytes); see the module docstring.
 _WIDTHS = {"H": 2, "I": 4, "Q": 8}
 BITMAP = "bitmap"
 PACKETS = "packets"
@@ -170,14 +166,23 @@ _PACKET_ENTRY = 4 + SIG_LEN
 
 class Field(NamedTuple):
     name: str
-    kind: str | int
+    kind: str | int | bytes
     low: int = 0  # least value of an integer field
 
 
 _PING = (Field("challenger_id", "I"), Field("nonce", "Q"))
 
-# Every message but ChallengePacket: (tag, fields in wire order after the tag).
+# Every message: (tag, fields in wire order after the tag).
 LAYOUTS: dict[type, tuple[int, tuple[Field, ...]]] = {
+    ChallengePacket: (TAG_CHALLENGE, (
+        Field("challenger_id", "I"),
+        Field("sequence", "I"),
+        Field("count", b"\x00\x01"),  # of signatures: always one
+        Field("nonce", 8),
+        Field("header_padding", bytes(HEADER_LEN - 19)),  # after 19 bytes of header
+        Field("signature", SIG_LEN),
+        Field("signature_slots", bytes((SIG_SLOTS - 1) * SIG_LEN)),  # unused
+    )),
     ResponsePacket: (TAG_RESPONSE, (Field("receipt", 32), Field("root", 32), Field("signature", SIG_LEN))),
     VerificationMessage: (TAG_VERIFICATION, (
         Field("challenger_id", "I"),
@@ -233,42 +238,17 @@ def _check_ascending(packets) -> None:
         raise WireError("packets", "sequences not strictly ascending")
 
 
-def _encode_challenge(pkt: ChallengePacket) -> bytes:
-    _check_uint("challenger_id", pkt.challenger_id, 4)
-    _check_uint("sequence", pkt.sequence, 4)
-    _check_len("nonce", pkt.nonce, 8)
-    sig = bytes(pkt.signature)
-    _check_len("signature", sig, SIG_LEN)
-    out = bytearray(CHALLENGE_PAYLOAD_LEN)
-    struct.pack_into(_HEADER_FMT, out, 0, TAG_CHALLENGE, pkt.challenger_id, pkt.sequence, 1, pkt.nonce)
-    out[HEADER_LEN : HEADER_LEN + SIG_LEN] = sig
-    return bytes(out)
-
-
-def _decode_challenge(data: bytes) -> ChallengePacket:
-    if len(data) != CHALLENGE_PAYLOAD_LEN:
-        raise WireError("payload", f"expected {CHALLENGE_PAYLOAD_LEN} bytes, got {len(data)}")
-    _, challenger_id, sequence, count, nonce = struct.unpack_from(_HEADER_FMT, data, 0)
-    if count != 1:
-        raise WireError("count", f"{count} signatures, a probe carries 1")
-    if any(data[_HEADER_FIXED:HEADER_LEN]):
-        raise WireError("header_padding", "nonzero bytes")
-    end = HEADER_LEN + SIG_LEN
-    if any(data[end:]):
-        raise WireError("signature", "slots past 1 not zero-filled")
-    return ChallengePacket(challenger_id, sequence, nonce, data[HEADER_LEN:end])
-
-
 def encode(message) -> bytes:
     """Serialize any wire message by type."""
-    if type(message) is ChallengePacket:
-        return _encode_challenge(message)
     try:
         tag, fields = LAYOUTS[type(message)]
     except KeyError:
         raise WireError("message", f"unknown message type {type(message).__name__}")
     out = bytearray([tag])
     for name, kind, low in fields:
+        if type(kind) is bytes:
+            out += kind
+            continue
         value = getattr(message, name)
         if kind in _WIDTHS:
             _check_uint(name, value, _WIDTHS[kind], low)
@@ -290,6 +270,10 @@ def encode(message) -> bytes:
                 _check_len(name, sib, 32)
                 out += sib
         else:
+            if type(value) is not bytes:
+                if isinstance(value, int):  # bytes(n) would be n zero bytes
+                    raise WireError(name, f"expected {kind} bytes, got an int")
+                value = bytes(value)  # a lazily signed probe signs here
             _check_len(name, value, kind)
             out += value
     return bytes(out)
@@ -299,8 +283,6 @@ def decode(data: bytes):
     """Parse a datagram by its leading type tag."""
     if not data:
         raise WireError("tag", "empty datagram")
-    if data[0] == TAG_CHALLENGE:
-        return _decode_challenge(data)
     try:
         cls, fields = _BY_TAG[data[0]]
     except KeyError:
@@ -316,6 +298,10 @@ def decode(data: bytes):
 
     values = {}
     for name, kind, low in fields:
+        if type(kind) is bytes:
+            if take(name, len(kind)) != kind:
+                raise WireError(name, "differs from the fixed bytes")
+            continue
         if kind in _WIDTHS:
             value = int.from_bytes(take(name, _WIDTHS[kind]), "big")
             _check_uint(name, value, _WIDTHS[kind], low)

@@ -202,18 +202,17 @@ def test_merkle_root_four_leaves_hand_computed():
 def test_merkle_proof_four_leaves_hand_computed():
     leaves = [hashlib.sha256(bytes([i])).digest() for i in range(4)]
     root, lh, n01, n23 = _hand_tree_4(leaves)
-    proof = crypto.merkle_prove(leaves, 2)
-    assert proof.leaf_index == 2
-    assert proof.siblings == (lh[3], n01)
-    assert crypto.merkle_verify(root, leaves[2], proof)
+    siblings = crypto.merkle_prove(leaves, 2)
+    assert siblings == (lh[3], n01)
+    assert crypto.merkle_verify(root, leaves[2], 2, siblings)
 
 
 def test_merkle_single_leaf():
     leaf = hashlib.sha256(b"solo").digest()
     assert crypto.merkle_root([leaf]) == hashlib.sha256(b"\x00" + leaf).digest()
-    proof = crypto.merkle_prove([leaf], 0)
-    assert proof.siblings == ()
-    assert crypto.merkle_verify(crypto.merkle_root([leaf]), leaf, proof)
+    siblings = crypto.merkle_prove([leaf], 0)
+    assert siblings == ()
+    assert crypto.merkle_verify(crypto.merkle_root([leaf]), leaf, 0, siblings)
 
 
 def test_merkle_pads_by_duplicating_last_leaf():
@@ -234,27 +233,24 @@ def test_merkle_domain_separation_leaf_vs_node():
     a = hashlib.sha256(b"x").digest()
     b = hashlib.sha256(b"y").digest()
     root = crypto.merkle_root([a, b])
-    assert not crypto.merkle_verify(root, crypto.merkle_root([a]), crypto.MerkleProof(0, ()))
+    assert not crypto.merkle_verify(root, crypto.merkle_root([a]), 0, ())
 
 
 def test_merkle_verify_rejects_swapped_sibling_side():
     leaves = [hashlib.sha256(bytes([i])).digest() for i in range(4)]
     root = crypto.merkle_root(leaves)
-    proof = crypto.merkle_prove(leaves, 2)
-    wrong_parity = crypto.MerkleProof(3, proof.siblings)
-    assert not crypto.merkle_verify(root, leaves[2], wrong_parity)
+    siblings = crypto.merkle_prove(leaves, 2)
+    assert not crypto.merkle_verify(root, leaves[2], 3, siblings)  # wrong parity
 
 
 def test_merkle_verify_rejects_malformed():
     leaves = [hashlib.sha256(bytes([i])).digest() for i in range(2)]
     root = crypto.merkle_root(leaves)
-    proof = crypto.merkle_prove(leaves, 0)
-    assert not crypto.merkle_verify(root[:31], leaves[0], proof)
-    assert not crypto.merkle_verify(root, leaves[0][:31], proof)
-    assert not crypto.merkle_verify(root, leaves[0], crypto.MerkleProof(4, proof.siblings))
-    assert not crypto.merkle_verify(
-        root, leaves[0], crypto.MerkleProof(0, (b"\x00" * 31,))
-    )
+    siblings = crypto.merkle_prove(leaves, 0)
+    assert not crypto.merkle_verify(root[:31], leaves[0], 0, siblings)
+    assert not crypto.merkle_verify(root, leaves[0][:31], 0, siblings)
+    assert not crypto.merkle_verify(root, leaves[0], 4, siblings)
+    assert not crypto.merkle_verify(root, leaves[0], 0, (b"\x00" * 31,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,8 +265,8 @@ def test_merkle_round_trip_property(n, data):
     ]
     index = data.draw(st.integers(min_value=0, max_value=n - 1))
     root = crypto.merkle_root(leaves)
-    proof = crypto.merkle_prove(leaves, index)
-    assert crypto.merkle_verify(root, leaves[index], proof)
+    siblings = crypto.merkle_prove(leaves, index)
+    assert crypto.merkle_verify(root, leaves[index], index, siblings)
 
 
 @settings(max_examples=200, deadline=None)
@@ -284,17 +280,17 @@ def test_merkle_tamper_property(n, data):
     root = crypto.merkle_root(leaves)
     proof = crypto.merkle_prove(leaves, index)
     # Tamper one sibling byte, or the leaf itself.
-    if proof.siblings and data.draw(st.booleans()):
-        si = data.draw(st.integers(min_value=0, max_value=len(proof.siblings) - 1))
-        bad = bytearray(proof.siblings[si])
+    if proof and data.draw(st.booleans()):
+        si = data.draw(st.integers(min_value=0, max_value=len(proof) - 1))
+        bad = bytearray(proof[si])
         bad[data.draw(st.integers(min_value=0, max_value=31))] ^= 0xFF
-        siblings = list(proof.siblings)
+        siblings = list(proof)
         siblings[si] = bytes(bad)
-        assert not crypto.merkle_verify(root, leaves[index], crypto.MerkleProof(index, tuple(siblings)))
+        assert not crypto.merkle_verify(root, leaves[index], index, tuple(siblings))
     else:
         bad_leaf = bytearray(leaves[index])
         bad_leaf[data.draw(st.integers(min_value=0, max_value=31))] ^= 0x01
-        assert not crypto.merkle_verify(root, bytes(bad_leaf), proof)
+        assert not crypto.merkle_verify(root, bytes(bad_leaf), index, proof)
 
 
 @settings(max_examples=100, deadline=None)

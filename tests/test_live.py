@@ -263,6 +263,34 @@ def ping_through(sock, prover_addr, nonce):
         pass
 
 
+class TestIdBinding:
+    def test_probes_under_a_bound_id_from_elsewhere_are_dropped(self):
+        session, prover_key, keys = live_session(
+            scenario(theta_claimed_bps=2e6, n=1, duration_ns=200 * MS), start_ms=400
+        )
+        k = session.params.k
+        socks = prover_sock, verifier_sock, me, stranger = [udp_socket() for _ in range(4)]
+        prover, results = serve_in_thread(prover_sock, session, prover_key, verifier_sock.getsockname())
+        addr = prover_sock.getsockname()
+        try:
+            ping_through(me, addr, nonce=1)  # binds id 1 to challenger 1's socket
+            send_unchecked_train(stranger, addr, k)  # its ping is echoed, its probes dropped
+            ping_through(me, addr, nonce=2)
+            challenger = run_challenger(me, session, 1, keys[1], addr, verifier_sock.getsockname())
+            assert challenger.report_sent  # the response came to challenger 1's socket
+            stranger.settimeout(0.1)
+            with pytest.raises(socket.timeout):
+                stranger.recv(live.MAX_DATAGRAM)
+            prover.join(timeout=5)
+            assert not prover.is_alive()
+        finally:
+            for sock in socks:
+                sock.close()
+        stats = results["stats"]
+        assert stats.responded and stats.challengers_seen == 1
+        assert stats.spoofed == k
+
+
 class TestNetsimAgainstLoopback:
     """The simulator and the UDP harness run the same session the same way.
 

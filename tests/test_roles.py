@@ -297,6 +297,15 @@ class TestProverHygiene:
         assert len(roots) == 1
 
 
+def assert_ignored_then_genuine_reports(challenger, reason, genuine):
+    """An unsigned verification that fails a check is recorded and ignored:
+    the challenger has not failed and still reports on the genuine one."""
+    assert challenger.failure is None and not challenger.report_sent
+    assert challenger.events[-1] == reason
+    rpt = challenger.on_verification(7 * MS, genuine)
+    assert rpt is not None and rpt.packets_acknowledged == genuine.acked_count
+
+
 class TestChallengerChecks:
     def test_bad_prover_signature_ignored(self):
         w = world()
@@ -341,7 +350,7 @@ class TestChallengerChecks:
             siblings=v.siblings,
         )
         assert c1.on_verification(6 * MS, claim_all) is None
-        assert c1.failure == "receipt_mismatch"
+        assert_ignored_then_genuine_reports(c1, "receipt_mismatch", v)
 
     def test_wrong_leaf_index_rejected(self):
         w = world()
@@ -352,7 +361,7 @@ class TestChallengerChecks:
         v = bundle.verifications[1]
         shifted = VerificationMessage(1, v.acked_count, v.bitmap_bits, v.bitmap, 1, v.siblings)
         assert c1.on_verification(6 * MS, shifted) is None
-        assert c1.failure == "leaf_index"
+        assert_ignored_then_genuine_reports(c1, "leaf_index", v)
 
     def test_wrong_bitmap_size_rejected(self):
         w = world()
@@ -365,7 +374,7 @@ class TestChallengerChecks:
             1, 3, 4, bitmap_from_sequences([1, 2, 3], 4), 0, v.siblings
         )
         assert c1.on_verification(6 * MS, short) is None
-        assert c1.failure == "bitmap_size"
+        assert_ignored_then_genuine_reports(c1, "bitmap_size", v)
 
     def test_reports_only_once(self):
         w = world()
@@ -387,6 +396,19 @@ class TestChallengerChecks:
         assert (rpt.rtt_ns, rpt.packets_acknowledged) == (6 * MS, 5)
         assert c1.report_sent
         assert c1.on_message(7 * MS, bundle.verifications[1]) is None
+
+    def test_forgery_stashed_after_the_genuine_verification_cannot_displace_it(self):
+        w = world()
+        deliver_all(w)
+        bundle = w.prover.build_responses()
+        c1 = w.challengers[1]
+        v = bundle.verifications[1]
+        forged = VerificationMessage(1, v.acked_count, v.bitmap_bits, v.bitmap, 1, v.siblings)
+        assert c1.on_message(5 * MS, v) is None  # stashed
+        assert c1.on_message(5 * MS, forged) is None  # stashed after it
+        rpt = c1.on_message(6 * MS, bundle.responses[1])
+        assert rpt is not None and rpt.packets_acknowledged == v.acked_count
+        assert c1.failure is None and c1.report_sent
 
     def test_receipt_matches_own_hash(self):
         w = world()

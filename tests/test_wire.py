@@ -72,10 +72,48 @@ def test_challenge_rejects_noncanonical_padding():
 
 def test_challenge_rejects_truncation():
     data = wire.encode(make_challenge())
-    with pytest.raises(wire.WireError, match="payload"):
+    # a short probe errs on the field the cut lands in, as every message does
+    with pytest.raises(wire.WireError, match="signature_slots: needs 1344 bytes"):
         wire.decode(data[:-1])
     with pytest.raises(wire.WireError, match="payload"):
         wire.decode(data + b"\x00")
+
+
+def test_every_message_has_one_layout():
+    messages = {
+        obj for obj in vars(wire).values()
+        if isinstance(obj, type) and obj.__module__ == wire.__name__ and obj not in (wire.WireError, wire.Field)
+    }
+    assert wire.ChallengePacket in messages and messages == set(wire.LAYOUTS)
+    tag, fields = wire.LAYOUTS[wire.ChallengePacket]
+    assert tag == wire.TAG_CHALLENGE
+    ints = {"H": 2, "I": 4, "Q": 8}
+    widths = [ints.get(kind) or (len(kind) if isinstance(kind, bytes) else kind) for _, kind, _ in fields]
+    assert 1 + sum(widths) == wire.CHALLENGE_PAYLOAD_LEN
+
+
+@pytest.mark.parametrize(
+    "field, start, end",
+    [("count", 9, 11), ("header_padding", 19, 64), ("signature_slots", 128, 1472)],
+)
+def test_challenge_constant_fields_reject_any_changed_byte(field, start, end):
+    good = wire.encode(make_challenge())
+    for i in {start, (start + end) // 2, end - 1}:
+        for value in (0x00, 0x01, 0xFF):
+            if value == good[i]:
+                continue
+            data = bytearray(good)
+            data[i] = value
+            with pytest.raises(wire.WireError) as info:
+                wire.decode(bytes(data))
+            assert info.value.field == field
+
+
+def test_challenge_encode_refuses_a_bad_signature():
+    for bad in (64, 0, b"\x01" * 63):
+        with pytest.raises(wire.WireError) as info:
+            wire.encode(make_challenge(signature=bad))
+        assert info.value.field == "signature"
 
 
 def test_full_transmission_slot_arithmetic():
