@@ -23,7 +23,8 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field
 
-from .schedule import DEFAULT_OVERPROVISION, PACKET_BYTES, RatePolicy
+from .schedule import RatePolicy
+from .wire import WIRE_PACKET_LEN
 
 THETA0 = "theta0"
 
@@ -80,7 +81,7 @@ class ProtocolSpec:
     f: int = rule(int, 0, default=0)
     duration_ns: int = rule(int, 1, default=100_000_000)
     rate_policy: str = rule(None, default=RatePolicy.PER_N_MINUS_F.value, literals=tuple(p.value for p in RatePolicy))
-    overprovision: float = rule(float, 1.0, default=DEFAULT_OVERPROVISION)
+    overprovision: float = rule(float, 1.0, default=1.1)
     timer_mode: bool = rule(bool, default=False)
     verifier_deadline_factor: float = rule(float, 1.0, default=3.0)
     t0_ns: int = rule(int, 0, default=0)
@@ -108,7 +109,7 @@ class TopologySpec:
     backhaul_propagation_ns: int = rule(int, 0, default=0)
     backhaul_jitter_stddev_ns: float = rule(float, 0, default=0.0)
     backhaul_loss_prob: float = rule(float, 0, default=0.0, maximum=1)
-    queue_capacity_bytes: int | None = rule(int, PACKET_BYTES, default=None, literals=(None,))
+    queue_capacity_bytes: int | None = rule(int, WIRE_PACKET_LEN, default=None, literals=(None,))
     uplink: LinkSpec = rule(LinkSpec, default=LinkSpec)
     uplinks: tuple[LinkSpec, ...] | None = rule([LinkSpec], 1, default=None, literals=(None,))
     uplink_propagation_range_ns: tuple[int, int] | None = rule(range, 0, default=None, literals=(None,))
@@ -232,12 +233,11 @@ def _value(value, path: str, r: Rule):
         raise ConfigError(f"{path}: must be >= {low}, got {value}")
     if r.maximum is not None and value > r.maximum:
         raise ConfigError(f"{path}: must be <= {r.maximum}")
-    if kind is float:
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(f"{path}: {value} is too large for a float") from None
-    return value
+    try:  # times and rates meet floats, so an int field must fit one too
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: {value} is too large for a float") from None
+    return number if kind is float else value
 
 
 def _check(spec, path: str) -> None:

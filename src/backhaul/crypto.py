@@ -186,8 +186,8 @@ def check_m0(m0: bytes) -> bytes:
 def probe_message(sequence: int, m0: bytes) -> bytes:
     """Message covered by probe signature q: 4-byte big-endian q then m0.
 
-    A caller that signs many probes under one m0 checks it once with
-    `check_m0` and builds `SEQUENCE.pack(q) + m0` itself.
+    A caller that signs many probes under one m0 already checked, as
+    `ChallengeParams` checks it, builds `SEQUENCE.pack(q) + m0` itself.
     """
     if not 0 <= sequence < 2**32:
         raise ValueError(f"sequence {sequence} out of u32 range")

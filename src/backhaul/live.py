@@ -9,8 +9,10 @@ without a side channel, each endpoint drawing from a stream seeded with
 m0. Every message is one datagram in the binary wire formats. The
 verifier requests disputes at the session's deadline; the prover serves
 until one REPLY_TIMEOUT_NS later and answers only requests from its own
-`verifier_addr`. A dispute is one datagram, at most MAX_DATAGRAM bytes
-(about 960 probes): a larger one is not sent but counted in
+`verifier_addr`; the challengers and the verifier take the prover's
+messages only from `prover_addr`, each the numeric (host, port) that
+`recvfrom` reports. A dispute is one datagram, at most MAX_DATAGRAM
+bytes (about 960 probes): a larger one is not sent but counted in
 `ProverStats.disputes_unsent`.
 
 Time is wall clock (`time.time_ns`): the start instant t0 in the
@@ -35,7 +37,7 @@ from . import wire
 from .adversary import AttackPlan
 from .crypto import KeyPair
 from .roles import VERIFIER, Challenger, Prover, Session, Verifier
-from .schedule import PING_SAMPLES, estimate_latency, send_schedule
+from .schedule import PING_SAMPLES, estimate_latency
 
 REPLY_TIMEOUT_NS = 500_000_000  # a ping's wait for its echo, the verifier's for disputes
 MAX_DATAGRAM = 65_507  # the largest UDP payload over IPv4
@@ -73,8 +75,8 @@ def ping_latency(sock: socket.socket, challenger_id: int, prover_addr: Addr, sam
         ping = wire.PingRequest(challenger_id=challenger_id, nonce=nonce)
         t0 = time.time_ns()
         sock.sendto(wire.encode(ping), prover_addr)
-        for now, _, msg in _receive(sock, t0 + REPLY_TIMEOUT_NS):
-            if isinstance(msg, wire.PingReply) and msg.nonce == nonce:
+        for now, src, msg in _receive(sock, t0 + REPLY_TIMEOUT_NS):
+            if src == prover_addr and isinstance(msg, wire.PingReply) and msg.nonce == nonce:
                 rtts.append(now - t0)
                 break
     if not rtts:
@@ -147,9 +149,8 @@ def run_challenger(
     the session's attack shapes the train and the report."""
     if latency_ns is None:
         latency_ns = ping_latency(sock, challenger_id, prover_addr)
-    # every slot uses our own latency: we are our own alignment reference
-    schedule = send_schedule(session.params, [latency_ns] * session.params.n)
-    me = Challenger(session, challenger_id, keypair, schedule)
+    # we are our own alignment reference, so the train starts at t0
+    me = Challenger(session, challenger_id, keypair, session.params.t0_ns, latency_ns)
     plan = AttackPlan(session, random.Random(session.params.m0))
 
     # encoding signs each probe, so do it all before the first paced send
@@ -159,7 +160,9 @@ def run_challenger(
         _sleep_until(t_ns)
         sock.sendto(data, prover_addr)
 
-    for now, _, msg in _receive(sock, me.give_up_ns):
+    for now, src, msg in _receive(sock, me.give_up_ns):
+        if src != prover_addr:
+            continue
         report = plan.report_action(challenger_id, me.on_message(now, msg))
         if report is not None:
             sock.sendto(wire.encode(report), verifier_addr)
@@ -172,12 +175,15 @@ def run_verifier(sock: socket.socket, session: Session, prover_addr: Addr) -> Ve
     """Collect the announcement and reports until the session's deadline, then
     for one reply bound the disputes it requests; the verifier once it has
     evaluated, its `output` the first verdict or None. A verifier that heard
-    no message by the deadline requests nothing: no prover is answering."""
+    no message by the deadline requests nothing: no prover is answering.
+    Reports come from any source; the root and disputes only from `prover_addr`."""
     verifier = Verifier(session)
 
     def listen(until_ns: int) -> bool:
         heard = False
-        for now, _, msg in _receive(sock, until_ns):
+        for now, src, msg in _receive(sock, until_ns):
+            if src != prover_addr and not isinstance(msg, wire.ChallengerReport):
+                continue
             heard = True
             verifier.on_message(now, msg)
             if verifier.output is not None:

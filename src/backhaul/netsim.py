@@ -59,7 +59,6 @@ from .schedule import (
     DEFAULT_TIMEOUT_FACTOR,
     PING_SAMPLES,
     ChallengeParams,
-    RatePolicy,
     derive_params,
     estimate_latency,
     send_schedule,
@@ -74,8 +73,7 @@ _PING_WIRE_BYTES = (
 
 # Response build latency vs claimed rate: a frozen latency model, not a
 # measurement of this code. The acceptance figures pin it (a knot moves
-# verdicts), so it stays fixed while build_responses gets faster; the
-# benchmark's knots.drift_* metrics track the gap.
+# verdicts), so the knots stay frozen whatever build_responses costs.
 OVERHEAD_KNOTS = (
     (500e6, 4_600_000.0),
     (750e6, 7_300_000.0),
@@ -392,13 +390,10 @@ def session_for(proto: ProtocolSpec, attack: AttackSpec, seed: int) -> tuple[Ses
 
     ckeys = {i: keygen(derived(f"challenger-key:{i}")) for i in range(1, proto.n + 1)}
     pkey = keygen(derived("prover-key"))
-    params = derive_params(
-        proto.theta_claimed_bps, proto.n, proto.f, proto.duration_ns, RatePolicy(proto.rate_policy),
-        proto.overprovision, proto.t0_ns, derived("m0"), timer_mode=proto.timer_mode,
-    )
+    params = derive_params(proto, derived("m0"))
     cpubs = {i: key.public_key for i, key in ckeys.items()}
     deadline_ns = proto.t0_ns + round(proto.verifier_deadline_factor * proto.duration_ns)
-    return Session(params, PROVER_ID, pkey.public_key, cpubs, deadline_ns, proto.timer_mode, attack), pkey, ckeys
+    return Session(params, PROVER_ID, pkey.public_key, cpubs, deadline_ns, attack), pkey, ckeys
 
 
 class _Run:
@@ -451,13 +446,13 @@ class _Run:
         for i, l in enumerate(l_est, start=1):
             self.tr(f"ping challenger={i} estimate_ns={l}")
 
-        schedule = send_schedule(params, l_est)
+        first = send_schedule(params, l_est)
         self.tr(
             f"schedule k={params.k} signatures={params.signatures_per_challenger} "
             f"spacing_ns={params.spacing_ns:.3f} threshold={params.threshold}"
         )
         session = self.session
-        self.challengers = {i: Challenger(session, i, self.ckeys[i], schedule) for i in self.ids}
+        self.challengers = {i: Challenger(session, i, self.ckeys[i], first[i - 1], l_est[i - 1]) for i in self.ids}
         self.prover = Prover(session, self.pkey)
         self.verifier = Verifier(session)
         return l_est

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from .config import ScenarioConfig, scenario_to_dict
 from .ladder import LadderResult
 from .netsim import VERDICT_FIELDS, run_scenario
-from .schedule import PACKET_BYTES
+from .wire import WIRE_PACKET_LEN
 
 # written names that differ from the field they hold
 _JSON_KEYS = {"scenario_name": "scenario", "challenger_id": "id"}
@@ -40,7 +40,7 @@ class ChallengerRecord:
 
     def __post_init__(self):
         ok = self.delta_ns is not None and self.delta_ns > 0
-        bps = self.accepted * PACKET_BYTES * 8 * 1e9 / self.delta_ns if ok else None
+        bps = self.accepted * WIRE_PACKET_LEN * 8 * 1e9 / self.delta_ns if ok else None
         object.__setattr__(self, "implied_bps", bps)
 
 

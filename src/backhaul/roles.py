@@ -31,7 +31,6 @@ from .config import AttackSpec
 from .crypto import (
     SEQUENCE,
     KeyPair,
-    check_m0,
     check_public_key,
     hash_packet_set,
     merkle_prove,
@@ -41,7 +40,7 @@ from .crypto import (
     sign,
     verify,
 )
-from .schedule import DEFAULT_TIMEOUT_FACTOR, ChallengeParams, SendSchedule, check_corruption_bound
+from .schedule import DEFAULT_TIMEOUT_FACTOR, ChallengeParams
 from .wire import (
     ChallengePacket,
     ChallengerReport,
@@ -56,12 +55,12 @@ from .wire import (
 
 @dataclass(frozen=True)
 class Session:
-    """What every party of one run agrees on before it starts; no secret key.
+    """What every party of one run agrees on before it starts, beyond the
+    challenge's own parameters; no secret key.
 
-    Building one refuses any public key `check_public_key` refuses and any f
-    its verifier mode cannot tolerate, so the roles take it as checked. The
-    verifier requests its disputes, and settles, at `deadline_ns`; `attack`
-    is resolved by `adversary.AttackPlan`.
+    Building one refuses any public key `check_public_key` refuses, so the
+    roles take it as checked. The verifier requests its disputes, and
+    settles, at `deadline_ns`; `attack` is resolved by `adversary.AttackPlan`.
     """
 
     params: ChallengeParams
@@ -69,13 +68,11 @@ class Session:
     prover_public_key: bytes
     challenger_public_keys: dict[int, bytes]
     deadline_ns: int
-    timer_mode: bool = False
     attack: AttackSpec = AttackSpec()
 
     def __post_init__(self):
         # a copy of its own: the caller's dict may change after the checks
         object.__setattr__(self, "challenger_public_keys", dict(self.challenger_public_keys))
-        check_corruption_bound(self.params.n, self.params.f, self.timer_mode)
         for key in (self.prover_public_key, *self.challenger_public_keys.values()):
             check_public_key(key)
 
@@ -187,20 +184,22 @@ class Challenger:
     """Sends signed probes, times the prover's response, reports to the verifier.
 
     Probe q is signed the first time anything reads its signature, and at
-    most once; withheld, lost and late probes are never signed.
+    most once; withheld, lost and late probes are never signed. The train
+    starts at `first_send_ns` (`schedule.send_schedule`), and `latency_ns`,
+    the one-way latency estimate, is taken off both ways of the timing.
     """
 
-    def __init__(self, session: Session, challenger_id: int, keypair: KeyPair, schedule: SendSchedule):
+    def __init__(self, session: Session, challenger_id: int, keypair: KeyPair, first_send_ns: int, latency_ns: int):
         self.id = challenger_id
         self.keypair = keypair
         self.session = session
         self.params = params = session.params
-        self.t_first_ns = schedule.first_send_ns[challenger_id - 1]
+        self.t_first_ns = first_send_ns
         # no response by this local time is a timeout
-        self.give_up_ns = self.t_first_ns + round(DEFAULT_TIMEOUT_FACTOR * params.duration_ns)
-        self.latency_ns = schedule.latency_ns[challenger_id - 1]
+        self.give_up_ns = first_send_ns + round(DEFAULT_TIMEOUT_FACTOR * params.duration_ns)
+        self.latency_ns = latency_ns
         self._limit = params.signatures_per_challenger
-        self._m0 = check_m0(params.m0)
+        self._m0 = params.m0
         self._sigs: dict[int, bytes] = {}
         self.delta_ns: int | None = None
         self.receipt: bytes | None = None
@@ -484,7 +483,7 @@ class Verifier:
     """Aggregates reports into a bandwidth verdict.
 
     Reports and disputes that arrive before the prover's root are held
-    and judged once it is known. A lazy verifier (f < n/3; its `Session`
+    and judged once it is known. A lazy verifier (f < n/3; its `ChallengeParams`
     refuses more) gives its verdict when n - f challengers are accounted
     for, the capped count reaches (n - f) * k and at least 2f of them
     reported an RTT, and never on less; a timer-mode one (f < n/2)
@@ -497,7 +496,6 @@ class Verifier:
     def __init__(self, session: Session):
         self.session = session
         self.params = session.params
-        self.timer_mode = session.timer_mode
         self.root: bytes | None = None
         self.entries: dict[int, tuple[int, int | None]] = {}
         self.rejections: list[tuple[int, str]] = []
@@ -617,7 +615,7 @@ class Verifier:
         return sum(count for count, _ in self.entries.values())
 
     def _maybe_emit(self, now_ns: int) -> None:
-        if self.timer_mode or self.output is not None:
+        if self.params.timer_mode or self.output is not None:
             return
         p = self.params
         if len(self.entries) < p.n - p.f:
@@ -633,7 +631,7 @@ class Verifier:
     def evaluate(self, now_ns: int) -> PoBOutput | None:
         """Deadline evaluation: a timer-mode verifier settles for whatever
         has been accepted; a lazy one keeps only a verdict it already has."""
-        if self.timer_mode and self.output is None and self.entries:
+        if self.params.timer_mode and self.output is None and self.entries:
             self._emit(now_ns)
         return self.output
 

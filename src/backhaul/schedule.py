@@ -1,11 +1,11 @@
-"""Challenge parameter derivation and the aligned send schedule.
+"""Challenge parameter derivation and the aligned first sends.
 
 A challenge against a claimed rate theta splits that rate across m
 challengers (m = n or n - f by policy, default n - f so the honest
 majority alone can saturate the claim). Each challenger paces probe
-packets of PACKET_BYTES at rate theta0 = theta / m; k is chosen so the
-termination threshold (n - f) * k packets represents `duration` worth
-of traffic through the claimed backhaul.
+packets of `ChallengeParams.b` bytes at rate theta0 = theta / m; k is
+chosen so the termination threshold (n - f) * k packets represents
+`duration` worth of traffic through the claimed backhaul.
 
 First-send times are staggered so every challenger's first packet lands
 on the bottleneck simultaneously: t_i1 = t0 + (l_ref - l_i) with l_ref
@@ -18,12 +18,13 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 from .wire import WIRE_PACKET_LEN
 
-PACKET_BYTES = WIRE_PACKET_LEN
-DEFAULT_OVERPROVISION = 1.1
+if TYPE_CHECKING:  # config imports RatePolicy from here
+    from .config import ProtocolSpec
+
 # a challenger gives up on the response this many durations after its first send
 DEFAULT_TIMEOUT_FACTOR = 5.0
 
@@ -49,25 +50,51 @@ def overprovision_count(k: int, rho: float) -> int:
 
 @dataclass(frozen=True)
 class ChallengeParams:
-    """Everything both sides must agree on before a challenge starts."""
+    """Everything all parties must agree on before a challenge starts;
+    building one checks every value and derives k, theta0 and ceil(rho k).
+
+    m0 should be fresh per challenge. A lazy verifier tolerates f < n/3
+    corrupt challengers; a `timer_mode` one, which closes collection on a
+    deadline instead of waiting, f < n/2.
+    """
 
     theta_claimed_bps: float
     n: int
     f: int
     duration_ns: int
-    k: int
-    theta0_bps: float
     rate_policy: RatePolicy
-    overprovision: float = DEFAULT_OVERPROVISION
-    t0_ns: int = 0
-    m0: bytes = bytes(32)
+    overprovision: float
+    timer_mode: bool
+    t0_ns: int
+    m0: bytes
+    k: int = field(init=False)
+    theta0_bps: float = field(init=False)
     # bytes per probe packet, the same for every challenge
-    b: ClassVar[int] = PACKET_BYTES
+    b: ClassVar[int] = WIRE_PACKET_LEN
     _signatures: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n, f, theta, duration = self.n, self.f, self.theta_claimed_bps, self.duration_ns
+        if n < 1:
+            raise ParamsError(f"n must be positive, got {n}")
+        if f < 0:
+            raise ParamsError(f"f must be nonnegative, got {f}")
+        if f >= (n / 2 if self.timer_mode else n / 3):
+            raise ParamsError(f"f={f} not tolerable with n={n}: need f < {'n/2' if self.timer_mode else 'n/3'}")
+        if theta <= 0:
+            raise ParamsError(f"theta_claimed must be positive, got {theta}")
+        if duration <= 0:
+            raise ParamsError(f"duration must be positive, got {duration}")
+        if len(self.m0) != 32:
+            raise ParamsError(f"m0 must be 32 bytes, got {len(self.m0)}")
+        m = n if self.rate_policy is RatePolicy.PER_N else n - f
+        k = round(duration * 1e-9 * theta / (m * self.b * 8))
+        if k < 1:
+            raise ParamsError(f"duration {duration} ns too short: k={k} at theta={theta} n={n}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "theta0_bps", theta / m)
         # validates rho >= 1; computed once, as the probe path reads it often
-        object.__setattr__(self, "_signatures", overprovision_count(self.k, self.overprovision))
+        object.__setattr__(self, "_signatures", overprovision_count(k, self.overprovision))
 
     @property
     def threshold(self) -> int:
@@ -90,58 +117,11 @@ class ChallengeParams:
         return self.b * 8 * 1e9 / self.theta_claimed_bps
 
 
-def check_corruption_bound(n: int, f: int, timer_mode: bool) -> None:
-    """A lazy verifier tolerates f < n/3 corrupt challengers; a timer-mode one,
-    which closes collection on a deadline instead of waiting, f < n/2."""
-    if f >= (n / 2 if timer_mode else n / 3):
-        raise ParamsError(f"f={f} not tolerable with n={n}: need f < {'n/2' if timer_mode else 'n/3'}")
-
-
-def derive_params(
-    theta_claimed_bps: float,
-    n: int,
-    f: int,
-    duration_ns: int,
-    rate_policy: RatePolicy = RatePolicy.PER_N_MINUS_F,
-    overprovision: float = DEFAULT_OVERPROVISION,
-    t0_ns: int = 0,
-    m0: bytes = bytes(32),
-    timer_mode: bool = False,
-) -> ChallengeParams:
-    """Derive per-challenger rate and packet count for a claimed bandwidth.
-
-    m0 should be fresh per challenge; the zero default is for parameter
-    arithmetic only. timer_mode picks the corruption bound
-    (`check_corruption_bound`).
-    """
-    if n < 1:
-        raise ParamsError(f"n must be positive, got {n}")
-    if f < 0:
-        raise ParamsError(f"f must be nonnegative, got {f}")
-    check_corruption_bound(n, f, timer_mode)
-    if theta_claimed_bps <= 0:
-        raise ParamsError(f"theta_claimed must be positive, got {theta_claimed_bps}")
-    if duration_ns <= 0:
-        raise ParamsError(f"duration must be positive, got {duration_ns}")
-    if len(m0) != 32:
-        raise ParamsError(f"m0 must be 32 bytes, got {len(m0)}")
-    m = n if rate_policy is RatePolicy.PER_N else n - f
-    k = round(duration_ns * 1e-9 * theta_claimed_bps / (m * PACKET_BYTES * 8))
-    if k < 1:
-        raise ParamsError(
-            f"duration {duration_ns} ns too short: k={k} at theta={theta_claimed_bps} n={n}"
-        )
+def derive_params(proto: ProtocolSpec, m0: bytes) -> ChallengeParams:
+    """The parameters of a challenge under `proto`, with its fresh m0."""
     return ChallengeParams(
-        theta_claimed_bps=theta_claimed_bps,
-        n=n,
-        f=f,
-        duration_ns=duration_ns,
-        k=k,
-        theta0_bps=theta_claimed_bps / m,
-        rate_policy=rate_policy,
-        overprovision=overprovision,
-        t0_ns=t0_ns,
-        m0=m0,
+        proto.theta_claimed_bps, proto.n, proto.f, proto.duration_ns, RatePolicy(proto.rate_policy),
+        proto.overprovision, proto.timer_mode, proto.t0_ns, m0,
     )
 
 
@@ -150,29 +130,19 @@ def challenge_data_bytes(params: ChallengeParams) -> int:
     return params.n * params.signatures_per_challenger * params.b
 
 
-@dataclass(frozen=True)
-class SendSchedule:
-    """What the pings decide: each challenger's aligned first send and
-    estimated one-way latency, indexed by id - 1.
+def send_schedule(params: ChallengeParams, latencies_ns: Sequence[int]) -> tuple[int, ...]:
+    """Each challenger's aligned first send, by id - 1, from its latency estimate.
 
-    Everything else about the train comes from `ChallengeParams`: probe q
-    of challenger i goes out at first_send_ns[i-1] plus (q - 1) *
-    `spacing_ns`, for q up to `signatures_per_challenger`, one signature
-    each. `Challenger.build_sends` builds that train.
+    Probe q of challenger i then goes out (q - 1) * `spacing_ns` later, for
+    q up to `signatures_per_challenger`; `Challenger.build_sends` builds
+    that train.
     """
-
-    first_send_ns: tuple[int, ...]
-    latency_ns: tuple[int, ...]
-
-
-def send_schedule(params: ChallengeParams, latencies_ns: Sequence[int]) -> SendSchedule:
-    """Build the latency-aligned schedule from per-challenger estimates."""
     if len(latencies_ns) != params.n:
         raise ParamsError(f"need {params.n} latency estimates, got {len(latencies_ns)}")
     if any(l < 0 for l in latencies_ns):
         raise ParamsError("latency estimates must be nonnegative")
     l_ref = max(latencies_ns)
-    return SendSchedule(tuple(params.t0_ns + (l_ref - l) for l in latencies_ns), tuple(latencies_ns))
+    return tuple(params.t0_ns + (l_ref - l) for l in latencies_ns)
 
 
 # round trips each challenger times before the challenge

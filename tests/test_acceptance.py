@@ -19,7 +19,7 @@ import pytest
 from backhaul import crypto
 from backhaul.adversary import fuzz_strategies
 from backhaul.cli import load_bundled
-from backhaul.config import ProverStrategy, parse_scenario
+from backhaul.config import ProtocolSpec, ProverStrategy, parse_scenario
 from backhaul.ladder import run_ladder
 from backhaul.netsim import run_scenario
 from backhaul.report import build_report, dump_report
@@ -205,7 +205,7 @@ class TestCriterion05Collusion:
 class TestCriterion06DataVolume:
     def test_criterion_06_challenge_data_volume(self):
         p = derive_params(
-            THETA, 10, 0, duration_ns=DURATION, rate_policy=RatePolicy.PER_N
+            ProtocolSpec(THETA, 10, 0, duration_ns=DURATION, rate_policy=RatePolicy.PER_N.value), bytes(32)
         )
         assert p.k == 206
         assert p.signatures_per_challenger == 227
@@ -216,10 +216,10 @@ class TestCriterion06DataVolume:
         assert volume * 8 / (THETA * 0.1) == pytest.approx(1.1, abs=0.011)
 
         p500 = derive_params(
-            500e6, 10, 0, duration_ns=DURATION, rate_policy=RatePolicy.PER_N
+            ProtocolSpec(500e6, 10, 0, duration_ns=DURATION, rate_policy=RatePolicy.PER_N.value), bytes(32)
         )
         assert (p500.k, p500.signatures_per_challenger) == (413, 455)
-        pf = derive_params(THETA, 10, 2, duration_ns=DURATION)
+        pf = derive_params(ProtocolSpec(THETA, 10, 2, duration_ns=DURATION), bytes(32))
         assert (pf.k, pf.signatures_per_challenger, pf.threshold) == (258, 284, 2064)
         assert overprovision_count(210, 1.1) == 231  # exact rational rounding
         ok(
@@ -313,16 +313,16 @@ class TestCriterion09Evidence:
         k = 5
         duration = round(k * (n - f) * 1514 * 8 / theta * 1e9)
         params = derive_params(
-            theta, n, f, duration_ns=duration, m0=rng.randbytes(32)
+            ProtocolSpec(theta, n, f, duration_ns=duration), rng.randbytes(32)
         )
         assert params.k == k
         keys = {i: crypto.keygen(rng.randbytes(32)) for i in range(1, n + 1)}
         prover_key = crypto.keygen(rng.randbytes(32))
-        sched = send_schedule(params, [MS] * n)
+        first = send_schedule(params, [MS] * n)
         session = Session(
             params, prover_id, prover_key.public_key, {i: keys[i].public_key for i in keys}, deadline_ns=duration
         )
-        challengers = {i: Challenger(session, i, keys[i], sched) for i in range(1, n + 1)}
+        challengers = {i: Challenger(session, i, keys[i], first[i - 1], MS) for i in range(1, n + 1)}
         prover = Prover(session, prover_key)
         sends = [(t, p) for c in challengers.values() for t, p in c.build_sends()]
         rng.shuffle(sends)

@@ -22,8 +22,8 @@ from backhaul.config import (
 from backhaul.crypto import keygen
 from backhaul.netsim import run_scenario
 from backhaul.roles import Prover, Session
-from backhaul.schedule import derive_params
 from backhaul.wire import ChallengePacket
+from test_schedule import params_of
 
 MS = 1_000_000
 THETA = 250e6
@@ -61,7 +61,7 @@ def session(params, spec=AttackSpec()):
 
 class TestPlanMechanics:
     def plan(self, spec, n=4, f=1):
-        params = derive_params(1e6, n, f, duration_ns=100 * MS)
+        params = params_of(1e6, n, f, 100 * MS)
         return AttackPlan(session(params, spec), random.Random(0))
 
     def train(self):
@@ -110,7 +110,7 @@ class TestPlanMechanics:
         assert 0 < len(a) < 5
 
     def test_early_trigger_only_when_colluding(self):
-        params = derive_params(THETA, 10, 2, duration_ns=100 * MS)
+        params = params_of(THETA, 10, 2, 100 * MS)
         prover = Prover(session(params), keygen(bytes(32)))
         assert AttackPlan(session(params), random.Random(0)).intake(prover) == prover.on_probe
         spec = AttackSpec(

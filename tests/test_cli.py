@@ -154,6 +154,15 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("section, field", [("protocol", "duration_ns"), ("topology", "backhaul_propagation_ns")])
+    def test_integer_too_large_for_a_float_is_a_config_error(self, tmp_path, capsys, section, field):
+        sections = {"protocol": {"theta_claimed_bps": 250e6, "n": 10}, "topology": {"backhaul_rate_bps": 250e6}}
+        sections[section][field] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(sections))
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert f"{section}.{field}: " in capsys.readouterr().err
+
     def test_zero_reps_rejected(self, scenario_file, capsys):
         assert main(["simulate", "--config", scenario_file, "--reps", "0"]) == EXIT_CONFIG
 

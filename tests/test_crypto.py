@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from backhaul import crypto
 from backhaul.roles import Session
-from backhaul.schedule import derive_params
+from test_schedule import params_of
 
 # RFC 8032 section 7.1 TEST 1 and TEST 2 vectors.
 RFC_SEED_1 = bytes.fromhex("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60")
@@ -385,7 +385,7 @@ def test_python_curve_matches_keygen():
 def _roles_refuse(key):
     """The session every role is built from refuses `key` as the prover's
     and as a challenger's, so no role ever holds it."""
-    params = derive_params(2e6, 3, 0, duration_ns=200_000_000)
+    params = params_of(2e6, 3, 0, 200_000_000)
     good = crypto.keygen(b"\x0b" * 32)
     with pytest.raises(ValueError, match="public key"):
         Session(params, 77, key, {1: good.public_key}, deadline_ns=0)
@@ -394,7 +394,7 @@ def _roles_refuse(key):
 
 
 def test_session_keeps_only_the_keys_it_checked():
-    params = derive_params(2e6, 3, 0, duration_ns=200_000_000)
+    params = params_of(2e6, 3, 0, 200_000_000)
     good = crypto.keygen(b"\x0b" * 32)
     keys = {1: good.public_key}
     session = Session(params, 77, good.public_key, keys, deadline_ns=0)

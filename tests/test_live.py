@@ -45,9 +45,10 @@ def live_session(cfg, start_ms=300):
     return session_for(dataclasses.replace(cfg.protocol, t0_ns=time.time_ns() + start_ms * MS), cfg.attack, seed=0)
 
 
-def run_loopback(session, prover_key, keys):
+def run_loopback(session, prover_key, keys, stranger=None):
     """One run over loopback, a thread for the prover and for each challenger
-    and the verifier on the caller's: (verifier, prover stats, challengers by id)."""
+    and the verifier on the caller's: (verifier, prover stats, challengers by id).
+    `stranger`, if given, runs on a thread of its own with the sockets by name."""
     socks = {name: udp_socket() for name in ("prover", "verifier", *keys)}
     prover_addr, verifier_addr = socks["prover"].getsockname(), socks["verifier"].getsockname()
     results = {}
@@ -61,6 +62,7 @@ def run_loopback(session, prover_key, keys):
     threads = [
         threading.Thread(target=prover_main),
         *(threading.Thread(target=challenger_main, args=(i,)) for i in keys),
+        *([threading.Thread(target=stranger, args=(socks,))] if stranger else []),
     ]
     try:
         for t in threads:
@@ -106,7 +108,7 @@ class TestLoopback:
         # would refuse it, so the verdict comes from `evaluate` at the deadline
         cfg = scenario(theta_claimed_bps=2e6, n=5, f=2, duration_ns=200 * MS, timer_mode=True)
         session, prover_key, keys = live_session(cfg)
-        assert session.timer_mode and session.params.threshold == 33
+        assert session.params.timer_mode and session.params.threshold == 33
         verifier, stats, _ = run_loopback(session, prover_key, keys)
         assert stats.responded
         verdict = verifier.output
@@ -289,6 +291,43 @@ class TestIdBinding:
         stats = results["stats"]
         assert stats.responded and stats.challengers_seen == 1
         assert stats.spoofed == k
+
+
+class TestStrangers:
+    def test_forgeries_from_a_stranger_are_not_taken(self):
+        # while the trains run, a stranger sends each challenger forged
+        # verifications and responses, and the verifier forged roots
+        session, prover_key, keys = live_session(
+            scenario(theta_claimed_bps=2e6, n=3, duration_ns=200 * MS, rate_policy="per_n")
+        )
+        p = session.params
+        forged_root = wire.ResponsePacket(receipt=bytes(32), root=bytes(range(32)), signature=bytes(64))
+        bitmap = wire.bitmap_from_sequences(range(1, p.k + 1), p.signatures_per_challenger)
+        flooded_ns = []
+
+        def flood(socks):
+            sock = udp_socket()
+            try:
+                live._sleep_until(p.t0_ns + 10 * MS)  # after the pings
+                for cid in keys:
+                    forged = wire.VerificationMessage(cid, p.k, p.signatures_per_challenger, bitmap, cid - 1, ())
+                    for _ in range(20):
+                        sock.sendto(wire.encode(forged), socks[cid].getsockname())
+                        sock.sendto(wire.encode(forged_root), socks[cid].getsockname())
+                for _ in range(50):
+                    sock.sendto(wire.encode(forged_root), socks["verifier"].getsockname())
+                flooded_ns.append(time.time_ns())
+            finally:
+                sock.close()
+
+        verifier, stats, challengers = run_loopback(session, prover_key, keys, flood)
+        # all sent before the last counted probe left, so before the response
+        assert flooded_ns[0] < p.t0_ns + p.duration_ns // 2
+        assert stats.responded
+        for me in challengers.values():
+            assert me.report_sent and me.events == []
+        assert verifier.rejections == []
+        assert verifier.output is not None and verifier.output.reports_used == 3
 
 
 class TestNetsimAgainstLoopback:

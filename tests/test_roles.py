@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_result_digests import ROOT, load_script
+from test_schedule import params_of
 
 from backhaul import roles, wire
 from backhaul.config import parse_scenario
 from backhaul.crypto import hash_packet_set, keygen, probe_message, sign
 from backhaul.netsim import run_scenario
 from backhaul.roles import VERIFIER, Challenger, Prover, Session, Verifier, upper_median
-from backhaul.schedule import ParamsError, RatePolicy, derive_params, send_schedule
+from backhaul.schedule import ParamsError, RatePolicy, send_schedule
 from backhaul.wire import (
     ChallengePacket,
     ChallengerReport,
@@ -48,18 +49,19 @@ def world(
     theta = 1_000_000.0 * m
     duration_ns = round(k * m * 1514 * 8 / theta * 1e9)
     m0 = hashlib.sha256(f"m0:{seed}".encode()).digest()
-    params = derive_params(
+    params = params_of(
         theta,
         n,
         f,
         duration_ns,
-        rate_policy=policy,
+        m0,
+        rate_policy=policy.value,
         overprovision=rho,
-        m0=m0,
         timer_mode=timer_mode,
     )
     assert params.k == k
-    sched = send_schedule(params, latencies or [0] * n)
+    latencies = latencies or [0] * n
+    first = send_schedule(params, latencies)
     ckeys = {
         i: keygen(hashlib.sha256(f"ck:{seed}:{i}".encode()).digest())
         for i in range(1, n + 1)
@@ -71,13 +73,11 @@ def world(
         pkey.public_key,
         {i: ckeys[i].public_key for i in range(1, n + 1)},
         deadline_ns=3 * duration_ns,
-        timer_mode=timer_mode,
     )
-    challengers = {i: Challenger(session, i, ckeys[i], sched) for i in range(1, n + 1)}
+    challengers = {i: Challenger(session, i, ckeys[i], first[i - 1], latencies[i - 1]) for i in range(1, n + 1)}
     return SimpleNamespace(
         session=session,
         params=params,
-        schedule=sched,
         challengers=challengers,
         prover=Prover(session, pkey),
         verifier=Verifier(session),
@@ -843,11 +843,11 @@ class TestVerifier:
     def test_lazy_verifier_refuses_the_timer_mode_bound(self):
         # n=5, f=2 is only sound with a deadline: a lazy verifier would take
         # two corrupt reports with rtt_ns=1 and one honest one as n - f, so
-        # no lazy session, and so no lazy verifier, can be built for it
+        # no lazy parameters, and so no lazy verifier, can be built for it
         w = world(n=5, f=2, k=5, timer_mode=True)
         with pytest.raises(ParamsError, match="need f < n/3"):
-            dataclasses.replace(w.session, timer_mode=False)
-        assert Verifier(w.session).timer_mode
+            dataclasses.replace(w.params, timer_mode=False)
+        assert Verifier(w.session).params.timer_mode
 
     def test_routes_drive_the_whole_exchange(self):
         w = world()
@@ -935,12 +935,13 @@ class TestPackageExports:
 
     def test_one_sessions_roles_build_from_top_level_imports(self):
         from backhaul import Challenger, Prover, Session, Verifier, derive_params, keygen, send_schedule
+        from backhaul.config import ProtocolSpec
 
-        params = derive_params(3e6, 3, 0, 100 * MS)
+        params = derive_params(ProtocolSpec(3e6, 3, 0, 100 * MS), bytes(32))
         ckeys = {i: keygen(bytes([i]) * 32) for i in (1, 2, 3)}
         pkey = keygen(bytes(32))
         session = Session(params, 0, pkey.public_key, {i: k.public_key for i, k in ckeys.items()}, deadline_ns=0)
-        sched = send_schedule(params, [0, 0, 0])
-        challengers = [Challenger(session, i, ckeys[i], sched) for i in ckeys]
+        first = send_schedule(params, [0, 0, 0])
+        challengers = [Challenger(session, i, ckeys[i], first[i - 1], 0) for i in ckeys]
         assert [len(c.build_sends()) for c in challengers] == [params.signatures_per_challenger] * 3
         assert Prover(session, pkey).params is Verifier(session).params is params

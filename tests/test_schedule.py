@@ -1,16 +1,17 @@
 """Parameter derivation and schedule arithmetic, checked against hand oracles."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backhaul.config import ProtocolSpec
 from backhaul.crypto import keygen
 from backhaul.roles import Challenger, Session
 from backhaul.schedule import (
-    PACKET_BYTES,
     ChallengeParams,
     ParamsError,
     RatePolicy,
@@ -24,8 +25,13 @@ from backhaul.schedule import (
 MS = 1_000_000
 
 
+def params_of(theta, n, f, duration_ns, m0=bytes(32), **protocol):
+    """`derive_params` of a protocol with these values and every other default."""
+    return derive_params(ProtocolSpec(theta_claimed_bps=theta, n=n, f=f, duration_ns=duration_ns, **protocol), m0)
+
+
 def mk(theta, n, f, duration_ms, policy=RatePolicy.PER_N, **kw):
-    return derive_params(theta, n, f, duration_ms * MS, rate_policy=policy, **kw)
+    return params_of(theta, n, f, duration_ms * MS, rate_policy=policy.value, **kw)
 
 
 class TestDeriveParams:
@@ -88,7 +94,7 @@ class TestDeriveParams:
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ParamsError, match="k="):
-            derive_params(250e6, 10, 0, 200_000)  # 0.2 ms: k rounds to 0
+            params_of(250e6, 10, 0, 200_000)  # 0.2 ms: k rounds to 0
         with pytest.raises(ParamsError):
             mk(-5, 10, 0, 100)
         with pytest.raises(ParamsError):
@@ -96,7 +102,7 @@ class TestDeriveParams:
         with pytest.raises(ParamsError):
             mk(250e6, 10, -1, 100)
         with pytest.raises(ParamsError):
-            derive_params(250e6, 10, 0, -1)
+            params_of(250e6, 10, 0, -1)
         with pytest.raises(ParamsError, match="m0"):
             mk(250e6, 10, 0, 100, m0=b"short")
         with pytest.raises(ParamsError, match=">= 1"):
@@ -120,7 +126,7 @@ class TestOverprovision:
 def train(p, s, cid):
     """(send_time_ns, sequence) per probe, from the challenger's own sends."""
     keypair = keygen(bytes([cid]) * 32)
-    me = Challenger(Session(p, 0, keypair.public_key, {}, deadline_ns=0), cid, keypair, s)
+    me = Challenger(Session(p, 0, keypair.public_key, {}, deadline_ns=0), cid, keypair, s[cid - 1], 0)
     return [(t, pkt.sequence) for t, pkt in me.build_sends()]
 
 
@@ -128,9 +134,9 @@ class TestSendSchedule:
     def test_alignment_two_challengers(self):
         p = mk(50e6, 2, 0, 100, t0_ns=1_000 * MS)
         s = send_schedule(p, [10 * MS, 30 * MS])
-        assert s.first_send_ns == (1_020 * MS, 1_000 * MS)
+        assert s == (1_020 * MS, 1_000 * MS)
         # both first probes land at the same instant
-        assert s.first_send_ns[0] + 10 * MS == s.first_send_ns[1] + 30 * MS
+        assert s[0] + 10 * MS == s[1] + 30 * MS
 
     def test_packet_times_follow_signature_slots(self):
         p = mk(250e6, 3, 0, 100, policy=RatePolicy.PER_N_MINUS_F)
@@ -138,7 +144,7 @@ class TestSendSchedule:
         for cid in (1, 2, 3):
             for t, q in train(p, s, cid):
                 # probe q goes out in its own pacing slot
-                assert t == s.first_send_ns[cid - 1] + round((q - 1) * p.spacing_ns)
+                assert t == s[cid - 1] + round((q - 1) * p.spacing_ns)
 
     def test_one_signature_per_packet(self):
         p = mk(250e6, 10, 0, 100)
@@ -171,11 +177,11 @@ class TestSendSchedule:
     )
     def test_alignment_identity(self, lats, t0):
         n = len(lats)
-        p = derive_params(25e6 * n, n, 0, 100 * MS, t0_ns=t0)
+        p = params_of(25e6 * n, n, 0, 100 * MS, t0_ns=t0)
         s = send_schedule(p, lats)
-        arrivals = {s.first_send_ns[i] + lats[i] for i in range(n)}
+        arrivals = {s[i] + lats[i] for i in range(n)}
         assert arrivals == {t0 + max(lats)}
-        assert min(s.first_send_ns) == t0
+        assert min(s) == t0
 
 
 class TestEstimateLatency:
@@ -195,14 +201,45 @@ class TestParamsObject:
             p.k = 1
 
     def test_threshold_consistency(self):
-        p = ChallengeParams(
-            theta_claimed_bps=250e6,
-            n=10,
-            f=2,
-            duration_ns=100 * MS,
-            k=258,
-            theta0_bps=250e6 / 8,
-            rate_policy=RatePolicy.PER_N_MINUS_F,
-        )
+        p = ChallengeParams(**GOOD)
         assert p.threshold == 2064
         assert p.signatures_per_challenger == 284
+
+    def test_direct_build_derives_what_derive_params_does(self):
+        p = ChallengeParams(**GOOD)
+        assert (p.k, p.theta0_bps) == (258, 250e6 / 8)
+        assert p == mk(250e6, 10, 2, 100, policy=RatePolicy.PER_N_MINUS_F)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n": 0}, "n must be positive, got 0"),
+            ({"f": -1}, "f must be nonnegative, got -1"),
+            ({"f": 4}, "f=4 not tolerable with n=10: need f < n/3"),
+            ({"f": 5, "timer_mode": True}, "f=5 not tolerable with n=10: need f < n/2"),
+            # refused by the bound before k divides by n - f
+            ({"n": 3, "f": 3}, "f=3 not tolerable with n=3: need f < n/3"),
+            ({"n": 3, "f": 4, "timer_mode": True}, "f=4 not tolerable with n=3: need f < n/2"),
+            ({"theta_claimed_bps": 0.0}, "theta_claimed must be positive, got 0.0"),
+            ({"duration_ns": 0}, "duration must be positive, got 0"),
+            ({"m0": bytes(31)}, "m0 must be 32 bytes, got 31"),
+            ({"duration_ns": 100_000}, "duration 100000 ns too short: k=0 at theta=250000000.0 n=10"),
+            ({"overprovision": 0.9}, "overprovision 0.9 must be >= 1"),
+        ],
+    )
+    def test_direct_build_refuses_each_bad_value(self, change, message):
+        with pytest.raises(ParamsError, match=f"^{re.escape(message)}$"):
+            ChallengeParams(**{**GOOD, **change})
+
+
+GOOD = dict(
+    theta_claimed_bps=250e6,
+    n=10,
+    f=2,
+    duration_ns=100 * MS,
+    rate_policy=RatePolicy.PER_N_MINUS_F,
+    overprovision=1.1,
+    timer_mode=False,
+    t0_ns=0,
+    m0=bytes(32),
+)

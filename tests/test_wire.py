@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from backhaul import wire
 from backhaul.crypto import keygen, probe_message, sign
 from backhaul.roles import Challenger, Session
-from backhaul.schedule import ChallengeParams, RatePolicy, challenge_data_bytes, derive_params, send_schedule
+from backhaul.schedule import ChallengeParams, RatePolicy, challenge_data_bytes
+from test_schedule import params_of
 
 
 def make_challenge(challenger_id=7, sequence=45, nonce=b"\x11" * 8, signature=b"\x01" * 64):
@@ -34,10 +35,10 @@ def test_challenge_layout_hand_built():
 
 
 def test_lazily_signed_challenge_encodes_like_an_eager_one():
-    params = derive_params(2e6, 3, 0, duration_ns=200_000_000, m0=b"\x05" * 32)
+    params = params_of(2e6, 3, 0, 200_000_000, m0=b"\x05" * 32)
     key = keygen(b"\x09" * 32)
     session = Session(params, 77, keygen(b"\x0a" * 32).public_key, {}, deadline_ns=0)
-    me = Challenger(session, 2, key, send_schedule(params, [0] * 3))
+    me = Challenger(session, 2, key, params.t0_ns, 0)
     _, pkt = me.build_sends()[4]
     signature = sign(key.secret_key, probe_message(5, params.m0))
     eager = wire.ChallengePacket(challenger_id=2, sequence=5, nonce=pkt.nonce, signature=signature)
@@ -119,7 +120,9 @@ def test_challenge_encode_refuses_a_bad_signature():
 def test_full_transmission_slot_arithmetic():
     # ceil(1.1k) probes of one signature each, every one a full-size packet
     for k in range(1, 2000, 13):
-        p = ChallengeParams(1e9, 1, 0, 1, k, 1e9, RatePolicy.PER_N)
+        # k * b * 8 ns at 1 Gbit/s is k probes' worth
+        p = ChallengeParams(1e9, 1, 0, k * wire.WIRE_PACKET_LEN * 8, RatePolicy.PER_N, 1.1, False, 0, bytes(32))
+        assert p.k == k
         sigs = -(-k * 11 // 10)
         assert p.signatures_per_challenger == sigs
         assert challenge_data_bytes(p) == sigs * wire.WIRE_PACKET_LEN
