@@ -35,7 +35,7 @@ from typing import Iterator
 
 from . import wire
 from .adversary import AttackPlan
-from .crypto import KeyPair
+from .crypto import KeyPair, probe_message, verify
 from .roles import VERIFIER, Challenger, Prover, Session, Verifier
 from .schedule import PING_SAMPLES, estimate_latency
 
@@ -91,7 +91,7 @@ class ProverStats:
     challengers_seen: int
     pings_answered: int
     disputes_unsent: int
-    spoofed: int  # probes dropped for naming an id bound to another source
+    spoofed: int  # probes dropped: they name an id bound to another source, unsigned by its key
 
 
 def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifier_addr: Addr) -> ProverStats:
@@ -102,11 +102,15 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
     verifier's wait for its disputes. Only requests from `verifier_addr`, the
     numeric (host, port) the verifier sends from, are answered. Each of the
     session's ids is bound to the source of the first ping or probe naming
-    it, and answered there; a probe naming it from elsewhere is dropped.
+    it, and answered there. A probe naming it from elsewhere takes the id
+    over if its sequence is in 1..ceil(rho * k) and its signature verifies
+    under that id's key, and is dropped as spoofed otherwise; a ping never
+    moves a bound id.
     """
-    params = session.params
+    params, keys = session.params, session.challenger_public_keys
+    limit = params.signatures_per_challenger
     # room for every probe of the run; the kernel doubles this, capped at net.core.rmem_max
-    rcvbuf = params.n * params.signatures_per_challenger * wire.CHALLENGE_PAYLOAD_LEN
+    rcvbuf = params.n * limit * wire.CHALLENGE_PAYLOAD_LEN
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
     prover = Prover(session, keypair)
     plan = AttackPlan(session, random.Random(params.m0))
@@ -123,10 +127,15 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
             sock.sendto(wire.encode(reply), src)
         elif isinstance(msg, wire.ChallengePacket):
             probes += 1
-            if 1 <= msg.challenger_id <= params.n and addrs.setdefault(msg.challenger_id, src) != src:
-                spoofed += 1
-            elif intake(now, msg):
-                for dest, msgs in prover.build_responses().routes():
+            cid, q, _, signature = msg
+            if 1 <= cid <= params.n and addrs.setdefault(cid, src) != src:
+                if 1 <= q <= limit and verify(keys[cid], probe_message(q, params.m0), signature):
+                    addrs[cid] = src
+                else:
+                    spoofed += 1
+                    continue
+            if intake(now, msg):
+                for dest, msgs in prover.build_responses():
                     addr = verifier_addr if dest == VERIFIER else addrs.get(dest)
                     if addr is None:
                         continue  # never heard from: no address to answer
@@ -138,7 +147,7 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
                 unsent += 1
             else:
                 sock.sendto(data, verifier_addr)
-    return ProverStats(prover.responded, probes, len(addrs), pings, unsent, spoofed)
+    return ProverStats(prover.trigger_ns is not None, probes, len(addrs), pings, unsent, spoofed)
 
 
 def run_challenger(

@@ -497,10 +497,10 @@ class _Run:
         return tuple(self.timed_out)
 
     def respond(self) -> None:
-        bundle = self.prover.build_responses()
-        self.tr(f"trigger t_ns={self.prover.trigger_ns} capped={self.prover.capped_total()}")
+        routes = self.prover.build_responses()
+        self.tr(f"trigger t_ns={self.prover.trigger_ns} capped={self.prover.capped}")
         now = self.loop.now
-        for dest, msgs in bundle.routes():
+        for dest, msgs in routes:
             if dest == VERIFIER:
                 self.loop.at(now + self.vprop, partial(self.to_verifier, *msgs))
                 continue

@@ -4,7 +4,7 @@ These classes are pure state machines and the whole control plane; they
 never touch sockets or clocks. Every role of one run is built from one
 `Session`, what all parties agree on before it starts, and its own
 keypair. Callers feed each role timestamped messages through
-`on_message`, send what `ProverBundle.routes` names and keep time, so
+`on_message`, send what `Prover.build_responses` routes and keep time, so
 the simulator and the live UDP harness share one set-up, one routing,
 one settle rule (see `Verifier`) and one dispute rule (`at_deadline`,
 answered once per id by `Prover.on_message`).
@@ -103,7 +103,7 @@ class PoBOutput:
     per_challenger: tuple[tuple[int, int], ...]
 
 
-VERIFIER = 0  # the root's destination in `ProverBundle.routes`; challengers are 1..n
+VERIFIER = 0  # the root's destination in `Prover.build_responses`; challengers are 1..n
 
 
 class _SignatureOnRead:
@@ -204,7 +204,6 @@ class Challenger:
         self.delta_ns: int | None = None
         self.receipt: bytes | None = None
         self.root_seen: bytes | None = None
-        self.acked_count: int | None = None
         self.report_sent = False
         self.failure: str | None = None
         self.events: list[str] = []
@@ -278,7 +277,6 @@ class Challenger:
         if (reason := self._refute(msg)) is not None:
             self.events.append(reason)
             return None
-        self.acked_count = msg.acked_count
         self.report_sent = True
         return ChallengerReport(
             challenger_id=self.id,
@@ -308,22 +306,6 @@ class Challenger:
         return None
 
 
-@dataclass(frozen=True)
-class ProverBundle:
-    """Everything the prover emits when its threshold trips."""
-
-    responses: dict[int, ResponsePacket]
-    announcement: ResponsePacket
-    verifications: dict[int, VerificationMessage]
-
-    def routes(self) -> list[tuple[int, tuple]]:
-        """(destination, messages) in send order: each challenger's response
-        and verification, by id, then the root to `VERIFIER`."""
-        out = [(i, (r, self.verifications[i])) for i, r in self.responses.items()]
-        out.append((VERIFIER, (self.announcement,)))
-        return out
-
-
 class Prover:
     """Collects probes and answers once enough of the target volume arrived.
 
@@ -338,22 +320,17 @@ class Prover:
         self.keypair = keypair
         self.params = params = session.params
         self.received: dict[int, dict[int, ChallengePacket]] = {i: {} for i in range(1, params.n + 1)}
-        self.responded = False
-        self.trigger_ns: int | None = None
+        self.trigger_ns: int | None = None  # when the response was committed
+        self.capped = 0  # sum over challengers of min(stored, k)
         self.dropped_unknown = 0
         self.dropped_seq = 0
         self.duplicates = 0
         self.late_probes = 0
-        self._leaves: list[bytes] | None = None
-        self._frozen: dict[int, list[tuple[int, bytes]]] = {}
+        self._snapshot: list | None = None  # made once, by `_freeze`
         self._limit = params.signatures_per_challenger
         self._k = params.k
         self._threshold = params.threshold
-        self._capped = 0  # sum over challengers of min(stored, k)
         self._disputed: set[int] = set()  # ids whose dispute request was answered
-
-    def capped_total(self) -> int:
-        return self._capped
 
     def on_probe(self, now_ns: int, pkt: ChallengePacket) -> bool:
         """Store a fresh probe; True exactly when it trips the threshold.
@@ -364,7 +341,7 @@ class Prover:
         threshold condition then guarantees that disputes alone can
         carry the verifier over its own count requirement.
         """
-        if self.responded:
+        if self.trigger_ns is not None:
             self.late_probes += 1
             return False
         cid, q, _, _ = pkt
@@ -381,78 +358,59 @@ class Prover:
         store[q] = pkt
         if len(store) > self._k:
             return False  # the capped count cannot move
-        self._capped += 1
-        if self._capped >= self._threshold:
-            self.responded = True
-            self.trigger_ns = now_ns
-            return True
-        return False
+        self.capped += 1
+        return self.capped >= self._threshold and self.force_respond(now_ns)
 
     def force_respond(self, now_ns: int) -> bool:
         """Commit to a response now, regardless of the threshold."""
-        if self.responded:
+        if self.trigger_ns is not None:
             return False
-        self.responded = True
         self.trigger_ns = now_ns
         return True
 
-    def _signed(self, challenger_id: int) -> list[tuple[int, bytes]]:
-        """(q, signature) for each stored probe, by q; reads the signatures
-        once per challenger, at the freeze."""
-        signed = self._frozen.get(challenger_id)
-        if signed is None:
-            signed = self._frozen[challenger_id] = [
-                (q, bytes(pkt.signature)) for q, pkt in sorted(self.received[challenger_id].items())
-            ]
-        return signed
+    def _freeze(self) -> list:
+        """The snapshot every answer describes: per challenger, by id - 1, its
+        stored (q, signature) pairs by q and its receipt over them.
 
-    def _build_leaves(self) -> list[bytes]:
-        """Each challenger's receipt, by id, made once at the freeze and
-        shared out by id over the CPUs (`_fan_out`). Every packet stored
-        under id i is one of challenger i's, and signs through that
-        challenger's cache, so one thread reads it and each probe is signed
-        once. A failure raises what the serial loop would: that of the
-        lowest failing id.
+        Made once, and shared out by id over the CPUs (`_fan_out`). Every
+        packet stored under id i is one of challenger i's, and signs through
+        that challenger's cache, so one thread reads it and each probe is
+        signed once. A failure raises what the serial loop would: that of
+        the lowest failing id.
         """
-        if self._leaves is None:
-            leaves: list[bytes] = [b""] * self.params.n
+        if self._snapshot is None:
+            snapshot: list = [None] * self.params.n
 
-            def receipt(i: int) -> None:
-                leaves[i - 1] = hash_packet_set(self._signed(i))
+            def freeze(i: int) -> None:
+                signed = tuple((q, bytes(pkt.signature)) for q, pkt in sorted(self.received[i].items()))
+                snapshot[i - 1] = (signed, hash_packet_set(signed))
 
-            _fan_out(range(1, self.params.n + 1), receipt)
-            self._leaves = leaves
-        return self._leaves
+            _fan_out(range(1, self.params.n + 1), freeze)
+            self._snapshot = snapshot
+        return self._snapshot
 
-    def build_responses(self) -> ProverBundle:
-        """Receipts, tree root, and per-challenger inclusion evidence."""
-        leaves = self._build_leaves()
+    def build_responses(self) -> list[tuple[int, tuple]]:
+        """(destination, messages) in send order: each challenger's response
+        (receipt and root, signed) and verification (bitmap and inclusion
+        proof), by id, then the signed root to `VERIFIER`."""
+        snapshot = self._freeze()
+        leaves = [receipt for _, receipt in snapshot]
         root = merkle_root(leaves)
-        responses = {}
-        verifications = {}
-        total_bits = self._limit
-        for i in range(1, self.params.n + 1):
-            leaf = leaves[i - 1]
-            responses[i] = ResponsePacket(
-                receipt=leaf,
-                root=root,
-                signature=sign(self.keypair.secret_key, leaf + root),
-            )
-            signed = self._signed(i)
-            verifications[i] = VerificationMessage(
-                challenger_id=i,
+        secret, bits = self.keypair.secret_key, self._limit
+        routes: list[tuple[int, tuple]] = []
+        for index, (signed, leaf) in enumerate(snapshot):
+            response = ResponsePacket(receipt=leaf, root=root, signature=sign(secret, leaf + root))
+            verification = VerificationMessage(
+                challenger_id=index + 1,
                 acked_count=len(signed),
-                bitmap_bits=total_bits,
-                bitmap=bitmap_from_sequences([q for q, _ in signed], total_bits),
-                leaf_index=i - 1,
-                siblings=merkle_prove(leaves, i - 1),
+                bitmap_bits=bits,
+                bitmap=bitmap_from_sequences([q for q, _ in signed], bits),
+                leaf_index=index,
+                siblings=merkle_prove(leaves, index),
             )
-        announcement = ResponsePacket(
-            receipt=bytes(32),
-            root=root,
-            signature=sign(self.keypair.secret_key, bytes(32) + root),
-        )
-        return ProverBundle(responses, announcement, verifications)
+            routes.append((index + 1, (response, verification)))
+        routes.append((VERIFIER, (ResponsePacket(bytes(32), root, sign(secret, bytes(32) + root)),)))
+        return routes
 
     def on_message(self, now_ns: int, msg, build_dispute=None) -> DisputeSubmission | None:
         """Answer a `DisputeRequest` by `build_dispute` (default: our own) if the
@@ -468,14 +426,14 @@ class Prover:
 
     def build_dispute(self, challenger_id: int) -> DisputeSubmission | None:
         """Raw signed probes proving the count for one challenger."""
-        if not self.responded or challenger_id not in self.received:
+        if self.trigger_ns is None or challenger_id not in self.received:
             return None
-        leaves = self._build_leaves()
+        snapshot = self._freeze()
         return DisputeSubmission(
             challenger_id=challenger_id,
-            packets=tuple(self._signed(challenger_id)),
+            packets=snapshot[challenger_id - 1][0],
             leaf_index=challenger_id - 1,
-            siblings=merkle_prove(leaves, challenger_id - 1),
+            siblings=merkle_prove([receipt for _, receipt in snapshot], challenger_id - 1),
         )
 
 

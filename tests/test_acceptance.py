@@ -23,7 +23,7 @@ from backhaul.config import ProtocolSpec, ProverStrategy, parse_scenario
 from backhaul.ladder import run_ladder
 from backhaul.netsim import run_scenario
 from backhaul.report import build_report, dump_report
-from backhaul.roles import Challenger, Prover, Session, Verifier
+from backhaul.roles import VERIFIER, Challenger, Prover, Session, Verifier
 from backhaul.schedule import (
     RatePolicy,
     derive_params,
@@ -328,20 +328,20 @@ class TestCriterion09Evidence:
         rng.shuffle(sends)
         for t, pkt in sorted(sends, key=lambda x: x[0]):
             prover.on_probe(t, pkt)
-        if not prover.responded:
-            prover.force_respond(0)
-        bundle = prover.build_responses()
+        prover.force_respond(0)  # unless the threshold tripped already
+        routes = dict(prover.build_responses())
 
         verifier = Verifier(session)
-        verifier.on_root(0, bundle.announcement)
+        verifier.on_root(0, *routes[VERIFIER])
         silent = rng.randint(1, n)
         now = duration
         for i in challengers:
             if i == silent:
                 continue
             c = challengers[i]
-            c.on_response(now, bundle.responses[i])
-            rpt = c.on_verification(now, bundle.verifications[i])
+            response, verification = routes[i]
+            c.on_response(now, response)
+            rpt = c.on_verification(now, verification)
             assert rpt is not None
             verifier.on_report(now, rpt)
         assert verifier.output is None  # the silent one holds it back

@@ -139,8 +139,8 @@ class TestPlanMechanics:
             if tripped:
                 break
         assert honest_capped == early
-        assert prover.responded and prover.trigger_ns == early
-        assert prover.capped_total() == early + 1 < params.threshold
+        assert prover.trigger_ns == early
+        assert prover.capped == early + 1 < params.threshold
 
     def test_misreport_rewrites_report_fields(self):
         spec = AttackSpec(

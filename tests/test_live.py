@@ -93,10 +93,11 @@ class TestLoopback:
         for me in challengers.values():
             assert me.failure is None
             assert me.report_sent
-            assert me.acked_count >= session.params.k
 
         verdict = verifier.output
         assert verdict is not None
+        # each report acknowledged at least k probes: the verifier caps it at k
+        assert dict(verdict.per_challenger) == {i: session.params.k for i in challengers}
         assert verdict.cnt == 33
         assert verdict.reports_used == 3
         assert verdict.disputes_upheld == 0
@@ -293,6 +294,30 @@ class TestIdBinding:
         assert stats.spoofed == k
 
 
+    def test_a_strangers_ping_first_cannot_lock_the_challenger_out(self):
+        session, prover_key, keys = live_session(
+            scenario(theta_claimed_bps=2e6, n=1, duration_ns=200 * MS), start_ms=400
+        )
+        socks = prover_sock, verifier_sock, me, stranger = [udp_socket() for _ in range(4)]
+        prover, results = serve_in_thread(prover_sock, session, prover_key, verifier_sock.getsockname())
+        addr = prover_sock.getsockname()
+        try:
+            ping_through(stranger, addr, nonce=1)  # binds id 1 to the stranger's socket
+            challenger = run_challenger(me, session, 1, keys[1], addr, verifier_sock.getsockname())
+            assert challenger.report_sent  # its first signed probe took id 1 over
+            stranger.settimeout(0.1)
+            with pytest.raises(socket.timeout):
+                stranger.recv(live.MAX_DATAGRAM)
+            prover.join(timeout=5)
+            assert not prover.is_alive()
+        finally:
+            for sock in socks:
+                sock.close()
+        stats = results["stats"]
+        assert stats.responded and stats.challengers_seen == 1
+        assert stats.spoofed == 0
+
+
 class TestStrangers:
     def test_forgeries_from_a_stranger_are_not_taken(self):
         # while the trains run, a stranger sends each challenger forged
@@ -345,6 +370,8 @@ class TestNetsimAgainstLoopback:
     CASES = {
         "honest": ((), 0),
         "withhold_report": ([(2, "withhold_report", {})], 1),
+        # a challenger bound by its pings alone, with no probe: disputed at zero
+        "withhold_all": ([(2, "withhold_all", {})], 0),
         # an honest prover stalls on one under-reported count: no verdict on
         # either transport until the deadline also disputes short reports
         "misreport_count": ([(1, "misreport_count", {"count": 1})], None),

@@ -28,6 +28,7 @@ from backhaul.wire import (
     DisputeSubmission,
     VerificationMessage,
     bitmap_from_sequences,
+    sequences_from_bitmap,
 )
 
 PROVER_ID = 77
@@ -113,9 +114,22 @@ def deliver_all(w, skip=()):
     return trips
 
 
+def answer(prover):
+    """`prover.build_responses()` by role: each challenger's response and
+    verification by id, and the root `announcement` for the verifier."""
+    routes = prover.build_responses()
+    assert [dest for dest, _ in routes] == [*range(1, prover.params.n + 1), VERIFIER]
+    *to_challengers, (_, (root,)) = routes
+    return SimpleNamespace(
+        responses={i: response for i, (response, _) in to_challengers},
+        verifications={i: verification for i, (_, verification) in to_challengers},
+        announcement=root,
+    )
+
+
 def finish(w, respond_at=5 * MS, report_ids=None):
     """Prover responds, challengers verify, verifier ingests reports."""
-    bundle = w.prover.build_responses()
+    bundle = answer(w.prover)
     w.verifier.on_root(respond_at, bundle.announcement)
     reports = {}
     for i, c in w.challengers.items():
@@ -158,7 +172,7 @@ class TestHappyPath:
         w = world()
         trips = deliver_all(w)
         assert len(trips) == 1  # threshold trips exactly once
-        assert w.prover.capped_total() == 15
+        assert w.prover.capped == 15
         _, reports = finish(w, respond_at=5 * MS)
         assert len(reports) == 3
         out = w.verifier.output
@@ -185,7 +199,7 @@ class TestHappyPath:
         lat = [10 * MS, 0, 0]
         w = world(latencies=lat)
         deliver_all(w)
-        bundle = w.prover.build_responses()
+        bundle = answer(w.prover)
         c1 = w.challengers[1]
         # c1 starts at t0 (it is the slowest), so delta = now - 0 - 2 * 10ms
         c1.on_response(45 * MS, bundle.responses[1])
@@ -200,9 +214,9 @@ class TestCaps:
         for i in (1, 2, 3):
             for t, pkt in w.challengers[i].build_sends():
                 w.prover.on_probe(t, pkt)
-        assert w.prover.responded
+        assert w.prover.trigger_ns is not None
         assert [len(w.prover.received[i]) for i in (1, 2, 3)] == [6, 6, 5]
-        assert w.prover.capped_total() == 15
+        assert w.prover.capped == 15
         assert w.prover.late_probes == 1  # 6th probe of challenger 3
         _, reports = finish(w)
         assert [reports[i].packets_acknowledged for i in (1, 2, 3)] == [6, 6, 5]
@@ -214,7 +228,7 @@ class TestCaps:
         w = world(rho=1.2)
         train1 = w.challengers[1].build_sends()
         assert not any(w.prover.on_probe(t, p) for t, p in train1)
-        assert w.prover.capped_total() == 5  # 6 stored, 5 count
+        assert w.prover.capped == 5  # 6 stored, 5 count
 
     def test_misreported_count_capped_by_verifier(self):
         w = world()
@@ -251,10 +265,10 @@ class TestRunningCount:
             pkt = ChallengePacket(cid, q, bytes(8), bytes([q]) * 64)
             tripped = prover.on_probe(t, pkt)
             total = sum(min(len(s), k) for s in prover.received.values())
-            assert prover.capped_total() == total
+            assert prover.capped == total
             assert tripped == (not reached and total >= threshold)
             reached = reached or total >= threshold
-        assert prover.responded == reached
+        assert (prover.trigger_ns is not None) == reached
 
 
 class TestProverHygiene:
@@ -293,7 +307,7 @@ class TestProverHygiene:
             random.Random(shuffle_seed).shuffle(packets)
             trips = sum(w.prover.on_probe(j, p) for j, p in enumerate(packets))
             assert trips == 1
-            roots.add(w.prover.build_responses().announcement.root)
+            roots.add(answer(w.prover).announcement.root)
         assert len(roots) == 1
 
 
@@ -310,7 +324,7 @@ class TestChallengerChecks:
     def test_bad_prover_signature_ignored(self):
         w = world()
         deliver_all(w)
-        bundle = w.prover.build_responses()
+        bundle = answer(w.prover)
         r = bundle.responses[1]
         forged = type(r)(r.receipt, r.root, bytes([r.signature[0] ^ 1]) + r.signature[1:])
         c = w.challengers[1]
@@ -322,7 +336,7 @@ class TestChallengerChecks:
         lat = [10 * MS, 0, 0]
         w = world(latencies=lat)
         deliver_all(w)
-        bundle = w.prover.build_responses()
+        bundle = answer(w.prover)
         c = w.challengers[1]
         c.on_response(15 * MS, bundle.responses[1])  # beats the 20ms round trip
         assert c.failure == "early_response"
@@ -336,8 +350,8 @@ class TestChallengerChecks:
                 if i == 1 and pkt.sequence == 5:
                     continue
                 w.prover.on_probe(t, pkt)
-        assert w.prover.responded
-        bundle = w.prover.build_responses()
+        assert w.prover.trigger_ns is not None
+        bundle = answer(w.prover)
         c1 = w.challengers[1]
         c1.on_response(5 * MS, bundle.responses[1])
         v = bundle.verifications[1]
@@ -355,7 +369,7 @@ class TestChallengerChecks:
     def test_wrong_leaf_index_rejected(self):
         w = world()
         deliver_all(w)
-        bundle = w.prover.build_responses()
+        bundle = answer(w.prover)
         c1 = w.challengers[1]
         c1.on_response(5 * MS, bundle.responses[1])
         v = bundle.verifications[1]
@@ -366,7 +380,7 @@ class TestChallengerChecks:
     def test_wrong_bitmap_size_rejected(self):
         w = world()
         deliver_all(w)
-        bundle = w.prover.build_responses()
+        bundle = answer(w.prover)
         c1 = w.challengers[1]
         c1.on_response(5 * MS, bundle.responses[1])
         v = bundle.verifications[1]
@@ -379,7 +393,7 @@ class TestChallengerChecks:
     def test_reports_only_once(self):
         w = world()
         deliver_all(w)
-        bundle = w.prover.build_responses()
+        bundle = answer(w.prover)
         c1 = w.challengers[1]
         c1.on_response(5 * MS, bundle.responses[1])
         assert c1.on_verification(6 * MS, bundle.verifications[1]) is not None
@@ -388,7 +402,7 @@ class TestChallengerChecks:
     def test_verification_before_response_is_replayed(self):
         w = world()
         deliver_all(w)
-        bundle = w.prover.build_responses()
+        bundle = answer(w.prover)
         c1 = w.challengers[1]
         assert c1.on_message(5 * MS, bundle.verifications[1]) is None  # stashed
         rpt = c1.on_message(6 * MS, bundle.responses[1])
@@ -400,7 +414,7 @@ class TestChallengerChecks:
     def test_forgery_stashed_after_the_genuine_verification_cannot_displace_it(self):
         w = world()
         deliver_all(w)
-        bundle = w.prover.build_responses()
+        bundle = answer(w.prover)
         c1 = w.challengers[1]
         v = bundle.verifications[1]
         forged = VerificationMessage(1, v.acked_count, v.bitmap_bits, v.bitmap, 1, v.siblings)
@@ -413,7 +427,7 @@ class TestChallengerChecks:
     def test_receipt_matches_own_hash(self):
         w = world()
         deliver_all(w)
-        bundle = w.prover.build_responses()
+        bundle = answer(w.prover)
         c1 = w.challengers[1]
         own = hash_packet_set(
             [(q, c1.signature_for(q)) for q in range(1, w.params.k + 1)]
@@ -440,7 +454,7 @@ class TestLazySignatures:
         signs = counting(monkeypatch, "sign")
         w = world(n=4, f=1, k=5)
         deliver_all(w, skip=(4,))
-        assert w.prover.responded
+        assert w.prover.trigger_ns is not None
         assert signs == []
         w.prover.build_responses()
         stored = sum(len(s) for s in w.prover.received.values())
@@ -461,8 +475,9 @@ class TestLazySignatures:
         dispute = w.prover.build_dispute(2)
         encoded = {wire.encode(pkt)[64:128] for pkt in stored}
         assert len(signs) == 15 + 5  # the dispute and the encodings read the same signatures
-        assert encoded == {sig for i in (1, 2, 3) for _, sig in w.prover._signed(i)}
-        assert set(dispute.packets) == set(w.prover._signed(2))
+        snapshot = w.prover._freeze()
+        assert encoded == {sig for signed, _ in snapshot[:3] for _, sig in signed}
+        assert set(dispute.packets) == set(snapshot[1][0])
         # a probe no receipt covers is signed by its first reader, and only then
         _, unsent = w.challengers[4].build_sends()[0]
         first = wire.encode(unsent)
@@ -497,7 +512,7 @@ def store_unevenly(w, *provers):
 
 
 class TestSplitFreeze:
-    """`Prover._build_leaves` shares the receipts out over threads by id."""
+    """`Prover._freeze` shares the snapshot out over threads by id."""
 
     @pytest.mark.parametrize("n", [1, 3, 4, 10])
     @pytest.mark.parametrize("width", [1, 2, 4, 16])
@@ -509,12 +524,14 @@ class TestSplitFreeze:
         sizes = [len(w.prover.received[i]) for i in range(1, n + 1)]
         assert sum(sizes) and (n == 1 or 0 in sizes)
         threads = threading.active_count()
-        serial = [hash_packet_set(twin._signed(i)) for i in range(1, n + 1)]
-        assert w.prover._build_leaves() == serial
+        serial = []
+        for i in range(1, n + 1):
+            signed = tuple((q, bytes(pkt.signature)) for q, pkt in sorted(twin.received[i].items()))
+            serial.append((signed, hash_packet_set(signed)))
+        assert w.prover._freeze() == serial
         assert threading.active_count() == threads
-        twin._leaves = serial
+        twin._snapshot = serial
         assert w.prover.build_responses() == twin.build_responses()
-        assert w.prover._signed(n) == twin._signed(n)
 
     def test_each_probe_signed_once_under_fast_switching(self, monkeypatch):
         lock = threading.Lock()
@@ -567,7 +584,7 @@ class TestSplitFreeze:
             w.prover.build_responses()
         assert info.value is errors[raised]
         assert threading.active_count() == threads
-        assert w.prover._leaves is None
+        assert w.prover._snapshot is None
 
     def test_no_thread_outlives_a_run(self, monkeypatch):
         cpus(monkeypatch, 4)
@@ -612,7 +629,7 @@ class TestSplitDisputes:
     def test_outcome_equals_a_serial_twin(self, monkeypatch, kind, width):
         w = world(n=3, k=40)
         deliver_all(w)
-        bundle = w.prover.build_responses()
+        bundle = answer(w.prover)
         d = tampered(w.prover.build_dispute(2), kind)
         assert d.packets[-1][0] == w.params.signatures_per_challenger + (kind == "q_out_of_range")
         twin = Verifier(w.session)
@@ -644,7 +661,7 @@ class TestSplitDisputes:
         # failure, every other share runs on
         w = world(n=3, k=40)
         deliver_all(w)
-        w.verifier.on_root(5 * MS, w.prover.build_responses().announcement)
+        w.verifier.on_root(5 * MS, answer(w.prover).announcement)
         d = tampered(w.prover.build_dispute(2), "bad_middle")
         cpus(monkeypatch, width)
         verifies = counting(monkeypatch, "verify")
@@ -668,7 +685,7 @@ class TestVerifier:
     def test_reports_buffered_until_root(self):
         w = world()
         deliver_all(w)
-        bundle = w.prover.build_responses()
+        bundle = answer(w.prover)
         reports = []
         for i, c in w.challengers.items():
             c.on_response(5 * MS, bundle.responses[i])
@@ -714,7 +731,7 @@ class TestVerifier:
     def test_dispute_fills_withheld_report(self):
         w = world(n=4, f=1, k=5)
         deliver_all(w, skip=(4,))  # challenger 4 never probes
-        assert w.prover.responded  # threshold is (n-f)k = 15
+        assert w.prover.trigger_ns is not None  # threshold is (n-f)k = 15
         bundle, reports = finish(w, report_ids=[1, 2])
         v = w.verifier
         assert v.output is None  # 2 entries < n - f = 3
@@ -786,7 +803,7 @@ class TestVerifier:
     def test_malformed_dispute_rejected_before_any_verify(self, monkeypatch, shape):
         w = world(n=4, f=1, k=5)
         deliver_all(w, skip=(4,))
-        bundle = w.prover.build_responses()
+        bundle = answer(w.prover)
         w.verifier.on_root(5 * MS, bundle.announcement)
         d = w.prover.build_dispute(1)
         (q1, s1), (q2, s2) = d.packets[:2]
@@ -825,9 +842,9 @@ class TestVerifier:
         w = world(n=5, f=2, k=5, timer_mode=True)
         deliver_all(w, skip=(4, 5))
         # three full trains reach the (n - f) * k = 15 threshold exactly
-        assert w.prover.responded
-        assert w.prover.capped_total() == 15
-        bundle = w.prover.build_responses()
+        assert w.prover.trigger_ns is not None
+        assert w.prover.capped == 15
+        bundle = answer(w.prover)
         w.verifier.on_root(5 * MS, bundle.announcement)
         for i in (1, 2, 3):
             c = w.challengers[i]
@@ -852,7 +869,7 @@ class TestVerifier:
     def test_routes_drive_the_whole_exchange(self):
         w = world()
         deliver_all(w)
-        routes = w.prover.build_responses().routes()
+        routes = w.prover.build_responses()
         assert [dest for dest, _ in routes] == [1, 2, 3, VERIFIER]
         reports = [
             w.challengers[dest].on_message(5 * MS, msg)
@@ -877,6 +894,23 @@ class TestVerifier:
     def test_evaluate_without_entries_yields_nothing(self):
         w = world(timer_mode=False)
         assert w.verifier.evaluate(50 * MS) is None
+
+
+class TestOneSnapshot:
+    def test_responses_verifications_and_disputes_describe_one_freeze(self):
+        w = world(n=4, k=5, rho=1.2)
+        ids = range(0, w.params.n + 2)
+        assert [w.prover.build_dispute(i) for i in ids] == [None] * len(ids)  # before the trigger
+        store_unevenly(w, w.prover)
+        bundle = answer(w.prover)
+        for i in range(1, w.params.n + 1):
+            dispute, verification = w.prover.build_dispute(i), bundle.verifications[i]
+            assert hash_packet_set(dispute.packets) == bundle.responses[i].receipt
+            assert dispute.siblings == verification.siblings
+            assert [q for q, _ in dispute.packets] == sequences_from_bitmap(verification.bitmap, verification.bitmap_bits)
+            assert w.prover.build_dispute(i) == dispute
+        assert w.prover.build_dispute(0) is None
+        assert w.prover.build_dispute(w.params.n + 1) is None
 
 
 class TestDeadlineDisputes:
