@@ -78,7 +78,7 @@ class AttackPlan:
         if not self.colluding:
             return on_probe
         p = self.params
-        early, k = (p.n - 2 * p.f) * p.k, p.k
+        early = (p.n - 2 * p.f) * p.k
         honest = frozenset(range(1, p.n + 1)) - self.corrupt
         honest_capped = 0  # capped probes stored for honest challengers
 
@@ -86,10 +86,9 @@ class AttackPlan:
             nonlocal honest_capped
             if pkt.challenger_id not in honest:
                 return on_probe(now_ns, pkt)
-            store = prover.received[pkt.challenger_id]
-            before = min(len(store), k)
+            before = prover.capped
             tripped = on_probe(now_ns, pkt)
-            honest_capped += min(len(store), k) - before
+            honest_capped += prover.capped - before
             if not tripped and honest_capped >= early:
                 tripped = prover.force_respond(now_ns)
             return tripped

@@ -239,12 +239,20 @@ def _padded(leaves: Sequence[bytes]) -> list[bytes]:
     return out
 
 
-def merkle_root(leaves: Sequence[bytes]) -> bytes:
-    """Root over leaves, padded to a power of two by repeating the last leaf."""
+def _levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
+    """Every level of the tree over leaves, padded to a power of two by
+    repeating the last leaf: the leaf hashes first, the root's level last."""
     level = [_leaf_hash(leaf) for leaf in _padded(leaves)]
+    levels = [level]
     while len(level) > 1:
         level = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
+        levels.append(level)
+    return levels
+
+
+def merkle_root(leaves: Sequence[bytes]) -> bytes:
+    """Root over leaves, padded to a power of two by repeating the last leaf."""
+    return _levels(leaves)[-1][0]
 
 
 def merkle_prove(leaves: Sequence[bytes], index: int) -> tuple[bytes, ...]:
@@ -252,14 +260,7 @@ def merkle_prove(leaves: Sequence[bytes], index: int) -> tuple[bytes, ...]:
     sibling hashes bottom-up, RFC 6962's audit path for that leaf index."""
     if not 0 <= index < len(leaves):
         raise ValueError(f"leaf index {index} out of range for {len(leaves)} leaves")
-    level = [_leaf_hash(leaf) for leaf in _padded(leaves)]
-    siblings: list[bytes] = []
-    pos = index
-    while len(level) > 1:
-        siblings.append(level[pos ^ 1])
-        level = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-        pos //= 2
-    return tuple(siblings)
+    return tuple(level[(index >> depth) ^ 1] for depth, level in enumerate(_levels(leaves)[:-1]))
 
 
 def merkle_verify(root: bytes, leaf: bytes, index: int, siblings: Sequence[bytes]) -> bool:

@@ -549,10 +549,7 @@ class _Run:
             "uplink_lost": sum(l.stats.lost for l in self.up_links.values()),
             "backhaul_lost": bh_stats.lost,
             "backhaul_tail_dropped": bh_stats.tail_dropped,
-            "prover_duplicates": prover.duplicates,
-            "prover_unknown": prover.dropped_unknown,
-            "prover_bad_sequence": prover.dropped_seq,
-            "prover_late": prover.late_probes,
+            **prover.drops,
         }
         out = verifier.output
         self.tr(

@@ -322,11 +322,9 @@ class Prover:
         self.received: dict[int, dict[int, ChallengePacket]] = {i: {} for i in range(1, params.n + 1)}
         self.trigger_ns: int | None = None  # when the response was committed
         self.capped = 0  # sum over challengers of min(stored, k)
-        self.dropped_unknown = 0
-        self.dropped_seq = 0
-        self.duplicates = 0
-        self.late_probes = 0
-        self._snapshot: list | None = None  # made once, by `_freeze`
+        # probes not stored, by cause, under the names `SimResult.drops` reports
+        self.drops = dict.fromkeys(("prover_duplicates", "prover_unknown", "prover_bad_sequence", "prover_late"), 0)
+        self._snapshot: tuple[bytes, list] | None = None  # made once, by `_freeze`
         self._limit = params.signatures_per_challenger
         self._k = params.k
         self._threshold = params.threshold
@@ -342,18 +340,18 @@ class Prover:
         carry the verifier over its own count requirement.
         """
         if self.trigger_ns is not None:
-            self.late_probes += 1
+            self.drops["prover_late"] += 1
             return False
         cid, q, _, _ = pkt
         store = self.received.get(cid)
         if store is None:
-            self.dropped_unknown += 1
+            self.drops["prover_unknown"] += 1
             return False
         if not 1 <= q <= self._limit:
-            self.dropped_seq += 1
+            self.drops["prover_bad_sequence"] += 1
             return False
         if q in store:
-            self.duplicates += 1
+            self.drops["prover_duplicates"] += 1
             return False
         store[q] = pkt
         if len(store) > self._k:
@@ -368,45 +366,47 @@ class Prover:
         self.trigger_ns = now_ns
         return True
 
-    def _freeze(self) -> list:
-        """The snapshot every answer describes: per challenger, by id - 1, its
-        stored (q, signature) pairs by q and its receipt over them.
+    def _freeze(self) -> tuple[bytes, list]:
+        """The commitment every answer describes: the Merkle root over the
+        receipts, and per challenger, by id - 1, its stored (q, signature)
+        pairs by q, its receipt over them and the receipt's inclusion path.
 
-        Made once, and shared out by id over the CPUs (`_fan_out`). Every
-        packet stored under id i is one of challenger i's, and signs through
-        that challenger's cache, so one thread reads it and each probe is
-        signed once. A failure raises what the serial loop would: that of
-        the lowest failing id.
+        Made once. The receipts are shared out by id over the CPUs
+        (`_fan_out`): every packet stored under id i is one of challenger
+        i's, and signs through that challenger's cache, so one thread reads
+        it and each probe is signed once. A failure raises what the serial
+        loop would: that of the lowest failing id.
         """
         if self._snapshot is None:
-            snapshot: list = [None] * self.params.n
+            stored: list = [None] * self.params.n
 
             def freeze(i: int) -> None:
                 signed = tuple((q, bytes(pkt.signature)) for q, pkt in sorted(self.received[i].items()))
-                snapshot[i - 1] = (signed, hash_packet_set(signed))
+                stored[i - 1] = (signed, hash_packet_set(signed))
 
             _fan_out(range(1, self.params.n + 1), freeze)
-            self._snapshot = snapshot
+            leaves = [receipt for _, receipt in stored]
+            self._snapshot = merkle_root(leaves), [
+                (signed, receipt, merkle_prove(leaves, index)) for index, (signed, receipt) in enumerate(stored)
+            ]
         return self._snapshot
 
     def build_responses(self) -> list[tuple[int, tuple]]:
         """(destination, messages) in send order: each challenger's response
         (receipt and root, signed) and verification (bitmap and inclusion
         proof), by id, then the signed root to `VERIFIER`."""
-        snapshot = self._freeze()
-        leaves = [receipt for _, receipt in snapshot]
-        root = merkle_root(leaves)
+        root, stored = self._freeze()
         secret, bits = self.keypair.secret_key, self._limit
         routes: list[tuple[int, tuple]] = []
-        for index, (signed, leaf) in enumerate(snapshot):
-            response = ResponsePacket(receipt=leaf, root=root, signature=sign(secret, leaf + root))
+        for index, (signed, receipt, path) in enumerate(stored):
+            response = ResponsePacket(receipt=receipt, root=root, signature=sign(secret, receipt + root))
             verification = VerificationMessage(
                 challenger_id=index + 1,
                 acked_count=len(signed),
                 bitmap_bits=bits,
                 bitmap=bitmap_from_sequences([q for q, _ in signed], bits),
                 leaf_index=index,
-                siblings=merkle_prove(leaves, index),
+                siblings=path,
             )
             routes.append((index + 1, (response, verification)))
         routes.append((VERIFIER, (ResponsePacket(bytes(32), root, sign(secret, bytes(32) + root)),)))
@@ -425,16 +425,12 @@ class Prover:
         return dispute
 
     def build_dispute(self, challenger_id: int) -> DisputeSubmission | None:
-        """Raw signed probes proving the count for one challenger."""
+        """Raw signed probes proving the count for one challenger, read from
+        the freeze's snapshot."""
         if self.trigger_ns is None or challenger_id not in self.received:
             return None
-        snapshot = self._freeze()
-        return DisputeSubmission(
-            challenger_id=challenger_id,
-            packets=snapshot[challenger_id - 1][0],
-            leaf_index=challenger_id - 1,
-            siblings=merkle_prove([receipt for _, receipt in snapshot], challenger_id - 1),
-        )
+        signed, _, path = self._freeze()[1][challenger_id - 1]
+        return DisputeSubmission(challenger_id, signed, challenger_id - 1, path)
 
 
 class Verifier:
@@ -447,15 +443,19 @@ class Verifier:
     reported an RTT, and never on less; a timer-mode one (f < n/2)
     settles at its deadline on what has arrived (`evaluate`).
 
-    An upheld dispute accounts for a challenger with its proven count and
-    no RTT; that challenger's report, if it comes later, adds only the RTT.
+    The ledger is two maps. `counts` holds every accounted id, with its
+    count capped at k; `rtts` holds the round trip of every accepted
+    report. An upheld dispute accounts for a challenger with its proven
+    count and no RTT; that challenger's report, if it comes later, adds
+    only the RTT.
     """
 
     def __init__(self, session: Session):
         self.session = session
         self.params = session.params
         self.root: bytes | None = None
-        self.entries: dict[int, tuple[int, int | None]] = {}
+        self.counts: dict[int, int] = {}
+        self.rtts: dict[int, int] = {}
         self.rejections: list[tuple[int, str]] = []
         self.disputes_upheld = 0
         self.output: PoBOutput | None = None
@@ -496,8 +496,7 @@ class Verifier:
         if rpt.prover_id != self.session.prover_id:
             self.rejections.append((cid, "wrong_prover"))
             return
-        prior = self.entries.get(cid)
-        if prior is not None and prior[1] is not None:
+        if cid in self.rtts:
             self.rejections.append((cid, "duplicate"))
             return
         if rpt.merkle_root_seen != self.root:
@@ -506,9 +505,9 @@ class Verifier:
         if rpt.rtt_ns <= 0:
             self.rejections.append((cid, "nonpositive_rtt"))
             return
+        self.rtts[cid] = rpt.rtt_ns
         # after an upheld dispute, its proven count stands
-        count = min(rpt.packets_acknowledged, self.params.k) if prior is None else prior[0]
-        self.entries[cid] = (count, rpt.rtt_ns)
+        self.counts.setdefault(cid, min(rpt.packets_acknowledged, self.params.k))
         self._maybe_emit(now_ns)
 
     def on_dispute(self, now_ns: int, d: DisputeSubmission) -> bool:
@@ -528,7 +527,7 @@ class Verifier:
         if pk is None:
             self.rejections.append((cid, "dispute_unknown_challenger"))
             return False
-        if cid in self.entries:
+        if cid in self.counts:
             return False
         if d.leaf_index != cid - 1:
             self.rejections.append((cid, "dispute_leaf_index"))
@@ -557,7 +556,7 @@ class Verifier:
         if not merkle_verify(self.root, leaf, d.leaf_index, d.siblings):
             self.rejections.append((cid, "dispute_proof"))
             return False
-        self.entries[cid] = (min(len(d.packets), self.params.k), None)
+        self.counts[cid] = min(len(d.packets), self.params.k)
         self.disputes_upheld += 1
         self._maybe_emit(now_ns)
         return True
@@ -567,39 +566,35 @@ class Verifier:
         challenger with no accepted report or upheld dispute, none after a verdict."""
         if self.output is not None:
             return []
-        return [DisputeRequest(i) for i in range(1, self.params.n + 1) if i not in self.entries]
-
-    def cnt(self) -> int:
-        return sum(count for count, _ in self.entries.values())
+        return [DisputeRequest(i) for i in range(1, self.params.n + 1) if i not in self.counts]
 
     def _maybe_emit(self, now_ns: int) -> None:
         if self.params.timer_mode or self.output is not None:
             return
         p = self.params
-        if len(self.entries) < p.n - p.f:
+        if len(self.counts) < p.n - p.f:
             return
-        if self.cnt() < p.threshold:
+        if sum(self.counts.values()) < p.threshold:
             return
         # the upper median of m RTTs sits at index floor(m/2); m >= 2f puts
         # at least f samples below it, so f corrupt ones cannot choose it
-        if sum(rtt is not None for _, rtt in self.entries.values()) < 2 * p.f:
+        if len(self.rtts) < 2 * p.f:
             return
         self._emit(now_ns)
 
     def evaluate(self, now_ns: int) -> PoBOutput | None:
         """Deadline evaluation: a timer-mode verifier settles for whatever
         has been accepted; a lazy one keeps only a verdict it already has."""
-        if self.params.timer_mode and self.output is None and self.entries:
+        if self.params.timer_mode and self.output is None and self.counts:
             self._emit(now_ns)
         return self.output
 
     def _emit(self, now_ns: int) -> None:
-        rtts = [rtt for _, rtt in self.entries.values() if rtt is not None]
-        if not rtts:
+        if not self.rtts:
             return
         p = self.params
-        delta = upper_median(rtts)
-        cnt = self.cnt()
+        delta = upper_median(self.rtts.values())
+        cnt = sum(self.counts.values())
         measured = cnt * p.b * 8 * 1e9 / delta
         guaranteed = measured * ((p.n - 2 * p.f) / (p.n - p.f))
         self.output = PoBOutput(
@@ -607,8 +602,8 @@ class Verifier:
             guaranteed_bps=guaranteed,
             delta_ns=delta,
             cnt=cnt,
-            reports_used=len(rtts),
+            reports_used=len(self.rtts),
             disputes_upheld=self.disputes_upheld,
-            per_challenger=tuple(sorted((i, c) for i, (c, _) in self.entries.items())),
+            per_challenger=tuple(sorted(self.counts.items())),
         )
         self.output_ns = now_ns

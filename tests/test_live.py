@@ -504,4 +504,4 @@ class TestAbsentPeers:
             sock.close()
             sender.close()
         assert verifier.output is None
-        assert 1 in verifier.entries  # the report was taken, and settled nothing
+        assert 1 in verifier.counts  # the report was taken, and settled nothing

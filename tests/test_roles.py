@@ -17,7 +17,7 @@ from test_schedule import params_of
 
 from backhaul import roles, wire
 from backhaul.config import parse_scenario
-from backhaul.crypto import hash_packet_set, keygen, probe_message, sign
+from backhaul.crypto import hash_packet_set, keygen, merkle_prove, merkle_root, probe_message, sign
 from backhaul.netsim import run_scenario
 from backhaul.roles import VERIFIER, Challenger, Prover, Session, Verifier, upper_median
 from backhaul.schedule import ParamsError, RatePolicy, send_schedule
@@ -217,7 +217,7 @@ class TestCaps:
         assert w.prover.trigger_ns is not None
         assert [len(w.prover.received[i]) for i in (1, 2, 3)] == [6, 6, 5]
         assert w.prover.capped == 15
-        assert w.prover.late_probes == 1  # 6th probe of challenger 3
+        assert w.prover.drops["prover_late"] == 1  # 6th probe of challenger 3
         _, reports = finish(w)
         assert [reports[i].packets_acknowledged for i in (1, 2, 3)] == [6, 6, 5]
         out = w.verifier.output
@@ -242,7 +242,7 @@ class TestCaps:
             packets_acknowledged=4_000_000_000,
         )
         w.verifier.on_report(6 * MS, huge)
-        assert w.verifier.entries[3][0] == w.params.k
+        assert w.verifier.counts[3] == w.params.k
         assert w.verifier.output.cnt == 15
 
 
@@ -278,14 +278,14 @@ class TestProverHygiene:
         w.prover.on_probe(t, pkt)
         w.prover.on_probe(t + 1, pkt)
         assert len(w.prover.received[1]) == 1
-        assert w.prover.duplicates == 1
+        assert w.prover.drops["prover_duplicates"] == 1
 
     def test_unknown_challenger_dropped(self):
         w = world()
         _, pkt = w.challengers[1].build_sends()[0]
         alien = ChallengePacket(99, pkt.sequence, pkt.nonce, pkt.signature)
         assert w.prover.on_probe(0, alien) is False
-        assert w.prover.dropped_unknown == 1
+        assert w.prover.drops["prover_unknown"] == 1
         assert all(not s for s in w.prover.received.values())
 
     def test_sequence_beyond_train_dropped(self):
@@ -294,7 +294,7 @@ class TestProverHygiene:
         limit = w.params.signatures_per_challenger
         rogue = ChallengePacket(1, limit + 1, pkt.nonce, pkt.signature)
         w.prover.on_probe(0, rogue)
-        assert w.prover.dropped_seq == 1
+        assert w.prover.drops["prover_bad_sequence"] == 1
         assert not w.prover.received[1]
 
     def test_no_second_response_and_order_independent_root(self):
@@ -475,9 +475,9 @@ class TestLazySignatures:
         dispute = w.prover.build_dispute(2)
         encoded = {wire.encode(pkt)[64:128] for pkt in stored}
         assert len(signs) == 15 + 5  # the dispute and the encodings read the same signatures
-        snapshot = w.prover._freeze()
-        assert encoded == {sig for signed, _ in snapshot[:3] for _, sig in signed}
-        assert set(dispute.packets) == set(snapshot[1][0])
+        _, stored = w.prover._freeze()
+        assert encoded == {sig for signed, _, _ in stored[:3] for _, sig in signed}
+        assert set(dispute.packets) == set(stored[1][0])
         # a probe no receipt covers is signed by its first reader, and only then
         _, unsent = w.challengers[4].build_sends()[0]
         first = wire.encode(unsent)
@@ -524,10 +524,10 @@ class TestSplitFreeze:
         sizes = [len(w.prover.received[i]) for i in range(1, n + 1)]
         assert sum(sizes) and (n == 1 or 0 in sizes)
         threads = threading.active_count()
-        serial = []
-        for i in range(1, n + 1):
-            signed = tuple((q, bytes(pkt.signature)) for q, pkt in sorted(twin.received[i].items()))
-            serial.append((signed, hash_packet_set(signed)))
+        signed = [tuple((q, bytes(p.signature)) for q, p in sorted(twin.received[i].items())) for i in range(1, n + 1)]
+        leaves = [hash_packet_set(s) for s in signed]
+        paths = [merkle_prove(leaves, index) for index in range(n)]
+        serial = merkle_root(leaves), list(zip(signed, leaves, paths))
         assert w.prover._freeze() == serial
         assert threading.active_count() == threads
         twin._snapshot = serial
@@ -643,9 +643,11 @@ class TestSplitDisputes:
         assert w.verifier.on_dispute(7 * MS, d) is serial is (kind == "honest")
         assert threading.active_count() == threads
         v = w.verifier
-        assert (v.rejections, v.entries, v.disputes_upheld) == (twin.rejections, twin.entries, twin.disputes_upheld)
+        assert (v.rejections, v.counts, v.rtts, v.disputes_upheld) == (
+            twin.rejections, twin.counts, twin.rtts, twin.disputes_upheld
+        )
         if kind == "honest":
-            assert v.entries == {2: (40, None)} and v.disputes_upheld == 1
+            assert (v.counts, v.rtts, v.disputes_upheld) == ({2: 40}, {}, 1)
             assert len(verifies) == len(d.packets) == 40
         elif kind == "forged":
             assert len(verifies) == 1
@@ -693,7 +695,7 @@ class TestVerifier:
         for r in reports:
             w.verifier.on_report(5 * MS, r)
         assert w.verifier.output is None
-        assert not w.verifier.entries
+        assert not w.verifier.counts and not w.verifier.rtts
         w.verifier.on_root(6 * MS, bundle.announcement)
         assert w.verifier.output is not None
         assert w.verifier.output.cnt == 15
@@ -734,11 +736,11 @@ class TestVerifier:
         assert w.prover.trigger_ns is not None  # threshold is (n-f)k = 15
         bundle, reports = finish(w, report_ids=[1, 2])
         v = w.verifier
-        assert v.output is None  # 2 entries < n - f = 3
+        assert v.output is None  # 2 accounted < n - f = 3
         assert v.at_deadline() == [DisputeRequest(3), DisputeRequest(4)]
         # empty dispute for the silent challenger: upheld, adds zero
         assert v.on_dispute(7 * MS, w.prover.build_dispute(4)) is True
-        assert v.entries[4] == (0, None)
+        assert v.counts[4] == 0 and 4 not in v.rtts
         assert v.output is None  # cnt still 10 < 15
         assert v.on_dispute(7 * MS, w.prover.build_dispute(3)) is True
         out = v.output
@@ -760,7 +762,7 @@ class TestVerifier:
         v.on_report(6 * MS, dataclasses.replace(reports[1], rtt_ns=1))
         for i in (2, 3, 4):
             assert v.on_dispute(7 * MS, w.prover.build_dispute(i)) is True
-        assert v.cnt() == w.params.threshold == 15
+        assert sum(v.counts.values()) == w.params.threshold == 15
         assert v.output is None
         v.on_report(8 * MS, reports[2])  # an honest report, late
         out = v.output
@@ -775,14 +777,14 @@ class TestVerifier:
         v = w.verifier
         dispute = w.prover.build_dispute(1)
         assert v.on_dispute(7 * MS, dispute) is True
-        assert v.entries[1] == (len(dispute.packets), None)
+        assert v.counts[1] == len(dispute.packets) and 1 not in v.rtts
         short = dataclasses.replace(reports[1], packets_acknowledged=0)
         v.on_report(8 * MS, short)
         # the proven count stands
-        assert v.entries[1] == (len(dispute.packets), reports[1].rtt_ns)
+        assert (v.counts[1], v.rtts[1]) == (len(dispute.packets), reports[1].rtt_ns)
         v.on_report(9 * MS, reports[1])
         assert v.rejections == [(1, "duplicate")]
-        assert v.entries[1] == (len(dispute.packets), reports[1].rtt_ns)
+        assert (v.counts[1], v.rtts[1]) == (len(dispute.packets), reports[1].rtt_ns)
 
     def test_dispute_with_tampered_signature_rejected(self):
         w = world(n=4, f=1, k=5)
@@ -834,9 +836,9 @@ class TestVerifier:
         deliver_all(w)
         finish(w, report_ids=[1, 2])
         d = w.prover.build_dispute(1)
-        before = dict(w.verifier.entries)
+        before = dict(w.verifier.counts), dict(w.verifier.rtts)
         assert w.verifier.on_dispute(7 * MS, d) is False
-        assert w.verifier.entries == before
+        assert (w.verifier.counts, w.verifier.rtts) == before
 
     def test_timer_mode_settles_at_deadline(self):
         w = world(n=5, f=2, k=5, timer_mode=True)
@@ -887,7 +889,7 @@ class TestVerifier:
         w = world(n=4, f=1, k=5)
         deliver_all(w, skip=(4,))
         finish(w, report_ids=[1, 2])
-        assert len(w.verifier.entries) == 2  # below n - f = 3
+        assert len(w.verifier.counts) == 2  # below n - f = 3
         assert w.verifier.evaluate(50 * MS) is None
         assert w.verifier.output is None
 
@@ -957,7 +959,7 @@ class TestDeadlineDisputes:
         assert w.verifier.at_deadline() == [DisputeRequest(3), DisputeRequest(4)]
         w.verifier.on_report(6 * MS, reports[3])
         assert w.verifier.output is not None
-        assert 4 not in w.verifier.entries
+        assert 4 not in w.verifier.counts
         assert w.verifier.at_deadline() == []
 
 

@@ -1,8 +1,10 @@
 """The work one run does, counted at each per-unit entry point.
 
 A refactor of the per-probe path must do exactly the same work: the same
-Ed25519 signs and verifies, the same receipt hashes, the same link sends,
-prover intake calls and control-plane heap pushes. These figures were
+Ed25519 signs and verifies, the same receipt hashes, Merkle roots and
+inclusion paths, the same link sends, prover intake calls and
+control-plane heap pushes. A prover that triggers builds one root and n
+paths at its freeze, and a dispute reads its path from there. These figures were
 recorded before the probe path was last reworked; a change that moves
 one of them changed what a run does, not only how fast it does it.
 """
@@ -78,28 +80,27 @@ CASES = {
 
 EXPECTED = {
     "honest": {
-        "sign": 421, "verify": 11, "hash_packet_set": 20,
+        "sign": 421, "verify": 11, "hash_packet_set": 20, "merkle_root": 1, "merkle_prove": 10,
         "FifoLink.send": 920, "Prover.on_probe": 460, "EventLoop.at": 34,
     },
     "lossy_drop_tail": {
-        "sign": 442, "verify": 11, "hash_packet_set": 20,
+        "sign": 442, "verify": 11, "hash_packet_set": 20, "merkle_root": 1, "merkle_prove": 10,
         "FifoLink.send": 908, "Prover.on_probe": 437, "EventLoop.at": 34,
     },
     "withheld_reports_disputed": {
-        "sign": 427, "verify": 57, "hash_packet_set": 21,
+        "sign": 427, "verify": 57, "hash_packet_set": 21, "merkle_root": 1, "merkle_prove": 10,
         "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
     },
     "forged_dispute": {
-        "sign": 427, "verify": 12, "hash_packet_set": 20,
+        "sign": 427, "verify": 12, "hash_packet_set": 20, "merkle_root": 1, "merkle_prove": 10,
         "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
     },
 }
 
 
 def counted(monkeypatch):
-    counts = dict.fromkeys(
-        ("sign", "verify", "hash_packet_set", "FifoLink.send", "Prover.on_probe", "EventLoop.at"), 0
-    )
+    names = ("sign", "verify", "hash_packet_set", "merkle_root", "merkle_prove")
+    counts = dict.fromkeys((*names, "FifoLink.send", "Prover.on_probe", "EventLoop.at"), 0)
 
     lock = threading.Lock()  # the freeze signs on helper threads
 
@@ -112,7 +113,7 @@ def counted(monkeypatch):
 
         return wrapper
 
-    for name in ("sign", "verify", "hash_packet_set"):
+    for name in names:
         monkeypatch.setattr(roles, name, counting(name, getattr(roles, name)))
     for cls, attr in ((FifoLink, "send"), (Prover, "on_probe"), (EventLoop, "at")):
         monkeypatch.setattr(cls, attr, counting(f"{cls.__name__}.{attr}", cls.__dict__[attr]))
