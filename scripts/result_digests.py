@@ -21,6 +21,10 @@ change to the simulator kept every result bit-identical:
     PYTHONPATH=/path/to/parent/src python3 scripts/result_digests.py > parent.json
     PYTHONPATH=src python3 scripts/result_digests.py --compare parent.json
 
+It prints each differing case, the count of identical ones, and last the
+differing cases counted per group, a group being a case name up to its
+last `/`.
+
 Case sets:
   full    every bundled scenario x seeds 0-2, ladder climbs of the three
           cross-traffic scenarios at seeds 7 and 8 (one case per rung),
@@ -31,8 +35,8 @@ Case sets:
           `scenario_to_dict` form as sorted JSON; plus artifact/ cases,
           the bytes the CLI writes: the JSON report, both CSVs and the
           table of `build_report` over seeds 0-2 for every bundled
-          scenario and for the three criterion-2 configs that stall
-          with an honest prover, and the JSON and table of every ladder
+          scenario and for the three criterion-2 configs whose honest
+          prover needs a short report disputed, and the JSON and table of every ladder
           climb above
   golden  a few short runs that still reach every data-plane feature,
           and the artifacts of one short report with and without
@@ -50,6 +54,7 @@ import enum
 import hashlib
 import json
 import sys
+from collections import Counter
 
 from backhaul import ladder
 from backhaul.adversary import fuzz_strategies
@@ -131,7 +136,8 @@ FUZZ_TOPOLOGIES = {
     "both": {**LOSSY_BACKHAUL, **LOSSY_UPLINK},
 }
 LADDERS = ("cross_traffic_220", "cross_traffic_140", "cross_traffic_90")
-# criterion-2 fuzz configs whose honest prover gets no verdict
+# criterion-2 fuzz configs whose honest prover got no verdict until the
+# deadline also disputed short reports; their artifacts pin the disputed runs
 STALLS = (6, 54, 65)
 
 
@@ -352,6 +358,16 @@ def differences(expected: dict[str, str], got: dict[str, str]) -> list[str]:
     return sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
 
 
+def compared(expected: dict[str, str], got: dict[str, str]) -> list[str]:
+    """The lines `--compare` prints, by the rules in the module docstring."""
+    diff = differences(expected, got)
+    lines = [f"DIFFERS {name}: expected {expected.get(name)} got {got.get(name)}" for name in diff]
+    lines.append(f"{len(got) - len(diff)}/{len(expected.keys() | got.keys())} cases identical")
+    per_group = Counter(name.rpartition("/")[0] for name in diff)
+    lines += [f"{group}: {count} differ" for group, count in sorted(per_group.items())]
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--cases", choices=("full", "golden"), default="full")
@@ -363,11 +379,8 @@ def main() -> int:
         return 0
     with open(args.compare) as fh:
         expected = json.load(fh)
-    diff = differences(expected, got)
-    for name in diff:
-        print(f"DIFFERS {name}: expected {expected.get(name)} got {got.get(name)}")
-    print(f"{len(got) - len(diff)}/{len(expected.keys() | got.keys())} cases identical")
-    return 1 if diff else 0
+    print("\n".join(compared(expected, got)))
+    return 1 if differences(expected, got) else 0
 
 
 if __name__ == "__main__":

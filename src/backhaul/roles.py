@@ -312,8 +312,8 @@ class Prover:
     Probe signatures are not checked, nor even read, on the hot path:
     for each sequence number the prover keeps the packet that first
     brought it, and reads the signature bytes only at the freeze, for
-    receipts and disputes. Any count the verifier doubts must be proven
-    later with the signatures themselves.
+    receipts and disputes. Any count the verifier doubts, missing or
+    short, must be proven later with the signatures themselves.
     """
 
     def __init__(self, session: Session, keypair: KeyPair):
@@ -445,9 +445,10 @@ class Verifier:
 
     The ledger is two maps. `counts` holds every accounted id, with its
     count capped at k; `rtts` holds the round trip of every accepted
-    report. An upheld dispute accounts for a challenger with its proven
-    count and no RTT; that challenger's report, if it comes later, adds
-    only the RTT.
+    report. An upheld dispute sets a challenger's proven count and no
+    RTT: for an unreported id it accounts for the challenger, whose
+    report, if it comes later, adds only the RTT; for a short report
+    (`at_deadline`) it raises the count and keeps the report's RTT.
     """
 
     def __init__(self, session: Session):
@@ -513,6 +514,9 @@ class Verifier:
     def on_dispute(self, now_ns: int, d: DisputeSubmission) -> bool:
         """Recount one challenger from raw signed probes. True if upheld.
 
+        A dispute for an accounted id is refused, silently and before any
+        verify, unless its probes, capped at k, raise the count the ledger
+        holds; an upheld one sets the count and keeps the id's RTT.
         The first probe is verified alone, then the rest over the CPUs
         (`_fan_out`), each share stopping at its own first failure: an
         upheld dispute makes one verify per probe, a forged first probe one.
@@ -527,7 +531,8 @@ class Verifier:
         if pk is None:
             self.rejections.append((cid, "dispute_unknown_challenger"))
             return False
-        if cid in self.counts:
+        count = min(len(d.packets), self.params.k)
+        if count <= self.counts.get(cid, -1):
             return False
         if d.leaf_index != cid - 1:
             self.rejections.append((cid, "dispute_leaf_index"))
@@ -556,17 +561,22 @@ class Verifier:
         if not merkle_verify(self.root, leaf, d.leaf_index, d.siblings):
             self.rejections.append((cid, "dispute_proof"))
             return False
-        self.counts[cid] = min(len(d.packets), self.params.k)
+        self.counts[cid] = count
         self.disputes_upheld += 1
         self._maybe_emit(now_ns)
         return True
 
     def at_deadline(self) -> list[DisputeRequest]:
-        """The dispute rule, run at the deadline: a request to the prover for each
-        challenger with no accepted report or upheld dispute, none after a verdict."""
+        """The dispute rule, run at the deadline: in id order, a request to the
+        prover for each challenger with no accepted report or upheld dispute
+        and, when those alone cannot close the gap to the threshold, for each
+        one counted below k; none after a verdict. A corrupt challenger's
+        short report would otherwise stall an honest prover's verdict."""
         if self.output is not None:
             return []
-        return [DisputeRequest(i) for i in range(1, self.params.n + 1) if i not in self.counts]
+        p, counts = self.params, self.counts
+        short = sum(counts.values()) + p.k * (p.n - len(counts)) < p.threshold
+        return [DisputeRequest(i) for i in range(1, p.n + 1) if i not in counts or (short and counts[i] < p.k)]
 
     def _maybe_emit(self, now_ns: int) -> None:
         if self.params.timer_mode or self.output is not None:

@@ -107,7 +107,7 @@ class ChallengerReport:
 
 @dataclass(frozen=True)
 class DisputeSubmission:
-    """Prover-revealed packet set for a challenger that did not report."""
+    """Prover-revealed packet set for a challenger whose count the verifier doubts."""
 
     challenger_id: int
     packets: tuple[tuple[int, bytes], ...]

@@ -372,9 +372,9 @@ class TestNetsimAgainstLoopback:
         "withhold_report": ([(2, "withhold_report", {})], 1),
         # a challenger bound by its pings alone, with no probe: disputed at zero
         "withhold_all": ([(2, "withhold_all", {})], 0),
-        # an honest prover stalls on one under-reported count: no verdict on
-        # either transport until the deadline also disputes short reports
-        "misreport_count": ([(1, "misreport_count", {"count": 1})], None),
+        # one under-reported count: the deadline disputes it, and the proven
+        # count carries the verdict on both transports
+        "misreport_count": ([(1, "misreport_count", {"count": 1})], 1),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -388,9 +388,6 @@ class TestNetsimAgainstLoopback:
         assert dataclasses.replace(session.params, t0_ns=0) == sim.params
         assert sorted(reason for _, reason in verifier.rejections) == sorted(reason for _, reason in sim.rejections)
         out = verifier.output
-        if upheld is None:
-            assert out is None and sim.output is None
-            return
         assert out is not None and sim.output is not None
         assert out.disputes_upheld == sim.output.disputes_upheld == upheld
         assert [i for i, _ in out.per_challenger] == [i for i, _ in sim.output.per_challenger] == [1, 2, 3, 4]

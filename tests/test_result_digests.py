@@ -45,6 +45,20 @@ def test_golden_digests_reproduce():
     assert len(got) == len(expected) >= 15
 
 
+def test_compare_ends_with_the_differences_counted_per_group():
+    expected = {"fuzz/both/seed1": "a", "fuzz/both/seed2": "b", "artifact/stall/seed6/json": "c", "bundled/x/seed0": "d"}
+    got = {**expected, "fuzz/both/seed1": "x", "fuzz/both/seed2": "y", "artifact/stall/seed6/json": "z"}
+    assert rd.compared(expected, got) == [
+        "DIFFERS artifact/stall/seed6/json: expected c got z",
+        "DIFFERS fuzz/both/seed1: expected a got x",
+        "DIFFERS fuzz/both/seed2: expected b got y",
+        "1/4 cases identical",
+        "artifact/stall/seed6: 1 differ",
+        "fuzz/both: 2 differ",
+    ]
+    assert rd.compared(expected, expected) == ["4/4 cases identical"]
+
+
 @pytest.fixture(scope="module")
 def res():
     """One short golden run with a verdict, a trigger and some drops."""

@@ -44,11 +44,15 @@ def world(
     latencies=None,
     timer_mode=False,
     seed=1,
+    claim=None,
 ):
-    """Tiny protocol instance with exact k and theta0 = 1 Mbit/s."""
+    """Tiny protocol instance with exact k and theta0 = 1 Mbit/s, or the
+    (theta, duration_ns) of `claim` if given."""
     m = n if policy is RatePolicy.PER_N else n - f
     theta = 1_000_000.0 * m
     duration_ns = round(k * m * 1514 * 8 / theta * 1e9)
+    if claim is not None:
+        theta, duration_ns = claim
     m0 = hashlib.sha256(f"m0:{seed}".encode()).digest()
     params = params_of(
         theta,
@@ -961,6 +965,68 @@ class TestDeadlineDisputes:
         assert w.verifier.output is not None
         assert 4 not in w.verifier.counts
         assert w.verifier.at_deadline() == []
+
+
+class TestShortReports:
+    """A corrupt challenger's short count is disputed at the deadline when
+    the missing ids alone cannot close the gap to the threshold."""
+
+    def stalled(self):
+        """n = 4, f = 1, a 20 Mbit/s claim in 100 ms (k = 55, threshold 165):
+        the root, then id 1 reporting 0, then the three honest reports."""
+        w = world(n=4, f=1, k=55, policy=RatePolicy.PER_N_MINUS_F, claim=(20e6, 100 * MS))
+        deliver_all(w)
+        _, reports = finish(w, report_ids=[])
+        w.verifier.on_report(6 * MS, dataclasses.replace(reports[1], packets_acknowledged=0))
+        for i in (2, 3, 4):
+            w.verifier.on_report(6 * MS, reports[i])
+        return w, reports
+
+    def test_an_under_reported_count_is_disputed_and_upheld(self):
+        w, reports = self.stalled()
+        v, p = w.verifier, w.params
+        assert (p.k, p.threshold) == (55, 165)
+        assert v.output is None and sum(v.counts.values()) == 123
+        requests = v.at_deadline()
+        assert DisputeRequest(1) in requests
+        t = w.prover.trigger_ns + 1
+        upheld = [v.on_dispute(8 * MS, w.prover.on_message(t, req)) for req in requests]
+        assert upheld[requests.index(DisputeRequest(1))] is True
+        out = v.output
+        assert out is not None and out.cnt == p.threshold
+        assert (out.reports_used, out.disputes_upheld) == (4, 1)
+        assert v.rtts[1] == reports[1].rtt_ns  # an upheld dispute keeps the id's RTT
+        assert v.counts[1] == len(w.prover.received[1])
+        assert v.rejections == []
+
+    def test_a_dispute_that_cannot_raise_a_count_makes_no_verify(self, monkeypatch):
+        w, reports = self.stalled()
+        v = w.verifier
+        before = dict(v.counts), dict(v.rtts)
+        verifies = counting(monkeypatch, "verify")
+        honest, short = w.prover.build_dispute(2), w.prover.build_dispute(1)
+        assert len(honest.packets) == v.counts[2]
+        for d in (honest, dataclasses.replace(short, packets=())):
+            assert v.on_dispute(8 * MS, d) is False
+        assert verifies == [] and v.rejections == []
+        assert (v.counts, v.rtts, v.disputes_upheld) == (*before, 0)
+        # the one that raises id 1's count is verified, probe by probe
+        assert v.on_dispute(8 * MS, short) is True
+        assert len(verifies) == len(short.packets) == v.counts[1]
+
+    def test_no_extra_request_while_the_missing_ids_can_close_the_gap(self):
+        w = world(n=4, f=1, k=5)  # threshold 15
+        deliver_all(w, skip=(4,))
+        _, reports = finish(w, report_ids=[])
+        v = w.verifier
+        v.on_report(6 * MS, dataclasses.replace(reports[1], packets_acknowledged=0))
+        v.on_report(6 * MS, reports[2])
+        assert v.at_deadline() == [DisputeRequest(3), DisputeRequest(4)]  # 5 + 2 * 5 >= 15
+        v.on_report(6 * MS, reports[3])
+        assert v.at_deadline() == [DisputeRequest(4)]  # 10 + 5 >= 15
+        v.on_report(6 * MS, reports[4])  # 4 sent nothing: it acknowledges none
+        assert v.output is None and v.counts == {1: 0, 2: 5, 3: 5, 4: 0}
+        assert v.at_deadline() == [DisputeRequest(1), DisputeRequest(4)]  # 10 < 15
 
 
 class TestPackageExports:
