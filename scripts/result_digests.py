@@ -36,8 +36,8 @@ Case sets:
           the bytes the CLI writes: the JSON report, both CSVs and the
           table of `build_report` over seeds 0-2 for every bundled
           scenario and for the three criterion-2 configs whose honest
-          prover needs a short report disputed, and the JSON and table of every ladder
-          climb above
+          prover needs a short report disputed, and the JSON and
+          table of every ladder climb above
   golden  a few short runs that still reach every data-plane feature,
           and the artifacts of one short report with and without
           verdicts and of one short ladder climb (tests/golden_digests.json
@@ -360,9 +360,9 @@ def differences(expected: dict[str, str], got: dict[str, str]) -> list[str]:
 
 def compared(expected: dict[str, str], got: dict[str, str]) -> list[str]:
     """The lines `--compare` prints, by the rules in the module docstring."""
-    diff = differences(expected, got)
+    diff, cases = differences(expected, got), len(expected.keys() | got.keys())
     lines = [f"DIFFERS {name}: expected {expected.get(name)} got {got.get(name)}" for name in diff]
-    lines.append(f"{len(got) - len(diff)}/{len(expected.keys() | got.keys())} cases identical")
+    lines.append(f"{cases - len(diff)}/{cases} cases identical")
     per_group = Counter(name.rpartition("/")[0] for name in diff)
     lines += [f"{group}: {count} differ" for group, count in sorted(per_group.items())]
     return lines

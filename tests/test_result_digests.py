@@ -57,6 +57,12 @@ def test_compare_ends_with_the_differences_counted_per_group():
         "fuzz/both: 2 differ",
     ]
     assert rd.compared(expected, expected) == ["4/4 cases identical"]
+    # a case on one side only differs; identical cases are counted over both sides
+    assert rd.compared(expected, {"bundled/x/seed0": "d"})[-3:] == [
+        "1/4 cases identical",
+        "artifact/stall/seed6: 1 differ",
+        "fuzz/both: 2 differ",
+    ]
 
 
 @pytest.fixture(scope="module")
