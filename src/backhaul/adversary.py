@@ -23,11 +23,12 @@ Challenger strategies:
   bad_merkle_claim    reject a valid receipt and stay silent
 
 Prover strategies:
-  honest              respond at the capped threshold, defend with real
-                      signatures when disputed
+  honest              respond at the capped threshold, defend with the
+                      stored secrets when disputed
   colluding_early     respond as soon as the honest challengers alone
                       have delivered (n - 2f) * k countable probes
-  dispute_forger      answer disputes with fabricated signatures
+  dispute_forger      answer disputes with fabricated secrets, commitment
+                      and signature
 """
 
 from __future__ import annotations
@@ -152,13 +153,15 @@ class AttackPlan:
         return out
 
     def dispute_for(self, challenger_id: int, prover: Prover) -> DisputeSubmission | None:
-        """The prover's dispute: its own, or a forger's random signatures and siblings."""
+        """The prover's dispute: its own, or a forger's random secrets,
+        commitment, signature and siblings."""
         if self.prover_name != "dispute_forger":
             return prover.build_dispute(challenger_id)
         rng, p = self.rng, self.params
-        packets = tuple((q, rng.randbytes(64)) for q in range(1, min(p.k, 8) + 1))
+        packets = tuple((q, rng.randbytes(32)) for q in range(1, min(p.k, 8) + 1))
+        commitment, signature = rng.randbytes(32), rng.randbytes(64)
         siblings = tuple(rng.randbytes(32) for _ in range(max(1, (p.n - 1).bit_length())))
-        return DisputeSubmission(challenger_id, packets, challenger_id - 1, siblings)
+        return DisputeSubmission(challenger_id, packets, commitment, signature, (), challenger_id - 1, siblings)
 
 
 def fuzz_strategies(seed: int, n: int, f: int) -> AttackSpec:

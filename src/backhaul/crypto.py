@@ -1,9 +1,11 @@
-"""Signing, packet-set hashing, and the receipt Merkle tree.
+"""Signing, probe commitments, packet-set hashing and Merkle trees.
 
-Probe packets carry Ed25519 signatures as their payload, so the only
-primitives needed are: deterministic keypairs, sign/verify, a canonical
-digest over a set of (sequence number, signature) pairs, and a Merkle
-tree whose leaves are those digests, one per challenger.
+Challenger i's secret for probe q is s_q = SHA-256(label || seed_i || m0
+|| q), seed_i its secret key; it signs `commitment_message(m0, i, N, root)`
+once per run, root that of the tree over its N secrets. Leaves are hashed,
+so a path reveals no secret and only a party that received probe q can
+show s_q; m0 ties the commitment to one session. A receipt digests a set
+of (q, s_q) pairs, and a tree over the receipts commits the prover.
 
 libsodium signs and verifies (`crypto_sign_ed25519_detached` and
 `crypto_sign_ed25519_verify_detached`, loaded by its soname through
@@ -42,9 +44,12 @@ DIGEST_LEN = 32
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
 
-# the 4-byte big-endian sequence number that opens a probe message and
-# each entry of a packet-set digest
+# the 4-byte big-endian sequence number of a secret's input and of each
+# entry of a packet-set digest
 SEQUENCE = struct.Struct(">I")
+_SECRET_LABEL = b"backhaul probe secret\x00"
+_COMMITMENT_LABEL = b"backhaul probe commitment\x00"
+_COMMITMENT = struct.Struct(">II")  # challenger id, N
 _BY_SEQUENCE = itemgetter(0)
 
 # by soname, not ctypes.util.find_library, which runs ldconfig in a subprocess
@@ -177,54 +182,51 @@ def check_public_key(public_key: bytes) -> bytes:
 
 
 def check_m0(m0: bytes) -> bytes:
-    """m0, once it is known to be a digest; a probe message ends with it."""
+    """m0, once it is known to be a digest; secrets and commitments cover it."""
     if len(m0) != DIGEST_LEN:
         raise ValueError(f"m0 must be {DIGEST_LEN} bytes, got {len(m0)}")
     return m0
 
 
-def probe_message(sequence: int, m0: bytes) -> bytes:
-    """Message covered by probe signature q: 4-byte big-endian q then m0.
+def probe_secrets(secret_key: bytes, m0: bytes, count: int) -> list[bytes]:
+    """The secrets s_1 .. s_count of a challenger, by q - 1: SHA-256 of a
+    label, the challenger's secret key, m0 and the 4-byte q."""
+    if len(secret_key) != SEED_LEN:
+        raise ValueError(f"secret key must be {SEED_LEN} bytes, got {len(secret_key)}")
+    prefix, pack, sha256 = _SECRET_LABEL + bytes(secret_key) + check_m0(m0), SEQUENCE.pack, hashlib.sha256
+    return [sha256(prefix + pack(q)).digest() for q in range(1, count + 1)]
 
-    A caller that signs many probes under one m0 already checked, as
-    `ChallengeParams` checks it, builds `SEQUENCE.pack(q) + m0` itself.
-    """
-    if not 0 <= sequence < 2**32:
-        raise ValueError(f"sequence {sequence} out of u32 range")
-    return SEQUENCE.pack(sequence) + check_m0(m0)
+
+def commitment_message(m0: bytes, challenger_id: int, count: int, root: bytes) -> bytes:
+    """What a challenger signs once per run: a label, m0, its id and its
+    probe count N (4 bytes each, big-endian), and the root of the tree
+    over its N secrets."""
+    return _COMMITMENT_LABEL + check_m0(m0) + _COMMITMENT.pack(challenger_id, count) + bytes(root)
 
 
 def hash_packet_set(entries: Iterable[tuple[int, bytes]]) -> bytes:
-    """Canonical SHA-256 digest of a set of (sequence, signature) pairs.
+    """Canonical SHA-256 digest of a set of (sequence, secret) pairs.
 
     Entries are sorted ascending by sequence number and serialized as
-    4-byte big-endian sequence followed by the 64-byte signature, so the
+    4-byte big-endian sequence followed by the 32-byte secret, so the
     digest is independent of arrival order. The empty set hashes the
     empty string.
     """
     pack = SEQUENCE.pack
     parts = []
     seen = -1
-    for seq, sig in sorted(entries, key=_BY_SEQUENCE):
+    for seq, secret in sorted(entries, key=_BY_SEQUENCE):
         # one combined test on the common path; sorted, so seq >= seen
-        if not (seen < seq < 2**32 and len(sig) == SIG_LEN):
+        if not (seen < seq < 2**32 and len(secret) == DIGEST_LEN):
             if not 0 <= seq < 2**32:
                 raise ValueError(f"sequence {seq} out of u32 range")
             if seq == seen:
                 raise ValueError(f"duplicate sequence {seq}")
-            raise ValueError(f"signature for sequence {seq} must be {SIG_LEN} bytes, got {len(sig)}")
+            raise ValueError(f"secret for sequence {seq} must be {DIGEST_LEN} bytes, got {len(secret)}")
         seen = seq
         parts.append(pack(seq))
-        parts.append(sig)
+        parts.append(secret)
     return hashlib.sha256(b"".join(parts)).digest()
-
-
-def _leaf_hash(leaf: bytes) -> bytes:
-    return hashlib.sha256(_LEAF_PREFIX + leaf).digest()
-
-
-def _node_hash(left: bytes, right: bytes) -> bytes:
-    return hashlib.sha256(_NODE_PREFIX + left + right).digest()
 
 
 def _padded(leaves: Sequence[bytes]) -> list[bytes]:
@@ -239,20 +241,41 @@ def _padded(leaves: Sequence[bytes]) -> list[bytes]:
     return out
 
 
-def _levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
-    """Every level of the tree over leaves, padded to a power of two by
-    repeating the last leaf: the leaf hashes first, the root's level last."""
-    level = [_leaf_hash(leaf) for leaf in _padded(leaves)]
-    levels = [level]
+def merkle_levels(leaves: Sequence[bytes]) -> list[bytes]:
+    """Every level of the tree over leaves, padded to a power of two by repeating
+    the last leaf, each as its hashes joined: the leaf hashes first, the root last."""
+    sha256 = hashlib.sha256
+    level = [sha256(_LEAF_PREFIX + leaf).digest() for leaf in _padded(leaves)]
+    levels = [b"".join(level)]
     while len(level) > 1:
-        level = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-        levels.append(level)
+        level = [sha256(_NODE_PREFIX + left + right).digest() for left, right in zip(level[::2], level[1::2])]
+        levels.append(b"".join(level))
     return levels
+
+
+class MerklePath:
+    """Leaf `index`'s audit path in the tree of `merkle_levels` `levels`:
+    its sibling hashes bottom-up, each read from the levels when indexed,
+    so that the paths of one tree share its nodes."""
+
+    __slots__ = ("_levels", "_index")
+
+    def __init__(self, levels: list[bytes], index: int):
+        self._levels, self._index = levels, index
+
+    def __len__(self) -> int:
+        return len(self._levels) - 1
+
+    def __getitem__(self, depth: int) -> bytes:
+        if not 0 <= depth < len(self):
+            raise IndexError(depth)
+        at = ((self._index >> depth) ^ 1) * DIGEST_LEN
+        return self._levels[depth][at : at + DIGEST_LEN]
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
     """Root over leaves, padded to a power of two by repeating the last leaf."""
-    return _levels(leaves)[-1][0]
+    return merkle_levels(leaves)[-1]
 
 
 def merkle_prove(leaves: Sequence[bytes], index: int) -> tuple[bytes, ...]:
@@ -260,26 +283,49 @@ def merkle_prove(leaves: Sequence[bytes], index: int) -> tuple[bytes, ...]:
     sibling hashes bottom-up, RFC 6962's audit path for that leaf index."""
     if not 0 <= index < len(leaves):
         raise ValueError(f"leaf index {index} out of range for {len(leaves)} leaves")
-    return tuple(level[(index >> depth) ^ 1] for depth, level in enumerate(_levels(leaves)[:-1]))
+    return tuple(MerklePath(merkle_levels(leaves), index))
+
+
+def multiproof(paths: dict[int, Sequence[bytes]]) -> tuple[bytes, ...]:
+    """The nodes that, with the leaves at the keys of `paths`, rebuild the
+    root that each leaf's path (bottom-up siblings, all of one tree) leads
+    to: level by level from the leaves up, the siblings of the nodes the
+    leaves give that the leaves do not give, in index order."""
+    nodes: list[bytes] = []
+    under = dict(paths)  # node index at this level -> the path of a leaf under it
+    for depth in range(len(next(iter(paths.values()), ()))):
+        nodes.extend(path[depth] for index, path in sorted(under.items()) if index ^ 1 not in under)
+        under = {index >> 1: path for index, path in under.items()}
+    return tuple(nodes)
+
+
+def multiproof_root(leaves: dict[int, bytes], nodes: Sequence[bytes], depth: int) -> bytes | None:
+    """The root that leaves (index -> leaf, every index below 2**depth) and
+    `multiproof`'s nodes rebuild; None if the nodes are too few, too many or
+    not digests."""
+    sha256 = hashlib.sha256
+    level = {index: sha256(_LEAF_PREFIX + leaf).digest() for index, leaf in leaves.items()}
+    given = iter(nodes)
+    for _ in range(depth):
+        up = {}
+        for index in sorted(level):
+            if index >> 1 in up:
+                continue  # joined with its left sibling
+            sibling = level.get(index ^ 1) or next(given, None)
+            if not isinstance(sibling, (bytes, bytearray)) or len(sibling) != DIGEST_LEN:
+                return None
+            pair = sibling + level[index] if index & 1 else level[index] + sibling
+            up[index >> 1] = sha256(_NODE_PREFIX + pair).digest()
+        level = up
+    return level[0] if next(given, None) is None and list(level) == [0] else None
 
 
 def merkle_verify(root: bytes, leaf: bytes, index: int, siblings: Sequence[bytes]) -> bool:
     """True iff leaf sits at `index` under root, by the bottom-up sibling
-    hashes `merkle_prove` gives. Malformed input returns False."""
-    if not isinstance(root, (bytes, bytearray)) or len(root) != DIGEST_LEN:
+    hashes `merkle_prove` gives: a multiproof of one leaf. Malformed input
+    returns False."""
+    if not all(isinstance(x, (bytes, bytearray)) and len(x) == DIGEST_LEN for x in (root, leaf)):
         return False
-    if not isinstance(leaf, (bytes, bytearray)) or len(leaf) != DIGEST_LEN:
+    if not 0 <= index < 2 ** len(siblings):
         return False
-    if index < 0 or index >= 2 ** len(siblings):
-        return False
-    node = _leaf_hash(bytes(leaf))
-    pos = index
-    for sib in siblings:
-        if not isinstance(sib, (bytes, bytearray)) or len(sib) != DIGEST_LEN:
-            return False
-        if pos & 1:
-            node = _node_hash(bytes(sib), node)
-        else:
-            node = _node_hash(node, bytes(sib))
-        pos //= 2
-    return node == bytes(root)
+    return multiproof_root({index: bytes(leaf)}, siblings, len(siblings)) == root

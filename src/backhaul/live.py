@@ -12,7 +12,7 @@ until one REPLY_TIMEOUT_NS later and answers only requests from its own
 `verifier_addr`; the challengers and the verifier take the prover's
 messages only from `prover_addr`, each the numeric (host, port) that
 `recvfrom` reports. A dispute is one datagram, at most MAX_DATAGRAM
-bytes (about 960 probes): a larger one is not sent but counted in
+bytes (about 1 800 probes): a larger one is not sent but counted in
 `ProverStats.disputes_unsent`.
 
 Time is wall clock (`time.time_ns`): the start instant t0 in the
@@ -35,7 +35,7 @@ from typing import Iterator
 
 from . import wire
 from .adversary import AttackPlan
-from .crypto import KeyPair, probe_message, verify
+from .crypto import KeyPair, commitment_message, merkle_verify, verify
 from .roles import VERIFIER, Challenger, Prover, Session, Verifier
 from .schedule import PING_SAMPLES, estimate_latency
 
@@ -91,7 +91,7 @@ class ProverStats:
     challengers_seen: int
     pings_answered: int
     disputes_unsent: int
-    spoofed: int  # probes dropped: they name an id bound to another source, unsigned by its key
+    spoofed: int  # probes dropped: their secret is not under their id's signed commitment
 
 
 def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifier_addr: Addr) -> ProverStats:
@@ -100,12 +100,11 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
 
     Serves until the session's deadline plus REPLY_TIMEOUT_NS, the
     verifier's wait for its disputes. Only requests from `verifier_addr`, the
-    numeric (host, port) the verifier sends from, are answered. Each of the
-    session's ids is bound to the source of the first ping or probe naming
-    it, and answered there. A probe naming it from elsewhere takes the id
-    over if its sequence is in 1..ceil(rho * k) and its signature verifies
-    under that id's key, and is dropped as spoofed otherwise; a ping never
-    moves a bound id.
+    numeric (host, port) the verifier sends from, are answered. A probe is
+    stored only if its secret is leaf q - 1, q in 1..N, under its id's
+    commitment, whose signature is verified once per id and then kept; any
+    other is dropped as spoofed. An id is answered at the source of its
+    last stored probe, or of the first ping naming it until a probe comes.
     """
     params, keys = session.params, session.challenger_public_keys
     limit = params.signatures_per_challenger
@@ -116,7 +115,17 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
     plan = AttackPlan(session, random.Random(params.m0))
     intake, build = plan.intake(prover), partial(plan.dispute_for, prover=prover)
     addrs: dict[int, Addr] = {}  # challenger id -> its bound source
+    signed: dict[int, tuple[bytes, bytes]] = {}  # challenger id -> its commitment and signature, once verified
     pings = probes = unsent = spoofed = 0
+
+    def committed(pkt: wire.ChallengePacket) -> bool:
+        cid, q, commitment = pkt.challenger_id, pkt.sequence, (pkt.commitment, pkt.commitment_signature)
+        if cid not in keys or pkt.probes != limit or not 1 <= q <= limit:
+            return False
+        statement = commitment_message(params.m0, cid, limit, pkt.commitment)
+        if cid not in signed and verify(keys[cid], statement, pkt.commitment_signature):
+            signed[cid] = commitment
+        return signed.get(cid) == commitment and merkle_verify(pkt.commitment, pkt.secret, q - 1, pkt.siblings)
 
     for now, src, msg in _receive(sock, session.deadline_ns + REPLY_TIMEOUT_NS):
         if isinstance(msg, wire.PingRequest):
@@ -127,13 +136,10 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
             sock.sendto(wire.encode(reply), src)
         elif isinstance(msg, wire.ChallengePacket):
             probes += 1
-            cid, q, _, signature = msg
-            if 1 <= cid <= params.n and addrs.setdefault(cid, src) != src:
-                if 1 <= q <= limit and verify(keys[cid], probe_message(q, params.m0), signature):
-                    addrs[cid] = src
-                else:
-                    spoofed += 1
-                    continue
+            if not committed(msg):
+                spoofed += 1
+                continue
+            addrs[msg.challenger_id] = src
             if intake(now, msg):
                 for dest, msgs in prover.build_responses():
                     addr = verifier_addr if dest == VERIFIER else addrs.get(dest)
@@ -162,7 +168,7 @@ def run_challenger(
     me = Challenger(session, challenger_id, keypair, session.params.t0_ns, latency_ns)
     plan = AttackPlan(session, random.Random(session.params.m0))
 
-    # encoding signs each probe, so do it all before the first paced send
+    # encode the whole train before the first paced send
     sends, _ = plan.sends_for(challenger_id, me.build_sends(), side_channel=False)
     train = [(t_ns, wire.encode(pkt)) for t_ns, pkt in sends]
     for t_ns, data in train:

@@ -32,8 +32,8 @@ and children are inserted in the order their parents ran. So each
 link's RNG sees its loss draws (at send) and jitter draws (at departure)
 in the same order as under a heap, ties at equal nanoseconds included.
 
-A probe is one wire packet with one signature, WIRE_PACKET_LEN (1514)
-bytes of link time, the packet size `b` the verdict counts.
+A probe is one wire packet, WIRE_PACKET_LEN (1514) bytes of link time,
+the packet size `b` the verdict counts; no step reads its bytes.
 
 Every random draw comes from a stream seeded with the run seed and a
 purpose label, so the same (scenario, seed) pair replays into the same
@@ -90,7 +90,7 @@ def calibrate_overhead(theta_bps: float) -> int:
 
     Linear through the knots, extrapolated with the edge
     slopes, clamped at zero: receipt building scales with the number of
-    stored signatures, which scales with the claimed rate.
+    stored probes, which scales with the claimed rate.
     """
     segments = list(itertools.pairwise(OVERHEAD_KNOTS))
     (x0, y0), (x1, y1) = next((seg for seg in segments if theta_bps <= seg[1][0]), segments[-1])

@@ -15,28 +15,32 @@ k of them may count toward the measurement: otherwise the overprovision
 margin itself would inflate the result by up to rho. The prover applies
 the same cap to its own trigger so that a flood from one challenger
 cannot substitute for the others.
+
+A probe proves itself by a secret under its challenger's one signed
+commitment (`crypto`), so a run makes 2n + 1 signs (n commitments, n
+responses and the root), and the freeze and a dispute's recount hash.
 """
 
 from __future__ import annotations
 
-import os
-import struct
-import threading
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise
 
 from .config import AttackSpec
 from .crypto import (
-    SEQUENCE,
     KeyPair,
     check_public_key,
+    commitment_message,
     hash_packet_set,
+    MerklePath,
+    merkle_levels,
     merkle_prove,
     merkle_root,
     merkle_verify,
-    probe_message,
+    multiproof,
+    multiproof_root,
+    probe_secrets,
     sign,
     verify,
 )
@@ -106,73 +110,11 @@ class PoBOutput:
 VERIFIER = 0  # the root's destination in `Prover.build_responses`; challengers are 1..n
 
 
-class _SignatureOnRead:
-    """Probe q's signature in a challenger's own packet: `bytes()` of it
-    signs the probe through `Challenger.signature_for`, so a probe that no
-    receipt, dispute or encoding reads is never signed."""
-
-    __slots__ = ("_challenger", "_q")
-
-    def __init__(self, challenger: Challenger, q: int):
-        self._challenger = challenger
-        self._q = q
-
-    def __bytes__(self) -> bytes:
-        return self._challenger.signature_for(self._q)
-
-
-def _fan_out(items: Sequence, work: Callable) -> None:
-    """`work` on every item, over the CPUs this process may use.
-
-    The items are interleaved into W = min(len(items), usable CPUs) shares:
-    share w takes items w, w + W, ... . The caller runs share 0 and a thread
-    runs each other share, and all are joined before this returns. Threads
-    are enough because libsodium signs and verifies through ctypes, which
-    releases the GIL. A share stops at its first item whose `work` raises;
-    the exception of the lowest such item is raised here, after the join.
-    """
-    if not items:
-        return
-    width = min(len(items), len(os.sched_getaffinity(0)))
-    failures: dict[int, BaseException] = {}
-
-    def share(first: int) -> None:
-        for i in range(first, len(items), width):
-            try:
-                work(items[i])
-            except BaseException as exc:  # raised on the caller, below
-                failures[i] = exc
-                return
-
-    helpers = []
-    try:
-        for first in range(1, width):
-            helper = threading.Thread(target=share, args=(first,))
-            helper.start()
-            helpers.append(helper)
-        share(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise failures[min(failures)]
-
-
-class _BadSignature(Exception):
-    """A disputed probe whose q is out of range or whose signature fails."""
-
-
-_NONCE = struct.Struct(">Q")
-
-
 @lru_cache(maxsize=4)
-def _train_layout(signatures: int, spacing_ns: float) -> tuple:
-    """(send offset ns, sequence, nonce) per probe of a train.
-
-    The same for every challenger of a run, so it is worked out once.
-    """
-    pack = _NONCE.pack
-    return tuple((round((q - 1) * spacing_ns), q, pack(q)) for q in range(1, signatures + 1))
+def _train_layout(probes: int, spacing_ns: float) -> tuple:
+    """(send offset ns, sequence) per probe of a train: the same for every
+    challenger of a run, so it is worked out once."""
+    return tuple((round((q - 1) * spacing_ns), q) for q in range(1, probes + 1))
 
 
 # a ChallengePacket from its field tuple, without the named tuple's
@@ -181,12 +123,13 @@ _new_tuple = tuple.__new__
 
 
 class Challenger:
-    """Sends signed probes, times the prover's response, reports to the verifier.
+    """Sends committed probes, times the prover's response, reports to the verifier.
 
-    Probe q is signed the first time anything reads its signature, and at
-    most once; withheld, lost and late probes are never signed. The train
-    starts at `first_send_ns` (`schedule.send_schedule`), and `latency_ns`,
-    the one-way latency estimate, is taken off both ways of the timing.
+    At set-up it derives the secret of each of its N probes, builds the
+    Merkle tree over them and signs the root, its commitment, once
+    (`crypto.commitment_message`). The train starts at `first_send_ns`
+    (`schedule.send_schedule`), and `latency_ns`, the one-way latency
+    estimate, is taken off both ways of the timing.
     """
 
     def __init__(self, session: Session, challenger_id: int, keypair: KeyPair, first_send_ns: int, latency_ns: int):
@@ -198,9 +141,13 @@ class Challenger:
         # no response by this local time is a timeout
         self.give_up_ns = first_send_ns + round(DEFAULT_TIMEOUT_FACTOR * params.duration_ns)
         self.latency_ns = latency_ns
-        self._limit = params.signatures_per_challenger
-        self._m0 = params.m0
-        self._sigs: dict[int, bytes] = {}
+        self._limit = limit = params.signatures_per_challenger
+        self._secrets = probe_secrets(keypair.secret_key, params.m0, limit)
+        self._levels = merkle_levels(self._secrets)
+        self.commitment = self._levels[-1]
+        self.commitment_signature = sign(
+            keypair.secret_key, commitment_message(params.m0, challenger_id, limit, self.commitment)
+        )
         self.delta_ns: int | None = None
         self.receipt: bytes | None = None
         self.root_seen: bytes | None = None
@@ -209,24 +156,14 @@ class Challenger:
         self.events: list[str] = []
         self._stashed: list[VerificationMessage] = []  # verifications before the response
 
-    def signature_for(self, sequence: int) -> bytes:
-        """Signature of probe `sequence`, made on its first read."""
-        sig = self._sigs.get(sequence)
-        if sig is None:
-            if not 1 <= sequence <= self._limit:
-                raise KeyError(sequence)
-            sig = sign(self.keypair.secret_key, SEQUENCE.pack(sequence) + self._m0)
-            self._sigs[sequence] = sig
-        return sig
-
     def build_sends(self) -> list[tuple[int, ChallengePacket]]:
-        """(send_time_ns, packet) pairs for the whole probe train; each
-        probe's signature is made when first read."""
-        t1 = self.t_first_ns
-        cid = self.id
+        """(send_time_ns, packet) pairs for the whole probe train."""
+        t1, cid, limit, levels = self.t_first_ns, self.id, self._limit, self._levels
+        commitment, signature = self.commitment, self.commitment_signature
+        layout = _train_layout(limit, self.params.spacing_ns)
         return [
-            (t1 + offset, _new_tuple(ChallengePacket, (cid, q, nonce, _SignatureOnRead(self, q))))
-            for offset, q, nonce in _train_layout(self._limit, self.params.spacing_ns)
+            (t1 + offset, _new_tuple(ChallengePacket, (cid, q, limit, secret, commitment, signature, MerklePath(levels, q - 1))))
+            for (offset, q), secret in zip(layout, self._secrets)
         ]
 
     def on_message(self, now_ns: int, msg) -> ChallengerReport | None:
@@ -292,11 +229,8 @@ class Challenger:
             return "verification_wrong_id"
         if msg.bitmap_bits != self._limit:
             return "bitmap_size"
-        made = self._sigs
-        entries = [
-            (q, made.get(q) or self.signature_for(q))
-            for q in sequences_from_bitmap(msg.bitmap, msg.bitmap_bits)
-        ]
+        secrets = self._secrets
+        entries = [(q, secrets[q - 1]) for q in sequences_from_bitmap(msg.bitmap, msg.bitmap_bits)]
         if hash_packet_set(entries) != self.receipt:
             return "receipt_mismatch"
         if msg.leaf_index != self.id - 1:
@@ -309,11 +243,12 @@ class Challenger:
 class Prover:
     """Collects probes and answers once enough of the target volume arrived.
 
-    Probe signatures are not checked, nor even read, on the hot path:
-    for each sequence number the prover keeps the packet that first
-    brought it, and reads the signature bytes only at the freeze, for
-    receipts and disputes. Any count the verifier doubts, missing or
-    short, must be proven later with the signatures themselves.
+    Probes are not checked on the hot path: for each sequence number the
+    prover keeps the packet that first brought it, and reads its secret
+    only at the freeze, for receipts and disputes. Any count the verifier
+    doubts, missing or short, must be proven later with the secrets
+    themselves. (Over UDP, `live.serve_prover` checks each probe's
+    commitment before it reaches `on_probe`.)
     """
 
     def __init__(self, session: Session, keypair: KeyPair):
@@ -342,7 +277,7 @@ class Prover:
         if self.trigger_ns is not None:
             self.drops["prover_late"] += 1
             return False
-        cid, q, _, _ = pkt
+        cid, q = pkt[0], pkt[1]
         store = self.received.get(cid)
         if store is None:
             self.drops["prover_unknown"] += 1
@@ -368,26 +303,14 @@ class Prover:
 
     def _freeze(self) -> tuple[bytes, list]:
         """The commitment every answer describes: the Merkle root over the
-        receipts, and per challenger, by id - 1, its stored (q, signature)
+        receipts, and per challenger, by id - 1, its stored (q, secret)
         pairs by q, its receipt over them and the receipt's inclusion path.
-
-        Made once. The receipts are shared out by id over the CPUs
-        (`_fan_out`): every packet stored under id i is one of challenger
-        i's, and signs through that challenger's cache, so one thread reads
-        it and each probe is signed once. A failure raises what the serial
-        loop would: that of the lowest failing id.
-        """
+        Made once."""
         if self._snapshot is None:
-            stored: list = [None] * self.params.n
-
-            def freeze(i: int) -> None:
-                signed = tuple((q, bytes(pkt.signature)) for q, pkt in sorted(self.received[i].items()))
-                stored[i - 1] = (signed, hash_packet_set(signed))
-
-            _fan_out(range(1, self.params.n + 1), freeze)
-            leaves = [receipt for _, receipt in stored]
+            stored = [tuple((q, pkt.secret) for q, pkt in sorted(store.items())) for store in self.received.values()]
+            leaves = [hash_packet_set(pairs) for pairs in stored]
             self._snapshot = merkle_root(leaves), [
-                (signed, receipt, merkle_prove(leaves, index)) for index, (signed, receipt) in enumerate(stored)
+                (pairs, receipt, merkle_prove(leaves, index)) for index, (pairs, receipt) in enumerate(zip(stored, leaves))
             ]
         return self._snapshot
 
@@ -398,13 +321,13 @@ class Prover:
         root, stored = self._freeze()
         secret, bits = self.keypair.secret_key, self._limit
         routes: list[tuple[int, tuple]] = []
-        for index, (signed, receipt, path) in enumerate(stored):
+        for index, (pairs, receipt, path) in enumerate(stored):
             response = ResponsePacket(receipt=receipt, root=root, signature=sign(secret, receipt + root))
             verification = VerificationMessage(
                 challenger_id=index + 1,
-                acked_count=len(signed),
+                acked_count=len(pairs),
                 bitmap_bits=bits,
-                bitmap=bitmap_from_sequences([q for q, _ in signed], bits),
+                bitmap=bitmap_from_sequences([q for q, _ in pairs], bits),
                 leaf_index=index,
                 siblings=path,
             )
@@ -425,12 +348,18 @@ class Prover:
         return dispute
 
     def build_dispute(self, challenger_id: int) -> DisputeSubmission | None:
-        """Raw signed probes proving the count for one challenger, read from
-        the freeze's snapshot."""
+        """The stored secrets proving the count for one challenger, read from
+        the freeze's snapshot, under the commitment of its lowest stored
+        probe and the multiproof the stored paths give; zeros for both when
+        nothing was stored."""
         if self.trigger_ns is None or challenger_id not in self.received:
             return None
-        signed, _, path = self._freeze()[1][challenger_id - 1]
-        return DisputeSubmission(challenger_id, signed, challenger_id - 1, path)
+        pairs, _, path = self._freeze()[1][challenger_id - 1]
+        store = self.received[challenger_id]
+        first = store[pairs[0][0]] if pairs else None
+        signed = (first.commitment, first.commitment_signature) if first else (bytes(32), bytes(64))
+        proof = multiproof({q - 1: pkt.siblings for q, pkt in store.items()})
+        return DisputeSubmission(challenger_id, pairs, *signed, proof, challenger_id - 1, path)
 
 
 class Verifier:
@@ -512,14 +441,14 @@ class Verifier:
         self._maybe_emit(now_ns)
 
     def on_dispute(self, now_ns: int, d: DisputeSubmission) -> bool:
-        """Recount one challenger from raw signed probes. True if upheld.
+        """Recount one challenger from the secrets its dispute reveals. True if upheld.
 
         A dispute for an accounted id is refused, silently and before any
         verify, unless its probes, capped at k, raise the count the ledger
-        holds; an upheld one sets the count and keeps the id's RTT.
-        The first probe is verified alone, then the rest over the CPUs
-        (`_fan_out`), each share stopping at its own first failure: an
-        upheld dispute makes one verify per probe, a forged first probe one.
+        holds; an upheld one sets the count and keeps the id's RTT. The
+        secrets must sit, at q - 1 for q in 1..N, under the commitment the
+        challenger signed: one verify, then the multiproof's hashes. A
+        dispute with no probes claims none and shows no commitment.
         """
         if self.output is not None:
             return False
@@ -544,17 +473,11 @@ class Verifier:
             # the datagram decoder's rule, checked before any verify
             self.rejections.append((cid, "dispute_malformed"))
             return False
-
-        def check(packet: tuple[int, bytes]) -> None:
-            q, sig = packet
-            if not 1 <= q <= limit or not verify(pk, probe_message(q, m0), sig):
-                raise _BadSignature
-
-        try:
-            # the first probe alone, so a forged dispute costs one verify
-            _fan_out(d.packets[:1], check)
-            _fan_out(d.packets[1:], check)
-        except _BadSignature:
+        if d.packets and not (
+            1 <= d.packets[0][0] and d.packets[-1][0] <= limit
+            and verify(pk, commitment_message(m0, cid, limit, d.commitment), d.commitment_signature)
+            and multiproof_root({q - 1: s for q, s in d.packets}, d.proof, (limit - 1).bit_length()) == d.commitment
+        ):
             self.rejections.append((cid, "dispute_bad_signature"))
             return False
         leaf = hash_packet_set(d.packets)

@@ -103,7 +103,8 @@ class ChallengeParams:
 
     @property
     def signatures_per_challenger(self) -> int:
-        """Overprovisioned probe count ceil(rho * k)."""
+        """N, the probes per challenger: the overprovisioned count ceil(rho * k),
+        each under the challenger's one signed commitment."""
         return self._signatures
 
     @property

@@ -14,16 +14,17 @@ Each field kind enforces its share of that rule on both sides:
   b"..."       those bytes exactly, held by no message attribute
   BITMAP       (bitmap_bits + 7) // 8 bytes, popcount acked_count,
                bits past bitmap_bits zero
-  PACKETS      u32 count, then (u32 seq, 64-byte signature) pairs,
+  PACKETS      u32 count, then (u32 seq, 32-byte secret) pairs,
                seq strictly ascending
-  SIBLINGS     u16 count, then 32-byte Merkle siblings
+  SIBLINGS     u16 count, then 32-byte Merkle hashes
+  PADDING      zero bytes up to CHALLENGE_PAYLOAD_LEN
 and a datagram ends where its last field does.
 
 A challenge packet is a fixed 1472-byte payload, 1514 bytes on the wire
-with the 42-byte lower-layer budget: a 64-byte header, whose count is
-always 1 and whose padding is zero, then 22 signature slots of 64 bytes,
-of which only the first is used. So every probe is the full 1514 bytes
-the measurement counts.
+with the 42-byte lower-layer budget: 141 bytes of header, secret and
+signed commitment, then q's path and zero padding. A path of up to 41
+siblings fits, and N < 2**32 needs 32, so every probe is the full 1514
+bytes the measurement counts.
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ TAG_PING_REQUEST = 0x06
 TAG_PING_REPLY = 0x07
 TAG_DISPUTE_REQUEST = 0x08
 
-SIG_SLOTS = 22
 SIG_LEN = 64
-HEADER_LEN = 64
-CHALLENGE_PAYLOAD_LEN = HEADER_LEN + SIG_SLOTS * SIG_LEN  # 1472
+CHALLENGE_PAYLOAD_LEN = 1472
 LOWER_LAYER_BUDGET = 42
 WIRE_PACKET_LEN = CHALLENGE_PAYLOAD_LEN + LOWER_LAYER_BUDGET  # 1514
 
@@ -57,20 +56,22 @@ class WireError(ValueError):
 
 
 class ChallengePacket(NamedTuple):
-    """One probe datagram: one sequence number and its signature.
+    """One probe datagram: sequence q of `probes`, its secret, and what
+    proves the secret is the challenger's: its signed commitment root and
+    q's path under that root (`crypto.commitment_message`).
 
-    `bytes(signature)` reads the signature. A decoded packet holds the
-    bytes themselves; a challenger's own packets hold an object that
-    signs the probe on that first read (`roles.Challenger`). A named
-    tuple, because a simulated run builds one per probe: it is immutable
-    like the other messages, at a third of a frozen dataclass's
+    A named tuple, because a simulated run builds one per probe: it is
+    immutable like the other messages, at a third of a frozen dataclass's
     construction cost.
     """
 
     challenger_id: int
     sequence: int
-    nonce: bytes
-    signature: bytes
+    probes: int
+    secret: bytes
+    commitment: bytes
+    commitment_signature: bytes
+    siblings: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,16 @@ class ChallengerReport:
 
 @dataclass(frozen=True)
 class DisputeSubmission:
-    """Prover-revealed packet set for a challenger whose count the verifier doubts."""
+    """Prover-revealed packet set for a challenger whose count the verifier
+    doubts: its (q, secret) pairs, the challenger's signed commitment and a
+    multiproof of the secrets under it (`crypto.multiproof`), and the
+    receipt's inclusion path."""
 
     challenger_id: int
     packets: tuple[tuple[int, bytes], ...]
+    commitment: bytes
+    commitment_signature: bytes
+    proof: tuple[bytes, ...]
     leaf_index: int
     siblings: tuple[bytes, ...]
 
@@ -161,7 +168,8 @@ _WIDTHS = {"H": 2, "I": 4, "Q": 8}
 BITMAP = "bitmap"
 PACKETS = "packets"
 SIBLINGS = "siblings"
-_PACKET_ENTRY = 4 + SIG_LEN
+PADDING = "padding"
+_PACKET_ENTRY = 4 + 32
 
 
 class Field(NamedTuple):
@@ -177,11 +185,12 @@ LAYOUTS: dict[type, tuple[int, tuple[Field, ...]]] = {
     ChallengePacket: (TAG_CHALLENGE, (
         Field("challenger_id", "I"),
         Field("sequence", "I"),
-        Field("count", b"\x00\x01"),  # of signatures: always one
-        Field("nonce", 8),
-        Field("header_padding", bytes(HEADER_LEN - 19)),  # after 19 bytes of header
-        Field("signature", SIG_LEN),
-        Field("signature_slots", bytes((SIG_SLOTS - 1) * SIG_LEN)),  # unused
+        Field("probes", "I", low=1),
+        Field("secret", 32),
+        Field("commitment", 32),
+        Field("commitment_signature", SIG_LEN),
+        Field("siblings", SIBLINGS),
+        Field("padding", PADDING),
     )),
     ResponsePacket: (TAG_RESPONSE, (Field("receipt", 32), Field("root", 32), Field("signature", SIG_LEN))),
     VerificationMessage: (TAG_VERIFICATION, (
@@ -202,6 +211,9 @@ LAYOUTS: dict[type, tuple[int, tuple[Field, ...]]] = {
     DisputeSubmission: (TAG_DISPUTE, (
         Field("challenger_id", "I"),
         Field("packets", PACKETS),
+        Field("commitment", 32),
+        Field("commitment_signature", SIG_LEN),
+        Field("proof", SIBLINGS),
         Field("leaf_index", "I"),
         Field("siblings", SIBLINGS),
     )),
@@ -249,6 +261,11 @@ def encode(message) -> bytes:
         if type(kind) is bytes:
             out += kind
             continue
+        if kind == PADDING:
+            if len(out) > CHALLENGE_PAYLOAD_LEN:
+                raise WireError(name, f"{len(out)} bytes before it, over {CHALLENGE_PAYLOAD_LEN}")
+            out += bytes(CHALLENGE_PAYLOAD_LEN - len(out))
+            continue
         value = getattr(message, name)
         if kind in _WIDTHS:
             _check_uint(name, value, _WIDTHS[kind], low)
@@ -258,10 +275,10 @@ def encode(message) -> bytes:
             out += value
         elif kind == PACKETS:
             out += len(value).to_bytes(4, "big")
-            for seq, sig in value:
+            for seq, secret in value:
                 _check_uint(name, seq, 4)
-                _check_len(name, sig, SIG_LEN)
-                out += seq.to_bytes(4, "big") + sig
+                _check_len(name, secret, 32)
+                out += seq.to_bytes(4, "big") + secret
             _check_ascending(value)
         elif kind == SIBLINGS:
             _check_uint(name, len(value), 2)
@@ -273,7 +290,7 @@ def encode(message) -> bytes:
             if type(value) is not bytes:
                 if isinstance(value, int):  # bytes(n) would be n zero bytes
                     raise WireError(name, f"expected {kind} bytes, got an int")
-                value = bytes(value)  # a lazily signed probe signs here
+                value = bytes(value)
             _check_len(name, value, kind)
             out += value
     return bytes(out)
@@ -318,6 +335,10 @@ def decode(data: bytes):
         elif kind == SIBLINGS:
             raw = take(name, int.from_bytes(take(name, 2), "big") * 32)
             value = tuple(raw[i : i + 32] for i in range(0, len(raw), 32))
+        elif kind == PADDING:
+            if off > CHALLENGE_PAYLOAD_LEN or any(take(name, CHALLENGE_PAYLOAD_LEN - off)):
+                raise WireError(name, f"must be zero bytes up to {CHALLENGE_PAYLOAD_LEN}")
+            continue
         else:
             value = take(name, kind)
         values[name] = value

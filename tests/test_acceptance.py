@@ -289,7 +289,7 @@ class TestCriterion09Evidence:
         kp = crypto.keygen(rng.randbytes(32))
         rounds = 10_000
         for i in range(rounds):
-            msg = crypto.probe_message(i + 1, bytes(32))
+            msg = crypto.commitment_message(bytes(32), 1, i + 1, bytes(32))
             sig = crypto.sign(kp.secret_key, msg)
             assert crypto.verify(kp.public_key, msg, sig)
         tampered = bytearray(crypto.sign(kp.secret_key, b"x"))

@@ -138,7 +138,7 @@ def test_verify_rejects_wrong_message_and_truncation():
 
 def test_verify_rejects_every_single_bit_flip_of_signature():
     kp = crypto.keygen(b"\x21" * 32)
-    msg = crypto.probe_message(17, hashlib.sha256(b"m0").digest())
+    msg = crypto.commitment_message(hashlib.sha256(b"m0").digest(), 3, 17, bytes(range(32)))
     sig = crypto.sign(kp.secret_key, msg)
     for byte_i in range(64):
         for bit in range(8):
@@ -147,13 +147,25 @@ def test_verify_rejects_every_single_bit_flip_of_signature():
             assert not crypto.verify(kp.public_key, msg, bytes(bad))
 
 
-def test_probe_message_layout():
-    m0 = hashlib.sha256(b"challenge").digest()
-    assert crypto.probe_message(5, m0) == b"\x00\x00\x00\x05" + m0
+def test_commitment_message_layout():
+    m0, root = hashlib.sha256(b"challenge").digest(), hashlib.sha256(b"root").digest()
+    label = b"backhaul probe commitment\x00"
+    assert crypto.commitment_message(m0, 3, 909, root) == label + m0 + b"\x00\x00\x00\x03\x00\x00\x03\x8d" + root
+    for bad in ((m0, 2**32, 1, root), (m0, 1, 2**32, root), (m0[:31], 1, 1, root)):
+        with pytest.raises((ValueError, struct.error)):
+            crypto.commitment_message(*bad)
+
+
+def test_probe_secrets_hand_computed():
+    key, m0 = b"\x07" * 32, hashlib.sha256(b"m0").digest()
+    secrets = crypto.probe_secrets(key, m0, 3)
+    label = b"backhaul probe secret\x00"
+    assert secrets == [hashlib.sha256(label + key + m0 + struct.pack(">I", q)).digest() for q in (1, 2, 3)]
+    # another key or another session gives other secrets
+    assert crypto.probe_secrets(b"\x08" * 32, m0, 3)[0] != secrets[0]
+    assert crypto.probe_secrets(key, bytes(32), 3)[0] != secrets[0]
     with pytest.raises(ValueError):
-        crypto.probe_message(2**32, m0)
-    with pytest.raises(ValueError):
-        crypto.probe_message(1, m0[:31])
+        crypto.probe_secrets(key[:31], m0, 3)
 
 
 def test_hash_packet_set_empty_is_sha256_of_empty_string():
@@ -164,7 +176,7 @@ def test_hash_packet_set_empty_is_sha256_of_empty_string():
 
 def test_hash_packet_set_matches_hand_serialization():
     # Independent oracle: serialize sorted entries by hand and hash with hashlib.
-    entries = [(9, b"\xaa" * 64), (2, b"\xbb" * 64), (300, b"\xcc" * 64)]
+    entries = [(9, b"\xaa" * 32), (2, b"\xbb" * 32), (300, b"\xcc" * 32)]
     blob = b"".join(
         struct.pack(">I", seq) + sig for seq, sig in sorted(entries)
     )
@@ -172,17 +184,18 @@ def test_hash_packet_set_matches_hand_serialization():
 
 
 def test_hash_packet_set_order_invariant():
-    entries = [(3, b"\x01" * 64), (1, b"\x02" * 64), (2, b"\x03" * 64)]
+    entries = [(3, b"\x01" * 32), (1, b"\x02" * 32), (2, b"\x03" * 32)]
     assert crypto.hash_packet_set(entries) == crypto.hash_packet_set(reversed(entries))
 
 
 def test_hash_packet_set_rejects_duplicates_and_bad_lengths():
     with pytest.raises(ValueError):
-        crypto.hash_packet_set([(1, b"\x00" * 64), (1, b"\x01" * 64)])
+        crypto.hash_packet_set([(1, b"\x00" * 32), (1, b"\x01" * 32)])
+    for length in (31, 33, 64):
+        with pytest.raises(ValueError):
+            crypto.hash_packet_set([(1, b"\x00" * length)])
     with pytest.raises(ValueError):
-        crypto.hash_packet_set([(1, b"\x00" * 63)])
-    with pytest.raises(ValueError):
-        crypto.hash_packet_set([(2**32, b"\x00" * 64)])
+        crypto.hash_packet_set([(2**32, b"\x00" * 32)])
 
 
 def _hand_tree_4(leaves):
@@ -291,6 +304,55 @@ def test_merkle_tamper_property(n, data):
         bad_leaf = bytearray(leaves[index])
         bad_leaf[data.draw(st.integers(min_value=0, max_value=31))] ^= 0x01
         assert not crypto.merkle_verify(root, bytes(bad_leaf), index, proof)
+
+
+def test_multiproof_four_leaves_hand_computed():
+    leaves = [hashlib.sha256(bytes([i])).digest() for i in range(4)]
+    root, lh, n01, n23 = _hand_tree_4(leaves)
+    paths = {i: crypto.merkle_prove(leaves, i) for i in range(4)}
+    # leaves 0 and 3: their siblings at the bottom, nothing above
+    assert crypto.multiproof({0: paths[0], 3: paths[3]}) == (lh[1], lh[2])
+    # leaves 0 and 1: nothing at the bottom, then n23
+    assert crypto.multiproof({1: paths[1], 0: paths[0]}) == (n23,)
+    assert crypto.multiproof(paths) == ()
+    assert crypto.multiproof_root({0: leaves[0], 3: leaves[3]}, (lh[1], lh[2]), 2) == root
+    assert crypto.multiproof_root(dict(enumerate(leaves)), (), 2) == root
+
+
+def test_merkle_paths_read_the_levels_as_merkle_prove():
+    for n in (1, 2, 5, 8, 13):
+        leaves = [hashlib.sha256(struct.pack(">I", i)).digest() for i in range(n)]
+        levels = crypto.merkle_levels(leaves)
+        assert levels[-1] == crypto.merkle_root(leaves)
+        for i in range(n):
+            path = crypto.MerklePath(levels, i)
+            assert len(path) == len(levels) - 1 == (n - 1).bit_length()
+            assert tuple(path) == crypto.merkle_prove(leaves, i)
+            assert crypto.merkle_verify(levels[-1], leaves[i], i, path)
+            with pytest.raises(IndexError):
+                path[len(path)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40), data=st.data())
+def test_multiproof_rebuilds_the_root_and_nothing_else(n, data):
+    leaves = [hashlib.sha256(struct.pack(">II", 9, i)).digest() for i in range(n)]
+    levels = crypto.merkle_levels(leaves)
+    root, depth, paths = levels[-1], len(levels) - 1, [crypto.MerklePath(levels, i) for i in range(n)]
+    chosen = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    nodes = crypto.multiproof({i: paths[i] for i in chosen})
+    given_leaves = {i: leaves[i] for i in chosen}
+    assert crypto.multiproof_root(given_leaves, nodes, depth) == root
+    # a node too few or too many fails; a changed node or leaf byte moves the root
+    if nodes:
+        assert crypto.multiproof_root(given_leaves, nodes[:-1], depth) is None
+        j, byte = data.draw(st.integers(0, len(nodes) - 1)), data.draw(st.integers(0, 31))
+        bad = bytearray(nodes[j])
+        bad[byte] ^= 1
+        assert crypto.multiproof_root(given_leaves, nodes[:j] + (bytes(bad),) + nodes[j + 1 :], depth) != root
+    assert crypto.multiproof_root(given_leaves, nodes + (bytes(32),), depth) is None
+    i = data.draw(st.sampled_from(sorted(chosen)))
+    assert crypto.multiproof_root({**given_leaves, i: bytes(32)}, nodes, depth) != root
 
 
 @settings(max_examples=100, deadline=None)

@@ -45,13 +45,16 @@ def live_session(cfg, start_ms=300):
     return session_for(dataclasses.replace(cfg.protocol, t0_ns=time.time_ns() + start_ms * MS), cfg.attack, seed=0)
 
 
-def run_loopback(session, prover_key, keys, stranger=None):
+def run_loopback(session, prover_key, keys, stranger=None, first=None):
     """One run over loopback, a thread for the prover and for each challenger
     and the verifier on the caller's: (verifier, prover stats, challengers by id).
-    `stranger`, if given, runs on a thread of its own with the sockets by name."""
+    `stranger`, if given, runs on a thread of its own with the sockets by name;
+    `first`, if given, is called with them before any role starts."""
     socks = {name: udp_socket() for name in ("prover", "verifier", *keys)}
     prover_addr, verifier_addr = socks["prover"].getsockname(), socks["verifier"].getsockname()
     results = {}
+    if first:
+        first(socks)
 
     def prover_main():
         results["prover"] = serve_prover(socks["prover"], session, prover_key, verifier_addr)
@@ -137,29 +140,29 @@ class TestDeadlineDisputes:
         assert verdict.cnt >= session.params.threshold
 
     def test_dispute_over_2048_bytes_is_upheld(self):
-        # f = 0 of n = 3: the prover waits for k = 33 probes from each, so
-        # the dispute carries at least 33 probes, 2 323 bytes or more
+        # f = 0 of n = 3: the prover waits for k = 66 probes from each, so
+        # the dispute carries at least 66 probes, 2 515 bytes or more
         cfg = scenario(
-            [(3, "withhold_report", {})], theta_claimed_bps=10e6, n=3, duration_ns=120 * MS, rate_policy="per_n"
+            [(3, "withhold_report", {})], theta_claimed_bps=20e6, n=3, duration_ns=120 * MS, rate_policy="per_n"
         )
         session, prover_key, keys = live_session(cfg)
-        assert session.params.k == 33
+        assert session.params.k == 66
         verdict = run_loopback(session, prover_key, keys)[0].output
         assert verdict is not None
         assert verdict.disputes_upheld == 1
-        assert dict(verdict.per_challenger)[3] == 33
+        assert dict(verdict.per_challenger)[3] == 66
 
     def test_one_unpaced_burst_of_991_probes_draws_a_response(self):
         # the prover's receive buffer holds every probe of the run; at the
         # host default (212 992 bytes) it kept about 211 of these 991
-        session, prover_key, _ = live_session(
+        session, prover_key, keys = live_session(
             scenario(theta_claimed_bps=1e9, n=1, duration_ns=12 * MS), start_ms=200
         )
         assert session.params.k == 991
         prover_sock, verifier_sock, me = udp_socket(), udp_socket(), udp_socket()
         prover, results = serve_in_thread(prover_sock, session, prover_key, verifier_sock.getsockname())
         try:
-            send_unchecked_train(me, prover_sock.getsockname(), session.params.k)
+            send_train(me, prover_sock.getsockname(), session, keys[1], session.params.k)
             me.settimeout(2)
             assert isinstance(wire.decode(me.recv(live.MAX_DATAGRAM)), wire.ResponsePacket)
             prover.join(timeout=5)
@@ -170,15 +173,15 @@ class TestDeadlineDisputes:
         assert results["stats"].probes_seen == 991
 
     def test_oversize_dispute_is_counted_not_sent(self):
-        # n = 1 at 1 Gbit/s over 12 ms: k = 991, so the dispute holds at
-        # least 991 probes, over the one-datagram limit
-        session, prover_key, _ = live_session(scenario(theta_claimed_bps=1e9, n=1, duration_ns=12 * MS))
-        assert session.params.k == 991
+        # n = 1 at 1 Gbit/s over 24 ms: k = 1 982, so the dispute holds at
+        # least 1 982 probes of 36 bytes, over the one-datagram limit
+        session, prover_key, keys = live_session(scenario(theta_claimed_bps=1e9, n=1, duration_ns=24 * MS))
+        assert session.params.k == 1982
         prover_sock, verifier_sock, me = udp_socket(), udp_socket(), udp_socket()
         prover, results = serve_in_thread(prover_sock, session, prover_key, verifier_sock.getsockname())
         try:
             addr = prover_sock.getsockname()
-            send_unchecked_train(me, addr, session.params.k)
+            send_train(me, addr, session, keys[1], session.params.k)
             me.settimeout(2)
             assert isinstance(wire.decode(me.recv(live.MAX_DATAGRAM)), wire.ResponsePacket)
             verifier_sock.sendto(wire.encode(wire.DisputeRequest(1)), addr)
@@ -200,14 +203,28 @@ class TestDeadlineDisputes:
         assert stats.responded
         assert stats.disputes_unsent == 1
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_the_largest_dispute_fits_one_datagram(self, stride):
+        # 1 Gbit/s in 100 ms over n = 10, f = 2: 1 136 probes per challenger,
+        # all stored, or every other one (the largest multiproof)
+        session, prover_key, keys = live_session(scenario(theta_claimed_bps=1e9, n=10, f=2, duration_ns=100 * MS))
+        assert session.params.signatures_per_challenger == 1136
+        prover = roles.Prover(session, prover_key)
+        for pkt in genuine_probes(session, keys[1])[::stride]:
+            prover.on_probe(0, pkt)
+        assert prover.force_respond(1)
+        dispute = prover.build_dispute(1)
+        assert len(dispute.packets) == 1136 // stride
+        assert len(wire.encode(dispute)) <= live.MAX_DATAGRAM
+
     def test_only_the_verifiers_first_request_is_answered(self):
-        session, prover_key, _ = live_session(scenario(theta_claimed_bps=2e6, n=1, duration_ns=200 * MS), start_ms=0)
+        session, prover_key, keys = live_session(scenario(theta_claimed_bps=2e6, n=1, duration_ns=200 * MS), start_ms=0)
         socks = prover_sock, verifier_sock, me, stranger = [udp_socket() for _ in range(4)]
         prover, results = serve_in_thread(prover_sock, session, prover_key, verifier_sock.getsockname())
         addr = prover_sock.getsockname()
         request = wire.encode(wire.DisputeRequest(1))
         try:
-            send_unchecked_train(me, addr, session.params.k)
+            send_train(me, addr, session, keys[1], session.params.k)
             me.settimeout(2)
             verifier_sock.settimeout(2)
             assert isinstance(wire.decode(me.recv(live.MAX_DATAGRAM)), wire.ResponsePacket)
@@ -248,14 +265,30 @@ def serve_in_thread(sock, session, keypair, verifier_addr):
     return thread, results
 
 
-def send_unchecked_train(sock, prover_addr, k):
-    """Challenger 1's k probes with zero signatures, in one unpaced burst: the
-    prover stores probes without checking them, so they trip its threshold all
-    the same. A ping first: once it is echoed, the prover has sized its
-    receive buffer."""
+def junk_probe(q, challenger_id=1):
+    """A probe under `challenger_id` whose secret, commitment and signature are zero."""
+    return wire.ChallengePacket(challenger_id, q, 1, bytes(32), bytes(32), bytes(64), ())
+
+
+def genuine_probes(session, key, challenger_id=1):
+    """The committed probes of challenger `challenger_id`'s train, by q - 1."""
+    me = roles.Challenger(session, challenger_id, key, session.params.t0_ns, 0)
+    return [pkt for _, pkt in me.build_sends()]
+
+
+def send_train(sock, prover_addr, session, key, k):
+    """Challenger 1's first k probes in one unpaced burst, after a ping: once
+    it is echoed, the prover has sized its receive buffer."""
+    ping_through(sock, prover_addr, nonce=2**63)
+    for pkt in genuine_probes(session, key)[:k]:
+        sock.sendto(wire.encode(pkt), prover_addr)
+
+
+def send_junk_train(sock, prover_addr, k):
+    """k junk probes under id 1 in one unpaced burst, after a ping."""
     ping_through(sock, prover_addr, nonce=2**63)
     for q in range(1, k + 1):
-        sock.sendto(wire.encode(wire.ChallengePacket(1, q, bytes(8), bytes(64))), prover_addr)
+        sock.sendto(wire.encode(junk_probe(q)), prover_addr)
 
 
 def ping_through(sock, prover_addr, nonce):
@@ -277,7 +310,7 @@ class TestIdBinding:
         addr = prover_sock.getsockname()
         try:
             ping_through(me, addr, nonce=1)  # binds id 1 to challenger 1's socket
-            send_unchecked_train(stranger, addr, k)  # its ping is echoed, its probes dropped
+            send_junk_train(stranger, addr, k)  # its ping is echoed, its probes dropped
             ping_through(me, addr, nonce=2)
             challenger = run_challenger(me, session, 1, keys[1], addr, verifier_sock.getsockname())
             assert challenger.report_sent  # the response came to challenger 1's socket
@@ -304,7 +337,7 @@ class TestIdBinding:
         try:
             ping_through(stranger, addr, nonce=1)  # binds id 1 to the stranger's socket
             challenger = run_challenger(me, session, 1, keys[1], addr, verifier_sock.getsockname())
-            assert challenger.report_sent  # its first signed probe took id 1 over
+            assert challenger.report_sent  # its first committed probe took id 1 over
             stranger.settimeout(0.1)
             with pytest.raises(socket.timeout):
                 stranger.recv(live.MAX_DATAGRAM)
@@ -316,6 +349,72 @@ class TestIdBinding:
         stats = results["stats"]
         assert stats.responded and stats.challengers_seen == 1
         assert stats.spoofed == 0
+
+
+    def test_a_junk_probe_and_ping_first_do_not_cost_the_verdict(self):
+        # a stranger's uncommitted probe and ping under id 1, both before the
+        # trains start: the probe is dropped, and challenger 1's first
+        # committed probe takes id 1 over from the ping's binding
+        session, prover_key, keys = live_session(
+            scenario(theta_claimed_bps=2e6, n=3, duration_ns=200 * MS, rate_policy="per_n")
+        )
+        stranger = udp_socket()
+
+        def first(socks):
+            stranger.sendto(wire.encode(junk_probe(1)), socks["prover"].getsockname())
+            stranger.sendto(wire.encode(wire.PingRequest(challenger_id=1, nonce=7)), socks["prover"].getsockname())
+
+        try:
+            verifier, stats, challengers = run_loopback(session, prover_key, keys, first=first)
+        finally:
+            stranger.close()
+        assert stats.spoofed == 1 and stats.challengers_seen == 3
+        assert all(me.report_sent and me.events == [] for me in challengers.values())
+        assert verifier.output is not None and verifier.output.reports_used == 3
+
+    def test_a_probe_with_any_changed_part_is_refused(self):
+        session, prover_key, keys = live_session(
+            scenario(theta_claimed_bps=2e6, n=1, duration_ns=200 * MS), start_ms=0
+        )
+        train = genuine_probes(session, keys[1])
+        probe = train[2]
+
+        def byte_flipped(data):
+            return data[:5] + bytes([data[5] ^ 1]) + data[6:]
+
+        tampered = [
+            probe._replace(secret=byte_flipped(probe.secret)),
+            probe._replace(siblings=(byte_flipped(probe.siblings[0]),) + tuple(probe.siblings)[1:]),
+            probe._replace(commitment=byte_flipped(probe.commitment)),
+            probe._replace(commitment_signature=byte_flipped(probe.commitment_signature)),
+            probe._replace(probes=probe.probes ^ 1 << 8),
+            probe._replace(sequence=probe.sequence + 1),  # another q's slot
+            junk_probe(1, challenger_id=2),  # no such challenger
+        ]
+        prover_sock, verifier_sock, me = udp_socket(), udp_socket(), udp_socket()
+        prover, results = serve_in_thread(prover_sock, session, prover_key, verifier_sock.getsockname())
+        addr = prover_sock.getsockname()
+        try:
+            ping_through(me, addr, nonce=1)
+            for pkt in tampered:  # before its commitment is cached
+                me.sendto(wire.encode(pkt), addr)
+            ping_through(me, addr, nonce=2)
+            for pkt in train[: session.params.k]:
+                me.sendto(wire.encode(pkt), addr)
+            me.settimeout(2)
+            assert isinstance(wire.decode(me.recv(live.MAX_DATAGRAM)), wire.ResponsePacket)
+            for pkt in tampered:  # and after
+                me.sendto(wire.encode(pkt), addr)
+            ping_through(me, addr, nonce=3)
+            prover.join(timeout=5)
+            assert not prover.is_alive()
+        finally:
+            for sock in (prover_sock, verifier_sock, me):
+                sock.close()
+        stats = results["stats"]
+        assert stats.responded and stats.challengers_seen == 1
+        assert stats.probes_seen == 2 * len(tampered) + session.params.k
+        assert stats.spoofed == 2 * len(tampered)
 
 
 class TestStrangers:
@@ -399,20 +498,25 @@ class TestPacing:
         session, _, keys = live_session(
             scenario(theta_claimed_bps=2e6, n=3, duration_ns=20 * MS, rate_policy="per_n"), start_ms=50
         )
-        signs = []
-        real_sign, real_sleep = roles.sign, live._sleep_until
+        signs, encodes = [], []
+        real_sign, real_encode, real_sleep = roles.sign, wire.encode, live._sleep_until
 
         def counting_sign(secret_key, message):
             signs.append(message)
             return real_sign(secret_key, message)
 
-        signed_at_sleep = []
+        def counting_encode(msg):
+            encodes.append(msg)
+            return real_encode(msg)
+
+        done_at_sleep = []
 
         def recording_sleep(epoch_ns):
-            signed_at_sleep.append(len(signs))
+            done_at_sleep.append((len(signs), len(encodes)))
             real_sleep(epoch_ns)
 
         monkeypatch.setattr(roles, "sign", counting_sign)
+        monkeypatch.setattr(wire, "encode", counting_encode)
         monkeypatch.setattr(live, "_sleep_until", recording_sleep)
         sock, prover_sock = udp_socket(), udp_socket()
         try:
@@ -423,8 +527,9 @@ class TestPacing:
             prover_sock.close()
         total = session.params.signatures_per_challenger
         assert me.delta_ns is None  # nobody answered
-        assert signed_at_sleep == [total] * total
-        assert len(signs) == total
+        # the one commitment is signed and every probe encoded before the first send
+        assert done_at_sleep == [(1, total)] * total
+        assert len(signs) == 1 and len(encodes) == total
 
 
 class TestAbsentPeers:

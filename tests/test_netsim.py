@@ -389,11 +389,12 @@ class TestPerProbeCost:
         assert calls <= res.params.n
 
 
-class TestLazySignatures:
-    """A probe is signed only when a receipt, a dispute or an encoding reads it."""
+class TestSignsPerRun:
+    """Each challenger signs one commitment, whatever it sends; the prover
+    signs its n responses and the root."""
 
     def run_recorded(self, monkeypatch, name):
-        """Bundled scenario at seed 0; (result, probe signs per challenger id, prover)."""
+        """Bundled scenario at seed 0; (result, signs per challenger id, prover, prover signs)."""
         by_key = Counter()
         real_sign = roles.sign
 
@@ -417,22 +418,21 @@ class TestLazySignatures:
         res = run_scenario(load_bundled(name), seed=0, collect_trace=False)
         signs = {c.id: by_key[c.keypair.secret_key] for c in made["Challenger"]}
         (prover,) = made["Prover"]
-        return res, signs, prover
+        return res, signs, prover, by_key[prover.keypair.secret_key]
 
-    def test_withheld_trains_are_never_signed(self, monkeypatch):
-        res, signs, _ = self.run_recorded(monkeypatch, "withholding_250")
+    def test_withheld_trains_sign_one_commitment_too(self, monkeypatch):
+        res, signs, _, prover_signs = self.run_recorded(monkeypatch, "withholding_250")
         assert res.terminated
-        assert signs[9] == signs[10] == 0  # both withhold_all
-        assert all(signs[i] > 0 for i in range(1, 9))
+        assert signs == dict.fromkeys(range(1, 11), 1)  # 9 and 10 withhold_all
+        assert prover_signs == 11
 
-    def test_honest_run_signs_exactly_the_frozen_stores(self, monkeypatch):
-        res, signs, prover = self.run_recorded(monkeypatch, "overhead_500")
+    def test_honest_run_makes_2n_plus_1_signs(self, monkeypatch):
+        res, signs, prover, prover_signs = self.run_recorded(monkeypatch, "overhead_500")
         assert res.terminated
+        assert sum(signs.values()) + prover_signs == 2 * res.params.n + 1
+        # the late overprovision tail is sent but never stored
         stored = sum(len(store) for store in prover.received.values())
-        assert sum(signs.values()) == stored
-        # the late overprovision tail is never signed
-        p = res.params
-        assert stored < p.n * p.signatures_per_challenger
+        assert stored < res.params.n * res.params.signatures_per_challenger
 
 
 class TestClampedSends:

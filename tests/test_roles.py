@@ -2,23 +2,25 @@
 
 import dataclasses
 import hashlib
-import json
-import os
 import random
-import sys
-import threading
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_result_digests import ROOT, load_script
 from test_schedule import params_of
 
 from backhaul import roles, wire
-from backhaul.config import parse_scenario
-from backhaul.crypto import hash_packet_set, keygen, merkle_prove, merkle_root, probe_message, sign
-from backhaul.netsim import run_scenario
+from backhaul.crypto import (
+    commitment_message,
+    hash_packet_set,
+    keygen,
+    merkle_prove,
+    merkle_root,
+    merkle_verify,
+    probe_secrets,
+    verify,
+)
 from backhaul.roles import VERIFIER, Challenger, Prover, Session, Verifier, upper_median
 from backhaul.schedule import ParamsError, RatePolicy, send_schedule
 from backhaul.wire import (
@@ -266,7 +268,7 @@ class TestRunningCount:
         prover, k, threshold = w.prover, w.params.k, w.params.threshold
         reached = False
         for t, (cid, q) in enumerate(probes):
-            pkt = ChallengePacket(cid, q, bytes(8), bytes([q]) * 64)
+            pkt = ChallengePacket(cid, q, 6, bytes([q]) * 32, bytes(32), bytes(64), ())
             tripped = prover.on_probe(t, pkt)
             total = sum(min(len(s), k) for s in prover.received.values())
             assert prover.capped == total
@@ -287,7 +289,7 @@ class TestProverHygiene:
     def test_unknown_challenger_dropped(self):
         w = world()
         _, pkt = w.challengers[1].build_sends()[0]
-        alien = ChallengePacket(99, pkt.sequence, pkt.nonce, pkt.signature)
+        alien = pkt._replace(challenger_id=99)
         assert w.prover.on_probe(0, alien) is False
         assert w.prover.drops["prover_unknown"] == 1
         assert all(not s for s in w.prover.received.values())
@@ -296,7 +298,7 @@ class TestProverHygiene:
         w = world()
         _, pkt = w.challengers[1].build_sends()[0]
         limit = w.params.signatures_per_challenger
-        rogue = ChallengePacket(1, limit + 1, pkt.nonce, pkt.signature)
+        rogue = pkt._replace(sequence=limit + 1)
         w.prover.on_probe(0, rogue)
         assert w.prover.drops["prover_bad_sequence"] == 1
         assert not w.prover.received[1]
@@ -433,258 +435,171 @@ class TestChallengerChecks:
         deliver_all(w)
         bundle = answer(w.prover)
         c1 = w.challengers[1]
-        own = hash_packet_set(
-            [(q, c1.signature_for(q)) for q in range(1, w.params.k + 1)]
-        )
+        secrets = probe_secrets(c1.keypair.secret_key, w.params.m0, w.params.signatures_per_challenger)
+        own = hash_packet_set([(q, secrets[q - 1]) for q in range(1, w.params.k + 1)])
         assert bundle.responses[1].receipt == own
 
 
-class TestLazySignatures:
-    def test_init_and_build_sends_make_no_signature(self, monkeypatch):
+class TestCommitments:
+    def test_set_up_signs_one_commitment_and_the_train_signs_nothing(self, monkeypatch):
         signs = counting(monkeypatch, "sign")
         w = world()
+        assert len(signs) == w.params.n  # one commitment per challenger
         trains = {i: c.build_sends() for i, c in w.challengers.items()}
-        assert signs == []
-        _, pkt = trains[2][3]
-        first = bytes(pkt.signature)
-        assert len(signs) == 1
-        c2 = w.challengers[2]
-        assert first == sign(c2.keypair.secret_key, probe_message(4, w.params.m0))
-        # read again, from the packet or through the challenger: no new sign
-        assert bytes(pkt.signature) == c2.signature_for(4) == first
-        assert len(signs) == 1
+        assert len(signs) == w.params.n
+        c2, limit = w.challengers[2], w.params.signatures_per_challenger
+        secrets = probe_secrets(c2.keypair.secret_key, w.params.m0, limit)
+        for t, pkt in trains[2]:
+            q = pkt.sequence
+            assert (pkt.challenger_id, pkt.probes, pkt.secret) == (2, limit, secrets[q - 1])
+            assert (pkt.commitment, pkt.commitment_signature) == (c2.commitment, c2.commitment_signature)
+            assert merkle_verify(c2.commitment, pkt.secret, q - 1, pkt.siblings)
+        message = commitment_message(w.params.m0, 2, limit, c2.commitment)
+        assert verify(c2.keypair.public_key, message, c2.commitment_signature)
 
-    def test_prover_reads_signatures_only_at_the_freeze(self, monkeypatch):
-        signs = counting(monkeypatch, "sign")
+    def test_the_freeze_and_disputes_sign_only_the_responses(self, monkeypatch):
         w = world(n=4, f=1, k=5)
         deliver_all(w, skip=(4,))
         assert w.prover.trigger_ns is not None
-        assert signs == []
-        w.prover.build_responses()
-        stored = sum(len(s) for s in w.prover.received.values())
-        assert stored == 15
-        assert len(signs) == stored + 5  # every stored probe, then n + 1 prover signs
-        w.prover.build_dispute(3)
-        assert len(signs) == stored + 5  # each probe is signed at most once
-
-    def test_each_reader_shares_one_signature_per_probe(self, monkeypatch):
         signs = counting(monkeypatch, "sign")
+        w.prover.build_responses()
+        assert len(signs) == 5  # n + 1 prover signs
+        for i in range(1, 5):
+            w.prover.build_dispute(i)
+        assert len(signs) == 5
+
+    def test_receipts_disputes_and_encodings_read_the_same_secrets(self):
         w = world(n=4, f=1, k=5)
         deliver_all(w, skip=(4,))
         stored = [pkt for store in w.prover.received.values() for pkt in store.values()]
-        assert len(stored) == 15 and signs == []
         bundle, reports = finish(w)  # the freeze, then each challenger's receipt check
         assert sorted(reports) == [1, 2, 3, 4]  # 4 acknowledges none
-        assert len(signs) == 15 + 5  # every stored probe, then n + 1 prover signs
         dispute = w.prover.build_dispute(2)
-        encoded = {wire.encode(pkt)[64:128] for pkt in stored}
-        assert len(signs) == 15 + 5  # the dispute and the encodings read the same signatures
-        _, stored = w.prover._freeze()
-        assert encoded == {sig for signed, _, _ in stored[:3] for _, sig in signed}
-        assert set(dispute.packets) == set(stored[1][0])
-        # a probe no receipt covers is signed by its first reader, and only then
-        _, unsent = w.challengers[4].build_sends()[0]
-        first = wire.encode(unsent)
-        assert len(signs) == 21
-        assert wire.encode(unsent) == first and bytes(unsent.signature) == first[64:128]
-        assert len(signs) == 21
-
-    def test_sequence_outside_the_train_has_no_signature(self):
-        c1 = world().challengers[1]
-        for q in (0, c1.params.signatures_per_challenger + 1):
-            with pytest.raises(KeyError):
-                c1.signature_for(q)
+        _, snapshot = w.prover._freeze()
+        assert {wire.encode(pkt)[13:45] for pkt in stored} == {s for pairs, _, _ in snapshot for _, s in pairs}
+        assert dispute.packets == snapshot[1][0]
+        assert (dispute.commitment, dispute.commitment_signature) == (
+            w.challengers[2].commitment, w.challengers[2].commitment_signature
+        )
 
 
-def cpus(monkeypatch, count):
-    """Let the freeze see `count` usable CPUs, whatever this host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+class TestFreeze:
+    @pytest.mark.parametrize("n", [1, 3, 4, 10])
+    def test_snapshot_is_the_receipt_tree_over_the_stored_secrets(self, n):
+        w = world(n=n, k=5)
+        store_unevenly(w)
+        sizes = [len(w.prover.received[i]) for i in range(1, n + 1)]
+        assert sum(sizes) and (n == 1 or 0 in sizes)
+        pairs = [tuple((q, p.secret) for q, p in sorted(w.prover.received[i].items())) for i in range(1, n + 1)]
+        leaves = [hash_packet_set(s) for s in pairs]
+        paths = [merkle_prove(leaves, index) for index in range(n)]
+        assert w.prover._freeze() == (merkle_root(leaves), list(zip(pairs, leaves, paths)))
 
 
-def store_unevenly(w, *provers):
-    """Each prover stores a different subset of challenger i's train, in
-    reverse order, and none of the last one's (n > 1); then it responds."""
+def store_unevenly(w):
+    """The prover stores a different subset of each challenger i's train,
+    in reverse order, and none of the last one's (n > 1); then it responds."""
     n = w.params.n
     for i, c in w.challengers.items():
         train = c.build_sends()
         picked = [] if i == n > 1 else train[i % 2 :: 1 + i % 3]
-        for p in provers:
-            for t, pkt in reversed(picked):
-                p.on_probe(t, pkt)
-    for p in provers:
-        assert p.force_respond(10 * MS)
+        for t, pkt in reversed(picked):
+            w.prover.on_probe(t, pkt)
+    assert w.prover.force_respond(10 * MS)
 
 
-class TestSplitFreeze:
-    """`Prover._freeze` shares the snapshot out over threads by id."""
-
-    @pytest.mark.parametrize("n", [1, 3, 4, 10])
-    @pytest.mark.parametrize("width", [1, 2, 4, 16])
-    def test_leaves_and_bundle_equal_the_serial_loop(self, monkeypatch, n, width):
-        cpus(monkeypatch, width)
-        w = world(n=n, k=5)
-        twin = Prover(w.session, w.prover_key)
-        store_unevenly(w, w.prover, twin)
-        sizes = [len(w.prover.received[i]) for i in range(1, n + 1)]
-        assert sum(sizes) and (n == 1 or 0 in sizes)
-        threads = threading.active_count()
-        signed = [tuple((q, bytes(p.signature)) for q, p in sorted(twin.received[i].items())) for i in range(1, n + 1)]
-        leaves = [hash_packet_set(s) for s in signed]
-        paths = [merkle_prove(leaves, index) for index in range(n)]
-        serial = merkle_root(leaves), list(zip(signed, leaves, paths))
-        assert w.prover._freeze() == serial
-        assert threading.active_count() == threads
-        twin._snapshot = serial
-        assert w.prover.build_responses() == twin.build_responses()
-
-    def test_each_probe_signed_once_under_fast_switching(self, monkeypatch):
-        lock = threading.Lock()
-        signed = []
-        real = roles.sign
-
-        def locked_sign(secret_key, message):
-            with lock:
-                signed.append((secret_key, message))
-            return real(secret_key, message)
-
-        monkeypatch.setattr(roles, "sign", locked_sign)
-        cpus(monkeypatch, 8)  # more threads than this host has cores
-        w = world(n=10, k=5)
-        store_unevenly(w, w.prover)
-        expected = json.loads((ROOT / "tests" / "golden_digests.json").read_text())
-        digests = load_script()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            w.prover.build_responses()
-            freeze = list(signed)
-            golden = digests.compute("golden")
-        finally:
-            sys.setswitchinterval(interval)
-        probes = [s for s in freeze if s[0] != w.prover_key.secret_key]
-        stored = sum(len(store) for store in w.prover.received.values())
-        assert len(probes) == len(set(probes)) == stored
-        assert len(freeze) == stored + 11  # and n + 1 prover signs
-        assert digests.differences(expected, golden) == []
-
-    @pytest.mark.parametrize(
-        "failing, raised",
-        [((2, 3), 2), ((3,), 3), ((3, 4), 3), ((4,), 4), ((1, 2, 3), 1)],
-    )
-    def test_a_share_failure_raises_the_serial_loops_exception(self, monkeypatch, failing, raised):
-        cpus(monkeypatch, 3)  # the caller takes ids 1 and 4, helpers 2 and 5, and 3
-        w = world(n=5, k=5)
-        store_unevenly(w, w.prover)
-        errors = {}
-        for i in failing:
-            errors[i] = RuntimeError(f"no signature from challenger {i}")
-
-            def fail(q, error=errors[i]):
-                raise error
-
-            w.challengers[i].signature_for = fail
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            w.prover.build_responses()
-        assert info.value is errors[raised]
-        assert threading.active_count() == threads
-        assert w.prover._snapshot is None
-
-    def test_no_thread_outlives_a_run(self, monkeypatch):
-        cpus(monkeypatch, 4)
-        cfg = parse_scenario(
-            {
-                "name": "freezes",
-                "protocol": {"theta_claimed_bps": 50e6, "n": 4, "f": 0, "duration_ns": 2 * MS},
-                "topology": {"backhaul_rate_bps": 50e6, "uplink": {"rate_bps": "theta0", "propagation_ns": MS}},
-            }
-        )
-        threads = threading.active_count()
-        for seed in range(200):
-            assert run_scenario(cfg, seed, collect_trace=False).output is not None
-        assert threading.active_count() == threads
+def flip(data: bytes, at: int = 0) -> bytes:
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
 
 
-def tampered(d, kind):
-    """Dispute `d` with one defect: every signature random (`forged`), the
-    middle probe's signature flipped, the last probe's q past the train, or
-    a flipped Merkle sibling."""
-    packets, siblings = list(d.packets), d.siblings
-    mid, last = len(packets) // 2, len(packets) - 1
+def tampered(d, kind, neighbour=None):
+    """Dispute `d` with one defect: every secret random (`forged`), the
+    middle secret flipped, the last probe's q past the train, a flipped
+    receipt sibling, commitment, commitment signature or multiproof node, a
+    multiproof node too few, or a claim to a probe that was not received
+    backed by its leaf hash, read from `neighbour`'s path."""
+    packets, mid, last = list(d.packets), len(d.packets) // 2, len(d.packets) - 1
     if kind == "forged":
         rng = random.Random(5)
-        packets = [(q, rng.randbytes(64)) for q, _ in packets]
-    elif kind == "bad_middle":
-        q, sig = packets[mid]
-        packets[mid] = (q, bytes([sig[0] ^ 1]) + sig[1:])
+        packets = [(q, rng.randbytes(32)) for q, _ in packets]
+    elif kind == "bad_secret":
+        packets[mid] = (packets[mid][0], flip(packets[mid][1], 7))
     elif kind == "q_out_of_range":
         packets[last] = (packets[last][0] + 1, packets[last][1])
-    elif kind == "bad_merkle_path":
-        siblings = (bytes([siblings[0][0] ^ 1]) + siblings[0][1:],) + siblings[1:]
-    return DisputeSubmission(d.challenger_id, tuple(packets), d.leaf_index, siblings)
+    elif kind == "leaf_hash_of_unreceived":
+        # probe 4 never came; its leaf hash is its neighbour probe 3's first sibling
+        packets = sorted(packets + [(4, neighbour.siblings[0])])
+    changed = {
+        "bad_merkle_path": {"siblings": (flip(d.siblings[0]),) + d.siblings[1:]},
+        "bad_commitment": {"commitment": flip(d.commitment, 31)},
+        "bad_commitment_signature": {"commitment_signature": flip(d.commitment_signature, 40)},
+        "bad_proof_node": {"proof": (flip(d.proof[0], 3),) + d.proof[1:]},
+        "short_proof": {"proof": d.proof[:-1]},
+        "leaf_hash_of_unreceived": {"proof": tuple(node for node in d.proof if node != neighbour.siblings[0])},
+    }.get(kind, {})
+    return dataclasses.replace(d, packets=tuple(packets), **changed)
 
 
-class TestSplitDisputes:
-    """`Verifier.on_dispute` verifies the first probe alone, then the rest
-    over threads; the outcome is the serial loop's."""
+DISPUTE_DEFECTS = [
+    "forged", "bad_secret", "q_out_of_range", "bad_merkle_path", "bad_commitment",
+    "bad_commitment_signature", "bad_proof_node", "short_proof", "leaf_hash_of_unreceived",
+]
 
-    @pytest.mark.parametrize("kind", ["honest", "forged", "bad_middle", "q_out_of_range", "bad_merkle_path"])
-    @pytest.mark.parametrize("width", [1, 2, 4, 16])
-    def test_outcome_equals_a_serial_twin(self, monkeypatch, kind, width):
-        w = world(n=3, k=40)
-        deliver_all(w)
-        bundle = answer(w.prover)
-        d = tampered(w.prover.build_dispute(2), kind)
-        assert d.packets[-1][0] == w.params.signatures_per_challenger + (kind == "q_out_of_range")
-        twin = Verifier(w.session)
-        for v in (w.verifier, twin):
-            v.on_root(5 * MS, bundle.announcement)
-        cpus(monkeypatch, 1)
-        serial = twin.on_dispute(7 * MS, d)
-        cpus(monkeypatch, width)
-        verifies = counting(monkeypatch, "verify")
-        threads = threading.active_count()
-        assert w.verifier.on_dispute(7 * MS, d) is serial is (kind == "honest")
-        assert threading.active_count() == threads
-        v = w.verifier
-        assert (v.rejections, v.counts, v.rtts, v.disputes_upheld) == (
-            twin.rejections, twin.counts, twin.rtts, twin.disputes_upheld
-        )
-        if kind == "honest":
-            assert (v.counts, v.rtts, v.disputes_upheld) == ({2: 40}, {}, 1)
-            assert len(verifies) == len(d.packets) == 40
-        elif kind == "forged":
-            assert len(verifies) == 1
-        if kind == "bad_merkle_path":
-            assert v.rejections == [(2, "dispute_proof")]
-        elif kind != "honest":
-            assert v.rejections == [(2, "dispute_bad_signature")]
 
-    @pytest.mark.parametrize("width", [1, 2, 4, 16])
-    def test_a_failure_deep_in_stops_only_its_share(self, monkeypatch, width):
-        # shares never wait on each other, so the verifies depend on W only,
-        # however the threads interleave: the failing share stops at the
-        # failure, every other share runs on
-        w = world(n=3, k=40)
-        deliver_all(w)
+class TestDisputeTampering:
+    """A dispute changed in any one part is refused, at one verify or none."""
+
+    def received_all_but_one(self):
+        """A world whose prover stored all of challenger 2's train but probe
+        4, and (the verifier on its root) the dispute for 2 and probe 3."""
+        w = world(n=3, k=40, rho=1.1)
+        for i, c in w.challengers.items():
+            for t, pkt in c.build_sends():
+                if (i, pkt.sequence) != (2, 4):
+                    w.prover.on_probe(t, pkt)
+        assert w.prover.force_respond(10 * MS) is False  # the threshold tripped already
         w.verifier.on_root(5 * MS, answer(w.prover).announcement)
-        d = tampered(w.prover.build_dispute(2), "bad_middle")
-        cpus(monkeypatch, width)
+        return w, w.prover.build_dispute(2), w.prover.received[2][3]
+
+    def test_honest_dispute_is_upheld_at_one_verify(self, monkeypatch):
+        w, d, _ = self.received_all_but_one()
+        assert len(d.packets) == w.params.signatures_per_challenger - 1 == 43 and d.proof
         verifies = counting(monkeypatch, "verify")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert w.verifier.on_dispute(7 * MS, d) is False
-        finally:
-            sys.setswitchinterval(interval)
-        expected = 1  # the first probe, alone
-        rest = range(1, len(d.packets))  # indices of the probes shared out
-        for first in range(min(width, len(rest))):
-            for i in rest[first::width]:
-                expected += 1
-                if i == len(d.packets) // 2:  # the flipped signature
-                    break
-        assert len(verifies) == expected
+        assert w.verifier.on_dispute(7 * MS, d) is True
+        assert (w.verifier.counts, w.verifier.disputes_upheld, len(verifies)) == ({2: 40}, 1, 1)
+
+    @pytest.mark.parametrize("kind", DISPUTE_DEFECTS)
+    def test_a_changed_part_is_refused(self, monkeypatch, kind):
+        w, d, probe3 = self.received_all_but_one()
+        bad = tampered(d, kind, neighbour=probe3)
+        assert bad != d
+        verifies = counting(monkeypatch, "verify")
+        assert w.verifier.on_dispute(7 * MS, bad) is False
+        expected = "dispute_proof" if kind == "bad_merkle_path" else "dispute_bad_signature"
+        assert w.verifier.rejections == [(2, expected)]
+        assert len(verifies) == (kind != "q_out_of_range")
+        assert (w.verifier.counts, w.verifier.disputes_upheld) == ({}, 0)
+
+
+class TestReceivedSubsets:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_received_bytes_reveal_no_other_secret_and_prove_their_count(self, data):
+        w = world(n=3, k=8, rho=1.5)  # 12 probes per challenger
+        c1, limit = w.challengers[1], w.params.signatures_per_challenger
+        train = [pkt for _, pkt in c1.build_sends()]
+        received = data.draw(st.sets(st.integers(1, limit)))
+        for q in received:
+            w.prover.on_probe(0, train[q - 1])
+        seen = b"".join(wire.encode(train[q - 1]) for q in received)
+        secrets = probe_secrets(c1.keypair.secret_key, w.params.m0, limit)
+        assert not any(secrets[q - 1] in seen for q in range(1, limit + 1) if q not in received)
+        assert w.prover.force_respond(MS)
+        w.verifier.on_root(2 * MS, answer(w.prover).announcement)
+        d = w.prover.build_dispute(1)
+        assert [q for q, _ in d.packets] == sorted(received)
+        assert w.verifier.on_dispute(3 * MS, d) is True
+        assert w.verifier.counts == {1: min(len(received), w.params.k)}
 
 
 class TestVerifier:
@@ -795,13 +710,7 @@ class TestVerifier:
         deliver_all(w, skip=(4,))
         finish(w, report_ids=[1, 2])
         d = w.prover.build_dispute(3)
-        q0, sig0 = d.packets[0]
-        forged = DisputeSubmission(
-            challenger_id=3,
-            packets=((q0, bytes([sig0[0] ^ 1]) + sig0[1:]),) + d.packets[1:],
-            leaf_index=d.leaf_index,
-            siblings=d.siblings,
-        )
+        forged = dataclasses.replace(d, commitment_signature=flip(d.commitment_signature))
         assert w.verifier.on_dispute(7 * MS, forged) is False
         assert (3, "dispute_bad_signature") in w.verifier.rejections
 
@@ -821,7 +730,7 @@ class TestVerifier:
             ),
         }[shape]
         verifies = counting(monkeypatch, "verify")
-        bad = DisputeSubmission(1, packets, d.leaf_index, d.siblings)
+        bad = dataclasses.replace(d, packets=packets)
         assert w.verifier.on_dispute(6 * MS, bad) is False
         assert w.verifier.rejections == [(1, "dispute_malformed")]
         assert verifies == []
@@ -831,7 +740,7 @@ class TestVerifier:
         deliver_all(w, skip=(4,))
         finish(w, report_ids=[1, 2])
         d = w.prover.build_dispute(3)
-        moved = DisputeSubmission(3, d.packets, 0, d.siblings)
+        moved = dataclasses.replace(d, leaf_index=0)
         assert w.verifier.on_dispute(7 * MS, moved) is False
         assert (3, "dispute_leaf_index") in w.verifier.rejections
 
@@ -907,7 +816,7 @@ class TestOneSnapshot:
         w = world(n=4, k=5, rho=1.2)
         ids = range(0, w.params.n + 2)
         assert [w.prover.build_dispute(i) for i in ids] == [None] * len(ids)  # before the trigger
-        store_unevenly(w, w.prover)
+        store_unevenly(w)
         bundle = answer(w.prover)
         for i in range(1, w.params.n + 1):
             dispute, verification = w.prover.build_dispute(i), bundle.verifications[i]
@@ -950,10 +859,10 @@ class TestDeadlineDisputes:
 
         def forge(cid):
             asked.append(cid)
-            return DisputeSubmission(cid, (), cid - 1, ())
+            return DisputeSubmission(cid, (), bytes(32), bytes(64), (), cid - 1, ())
 
         assert w.prover.on_message(t, DisputeRequest(3), forge) is None
-        assert w.prover.on_message(t + 1, DisputeRequest(3), forge) == DisputeSubmission(3, (), 2, ())
+        assert w.prover.on_message(t + 1, DisputeRequest(3), forge) == DisputeSubmission(3, (), bytes(32), bytes(64), (), 2, ())
         assert asked == [3]
 
     def test_at_deadline_is_empty_once_a_verdict_exists(self):
@@ -1012,7 +921,7 @@ class TestShortReports:
         assert (v.counts, v.rtts, v.disputes_upheld) == (*before, 0)
         # the one that raises id 1's count is verified, probe by probe
         assert v.on_dispute(8 * MS, short) is True
-        assert len(verifies) == len(short.packets) == v.counts[1]
+        assert len(verifies) == 1 and len(short.packets) == v.counts[1]
 
     def test_no_extra_request_while_the_missing_ids_can_close_the_gap(self):
         w = world(n=4, f=1, k=5)  # threshold 15

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import pytest
@@ -5,79 +6,103 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backhaul import wire
-from backhaul.crypto import keygen, probe_message, sign
+from backhaul.crypto import commitment_message, keygen, verify
 from backhaul.roles import Challenger, Session
 from backhaul.schedule import ChallengeParams, RatePolicy, challenge_data_bytes
 from test_schedule import params_of
 
 
-def make_challenge(challenger_id=7, sequence=45, nonce=b"\x11" * 8, signature=b"\x01" * 64):
-    return wire.ChallengePacket(challenger_id=challenger_id, sequence=sequence, nonce=nonce, signature=signature)
+def make_challenge(challenger_id=7, sequence=45, probes=50, siblings=(b"\x0b" * 32,) * 6, signature=b"\x01" * 64):
+    return wire.ChallengePacket(
+        challenger_id=challenger_id,
+        sequence=sequence,
+        probes=probes,
+        secret=b"\x0c" * 32,
+        commitment=b"\x0d" * 32,
+        commitment_signature=signature,
+        siblings=siblings,
+    )
 
 
 def test_challenge_payload_always_1472_bytes():
-    data = wire.encode(make_challenge())
-    assert len(data) == 1472
-    assert len(data) + wire.LOWER_LAYER_BUDGET == 1514 == wire.WIRE_PACKET_LEN
+    for depth in (0, 1, 10, 32, 41):
+        data = wire.encode(make_challenge(siblings=(b"\x0b" * 32,) * depth))
+        assert len(data) == 1472
+        assert len(data) + wire.LOWER_LAYER_BUDGET == 1514 == wire.WIRE_PACKET_LEN
+    with pytest.raises(wire.WireError) as info:
+        wire.encode(make_challenge(siblings=(b"\x0b" * 32,) * 42))
+    assert info.value.field == "padding"
 
 
 def test_challenge_layout_hand_built():
     # Independent byte-level construction of the same packet.
-    pkt = make_challenge(challenger_id=3, sequence=100, nonce=b"\xab" * 8)
+    pkt = make_challenge(challenger_id=3, sequence=100, probes=909, siblings=(b"\x0e" * 32, b"\x0f" * 32))
     expected = bytearray(1472)
     expected[0] = 0x01
     expected[1:5] = struct.pack(">I", 3)
     expected[5:9] = struct.pack(">I", 100)
-    expected[9:11] = struct.pack(">H", 1)
-    expected[11:19] = b"\xab" * 8
-    expected[64:128] = b"\x01" * 64
+    expected[9:13] = struct.pack(">I", 909)
+    expected[13:45] = b"\x0c" * 32  # the secret
+    expected[45:77] = b"\x0d" * 32  # the commitment
+    expected[77:141] = b"\x01" * 64  # its signature
+    expected[141:143] = struct.pack(">H", 2)
+    expected[143:207] = b"\x0e" * 32 + b"\x0f" * 32
     assert wire.encode(pkt) == bytes(expected)
 
 
-def test_lazily_signed_challenge_encodes_like_an_eager_one():
+def test_a_challengers_probe_carries_its_signed_commitment_and_path():
     params = params_of(2e6, 3, 0, 200_000_000, m0=b"\x05" * 32)
     key = keygen(b"\x09" * 32)
     session = Session(params, 77, keygen(b"\x0a" * 32).public_key, {}, deadline_ns=0)
     me = Challenger(session, 2, key, params.t0_ns, 0)
     _, pkt = me.build_sends()[4]
-    signature = sign(key.secret_key, probe_message(5, params.m0))
-    eager = wire.ChallengePacket(challenger_id=2, sequence=5, nonce=pkt.nonce, signature=signature)
     data = wire.encode(pkt)
-    assert data == wire.encode(eager)
     assert len(data) == 1472
-    assert data[9:11] == b"\x00\x01"  # the count: one signature
-    assert data[64:128] == signature and not any(data[128:])  # slots 2-22 zero
-    assert wire.decode(data) == eager
+    limit = params.signatures_per_challenger
+    assert (pkt.challenger_id, pkt.sequence, pkt.probes) == (2, 5, limit)
+    assert len(pkt.siblings) == (limit - 1).bit_length()
+    assert not any(data[143 + 32 * len(pkt.siblings) :])  # the padding is zero
+    assert verify(key.public_key, commitment_message(params.m0, 2, limit, pkt.commitment), pkt.commitment_signature)
+    assert wire.decode(data) == pkt._replace(siblings=tuple(pkt.siblings))
 
 
 def test_challenge_rejects_count_out_of_range():
-    # a probe carries exactly one signature
-    for count in (0, 2, 22, 255):
-        data = bytearray(wire.encode(make_challenge()))
-        struct.pack_into(">H", data, 9, count)
-        with pytest.raises(wire.WireError, match="count") as info:
-            wire.decode(bytes(data))
-        assert info.value.field == "count"
+    # a challenger commits to at least one probe
+    data = bytearray(wire.encode(make_challenge()))
+    struct.pack_into(">I", data, 9, 0)
+    with pytest.raises(wire.WireError, match="probes") as info:
+        wire.decode(bytes(data))
+    assert info.value.field == "probes"
+    with pytest.raises(wire.WireError, match="probes"):
+        wire.encode(make_challenge(probes=0))
 
 
 def test_challenge_rejects_noncanonical_padding():
-    data = bytearray(wire.encode(make_challenge()))
-    data[63] = 1  # header pad
-    with pytest.raises(wire.WireError, match="header_padding"):
-        wire.decode(bytes(data))
-    data = bytearray(wire.encode(make_challenge()))
-    data[200] = 1  # unused slot
-    with pytest.raises(wire.WireError, match="signature"):
-        wire.decode(bytes(data))
+    for i in (143 + 6 * 32, 1000, 1471):
+        data = bytearray(wire.encode(make_challenge()))
+        data[i] = 1
+        with pytest.raises(wire.WireError, match="padding"):
+            wire.decode(bytes(data))
 
 
 def test_challenge_rejects_truncation():
     data = wire.encode(make_challenge())
     # a short probe errs on the field the cut lands in, as every message does
-    with pytest.raises(wire.WireError, match="signature_slots: needs 1344 bytes"):
+    with pytest.raises(wire.WireError, match="padding: needs 1137 bytes"):
         wire.decode(data[:-1])
+    with pytest.raises(wire.WireError, match="commitment_signature: needs 64 bytes"):
+        wire.decode(data[:100])
     with pytest.raises(wire.WireError, match="payload"):
         wire.decode(data + b"\x00")
+
+
+def test_challenge_whose_path_runs_past_1472_bytes_is_refused():
+    data = bytearray(wire.encode(make_challenge(siblings=())))
+    struct.pack_into(">H", data, 141, 42)  # 42 siblings: 1 487 bytes before the padding
+    data += bytes(143 + 42 * 32 - len(data))
+    with pytest.raises(wire.WireError) as info:
+        wire.decode(bytes(data))
+    assert info.value.field == "padding"
 
 
 def test_every_message_has_one_layout():
@@ -88,37 +113,18 @@ def test_every_message_has_one_layout():
     assert wire.ChallengePacket in messages and messages == set(wire.LAYOUTS)
     tag, fields = wire.LAYOUTS[wire.ChallengePacket]
     assert tag == wire.TAG_CHALLENGE
-    ints = {"H": 2, "I": 4, "Q": 8}
-    widths = [ints.get(kind) or (len(kind) if isinstance(kind, bytes) else kind) for _, kind, _ in fields]
-    assert 1 + sum(widths) == wire.CHALLENGE_PAYLOAD_LEN
-
-
-@pytest.mark.parametrize(
-    "field, start, end",
-    [("count", 9, 11), ("header_padding", 19, 64), ("signature_slots", 128, 1472)],
-)
-def test_challenge_constant_fields_reject_any_changed_byte(field, start, end):
-    good = wire.encode(make_challenge())
-    for i in {start, (start + end) // 2, end - 1}:
-        for value in (0x00, 0x01, 0xFF):
-            if value == good[i]:
-                continue
-            data = bytearray(good)
-            data[i] = value
-            with pytest.raises(wire.WireError) as info:
-                wire.decode(bytes(data))
-            assert info.value.field == field
+    assert [name for name, _, _ in fields] == list(wire.ChallengePacket._fields) + ["padding"]
 
 
 def test_challenge_encode_refuses_a_bad_signature():
     for bad in (64, 0, b"\x01" * 63):
         with pytest.raises(wire.WireError) as info:
             wire.encode(make_challenge(signature=bad))
-        assert info.value.field == "signature"
+        assert info.value.field == "commitment_signature"
 
 
 def test_full_transmission_slot_arithmetic():
-    # ceil(1.1k) probes of one signature each, every one a full-size packet
+    # ceil(1.1k) probes, every one a full-size packet
     for k in range(1, 2000, 13):
         # k * b * 8 ns at 1 Gbit/s is k probes' worth
         p = ChallengeParams(1e9, 1, 0, k * wire.WIRE_PACKET_LEN * 8, RatePolicy.PER_N, 1.1, False, 0, bytes(32))
@@ -236,23 +242,21 @@ def test_report_rejects_nonpositive_rtt():
 def test_dispute_round_trip_and_ordering():
     sub = wire.DisputeSubmission(
         challenger_id=5,
-        packets=((1, b"\x01" * 64), (2, b"\x02" * 64), (7, b"\x03" * 64)),
+        packets=((1, b"\x01" * 32), (2, b"\x02" * 32), (7, b"\x03" * 32)),
+        commitment=b"\x0d" * 32,
+        commitment_signature=b"\x0e" * 64,
+        proof=(b"\x0f" * 32,) * 3,
         leaf_index=4,
         siblings=(b"\x0a" * 32,),
     )
     assert wire.decode(wire.encode(sub)) == sub
-    bad = wire.DisputeSubmission(
-        challenger_id=5,
-        packets=((2, b"\x01" * 64), (1, b"\x02" * 64)),
-        leaf_index=4,
-        siblings=(),
-    )
+    bad = dataclasses.replace(sub, packets=((2, b"\x01" * 32), (1, b"\x02" * 32)))
     with pytest.raises(wire.WireError, match="packets"):
         wire.encode(bad)
 
 
 def test_dispute_empty_packets_round_trip():
-    sub = wire.DisputeSubmission(challenger_id=9, packets=(), leaf_index=8, siblings=())
+    sub = wire.DisputeSubmission(9, (), bytes(32), bytes(64), (), 8, ())
     assert wire.decode(wire.encode(sub)) == sub
 
 
@@ -291,8 +295,14 @@ def test_challenge_round_trip_property(data):
     pkt = wire.ChallengePacket(
         challenger_id=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
         sequence=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        nonce=data.draw(st.binary(min_size=8, max_size=8)),
-        signature=data.draw(st.binary(min_size=64, max_size=64)),
+        probes=data.draw(st.integers(min_value=1, max_value=2**32 - 1)),
+        secret=data.draw(st.binary(min_size=32, max_size=32)),
+        commitment=data.draw(st.binary(min_size=32, max_size=32)),
+        commitment_signature=data.draw(st.binary(min_size=64, max_size=64)),
+        siblings=tuple(
+            data.draw(st.binary(min_size=32, max_size=32))
+            for _ in range(data.draw(st.integers(min_value=0, max_value=41)))
+        ),
     )
     encoded = wire.encode(pkt)
     assert wire.decode(encoded) == pkt
@@ -341,7 +351,13 @@ def test_dispute_round_trip_property(data):
     seqs = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=500), max_size=20)))
     sub = wire.DisputeSubmission(
         challenger_id=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        packets=tuple((q, data.draw(st.binary(min_size=64, max_size=64))) for q in seqs),
+        packets=tuple((q, data.draw(st.binary(min_size=32, max_size=32))) for q in seqs),
+        commitment=data.draw(st.binary(min_size=32, max_size=32)),
+        commitment_signature=data.draw(st.binary(min_size=64, max_size=64)),
+        proof=tuple(
+            data.draw(st.binary(min_size=32, max_size=32))
+            for _ in range(data.draw(st.integers(min_value=0, max_value=5)))
+        ),
         leaf_index=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
         siblings=tuple(
             data.draw(st.binary(min_size=32, max_size=32))
@@ -400,7 +416,10 @@ def test_report_layout_hand_built():
 def test_dispute_layout_hand_built():
     sub = wire.DisputeSubmission(
         challenger_id=5,
-        packets=((1, b"\x01" * 64), (300, b"\x02" * 64)),
+        packets=((1, b"\x01" * 32), (300, b"\x02" * 32)),
+        commitment=b"\x0d" * 32,
+        commitment_signature=b"\x0e" * 64,
+        proof=(b"\x0f" * 32, b"\x10" * 32),
         leaf_index=4,
         siblings=(b"\x0a" * 32,),
     )
@@ -409,16 +428,21 @@ def test_dispute_layout_hand_built():
         + struct.pack(">I", 5)  # challenger_id
         + struct.pack(">I", 2)  # packet count
         + struct.pack(">I", 1)
-        + b"\x01" * 64
+        + b"\x01" * 32
         + struct.pack(">I", 300)
-        + b"\x02" * 64
+        + b"\x02" * 32
+        + b"\x0d" * 32  # commitment
+        + b"\x0e" * 64  # its signature
+        + struct.pack(">H", 2)  # multiproof node count
+        + b"\x0f" * 32
+        + b"\x10" * 32
         + struct.pack(">I", 4)  # leaf_index
         + struct.pack(">H", 1)  # sibling count
         + b"\x0a" * 32
     )
     assert wire.encode(sub) == expected
-    empty = wire.DisputeSubmission(challenger_id=9, packets=(), leaf_index=8, siblings=())
-    assert wire.encode(empty) == b"\x05" + bytes([0, 0, 0, 9]) + bytes(4) + bytes([0, 0, 0, 8]) + bytes(2)
+    empty = wire.DisputeSubmission(9, (), bytes(32), bytes(64), (), 8, ())
+    assert wire.encode(empty) == b"\x05" + bytes([0, 0, 0, 9]) + bytes(4 + 96 + 2) + bytes([0, 0, 0, 8]) + bytes(2)
 
 
 def test_ping_layouts_hand_built():
@@ -449,9 +473,9 @@ MUTATION_SEEDS = (
         challenger_id=2, prover_id=0, merkle_root_seen=b"\x09" * 32, rtt_ns=1, packets_acknowledged=206
     ),
     wire.DisputeSubmission(
-        challenger_id=5, packets=((1, b"\x01" * 64), (2, b"\x02" * 64)), leaf_index=4, siblings=(b"\x0a" * 32,)
+        5, ((1, b"\x01" * 32), (2, b"\x02" * 32)), b"\x0d" * 32, b"\x0e" * 64, (b"\x0f" * 32,), 4, (b"\x0a" * 32,)
     ),
-    wire.DisputeSubmission(challenger_id=9, packets=(), leaf_index=8, siblings=()),
+    wire.DisputeSubmission(9, (), bytes(32), bytes(64), (), 8, ()),
     wire.PingRequest(challenger_id=3, nonce=0),
     wire.PingReply(challenger_id=3, nonce=2**64 - 1),
     wire.DisputeRequest(challenger_id=7),

@@ -3,14 +3,17 @@
 A refactor of the per-probe path must do exactly the same work: the same
 Ed25519 signs and verifies, the same receipt hashes, Merkle roots and
 inclusion paths, the same link sends, prover intake calls and
-control-plane heap pushes. A prover that triggers builds one root and n
-paths at its freeze, and a dispute reads its path from there. These figures were
-recorded before the probe path was last reworked; a change that moves
-one of them changed what a run does, not only how fast it does it.
+control-plane heap pushes. A run signs 2n + 1 times when its prover
+triggers: each challenger's commitment, and the prover's n responses and
+root; no probe is signed or verified. It verifies n + 1 times (the
+responses and the root), plus once per dispute that reaches its
+commitment check. A prover that triggers builds one root and n paths at
+its freeze, and a dispute reads its path from there. A change that moves
+one of these figures changed what a run does, not only how fast it does
+it.
 """
 
 import functools
-import threading
 
 import pytest
 
@@ -65,7 +68,7 @@ CASES = {
         ),
         2,
     ),
-    # the forger's first random signature fails: one verify for the dispute
+    # the forger's random commitment signature fails: one verify for the dispute
     "forged_dispute": (
         scenario(
             {"f": 2},
@@ -80,19 +83,19 @@ CASES = {
 
 EXPECTED = {
     "honest": {
-        "sign": 421, "verify": 11, "hash_packet_set": 20, "merkle_root": 1, "merkle_prove": 10,
+        "sign": 21, "verify": 11, "hash_packet_set": 20, "merkle_root": 1, "merkle_prove": 10,
         "FifoLink.send": 920, "Prover.on_probe": 460, "EventLoop.at": 34,
     },
     "lossy_drop_tail": {
-        "sign": 442, "verify": 11, "hash_packet_set": 20, "merkle_root": 1, "merkle_prove": 10,
+        "sign": 21, "verify": 11, "hash_packet_set": 20, "merkle_root": 1, "merkle_prove": 10,
         "FifoLink.send": 908, "Prover.on_probe": 437, "EventLoop.at": 34,
     },
     "withheld_reports_disputed": {
-        "sign": 427, "verify": 57, "hash_packet_set": 21, "merkle_root": 1, "merkle_prove": 10,
+        "sign": 21, "verify": 12, "hash_packet_set": 21, "merkle_root": 1, "merkle_prove": 10,
         "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
     },
     "forged_dispute": {
-        "sign": 427, "verify": 12, "hash_packet_set": 20, "merkle_root": 1, "merkle_prove": 10,
+        "sign": 21, "verify": 12, "hash_packet_set": 20, "merkle_root": 1, "merkle_prove": 10,
         "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
     },
 }
@@ -102,13 +105,10 @@ def counted(monkeypatch):
     names = ("sign", "verify", "hash_packet_set", "merkle_root", "merkle_prove")
     counts = dict.fromkeys((*names, "FifoLink.send", "Prover.on_probe", "EventLoop.at"), 0)
 
-    lock = threading.Lock()  # the freeze signs on helper threads
-
     def counting(name, fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            with lock:
-                counts[name] += 1
+            counts[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
