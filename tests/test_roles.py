@@ -2,7 +2,10 @@
 
 import dataclasses
 import hashlib
+import os
 import random
+import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from test_schedule import params_of
 
 from backhaul import roles, wire
+from backhaul.config import parse_scenario
 from backhaul.crypto import (
     commitment_message,
     hash_packet_set,
@@ -21,6 +25,7 @@ from backhaul.crypto import (
     probe_secrets,
     verify,
 )
+from backhaul.netsim import run_scenario
 from backhaul.roles import VERIFIER, Challenger, Prover, Session, Verifier, upper_median
 from backhaul.schedule import ParamsError, RatePolicy, send_schedule
 from backhaul.wire import (
@@ -483,29 +488,92 @@ class TestCommitments:
         )
 
 
-class TestFreeze:
-    @pytest.mark.parametrize("n", [1, 3, 4, 10])
-    def test_snapshot_is_the_receipt_tree_over_the_stored_secrets(self, n):
-        w = world(n=n, k=5)
-        store_unevenly(w)
-        sizes = [len(w.prover.received[i]) for i in range(1, n + 1)]
-        assert sum(sizes) and (n == 1 or 0 in sizes)
-        pairs = [tuple((q, p.secret) for q, p in sorted(w.prover.received[i].items())) for i in range(1, n + 1)]
-        leaves = [hash_packet_set(s) for s in pairs]
-        paths = [merkle_prove(leaves, index) for index in range(n)]
-        assert w.prover._freeze() == (merkle_root(leaves), list(zip(pairs, leaves, paths)))
+def cpus(monkeypatch, count):
+    """Let the roles see `count` usable CPUs, whatever this host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def store_unevenly(w):
-    """The prover stores a different subset of each challenger i's train,
-    in reverse order, and none of the last one's (n > 1); then it responds."""
+def store_unevenly(w, *provers):
+    """Each prover stores a different subset of challenger i's train, in
+    reverse order, and none of the last one's (n > 1); then it responds."""
     n = w.params.n
     for i, c in w.challengers.items():
         train = c.build_sends()
         picked = [] if i == n > 1 else train[i % 2 :: 1 + i % 3]
-        for t, pkt in reversed(picked):
-            w.prover.on_probe(t, pkt)
-    assert w.prover.force_respond(10 * MS)
+        for p in provers or (w.prover,):
+            for t, pkt in reversed(picked):
+                p.on_probe(t, pkt)
+    for p in provers or (w.prover,):
+        assert p.force_respond(10 * MS)
+
+
+class Unreadable:
+    """A stored probe whose secret raises `error` when read."""
+
+    def __init__(self, error):
+        self.error = error
+
+    @property
+    def secret(self):
+        raise self.error
+
+
+class TestSplitFreeze:
+    """`Prover._freeze` only hashes, on the calling thread: whatever the CPU
+    count, its snapshot, its bundle and its failures are the serial loop's."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 10])
+    @pytest.mark.parametrize("width", [1, 2, 4, 16])
+    def test_leaves_and_bundle_equal_the_serial_loop(self, monkeypatch, n, width):
+        cpus(monkeypatch, width)
+        w = world(n=n, k=5)
+        twin = Prover(w.session, w.prover_key)
+        store_unevenly(w, w.prover, twin)
+        sizes = [len(w.prover.received[i]) for i in range(1, n + 1)]
+        assert sum(sizes) and (n == 1 or 0 in sizes)
+        threads = threading.active_count()
+        pairs = [tuple((q, p.secret) for q, p in sorted(twin.received[i].items())) for i in range(1, n + 1)]
+        leaves = [hash_packet_set(s) for s in pairs]
+        paths = [merkle_prove(leaves, index) for index in range(n)]
+        serial = merkle_root(leaves), list(zip(pairs, leaves, paths))
+        assert w.prover._freeze() == serial
+        assert threading.active_count() == threads
+        twin._snapshot = serial
+        assert w.prover.build_responses() == twin.build_responses()
+
+    @pytest.mark.parametrize(
+        "failing, raised",
+        [((2, 3), 2), ((3,), 3), ((3, 4), 3), ((4,), 4), ((1, 2, 3), 1)],
+    )
+    def test_a_share_failure_raises_the_serial_loops_exception(self, monkeypatch, failing, raised):
+        cpus(monkeypatch, 3)
+        w = world(n=5, k=5)
+        store_unevenly(w)
+        errors = {}
+        for i in failing:
+            errors[i] = RuntimeError(f"no secret from challenger {i}")
+            store = w.prover.received[i]
+            store[min(store)] = Unreadable(errors[i])
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            w.prover.build_responses()
+        assert info.value is errors[raised]
+        assert threading.active_count() == threads
+        assert w.prover._snapshot is None
+
+    def test_no_thread_outlives_a_run(self, monkeypatch):
+        cpus(monkeypatch, 4)
+        cfg = parse_scenario(
+            {
+                "name": "freezes",
+                "protocol": {"theta_claimed_bps": 50e6, "n": 4, "f": 0, "duration_ns": 2 * MS},
+                "topology": {"backhaul_rate_bps": 50e6, "uplink": {"rate_bps": "theta0", "propagation_ns": MS}},
+            }
+        )
+        threads = threading.active_count()
+        for seed in range(200):
+            assert run_scenario(cfg, seed, collect_trace=False).output is not None
+        assert threading.active_count() == threads
 
 
 def flip(data: bytes, at: int = 0) -> bytes:
@@ -522,26 +590,30 @@ def tampered(d, kind, neighbour=None):
     if kind == "forged":
         rng = random.Random(5)
         packets = [(q, rng.randbytes(32)) for q, _ in packets]
-    elif kind == "bad_secret":
+    elif kind == "bad_middle":
         packets[mid] = (packets[mid][0], flip(packets[mid][1], 7))
     elif kind == "q_out_of_range":
         packets[last] = (packets[last][0] + 1, packets[last][1])
-    elif kind == "leaf_hash_of_unreceived":
+    changed = {}
+    if kind == "leaf_hash_of_unreceived":
         # probe 4 never came; its leaf hash is its neighbour probe 3's first sibling
         packets = sorted(packets + [(4, neighbour.siblings[0])])
-    changed = {
-        "bad_merkle_path": {"siblings": (flip(d.siblings[0]),) + d.siblings[1:]},
-        "bad_commitment": {"commitment": flip(d.commitment, 31)},
-        "bad_commitment_signature": {"commitment_signature": flip(d.commitment_signature, 40)},
-        "bad_proof_node": {"proof": (flip(d.proof[0], 3),) + d.proof[1:]},
-        "short_proof": {"proof": d.proof[:-1]},
-        "leaf_hash_of_unreceived": {"proof": tuple(node for node in d.proof if node != neighbour.siblings[0])},
-    }.get(kind, {})
+        changed = {"proof": tuple(node for node in d.proof if node != neighbour.siblings[0])}
+    elif kind == "bad_merkle_path":
+        changed = {"siblings": (flip(d.siblings[0]),) + d.siblings[1:]}
+    elif kind == "bad_commitment":
+        changed = {"commitment": flip(d.commitment, 31)}
+    elif kind == "bad_commitment_signature":
+        changed = {"commitment_signature": flip(d.commitment_signature, 40)}
+    elif kind == "bad_proof_node":
+        changed = {"proof": (flip(d.proof[0], 3),) + d.proof[1:]}
+    elif kind == "short_proof":
+        changed = {"proof": d.proof[:-1]}
     return dataclasses.replace(d, packets=tuple(packets), **changed)
 
 
 DISPUTE_DEFECTS = [
-    "forged", "bad_secret", "q_out_of_range", "bad_merkle_path", "bad_commitment",
+    "forged", "bad_middle", "q_out_of_range", "bad_merkle_path", "bad_commitment",
     "bad_commitment_signature", "bad_proof_node", "short_proof", "leaf_hash_of_unreceived",
 ]
 
@@ -579,6 +651,66 @@ class TestDisputeTampering:
         assert w.verifier.rejections == [(2, expected)]
         assert len(verifies) == (kind != "q_out_of_range")
         assert (w.verifier.counts, w.verifier.disputes_upheld) == ({}, 0)
+
+
+class TestSplitDisputes:
+    """`Verifier.on_dispute` verifies the commitment's signature once, then
+    hashes, on the calling thread: whatever the CPU count, the outcome is
+    the serial twin's."""
+
+    @pytest.mark.parametrize("kind", ["honest", "forged", "bad_middle", "q_out_of_range", "bad_merkle_path"])
+    @pytest.mark.parametrize("width", [1, 2, 4, 16])
+    def test_outcome_equals_a_serial_twin(self, monkeypatch, kind, width):
+        w = world(n=3, k=40)
+        deliver_all(w)
+        bundle = answer(w.prover)
+        d = tampered(w.prover.build_dispute(2), kind)
+        assert d.packets[-1][0] == w.params.signatures_per_challenger + (kind == "q_out_of_range")
+        twin = Verifier(w.session)
+        for v in (w.verifier, twin):
+            v.on_root(5 * MS, bundle.announcement)
+        cpus(monkeypatch, 1)
+        serial = twin.on_dispute(7 * MS, d)
+        cpus(monkeypatch, width)
+        verifies = counting(monkeypatch, "verify")
+        threads = threading.active_count()
+        assert w.verifier.on_dispute(7 * MS, d) is serial is (kind == "honest")
+        assert threading.active_count() == threads
+        v = w.verifier
+        assert (v.rejections, v.counts, v.rtts, v.disputes_upheld) == (
+            twin.rejections, twin.counts, twin.rtts, twin.disputes_upheld
+        )
+        assert len(verifies) == (kind != "q_out_of_range")
+        if kind == "honest":
+            assert (v.counts, v.rtts, v.disputes_upheld) == ({2: 40}, {}, 1)
+            assert len(d.packets) == 40
+        elif kind == "bad_merkle_path":
+            assert v.rejections == [(2, "dispute_proof")]
+        else:
+            assert v.rejections == [(2, "dispute_bad_signature")]
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 16])
+    def test_a_failure_deep_in_stops_only_its_share(self, monkeypatch, width):
+        # a dispute is one share: one verify of its commitment, then a secret
+        # flipped deep in fails the hashes, however the threads interleave;
+        # another challenger's dispute is still upheld
+        w = world(n=3, k=40)
+        deliver_all(w)
+        w.verifier.on_root(5 * MS, answer(w.prover).announcement)
+        d = tampered(w.prover.build_dispute(2), "bad_middle")
+        cpus(monkeypatch, width)
+        verifies = counting(monkeypatch, "verify")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert w.verifier.on_dispute(7 * MS, d) is False
+            assert len(verifies) == 1
+            assert w.verifier.on_dispute(8 * MS, w.prover.build_dispute(1)) is True
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(verifies) == 2
+        assert w.verifier.rejections == [(2, "dispute_bad_signature")]
+        assert w.verifier.counts == {1: 40}
 
 
 class TestReceivedSubsets:
