@@ -229,28 +229,32 @@ def hash_packet_set(entries: Iterable[tuple[int, bytes]]) -> bytes:
     return hashlib.sha256(b"".join(parts)).digest()
 
 
-def _padded(leaves: Sequence[bytes]) -> list[bytes]:
-    if not leaves:
-        raise ValueError("merkle tree needs at least one leaf")
-    for i, leaf in enumerate(leaves):
-        if len(leaf) != DIGEST_LEN:
-            raise ValueError(f"leaf {i} must be {DIGEST_LEN} bytes, got {len(leaf)}")
-    out = list(leaves)
-    while len(out) & (len(out) - 1):
-        out.append(out[-1])
-    return out
-
-
 def merkle_levels(leaves: Sequence[bytes]) -> list[bytes]:
     """Every level of the tree over leaves, padded to a power of two by repeating
-    the last leaf, each as its hashes joined: the leaf hashes first, the root last."""
+    the last leaf, each as its hashes joined: the leaf hashes first, the root last.
+
+    A level's padded tail is one node repeated, so it is hashed once: each
+    level is kept as its distinct nodes and the node that repeats after them.
+    """
+    if not leaves:
+        raise ValueError("merkle tree needs at least one leaf")
+    if set(map(len, leaves)) != {DIGEST_LEN}:
+        i, leaf = next((i, leaf) for i, leaf in enumerate(leaves) if len(leaf) != DIGEST_LEN)
+        raise ValueError(f"leaf {i} must be {DIGEST_LEN} bytes, got {len(leaf)}")
     sha256 = hashlib.sha256
-    level = [sha256(_LEAF_PREFIX + leaf).digest() for leaf in _padded(leaves)]
-    levels = [b"".join(level)]
-    while len(level) > 1:
+    width = 1 << (len(leaves) - 1).bit_length()
+    level = [sha256(_LEAF_PREFIX + leaf).digest() for leaf in leaves]
+    pad = level[-1]
+    levels = []
+    while True:
+        levels.append(b"".join(level) + pad * (width - len(level)))
+        if width == 1:
+            return levels
+        if len(level) & 1:
+            level.append(pad)
         level = [sha256(_NODE_PREFIX + left + right).digest() for left, right in zip(level[::2], level[1::2])]
-        levels.append(b"".join(level))
-    return levels
+        pad = sha256(_NODE_PREFIX + pad + pad).digest()
+        width >>= 1
 
 
 class MerklePath:

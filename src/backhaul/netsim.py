@@ -42,6 +42,7 @@ trace, byte for byte.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 import itertools
@@ -580,9 +581,21 @@ class _Run:
 
 
 def run_scenario(scenario: ScenarioConfig, seed: int, collect_trace: bool = True) -> SimResult:
-    """Simulate one challenge run of `scenario` at `seed`, one step per phase."""
-    run = _Run(scenario, seed, collect_trace)
-    l_est = run.ping()
-    clamped_sends = run.probe_pass()
-    timed_out = run.settle()
-    return run.result(l_est, timed_out, clamped_sends)
+    """Simulate one challenge run of `scenario` at `seed`, one step per phase.
+
+    The cyclic garbage collector is paused for the run and left as it was
+    found, even when the run raises. A run builds no reference cycles, so
+    reference counting frees all it allocates, and the collector would only
+    rescan the run's live packets, paths and events.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run = _Run(scenario, seed, collect_trace)
+        l_est = run.ping()
+        clamped_sends = run.probe_pass()
+        timed_out = run.settle()
+        return run.result(l_est, timed_out, clamped_sends)
+    finally:
+        if enabled:
+            gc.enable()

@@ -35,8 +35,6 @@ from .crypto import (
     hash_packet_set,
     MerklePath,
     merkle_levels,
-    merkle_prove,
-    merkle_root,
     merkle_verify,
     multiproof,
     multiproof_root,
@@ -305,12 +303,13 @@ class Prover:
         """The commitment every answer describes: the Merkle root over the
         receipts, and per challenger, by id - 1, its stored (q, secret)
         pairs by q, its receipt over them and the receipt's inclusion path.
-        Made once."""
+        Made once, the root and every path from one build of the tree."""
         if self._snapshot is None:
             stored = [tuple((q, pkt.secret) for q, pkt in sorted(store.items())) for store in self.received.values()]
             leaves = [hash_packet_set(pairs) for pairs in stored]
-            self._snapshot = merkle_root(leaves), [
-                (pairs, receipt, merkle_prove(leaves, index)) for index, (pairs, receipt) in enumerate(zip(stored, leaves))
+            levels = merkle_levels(leaves)
+            self._snapshot = levels[-1], [
+                (pairs, receipt, tuple(MerklePath(levels, index))) for index, (pairs, receipt) in enumerate(zip(stored, leaves))
             ]
         return self._snapshot
 

@@ -333,6 +333,49 @@ def test_merkle_paths_read_the_levels_as_merkle_prove():
                 path[len(path)]
 
 
+def _naive_levels(leaves):
+    # Independent oracle: pad the leaves themselves, then hash every node.
+    level = list(leaves)
+    while len(level) & (len(level) - 1):
+        level.append(level[-1])
+    level = [hashlib.sha256(b"\x00" + leaf).digest() for leaf in level]
+    levels = [level]
+    while len(level) > 1:
+        level = [hashlib.sha256(b"\x01" + level[i] + level[i + 1]).digest() for i in range(0, len(level), 2)]
+        levels.append(level)
+    return [b"".join(level) for level in levels]
+
+
+PADDED_COUNTS = sorted({*range(1, 71), *(2**j + d for j in range(1, 12) for d in (-1, 0, 1)), 909})
+
+
+@pytest.mark.parametrize("n", PADDED_COUNTS)
+def test_merkle_levels_match_a_naive_padded_tree(n):
+    leaves = [hashlib.sha256(struct.pack(">II", 7, i)).digest() for i in range(n)]
+    levels = crypto.merkle_levels(leaves)
+    assert levels == _naive_levels(leaves)
+    root, depth, width = levels[-1], len(levels) - 1, len(levels[0]) // 32
+    # the last leaf and its padded copies, alone and beside the first leaf
+    tail = range(n - 1, width)
+    paths = {i: crypto.MerklePath(levels, i) for i in (0, *tail)}
+    for i in tail:
+        assert crypto.merkle_verify(root, leaves[-1], i, paths[i])
+    for chosen in (tail, (0, *tail), (0, width - 1)):
+        given_leaves = {i: leaves[-1] if i >= n - 1 else leaves[i] for i in chosen}
+        nodes = crypto.multiproof({i: paths[i] for i in chosen})
+        assert crypto.multiproof_root(given_leaves, nodes, depth) == root
+
+
+@pytest.mark.parametrize("n, short", [(1, 0), (5, 4), (909, 0), (909, 908)])
+def test_merkle_levels_refuse_a_short_leaf(n, short):
+    leaves = [hashlib.sha256(struct.pack(">I", i)).digest() for i in range(n)]
+    leaves[short] = leaves[short][:31]
+    with pytest.raises(ValueError, match=f"^leaf {short} must be 32 bytes, got 31$"):
+        crypto.merkle_levels(leaves)
+    with pytest.raises(ValueError, match="at least one leaf"):
+        crypto.merkle_levels([])
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(min_value=1, max_value=40), data=st.data())
 def test_multiproof_rebuilds_the_root_and_nothing_else(n, data):

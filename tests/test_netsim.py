@@ -1,6 +1,7 @@
 """Simulator mechanics plus closed-form checks of whole-run timing."""
 
 import dataclasses
+import gc
 import random
 from collections import Counter, namedtuple
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from backhaul import netsim, roles, schedule, wire
 from backhaul.adversary import fuzz_strategies
-from backhaul.cli import load_bundled
-from backhaul.config import LinkSpec, parse_scenario
+from backhaul.cli import bundled_names, load_bundled
+from backhaul.config import PROVER_STRATEGIES, LinkSpec, parse_scenario
 from backhaul.netsim import (
     EventLoop,
     FifoLink,
@@ -520,6 +521,68 @@ class TestImpairments:
             5 * MS, abs=0.2 * MS
         )
         assert slow.measured_bps < fast.measured_bps
+
+
+def fuzzed(prover):
+    """The criterion-2 fuzz config of the first seed with a corrupt
+    challenger whose prover strategy is `prover`, and that seed."""
+    seed = next(s for s in range(100) if s % 4 and fuzz_strategies(s, 10, s % 4).prover.name == prover)
+    uplink = {"rate_bps": "theta0", "propagation_ns": 5 * MS}
+    cfg = scenario({"f": seed % 4, "rate_policy": "per_n_minus_f"}, {"uplink": uplink, "uplink_propagation_range_ns": None})
+    return dataclasses.replace(cfg, attack=fuzz_strategies(seed, 10, seed % 4)), seed
+
+
+class TestCollectorPause:
+    """`run_scenario` pauses the cyclic garbage collector, on the premise
+    that a run builds no reference cycles."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_leaves_the_collector_as_it_found_it(self, monkeypatch, enabled):
+        during = []
+        ping = netsim._Run.ping
+
+        def recording_ping(run):
+            during.append(gc.isenabled())
+            return ping(run)
+
+        monkeypatch.setattr(netsim._Run, "ping", recording_ping)
+        was = gc.isenabled()
+        gc.enable() if enabled else gc.disable()
+        try:
+            assert run_scenario(scenario({"duration_ns": 20 * MS}), seed=1, collect_trace=False).terminated
+            assert gc.isenabled() is enabled
+            with pytest.raises(SimError, match="ping"):
+                run_scenario(scenario(topo={"uplink": {"loss_prob": 1.0}}), seed=1)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        assert during == [False, False]
+
+    @staticmethod
+    def cyclic_garbage(cfg, seed):
+        """What the collector finds unreachable after one run, and the run."""
+        gc.collect()
+        was = gc.isenabled()
+        gc.disable()  # nothing collects between the run and the count
+        try:
+            res = run_scenario(cfg, seed)
+            return gc.collect(), res
+        finally:
+            if was:
+                gc.enable()
+
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_a_bundled_run_leaves_no_cycles(self, name):
+        found, res = self.cyclic_garbage(load_bundled(name), 0)
+        assert found == 0
+        assert res.trace
+
+    @pytest.mark.parametrize("prover", PROVER_STRATEGIES)
+    def test_a_fuzzed_run_leaves_no_cycles(self, prover):
+        cfg, seed = fuzzed(prover)
+        assert cfg.attack.prover.name == prover and cfg.attack.challengers
+        found, _ = self.cyclic_garbage(cfg, seed)
+        assert found == 0
 
 
 class TestUplinks:

@@ -959,6 +959,17 @@ class TestOneSnapshot:
         assert w.prover.build_dispute(0) is None
         assert w.prover.build_dispute(w.params.n + 1) is None
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 11])
+    def test_the_freeze_builds_one_tree_and_reads_every_path_from_it(self, monkeypatch, n):
+        w = world(n=n, k=5)
+        store_unevenly(w)
+        builds = counting(monkeypatch, "merkle_levels")
+        root, stored = w.prover._freeze()
+        assert len(builds) == 1
+        leaves = [receipt for _, receipt, _ in stored]
+        assert root == merkle_root(leaves)
+        assert [path for _, _, path in stored] == [merkle_prove(leaves, i) for i in range(n)]
+
 
 class TestDeadlineDisputes:
     def test_prover_answers_only_a_request_after_its_trigger(self):

@@ -1,16 +1,16 @@
 """The work one run does, counted at each per-unit entry point.
 
 A refactor of the per-probe path must do exactly the same work: the same
-Ed25519 signs and verifies, the same receipt hashes, Merkle roots and
-inclusion paths, the same link sends, prover intake calls and
-control-plane heap pushes. A run signs 2n + 1 times when its prover
-triggers: each challenger's commitment, and the prover's n responses and
-root; no probe is signed or verified. It verifies n + 1 times (the
-responses and the root), plus once per dispute that reaches its
-commitment check. A prover that triggers builds one root and n paths at
-its freeze, and a dispute reads its path from there. A change that moves
-one of these figures changed what a run does, not only how fast it does
-it.
+Ed25519 signs and verifies, the same receipt hashes and Merkle trees, the
+same link sends, prover intake calls and control-plane heap pushes. A run
+signs 2n + 1 times when its prover triggers: each challenger's
+commitment, and the prover's n responses and root; no probe is signed or
+verified. It verifies n + 1 times (the responses and the root), plus once
+per dispute that reaches its commitment check. It builds n + 1 Merkle
+trees when its prover triggers: one per challenger over its secrets, and
+one at the prover's freeze, from which the root and every inclusion path
+are read; a dispute reads its path from there. A change that moves one of
+these figures changed what a run does, not only how fast it does it.
 """
 
 import functools
@@ -83,26 +83,26 @@ CASES = {
 
 EXPECTED = {
     "honest": {
-        "sign": 21, "verify": 11, "hash_packet_set": 20, "merkle_root": 1, "merkle_prove": 10,
+        "sign": 21, "verify": 11, "hash_packet_set": 20, "merkle_levels": 11,
         "FifoLink.send": 920, "Prover.on_probe": 460, "EventLoop.at": 34,
     },
     "lossy_drop_tail": {
-        "sign": 21, "verify": 11, "hash_packet_set": 20, "merkle_root": 1, "merkle_prove": 10,
+        "sign": 21, "verify": 11, "hash_packet_set": 20, "merkle_levels": 11,
         "FifoLink.send": 908, "Prover.on_probe": 437, "EventLoop.at": 34,
     },
     "withheld_reports_disputed": {
-        "sign": 21, "verify": 12, "hash_packet_set": 21, "merkle_root": 1, "merkle_prove": 10,
+        "sign": 21, "verify": 12, "hash_packet_set": 21, "merkle_levels": 11,
         "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
     },
     "forged_dispute": {
-        "sign": 21, "verify": 12, "hash_packet_set": 20, "merkle_root": 1, "merkle_prove": 10,
+        "sign": 21, "verify": 12, "hash_packet_set": 20, "merkle_levels": 11,
         "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
     },
 }
 
 
 def counted(monkeypatch):
-    names = ("sign", "verify", "hash_packet_set", "merkle_root", "merkle_prove")
+    names = ("sign", "verify", "hash_packet_set", "merkle_levels")
     counts = dict.fromkeys((*names, "FifoLink.send", "Prover.on_probe", "EventLoop.at"), 0)
 
     def counting(name, fn):
