@@ -30,7 +30,7 @@ Case sets:
           cross-traffic scenarios at seeds 7 and 8 (one case per rung),
           and 80 fuzzed attacks under each of four topologies: plain,
           lossy jittery backhaul with a drop-tail queue, lossy jittery
-          uplinks, and both (about two minutes); plus one config/ case
+          uplinks, and both (8-10 s on a 2-core host); plus one config/ case
           per bundled scenario and per fuzz config, a digest of its
           `scenario_to_dict` form as sorted JSON; plus artifact/ cases,
           the bytes the CLI writes: the JSON report, both CSVs and the

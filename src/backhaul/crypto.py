@@ -1,11 +1,12 @@
 """Signing, probe commitments, packet-set hashing and Merkle trees.
 
-Challenger i's secret for probe q is s_q = SHA-256(label || seed_i || m0
-|| q), seed_i its secret key; it signs `commitment_message(m0, i, N, root)`
-once per run, root that of the tree over its N secrets. Leaves are hashed,
-so a path reveals no secret and only a party that received probe q can
-show s_q; m0 ties the commitment to one session. A receipt digests a set
-of (q, s_q) pairs, and a tree over the receipts commits the prover.
+Challenger i's secret s_q is the q-th 32-byte block of SHAKE-256(label
+|| seed_i || m0), seed_i its secret key; no block reveals another without
+it. It signs `commitment_message(m0, i, N, root)` once per run, root that
+of the tree over its N secrets. Leaves are hashed, so a path reveals no
+secret and only a party that received probe q can show s_q; m0 ties the
+commitment to one session. A receipt digests a set of (q, s_q) pairs,
+and a tree over the receipts commits the prover.
 
 libsodium signs and verifies (`crypto_sign_ed25519_detached` and
 `crypto_sign_ed25519_verify_detached`, loaded by its soname through
@@ -44,8 +45,7 @@ DIGEST_LEN = 32
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
 
-# the 4-byte big-endian sequence number of a secret's input and of each
-# entry of a packet-set digest
+# the 4-byte big-endian sequence number of each entry of a packet-set digest
 SEQUENCE = struct.Struct(">I")
 _SECRET_LABEL = b"backhaul probe secret\x00"
 _COMMITMENT_LABEL = b"backhaul probe commitment\x00"
@@ -189,12 +189,14 @@ def check_m0(m0: bytes) -> bytes:
 
 
 def probe_secrets(secret_key: bytes, m0: bytes, count: int) -> list[bytes]:
-    """The secrets s_1 .. s_count of a challenger, by q - 1: SHA-256 of a
-    label, the challenger's secret key, m0 and the 4-byte q."""
+    """The secrets s_1 .. s_count of a challenger, by q - 1: in order, the
+    32-byte blocks of SHAKE-256 output over a label, its secret key and m0."""
     if len(secret_key) != SEED_LEN:
         raise ValueError(f"secret key must be {SEED_LEN} bytes, got {len(secret_key)}")
-    prefix, pack, sha256 = _SECRET_LABEL + bytes(secret_key) + check_m0(m0), SEQUENCE.pack, hashlib.sha256
-    return [sha256(prefix + pack(q)).digest() for q in range(1, count + 1)]
+    if type(count) is not int or count < 0:
+        raise ValueError(f"count must be a non-negative int, got {count!r}")
+    stream = hashlib.shake_256(_SECRET_LABEL + bytes(secret_key) + check_m0(m0)).digest(DIGEST_LEN * count)
+    return [stream[at : at + DIGEST_LEN] for at in range(0, len(stream), DIGEST_LEN)]
 
 
 def commitment_message(m0: bytes, challenger_id: int, count: int, root: bytes) -> bytes:

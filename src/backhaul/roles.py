@@ -123,11 +123,11 @@ _new_tuple = tuple.__new__
 class Challenger:
     """Sends committed probes, times the prover's response, reports to the verifier.
 
-    At set-up it derives the secret of each of its N probes, builds the
-    Merkle tree over them and signs the root, its commitment, once
-    (`crypto.commitment_message`). The train starts at `first_send_ns`
-    (`schedule.send_schedule`), and `latency_ns`, the one-way latency
-    estimate, is taken off both ways of the timing.
+    At set-up it derives its N probes' secrets from one SHAKE-256 stream
+    (`crypto.probe_secrets`), builds the Merkle tree over them and signs the
+    root, its commitment, once (`crypto.commitment_message`). The train
+    starts at `first_send_ns` (`schedule.send_schedule`), and `latency_ns`,
+    the one-way latency estimate, is taken off both ways of the timing.
     """
 
     def __init__(self, session: Session, challenger_id: int, keypair: KeyPair, first_send_ns: int, latency_ns: int):

@@ -159,13 +159,20 @@ def test_commitment_message_layout():
 def test_probe_secrets_hand_computed():
     key, m0 = b"\x07" * 32, hashlib.sha256(b"m0").digest()
     secrets = crypto.probe_secrets(key, m0, 3)
-    label = b"backhaul probe secret\x00"
-    assert secrets == [hashlib.sha256(label + key + m0 + struct.pack(">I", q)).digest() for q in (1, 2, 3)]
+    stream = hashlib.shake_256(b"backhaul probe secret\x00" + key + m0).digest(96)
+    assert secrets == [stream[:32], stream[32:64], stream[64:]]
+    # the first M secrets do not depend on N >= M, and each is 32 bytes
+    many = crypto.probe_secrets(key, m0, 909)
+    assert many[:3] == secrets and crypto.probe_secrets(key, m0, 0) == []
+    assert {len(s) for s in many} == {32} and len(set(many)) == 909
     # another key or another session gives other secrets
     assert crypto.probe_secrets(b"\x08" * 32, m0, 3)[0] != secrets[0]
     assert crypto.probe_secrets(key, bytes(32), 3)[0] != secrets[0]
     with pytest.raises(ValueError):
         crypto.probe_secrets(key[:31], m0, 3)
+    for count in (-1, 2.0, "3", True):
+        with pytest.raises(ValueError, match="count"):
+            crypto.probe_secrets(key, m0, count)
 
 
 def test_hash_packet_set_empty_is_sha256_of_empty_string():

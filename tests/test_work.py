@@ -1,12 +1,13 @@
 """The work one run does, counted at each per-unit entry point.
 
 A refactor of the per-probe path must do exactly the same work: the same
-Ed25519 signs and verifies, the same receipt hashes and Merkle trees, the
-same link sends, prover intake calls and control-plane heap pushes. A run
-signs 2n + 1 times when its prover triggers: each challenger's
-commitment, and the prover's n responses and root; no probe is signed or
-verified. It verifies n + 1 times (the responses and the root), plus once
-per dispute that reaches its commitment check. It builds n + 1 Merkle
+Ed25519 signs and verifies, secret derivations, receipt hashes and Merkle
+trees, the same link sends, prover intake calls and control-plane heap
+pushes. A run signs 2n + 1 times when its prover triggers: each
+challenger's commitment, and the prover's n responses and root; no probe
+is signed or verified. It verifies n + 1 times (the responses and the root), plus once
+per dispute that reaches its commitment check. It derives probe secrets
+n times, once per challenger for its whole train. It builds n + 1 Merkle
 trees when its prover triggers: one per challenger over its secrets, and
 one at the prover's freeze, from which the root and every inclusion path
 are read; a dispute reads its path from there. A change that moves one of
@@ -83,26 +84,26 @@ CASES = {
 
 EXPECTED = {
     "honest": {
-        "sign": 21, "verify": 11, "hash_packet_set": 20, "merkle_levels": 11,
+        "sign": 21, "verify": 11, "hash_packet_set": 20, "merkle_levels": 11, "probe_secrets": 10,
         "FifoLink.send": 920, "Prover.on_probe": 460, "EventLoop.at": 34,
     },
     "lossy_drop_tail": {
-        "sign": 21, "verify": 11, "hash_packet_set": 20, "merkle_levels": 11,
+        "sign": 21, "verify": 11, "hash_packet_set": 20, "merkle_levels": 11, "probe_secrets": 10,
         "FifoLink.send": 908, "Prover.on_probe": 437, "EventLoop.at": 34,
     },
     "withheld_reports_disputed": {
-        "sign": 21, "verify": 12, "hash_packet_set": 21, "merkle_levels": 11,
+        "sign": 21, "verify": 12, "hash_packet_set": 21, "merkle_levels": 11, "probe_secrets": 10,
         "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
     },
     "forged_dispute": {
-        "sign": 21, "verify": 12, "hash_packet_set": 20, "merkle_levels": 11,
+        "sign": 21, "verify": 12, "hash_packet_set": 20, "merkle_levels": 11, "probe_secrets": 10,
         "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
     },
 }
 
 
 def counted(monkeypatch):
-    names = ("sign", "verify", "hash_packet_set", "merkle_levels")
+    names = ("sign", "verify", "hash_packet_set", "merkle_levels", "probe_secrets")
     counts = dict.fromkeys((*names, "FifoLink.send", "Prover.on_probe", "EventLoop.at"), 0)
 
     def counting(name, fn):
