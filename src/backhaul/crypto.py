@@ -2,11 +2,11 @@
 
 Challenger i's secret s_q is the q-th 32-byte block of SHAKE-256(label
 || seed_i || m0), seed_i its secret key; no block reveals another without
-it. It signs `commitment_message(m0, i, N, root)` once per run, root that
-of the tree over its N secrets. Leaves are hashed, so a path reveals no
-secret and only a party that received probe q can show s_q; m0 ties the
-commitment to one session. A receipt digests a set of (q, s_q) pairs,
-and a tree over the receipts commits the prover.
+it. Its `Commitment` (the tree over its N secrets, and a signature of
+`commitment_message(m0, i, N, root)`) is made when first read. Leaves are
+hashed, so a path reveals no secret and only a party that received probe
+q can show s_q; m0 ties the commitment to one session. A receipt digests
+a set of (q, s_q) pairs, and a tree over the receipts commits the prover.
 
 libsodium signs and verifies (`crypto_sign_ed25519_detached` and
 `crypto_sign_ed25519_verify_detached`, loaded by its soname through
@@ -35,7 +35,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 SEED_LEN = 32
 KEY_LEN = 32
@@ -68,9 +68,7 @@ _seed_keypair = _sodium.crypto_sign_ed25519_seed_keypair
 _seed_keypair.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p)
 _seed_keypair.restype = ctypes.c_int
 _sign_detached = _sodium.crypto_sign_ed25519_detached
-_sign_detached.argtypes = (
-    ctypes.c_char_p, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p
-)
+_sign_detached.argtypes = (ctypes.c_char_p, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p)
 _sign_detached.restype = ctypes.c_int
 # 0 for a valid signature, -1 otherwise
 _verify_detached = _sodium.crypto_sign_ed25519_verify_detached
@@ -141,11 +139,7 @@ def sign(secret_key: bytes, message: bytes) -> bytes:
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff signature is valid; malformed inputs return False, never raise."""
-    if not (
-        isinstance(public_key, _BYTES_LIKE)
-        and isinstance(message, _BYTES_LIKE)
-        and isinstance(signature, _BYTES_LIKE)
-    ):
+    if not all(isinstance(x, _BYTES_LIKE) for x in (public_key, message, signature)):
         return False
     # lengths in bytes, so a memoryview of wider items is measured as sent
     public_key, message, signature = bytes(public_key), bytes(message), bytes(signature)
@@ -262,11 +256,12 @@ def merkle_levels(leaves: Sequence[bytes]) -> list[bytes]:
 class MerklePath:
     """Leaf `index`'s audit path in the tree of `merkle_levels` `levels`:
     its sibling hashes bottom-up, each read from the levels when indexed,
-    so that the paths of one tree share its nodes."""
+    so that the paths of one tree share its nodes; a `Commitment`'s are
+    built at the first read."""
 
     __slots__ = ("_levels", "_index")
 
-    def __init__(self, levels: list[bytes], index: int):
+    def __init__(self, levels: Sequence[bytes], index: int):
         self._levels, self._index = levels, index
 
     def __len__(self) -> int:
@@ -277,6 +272,40 @@ class MerklePath:
             raise IndexError(depth)
         at = ((self._index >> depth) ^ 1) * DIGEST_LEN
         return self._levels[depth][at : at + DIGEST_LEN]
+
+
+class SignedRoot(NamedTuple):
+    """A challenger's commitment as a probe carries it on the wire: the root
+    of the tree over its N secrets, and its signature of `commitment_message`."""
+
+    root: bytes
+    signature: bytes
+
+
+class Commitment:
+    """A challenger's signed commitment, made by `build()` at the first read
+    of `levels` (the `merkle_levels` of the tree over its N secrets, which
+    indexing reads, for its probes' `MerklePath`s), `root` or `signature`.
+    Only that closure holds a key or a secret; it is dropped once called."""
+
+    __slots__ = ("_build", "levels", "root", "signature")
+
+    def __init__(self, build: Callable[[], tuple[list[bytes], bytes]]):
+        self._build = build
+
+    def __getattr__(self, name: str):
+        # reached only while the built slots are unset
+        if name not in ("levels", "root", "signature"):
+            raise AttributeError(name)
+        self.levels, self.signature = self._build()
+        self.root, self._build = self.levels[-1], None
+        return getattr(self, name)
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def __getitem__(self, depth: int) -> bytes:
+        return self.levels[depth]
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
@@ -328,10 +357,17 @@ def multiproof_root(leaves: dict[int, bytes], nodes: Sequence[bytes], depth: int
 
 def merkle_verify(root: bytes, leaf: bytes, index: int, siblings: Sequence[bytes]) -> bool:
     """True iff leaf sits at `index` under root, by the bottom-up sibling
-    hashes `merkle_prove` gives: a multiproof of one leaf. Malformed input
-    returns False."""
+    hashes `merkle_prove` gives: what `multiproof_root` gives for one leaf,
+    walked as a plain loop. Malformed input returns False."""
     if not all(isinstance(x, (bytes, bytearray)) and len(x) == DIGEST_LEN for x in (root, leaf)):
         return False
     if not 0 <= index < 2 ** len(siblings):
         return False
-    return multiproof_root({index: bytes(leaf)}, siblings, len(siblings)) == root
+    sha256 = hashlib.sha256
+    node = sha256(_LEAF_PREFIX + leaf).digest()
+    for sibling in siblings:
+        if not isinstance(sibling, (bytes, bytearray)) or len(sibling) != DIGEST_LEN:
+            return False
+        node = sha256(_NODE_PREFIX + sibling + node if index & 1 else _NODE_PREFIX + node + sibling).digest()
+        index >>= 1
+    return node == root

@@ -35,7 +35,7 @@ from typing import Iterator
 
 from . import wire
 from .adversary import AttackPlan
-from .crypto import KeyPair, commitment_message, merkle_verify, verify
+from .crypto import KeyPair, SignedRoot, commitment_message, merkle_verify, verify
 from .roles import VERIFIER, Challenger, Prover, Session, Verifier
 from .schedule import PING_SAMPLES, estimate_latency
 
@@ -115,17 +115,18 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
     plan = AttackPlan(session, random.Random(params.m0))
     intake, build = plan.intake(prover), partial(plan.dispute_for, prover=prover)
     addrs: dict[int, Addr] = {}  # challenger id -> its bound source
-    signed: dict[int, tuple[bytes, bytes]] = {}  # challenger id -> its commitment and signature, once verified
+    signed: dict[int, SignedRoot] = {}  # challenger id -> its signed commitment, once verified
     pings = probes = unsent = spoofed = 0
 
     def committed(pkt: wire.ChallengePacket) -> bool:
-        cid, q, commitment = pkt.challenger_id, pkt.sequence, (pkt.commitment, pkt.commitment_signature)
+        cid, q, commitment = pkt.challenger_id, pkt.sequence, pkt.commitment
         if cid not in keys or pkt.probes != limit or not 1 <= q <= limit:
             return False
-        statement = commitment_message(params.m0, cid, limit, pkt.commitment)
-        if cid not in signed and verify(keys[cid], statement, pkt.commitment_signature):
+        if cid not in signed and verify(
+            keys[cid], commitment_message(params.m0, cid, limit, commitment.root), commitment.signature
+        ):
             signed[cid] = commitment
-        return signed.get(cid) == commitment and merkle_verify(pkt.commitment, pkt.secret, q - 1, pkt.siblings)
+        return signed.get(cid) == commitment and merkle_verify(commitment.root, pkt.secret, q - 1, pkt.siblings)
 
     for now, src, msg in _receive(sock, session.deadline_ns + REPLY_TIMEOUT_NS):
         if isinstance(msg, wire.PingRequest):

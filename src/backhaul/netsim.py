@@ -67,10 +67,7 @@ from .schedule import (
 
 PROVER_ID = 1
 
-_PING_WIRE_BYTES = (
-    len(wire.encode(wire.PingRequest(challenger_id=1, nonce=0)))
-    + wire.LOWER_LAYER_BUDGET
-)
+_PING_WIRE_BYTES = len(wire.encode(wire.PingRequest(challenger_id=1, nonce=0))) + wire.LOWER_LAYER_BUDGET
 
 # Response build latency vs claimed rate: a frozen latency model, not a
 # measurement of this code. The acceptance figures pin it (a knot moves

@@ -76,10 +76,6 @@ class RunReport:
     def terminated_reps(self) -> list[RepRecord]:
         return [r for r in self.reps if r.terminated]
 
-    @property
-    def termination_rate(self) -> float:
-        return len(self.terminated_reps) / len(self.reps) if self.reps else 0.0
-
     def measured_stats(self) -> tuple[float | None, float | None]:
         vals = [r.measured_bps for r in self.terminated_reps]
         if not vals:

@@ -17,8 +17,9 @@ the same cap to its own trigger so that a flood from one challenger
 cannot substitute for the others.
 
 A probe proves itself by a secret under its challenger's one signed
-commitment (`crypto`), so a run makes 2n + 1 signs (n commitments, n
-responses and the root), and the freeze and a dispute's recount hash.
+commitment (`crypto`), built when first read: by a dispute that shows its
+probes, or over UDP by the first encode. So a run makes n + 1 signs, plus
+one per commitment read, and the freeze and a dispute's recount hash.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from itertools import pairwise
 
 from .config import AttackSpec
 from .crypto import (
+    Commitment,
     KeyPair,
     check_public_key,
     commitment_message,
@@ -40,6 +42,7 @@ from .crypto import (
     multiproof_root,
     probe_secrets,
     sign,
+    SignedRoot,
     verify,
 )
 from .schedule import DEFAULT_TIMEOUT_FACTOR, ChallengeParams
@@ -124,10 +127,11 @@ class Challenger:
     """Sends committed probes, times the prover's response, reports to the verifier.
 
     At set-up it derives its N probes' secrets from one SHAKE-256 stream
-    (`crypto.probe_secrets`), builds the Merkle tree over them and signs the
-    root, its commitment, once (`crypto.commitment_message`). The train
-    starts at `first_send_ns` (`schedule.send_schedule`), and `latency_ns`,
-    the one-way latency estimate, is taken off both ways of the timing.
+    (`crypto.probe_secrets`). Every probe refers to its `commitment`, the
+    Merkle tree over them and its signed root, built at the first read.
+    The train starts at `first_send_ns` (`schedule.send_schedule`), and
+    `latency_ns`, the one-way latency estimate, is taken off both ways of
+    the timing.
     """
 
     def __init__(self, session: Session, challenger_id: int, keypair: KeyPair, first_send_ns: int, latency_ns: int):
@@ -140,12 +144,14 @@ class Challenger:
         self.give_up_ns = first_send_ns + round(DEFAULT_TIMEOUT_FACTOR * params.duration_ns)
         self.latency_ns = latency_ns
         self._limit = limit = params.signatures_per_challenger
-        self._secrets = probe_secrets(keypair.secret_key, params.m0, limit)
-        self._levels = merkle_levels(self._secrets)
-        self.commitment = self._levels[-1]
-        self.commitment_signature = sign(
-            keypair.secret_key, commitment_message(params.m0, challenger_id, limit, self.commitment)
-        )
+        secret_key, m0 = keypair.secret_key, params.m0
+        self._secrets = secrets = probe_secrets(secret_key, m0, limit)
+
+        def build():  # the commitment's only hold on the key and the secrets
+            levels = merkle_levels(secrets)
+            return levels, sign(secret_key, commitment_message(m0, challenger_id, limit, levels[-1]))
+
+        self.commitment = Commitment(build)
         self.delta_ns: int | None = None
         self.receipt: bytes | None = None
         self.root_seen: bytes | None = None
@@ -156,11 +162,10 @@ class Challenger:
 
     def build_sends(self) -> list[tuple[int, ChallengePacket]]:
         """(send_time_ns, packet) pairs for the whole probe train."""
-        t1, cid, limit, levels = self.t_first_ns, self.id, self._limit, self._levels
-        commitment, signature = self.commitment, self.commitment_signature
+        t1, cid, limit, commitment = self.t_first_ns, self.id, self._limit, self.commitment
         layout = _train_layout(limit, self.params.spacing_ns)
         return [
-            (t1 + offset, _new_tuple(ChallengePacket, (cid, q, limit, secret, commitment, signature, MerklePath(levels, q - 1))))
+            (t1 + offset, _new_tuple(ChallengePacket, (cid, q, limit, secret, commitment, MerklePath(commitment, q - 1))))
             for (offset, q), secret in zip(layout, self._secrets)
         ]
 
@@ -350,15 +355,14 @@ class Prover:
         """The stored secrets proving the count for one challenger, read from
         the freeze's snapshot, under the commitment of its lowest stored
         probe and the multiproof the stored paths give; zeros for both when
-        nothing was stored."""
+        nothing was stored; the one read of a commitment in a simulated run."""
         if self.trigger_ns is None or challenger_id not in self.received:
             return None
         pairs, _, path = self._freeze()[1][challenger_id - 1]
         store = self.received[challenger_id]
-        first = store[pairs[0][0]] if pairs else None
-        signed = (first.commitment, first.commitment_signature) if first else (bytes(32), bytes(64))
+        signed = store[pairs[0][0]].commitment if pairs else SignedRoot(bytes(32), bytes(64))
         proof = multiproof({q - 1: pkt.siblings for q, pkt in store.items()})
-        return DisputeSubmission(challenger_id, pairs, *signed, proof, challenger_id - 1, path)
+        return DisputeSubmission(challenger_id, pairs, signed.root, signed.signature, proof, challenger_id - 1, path)
 
 
 class Verifier:
@@ -466,9 +470,7 @@ class Verifier:
             self.rejections.append((cid, "dispute_leaf_index"))
             return False
         limit, m0 = self.params.signatures_per_challenger, self.params.m0
-        if len(d.packets) > limit or any(
-            a >= b for (a, _), (b, _) in pairwise(d.packets)
-        ):
+        if len(d.packets) > limit or any(a >= b for (a, _), (b, _) in pairwise(d.packets)):
             # the datagram decoder's rule, checked before any verify
             self.rejections.append((cid, "dispute_malformed"))
             return False

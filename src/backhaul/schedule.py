@@ -112,11 +112,6 @@ class ChallengeParams:
         """Pacing gap between consecutive probes of one challenger."""
         return self.b * 8 * 1e9 / self.theta0_bps
 
-    @property
-    def service_time_ns(self) -> float:
-        """Time for one probe to cross the claimed backhaul."""
-        return self.b * 8 * 1e9 / self.theta_claimed_bps
-
 
 def derive_params(proto: ProtocolSpec, m0: bytes) -> ChallengeParams:
     """The parameters of a challenge under `proto`, with its fresh m0."""
@@ -124,11 +119,6 @@ def derive_params(proto: ProtocolSpec, m0: bytes) -> ChallengeParams:
         proto.theta_claimed_bps, proto.n, proto.f, proto.duration_ns, RatePolicy(proto.rate_policy),
         proto.overprovision, proto.timer_mode, proto.t0_ns, m0,
     )
-
-
-def challenge_data_bytes(params: ChallengeParams) -> int:
-    """Total bytes all n challengers put on the wire: n * ceil(rho k) * b."""
-    return params.n * params.signatures_per_challenger * params.b
 
 
 def send_schedule(params: ChallengeParams, latencies_ns: Sequence[int]) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ Each field kind enforces its share of that rule on both sides:
   "H" "I" "Q"  unsigned integer of 2, 4 or 8 bytes, at least `low`
                (a report's rtt_ns is positive)
   32, 64       exactly that many bytes, `bytes()` of a value not bytes
+  COMMITMENT   a 32-byte root, then its 64-byte signature: a `crypto.SignedRoot`
   b"..."       those bytes exactly, held by no message attribute
   BITMAP       (bitmap_bits + 7) // 8 bytes, popcount acked_count,
                bits past bitmap_bits zero
@@ -31,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
+
+from .crypto import Commitment, SignedRoot
 
 TAG_CHALLENGE = 0x01
 TAG_RESPONSE = 0x02
@@ -57,8 +60,11 @@ class WireError(ValueError):
 
 class ChallengePacket(NamedTuple):
     """One probe datagram: sequence q of `probes`, its secret, and what
-    proves the secret is the challenger's: its signed commitment root and
-    q's path under that root (`crypto.commitment_message`).
+    proves the secret is the challenger's: its signed commitment, one record
+    of the `root` and its `signature` (`crypto.commitment_message`), and q's
+    path under that root. A challenger's probes share its one lazy
+    `crypto.Commitment` and read their paths from its tree; `decode` gives
+    a `crypto.SignedRoot` and a tuple.
 
     A named tuple, because a simulated run builds one per probe: it is
     immutable like the other messages, at a third of a frozen dataclass's
@@ -69,8 +75,7 @@ class ChallengePacket(NamedTuple):
     sequence: int
     probes: int
     secret: bytes
-    commitment: bytes
-    commitment_signature: bytes
+    commitment: Commitment | SignedRoot
     siblings: tuple[bytes, ...]
 
 
@@ -166,6 +171,7 @@ def sequences_from_bitmap(bitmap: bytes, bits: int) -> list[int]:
 # Field kinds besides a byte length (int) or constant (bytes); see the module docstring.
 _WIDTHS = {"H": 2, "I": 4, "Q": 8}
 BITMAP = "bitmap"
+COMMITMENT = "commitment"
 PACKETS = "packets"
 SIBLINGS = "siblings"
 PADDING = "padding"
@@ -187,8 +193,7 @@ LAYOUTS: dict[type, tuple[int, tuple[Field, ...]]] = {
         Field("sequence", "I"),
         Field("probes", "I", low=1),
         Field("secret", 32),
-        Field("commitment", 32),
-        Field("commitment_signature", SIG_LEN),
+        Field("commitment", COMMITMENT),
         Field("siblings", SIBLINGS),
         Field("padding", PADDING),
     )),
@@ -245,6 +250,16 @@ def _check_bitmap(bitmap: bytes, bits: int, acked: int) -> None:
         raise WireError("bitmap", "bits beyond bitmap_bits must be zero")
 
 
+def _fixed(name: str, value, length: int) -> bytes:
+    """value as exactly `length` bytes, `bytes()` of it if it is not bytes."""
+    if type(value) is not bytes:
+        if isinstance(value, int):  # bytes(n) would be n zero bytes
+            raise WireError(name, f"expected {length} bytes, got an int")
+        value = bytes(value)
+    _check_len(name, value, length)
+    return value
+
+
 def _check_ascending(packets) -> None:
     if any(seq >= after for (seq, _), (after, _) in zip(packets, packets[1:])):
         raise WireError("packets", "sequences not strictly ascending")
@@ -286,13 +301,10 @@ def encode(message) -> bytes:
             for sib in value:
                 _check_len(name, sib, 32)
                 out += sib
+        elif kind == COMMITMENT:
+            out += _fixed(name, value.root, 32) + _fixed(f"{name}_signature", value.signature, SIG_LEN)
         else:
-            if type(value) is not bytes:
-                if isinstance(value, int):  # bytes(n) would be n zero bytes
-                    raise WireError(name, f"expected {kind} bytes, got an int")
-                value = bytes(value)
-            _check_len(name, value, kind)
-            out += value
+            out += _fixed(name, value, kind)
     return bytes(out)
 
 
@@ -335,6 +347,8 @@ def decode(data: bytes):
         elif kind == SIBLINGS:
             raw = take(name, int.from_bytes(take(name, 2), "big") * 32)
             value = tuple(raw[i : i + 32] for i in range(0, len(raw), 32))
+        elif kind == COMMITMENT:
+            value = SignedRoot(take(name, 32), take(f"{name}_signature", SIG_LEN))
         elif kind == PADDING:
             if off > CHALLENGE_PAYLOAD_LEN or any(take(name, CHALLENGE_PAYLOAD_LEN - off)):
                 raise WireError(name, f"must be zero bytes up to {CHALLENGE_PAYLOAD_LEN}")

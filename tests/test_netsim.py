@@ -369,7 +369,8 @@ class TestIdealRun:
         p = res.params
         ideal = p.spacing_ns + p.threshold * p.b * 8 * 1e9 / 250e6
         assert res.terminated
-        assert abs(res.output.delta_ns - ideal) <= p.spacing_ns + p.service_time_ns
+        service_ns = p.b * 8 * 1e9 / p.theta_claimed_bps  # one probe across the claimed backhaul
+        assert abs(res.output.delta_ns - ideal) <= p.spacing_ns + service_ns
 
 
 class TestPerProbeCost:
@@ -391,8 +392,9 @@ class TestPerProbeCost:
 
 
 class TestSignsPerRun:
-    """Each challenger signs one commitment, whatever it sends; the prover
-    signs its n responses and the root."""
+    """Set-up signs nothing: a challenger signs its commitment at its first
+    read, which in a simulated run is a dispute that shows its probes; the
+    prover signs its n responses and the root."""
 
     def run_recorded(self, monkeypatch, name):
         """Bundled scenario at seed 0; (result, signs per challenger id, prover, prover signs)."""
@@ -421,16 +423,17 @@ class TestSignsPerRun:
         (prover,) = made["Prover"]
         return res, signs, prover, by_key[prover.keypair.secret_key]
 
-    def test_withheld_trains_sign_one_commitment_too(self, monkeypatch):
+    def test_withheld_trains_sign_nothing(self, monkeypatch):
         res, signs, _, prover_signs = self.run_recorded(monkeypatch, "withholding_250")
         assert res.terminated
-        assert signs == dict.fromkeys(range(1, 11), 1)  # 9 and 10 withhold_all
+        # 9 and 10 withhold_all, and the verdict comes without a dispute: no commitment is read
+        assert signs == dict.fromkeys(range(1, 11), 0)
         assert prover_signs == 11
 
-    def test_honest_run_makes_2n_plus_1_signs(self, monkeypatch):
+    def test_honest_run_makes_n_plus_1_signs(self, monkeypatch):
         res, signs, prover, prover_signs = self.run_recorded(monkeypatch, "overhead_500")
         assert res.terminated
-        assert sum(signs.values()) + prover_signs == 2 * res.params.n + 1
+        assert sum(signs.values()) == 0 and prover_signs == res.params.n + 1
         # the late overprovision tail is sent but never stored
         stored = sum(len(store) for store in prover.received.values())
         assert stored < res.params.n * res.params.signatures_per_challenger

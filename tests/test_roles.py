@@ -16,13 +16,16 @@ from test_schedule import params_of
 from backhaul import roles, wire
 from backhaul.config import parse_scenario
 from backhaul.crypto import (
+    SignedRoot,
     commitment_message,
     hash_packet_set,
     keygen,
+    merkle_levels,
     merkle_prove,
     merkle_root,
     merkle_verify,
     probe_secrets,
+    sign,
     verify,
 )
 from backhaul.netsim import run_scenario
@@ -273,7 +276,7 @@ class TestRunningCount:
         prover, k, threshold = w.prover, w.params.k, w.params.threshold
         reached = False
         for t, (cid, q) in enumerate(probes):
-            pkt = ChallengePacket(cid, q, 6, bytes([q]) * 32, bytes(32), bytes(64), ())
+            pkt = ChallengePacket(cid, q, 6, bytes([q]) * 32, SignedRoot(bytes(32), bytes(64)), ())
             tripped = prover.on_probe(t, pkt)
             total = sum(min(len(s), k) for s in prover.received.values())
             assert prover.capped == total
@@ -446,21 +449,56 @@ class TestChallengerChecks:
 
 
 class TestCommitments:
-    def test_set_up_signs_one_commitment_and_the_train_signs_nothing(self, monkeypatch):
-        signs = counting(monkeypatch, "sign")
+    def test_set_up_and_the_train_sign_nothing_and_the_first_read_signs_once(self, monkeypatch):
+        signs, builds = counting(monkeypatch, "sign"), counting(monkeypatch, "merkle_levels")
         w = world()
-        assert len(signs) == w.params.n  # one commitment per challenger
         trains = {i: c.build_sends() for i, c in w.challengers.items()}
-        assert len(signs) == w.params.n
+        assert signs == builds == []  # no commitment was read
         c2, limit = w.challengers[2], w.params.signatures_per_challenger
         secrets = probe_secrets(c2.keypair.secret_key, w.params.m0, limit)
         for t, pkt in trains[2]:
             q = pkt.sequence
             assert (pkt.challenger_id, pkt.probes, pkt.secret) == (2, limit, secrets[q - 1])
-            assert (pkt.commitment, pkt.commitment_signature) == (c2.commitment, c2.commitment_signature)
-            assert merkle_verify(c2.commitment, pkt.secret, q - 1, pkt.siblings)
-        message = commitment_message(w.params.m0, 2, limit, c2.commitment)
-        assert verify(c2.keypair.public_key, message, c2.commitment_signature)
+            assert pkt.commitment is c2.commitment
+            assert merkle_verify(c2.commitment.root, pkt.secret, q - 1, pkt.siblings)
+        assert (len(signs), len(builds)) == (1, 1)  # challenger 2's, at the first read
+        message = commitment_message(w.params.m0, 2, limit, c2.commitment.root)
+        assert verify(c2.keypair.public_key, message, c2.commitment.signature)
+        assert (len(signs), len(builds)) == (1, 1)
+
+    @pytest.mark.parametrize("k", [909, 1])
+    def test_a_probes_commitment_reads_as_the_eager_build_and_builds_once(self, monkeypatch, k):
+        w = world(n=2, k=k)
+        me, m0, limit = w.challengers[2], w.params.m0, w.params.signatures_per_challenger
+        assert limit == k
+        secrets = probe_secrets(me.keypair.secret_key, m0, limit)
+        root = merkle_levels(secrets)[-1]
+        signature = sign(me.keypair.secret_key, commitment_message(m0, 2, limit, root))
+        paths = [merkle_prove(secrets, q - 1) for q in range(1, limit + 1)]
+        signs, builds = counting(monkeypatch, "sign"), counting(monkeypatch, "merkle_levels")
+        train = [pkt for _, pkt in me.build_sends()]
+        for _ in range(2):  # the second read builds nothing
+            for pkt in train:
+                assert (pkt.commitment.root, pkt.commitment.signature) == (root, signature)
+            assert [tuple(pkt.siblings) for pkt in train] == paths
+            assert (len(signs), len(builds)) == (1, 1)
+
+    def test_the_commitment_a_probe_holds_has_no_key_or_secret(self):
+        w = world(n=2, k=5, rho=1.2)
+        me, limit = w.challengers[1], w.params.signatures_per_challenger
+        hidden = {me.keypair.secret_key, *probe_secrets(me.keypair.secret_key, w.params.m0, limit)}
+        _, pkt = me.build_sends()[0]
+        commitment = pkt.commitment
+
+        def held():
+            for name in dir(commitment):
+                value = getattr(commitment, name)
+                yield from value if isinstance(value, list) else (value,)
+
+        unbuilt = list(held())  # dir and getattr read the commitment, so it is built by now
+        assert commitment._build is None  # the closure that held them is gone
+        for value in unbuilt + list(held()):
+            assert not (isinstance(value, bytes) and any(secret in value for secret in hidden))
 
     def test_the_freeze_and_disputes_sign_only_the_responses(self, monkeypatch):
         w = world(n=4, f=1, k=5)
@@ -469,9 +507,11 @@ class TestCommitments:
         signs = counting(monkeypatch, "sign")
         w.prover.build_responses()
         assert len(signs) == 5  # n + 1 prover signs
-        for i in range(1, 5):
-            w.prover.build_dispute(i)
-        assert len(signs) == 5
+        for _ in range(2):
+            for i in range(1, 5):
+                w.prover.build_dispute(i)
+            # each dispute that shows probes reads, so signs, its challenger's commitment once
+            assert [key for key, _ in signs[5:]] == [w.keys[i].secret_key for i in (1, 2, 3)]
 
     def test_receipts_disputes_and_encodings_read_the_same_secrets(self):
         w = world(n=4, f=1, k=5)
@@ -483,9 +523,8 @@ class TestCommitments:
         _, snapshot = w.prover._freeze()
         assert {wire.encode(pkt)[13:45] for pkt in stored} == {s for pairs, _, _ in snapshot for _, s in pairs}
         assert dispute.packets == snapshot[1][0]
-        assert (dispute.commitment, dispute.commitment_signature) == (
-            w.challengers[2].commitment, w.challengers[2].commitment_signature
-        )
+        signed = w.challengers[2].commitment
+        assert (dispute.commitment, dispute.commitment_signature) == (signed.root, signed.signature)
 
 
 def cpus(monkeypatch, count):

@@ -15,7 +15,6 @@ from backhaul.schedule import (
     ChallengeParams,
     ParamsError,
     RatePolicy,
-    challenge_data_bytes,
     derive_params,
     estimate_latency,
     overprovision_count,
@@ -56,15 +55,18 @@ class TestDeriveParams:
         assert p.threshold == 8 * 258
 
     def test_data_volume_reference(self):
-        assert challenge_data_bytes(mk(250e6, 10, 0, 100)) == 10 * 227 * 1514
-        assert challenge_data_bytes(mk(500e6, 10, 0, 100)) == 10 * 455 * 1514
+        def volume(p):  # bytes all n challengers put on the wire: n * ceil(rho k) * b
+            return p.n * p.signatures_per_challenger * p.b
+
+        assert volume(mk(250e6, 10, 0, 100)) == 10 * 227 * 1514
+        assert volume(mk(500e6, 10, 0, 100)) == 10 * 455 * 1514
         # a tenth of a second of probing costs a few megabytes, not more
-        assert challenge_data_bytes(mk(250e6, 10, 0, 100)) < 4e6
+        assert volume(mk(250e6, 10, 0, 100)) < 4e6
 
     def test_spacing_and_service_time(self):
         p = mk(250e6, 10, 0, 100)
         assert p.spacing_ns == pytest.approx(484480.0)
-        assert p.service_time_ns == pytest.approx(48448.0)
+        assert p.b * 8 * 1e9 / p.theta_claimed_bps == pytest.approx(48448.0)  # one probe's service time
 
     def test_duration_identity(self):
         # (n - f) * k probes at the claimed rate span the requested duration

@@ -1,18 +1,25 @@
-"""Every name perfbench's tracer patches still exists in the program.
+"""Every name perfbench's tracer patches still exists in the program, and a
+short traced benchmark run completes.
 
 `perfbench/run.py --trace 1` looks each one up when it installs its spans,
 and a missing name stops the benchmark with a KeyError; this reads the
-tracer's tables and checks the names the same way, without patching.
+tracer's tables and checks the names the same way, without patching. A
+span whose target moved without breaking a name shows only in a real
+traced run, so one short run goes through the harness as a subprocess.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def load_tracer():
@@ -47,3 +54,13 @@ def test_property_spans(mod, cls, attr, _):
 
 def test_rate_fn_factory():
     assert inspect.isfunction(module("netsim").make_rate_fn)
+
+
+def test_a_short_traced_ladder_climb_completes():
+    args = ("--workload", "ladder_climb", "--seed", "0", "--seconds", "0.5", "--trace", "1")
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), *args], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    last = json.loads(done.stdout.strip().splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0)

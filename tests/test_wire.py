@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backhaul import wire
-from backhaul.crypto import commitment_message, keygen, verify
+from backhaul.crypto import SignedRoot, commitment_message, keygen, verify
 from backhaul.roles import Challenger, Session
-from backhaul.schedule import ChallengeParams, RatePolicy, challenge_data_bytes
+from backhaul.schedule import ChallengeParams, RatePolicy
 from test_schedule import params_of
 
 
@@ -18,8 +18,7 @@ def make_challenge(challenger_id=7, sequence=45, probes=50, siblings=(b"\x0b" * 
         sequence=sequence,
         probes=probes,
         secret=b"\x0c" * 32,
-        commitment=b"\x0d" * 32,
-        commitment_signature=signature,
+        commitment=SignedRoot(b"\x0d" * 32, signature),
         siblings=siblings,
     )
 
@@ -62,8 +61,9 @@ def test_a_challengers_probe_carries_its_signed_commitment_and_path():
     assert (pkt.challenger_id, pkt.sequence, pkt.probes) == (2, 5, limit)
     assert len(pkt.siblings) == (limit - 1).bit_length()
     assert not any(data[143 + 32 * len(pkt.siblings) :])  # the padding is zero
-    assert verify(key.public_key, commitment_message(params.m0, 2, limit, pkt.commitment), pkt.commitment_signature)
-    assert wire.decode(data) == pkt._replace(siblings=tuple(pkt.siblings))
+    signed = pkt.commitment
+    assert verify(key.public_key, commitment_message(params.m0, 2, limit, signed.root), signed.signature)
+    assert wire.decode(data) == pkt._replace(commitment=SignedRoot(signed.root, signed.signature), siblings=tuple(pkt.siblings))
 
 
 def test_challenge_rejects_count_out_of_range():
@@ -131,7 +131,7 @@ def test_full_transmission_slot_arithmetic():
         assert p.k == k
         sigs = -(-k * 11 // 10)
         assert p.signatures_per_challenger == sigs
-        assert challenge_data_bytes(p) == sigs * wire.WIRE_PACKET_LEN
+        assert p.n * p.signatures_per_challenger * p.b == sigs * wire.WIRE_PACKET_LEN
 
 
 def test_response_all_zero_payload_after_tag():
@@ -297,8 +297,9 @@ def test_challenge_round_trip_property(data):
         sequence=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
         probes=data.draw(st.integers(min_value=1, max_value=2**32 - 1)),
         secret=data.draw(st.binary(min_size=32, max_size=32)),
-        commitment=data.draw(st.binary(min_size=32, max_size=32)),
-        commitment_signature=data.draw(st.binary(min_size=64, max_size=64)),
+        commitment=SignedRoot(
+            data.draw(st.binary(min_size=32, max_size=32)), data.draw(st.binary(min_size=64, max_size=64))
+        ),
         siblings=tuple(
             data.draw(st.binary(min_size=32, max_size=32))
             for _ in range(data.draw(st.integers(min_value=0, max_value=41)))

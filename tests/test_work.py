@@ -3,15 +3,17 @@
 A refactor of the per-probe path must do exactly the same work: the same
 Ed25519 signs and verifies, secret derivations, receipt hashes and Merkle
 trees, the same link sends, prover intake calls and control-plane heap
-pushes. A run signs 2n + 1 times when its prover triggers: each
-challenger's commitment, and the prover's n responses and root; no probe
-is signed or verified. It verifies n + 1 times (the responses and the root), plus once
-per dispute that reaches its commitment check. It derives probe secrets
-n times, once per challenger for its whole train. It builds n + 1 Merkle
-trees when its prover triggers: one per challenger over its secrets, and
-one at the prover's freeze, from which the root and every inclusion path
-are read; a dispute reads its path from there. A change that moves one of
-these figures changed what a run does, not only how fast it does it.
+pushes. A run signs n + 1 times when its prover triggers, the prover's n
+responses and root; no probe is signed or verified. It verifies n + 1
+times (the responses and the root), plus once per dispute that reaches
+its commitment check. It derives probe secrets n times, once per
+challenger for its whole train. It builds one Merkle tree when its
+prover triggers, at the prover's freeze, from which the root and every
+inclusion path are read; a dispute reads its path from there. A
+challenger's commitment, its tree and one sign, is built only when read:
+in a simulated run, by the prover's dispute for it when that shows its
+probes. A change that moves one of these figures changed what a run
+does, not only how fast it does it.
 """
 
 import functools
@@ -82,21 +84,25 @@ CASES = {
     ),
 }
 
+# The disputed cases dispute ids 3 and 8. Challenger 8 sent nothing, so its
+# dispute shows no probes and reads no commitment; challenger 3's honest
+# dispute builds its commitment, one tree and one sign, and the forger's
+# fabricated one reads none.
 EXPECTED = {
     "honest": {
-        "sign": 21, "verify": 11, "hash_packet_set": 20, "merkle_levels": 11, "probe_secrets": 10,
+        "sign": 11, "verify": 11, "hash_packet_set": 20, "merkle_levels": 1, "probe_secrets": 10,
         "FifoLink.send": 920, "Prover.on_probe": 460, "EventLoop.at": 34,
     },
     "lossy_drop_tail": {
-        "sign": 21, "verify": 11, "hash_packet_set": 20, "merkle_levels": 11, "probe_secrets": 10,
+        "sign": 11, "verify": 11, "hash_packet_set": 20, "merkle_levels": 1, "probe_secrets": 10,
         "FifoLink.send": 908, "Prover.on_probe": 437, "EventLoop.at": 34,
     },
     "withheld_reports_disputed": {
-        "sign": 21, "verify": 12, "hash_packet_set": 21, "merkle_levels": 11, "probe_secrets": 10,
+        "sign": 12, "verify": 12, "hash_packet_set": 21, "merkle_levels": 2, "probe_secrets": 10,
         "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
     },
     "forged_dispute": {
-        "sign": 21, "verify": 12, "hash_packet_set": 20, "merkle_levels": 11, "probe_secrets": 10,
+        "sign": 11, "verify": 12, "hash_packet_set": 20, "merkle_levels": 1, "probe_secrets": 10,
         "FifoLink.send": 1044, "Prover.on_probe": 522, "EventLoop.at": 34,
     },
 }
