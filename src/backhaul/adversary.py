@@ -39,6 +39,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from .config import CHALLENGER_STRATEGIES, PROVER_STRATEGIES, AttackSpec, ChallengerStrategy, ProverStrategy
+from .crypto import SignedRoot
 from .wire import ChallengePacket, ChallengerReport, DisputeSubmission
 
 if TYPE_CHECKING:
@@ -159,9 +160,9 @@ class AttackPlan:
             return prover.build_dispute(challenger_id)
         rng, p = self.rng, self.params
         packets = tuple((q, rng.randbytes(32)) for q in range(1, min(p.k, 8) + 1))
-        commitment, signature = rng.randbytes(32), rng.randbytes(64)
+        commitment = SignedRoot(rng.randbytes(32), rng.randbytes(64))
         siblings = tuple(rng.randbytes(32) for _ in range(max(1, (p.n - 1).bit_length())))
-        return DisputeSubmission(challenger_id, packets, commitment, signature, (), challenger_id - 1, siblings)
+        return DisputeSubmission(challenger_id, packets, commitment, (), challenger_id - 1, siblings)
 
 
 def fuzz_strategies(seed: int, n: int, f: int) -> AttackSpec:

@@ -35,7 +35,7 @@ from typing import Iterator
 
 from . import wire
 from .adversary import AttackPlan
-from .crypto import KeyPair, SignedRoot, commitment_message, merkle_verify, verify
+from .crypto import KeyPair
 from .roles import VERIFIER, Challenger, Prover, Session, Verifier
 from .schedule import PING_SAMPLES, estimate_latency
 
@@ -101,33 +101,19 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
     Serves until the session's deadline plus REPLY_TIMEOUT_NS, the
     verifier's wait for its disputes. Only requests from `verifier_addr`, the
     numeric (host, port) the verifier sends from, are answered. A probe is
-    stored only if its secret is leaf q - 1, q in 1..N, under its id's
-    commitment, whose signature is verified once per id and then kept; any
-    other is dropped as spoofed. An id is answered at the source of its
-    last stored probe, or of the first ping naming it until a probe comes.
+    stored only if `Prover.admits` it, and any other is dropped as spoofed.
+    An id is answered at the source of its last stored probe, or of the
+    first ping naming it until a probe comes.
     """
-    params, keys = session.params, session.challenger_public_keys
-    limit = params.signatures_per_challenger
+    params = session.params
     # room for every probe of the run; the kernel doubles this, capped at net.core.rmem_max
-    rcvbuf = params.n * limit * wire.CHALLENGE_PAYLOAD_LEN
+    rcvbuf = params.n * params.signatures_per_challenger * wire.CHALLENGE_PAYLOAD_LEN
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
     prover = Prover(session, keypair)
     plan = AttackPlan(session, random.Random(params.m0))
     intake, build = plan.intake(prover), partial(plan.dispute_for, prover=prover)
     addrs: dict[int, Addr] = {}  # challenger id -> its bound source
-    signed: dict[int, SignedRoot] = {}  # challenger id -> its signed commitment, once verified
     pings = probes = unsent = spoofed = 0
-
-    def committed(pkt: wire.ChallengePacket) -> bool:
-        cid, q, commitment = pkt.challenger_id, pkt.sequence, pkt.commitment
-        if cid not in keys or pkt.probes != limit or not 1 <= q <= limit:
-            return False
-        if cid not in signed and verify(
-            keys[cid], commitment_message(params.m0, cid, limit, commitment.root), commitment.signature
-        ):
-            signed[cid] = commitment
-        return signed.get(cid) == commitment and merkle_verify(commitment.root, pkt.secret, q - 1, pkt.siblings)
-
     for now, src, msg in _receive(sock, session.deadline_ns + REPLY_TIMEOUT_NS):
         if isinstance(msg, wire.PingRequest):
             pings += 1
@@ -137,7 +123,7 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
             sock.sendto(wire.encode(reply), src)
         elif isinstance(msg, wire.ChallengePacket):
             probes += 1
-            if not committed(msg):
+            if not prover.admits(msg):
                 spoofed += 1
                 continue
             addrs[msg.challenger_id] = src

@@ -63,8 +63,9 @@ class Session:
     """What every party of one run agrees on before it starts, beyond the
     challenge's own parameters; no secret key.
 
-    Building one refuses any public key `check_public_key` refuses, so the
-    roles take it as checked. The verifier requests its disputes, and
+    Building one refuses any public key `check_public_key` refuses, and
+    challenger keys for ids other than exactly 1..n, so the roles take it
+    as checked. The verifier requests its disputes, and
     settles, at `deadline_ns`; `attack` is resolved by `adversary.AttackPlan`.
     """
 
@@ -80,6 +81,14 @@ class Session:
         object.__setattr__(self, "challenger_public_keys", dict(self.challenger_public_keys))
         for key in (self.prover_public_key, *self.challenger_public_keys.values()):
             check_public_key(key)
+        if self.challenger_public_keys.keys() != set(range(1, self.params.n + 1)):
+            raise ValueError(f"challenger keys must be for ids 1..{self.params.n}, got {list(self.challenger_public_keys)}")
+
+    def signed(self, challenger_id: int, count: int, commitment: Commitment | SignedRoot) -> bool:
+        """The one check of a challenger's commitment: True iff its signature is
+        `challenger_id`'s over the `commitment_message` of its root and `count`."""
+        message = commitment_message(self.params.m0, challenger_id, count, commitment.root)
+        return verify(self.challenger_public_keys[challenger_id], message, commitment.signature)
 
 
 def upper_median(values):
@@ -250,12 +259,13 @@ class Prover:
     prover keeps the packet that first brought it, and reads its secret
     only at the freeze, for receipts and disputes. Any count the verifier
     doubts, missing or short, must be proven later with the secrets
-    themselves. (Over UDP, `live.serve_prover` checks each probe's
-    commitment before it reaches `on_probe`.)
+    themselves. Over UDP, where anyone can send a probe, `live.serve_prover`
+    passes on to `on_probe` only the probes that `admits`.
     """
 
     def __init__(self, session: Session, keypair: KeyPair):
         self.keypair = keypair
+        self.session = session
         self.params = params = session.params
         self.received: dict[int, dict[int, ChallengePacket]] = {i: {} for i in range(1, params.n + 1)}
         self.trigger_ns: int | None = None  # when the response was committed
@@ -267,6 +277,18 @@ class Prover:
         self._k = params.k
         self._threshold = params.threshold
         self._disputed: set[int] = set()  # ids whose dispute request was answered
+        self._signed: dict[int, Commitment | SignedRoot] = {}  # id -> its commitment, once `admits` verified it
+
+    def admits(self, pkt: ChallengePacket) -> bool:
+        """True iff the probe's secret is provably its challenger's: id, N and q
+        in range, and the secret leaf q - 1 under its id's signed commitment, kept
+        from the first probe whose signature verifies and then only compared."""
+        cid, q, commitment, limit = pkt.challenger_id, pkt.sequence, pkt.commitment, self._limit
+        if cid not in self.received or pkt.probes != limit or not 1 <= q <= limit:
+            return False
+        if cid not in self._signed and self.session.signed(cid, limit, commitment):
+            self._signed[cid] = commitment
+        return self._signed.get(cid) == commitment and merkle_verify(commitment.root, pkt.secret, q - 1, pkt.siblings)
 
     def on_probe(self, now_ns: int, pkt: ChallengePacket) -> bool:
         """Store a fresh probe; True exactly when it trips the threshold.
@@ -353,16 +375,16 @@ class Prover:
 
     def build_dispute(self, challenger_id: int) -> DisputeSubmission | None:
         """The stored secrets proving the count for one challenger, read from
-        the freeze's snapshot, under the commitment of its lowest stored
-        probe and the multiproof the stored paths give; zeros for both when
-        nothing was stored; the one read of a commitment in a simulated run."""
+        the freeze's snapshot, under its lowest stored probe's commitment as
+        that probe holds it, and the multiproof the stored paths give; zeros
+        for both when nothing was stored."""
         if self.trigger_ns is None or challenger_id not in self.received:
             return None
         pairs, _, path = self._freeze()[1][challenger_id - 1]
         store = self.received[challenger_id]
         signed = store[pairs[0][0]].commitment if pairs else SignedRoot(bytes(32), bytes(64))
         proof = multiproof({q - 1: pkt.siblings for q, pkt in store.items()})
-        return DisputeSubmission(challenger_id, pairs, signed.root, signed.signature, proof, challenger_id - 1, path)
+        return DisputeSubmission(challenger_id, pairs, signed, proof, challenger_id - 1, path)
 
 
 class Verifier:
@@ -459,8 +481,7 @@ class Verifier:
             self._buffer.append(d)
             return False
         cid = d.challenger_id
-        pk = self.session.challenger_public_keys.get(cid)
-        if pk is None:
+        if cid not in self.session.challenger_public_keys:
             self.rejections.append((cid, "dispute_unknown_challenger"))
             return False
         count = min(len(d.packets), self.params.k)
@@ -469,15 +490,15 @@ class Verifier:
         if d.leaf_index != cid - 1:
             self.rejections.append((cid, "dispute_leaf_index"))
             return False
-        limit, m0 = self.params.signatures_per_challenger, self.params.m0
+        limit = self.params.signatures_per_challenger
         if len(d.packets) > limit or any(a >= b for (a, _), (b, _) in pairwise(d.packets)):
             # the datagram decoder's rule, checked before any verify
             self.rejections.append((cid, "dispute_malformed"))
             return False
         if d.packets and not (
             1 <= d.packets[0][0] and d.packets[-1][0] <= limit
-            and verify(pk, commitment_message(m0, cid, limit, d.commitment), d.commitment_signature)
-            and multiproof_root({q - 1: s for q, s in d.packets}, d.proof, (limit - 1).bit_length()) == d.commitment
+            and self.session.signed(cid, limit, d.commitment)
+            and multiproof_root({q - 1: s for q, s in d.packets}, d.proof, (limit - 1).bit_length()) == d.commitment.root
         ):
             self.rejections.append((cid, "dispute_bad_signature"))
             return False

@@ -11,8 +11,8 @@ Each field kind enforces its share of that rule on both sides:
   "H" "I" "Q"  unsigned integer of 2, 4 or 8 bytes, at least `low`
                (a report's rtt_ns is positive)
   32, 64       exactly that many bytes, `bytes()` of a value not bytes
-  COMMITMENT   a 32-byte root, then its 64-byte signature: a `crypto.SignedRoot`
-  b"..."       those bytes exactly, held by no message attribute
+  COMMITMENT   a challenger's signed commitment, in a probe and a dispute: a
+               32-byte root, then its 64-byte signature (a `crypto.SignedRoot`)
   BITMAP       (bitmap_bits + 7) // 8 bytes, popcount acked_count,
                bits past bitmap_bits zero
   PACKETS      u32 count, then (u32 seq, 32-byte secret) pairs,
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .crypto import Commitment, SignedRoot
+from .crypto import DIGEST_LEN, SIG_LEN, Commitment, SignedRoot
 
 TAG_CHALLENGE = 0x01
 TAG_RESPONSE = 0x02
@@ -44,7 +44,6 @@ TAG_PING_REQUEST = 0x06
 TAG_PING_REPLY = 0x07
 TAG_DISPUTE_REQUEST = 0x08
 
-SIG_LEN = 64
 CHALLENGE_PAYLOAD_LEN = 1472
 LOWER_LAYER_BUDGET = 42
 WIRE_PACKET_LEN = CHALLENGE_PAYLOAD_LEN + LOWER_LAYER_BUDGET  # 1514
@@ -114,14 +113,13 @@ class ChallengerReport:
 @dataclass(frozen=True)
 class DisputeSubmission:
     """Prover-revealed packet set for a challenger whose count the verifier
-    doubts: its (q, secret) pairs, the challenger's signed commitment and a
-    multiproof of the secrets under it (`crypto.multiproof`), and the
-    receipt's inclusion path."""
+    doubts: its (q, secret) pairs, the challenger's signed commitment (the
+    `commitment` of its probes) and a multiproof of the secrets under it
+    (`crypto.multiproof`), and the receipt's inclusion path."""
 
     challenger_id: int
     packets: tuple[tuple[int, bytes], ...]
-    commitment: bytes
-    commitment_signature: bytes
+    commitment: Commitment | SignedRoot
     proof: tuple[bytes, ...]
     leaf_index: int
     siblings: tuple[bytes, ...]
@@ -168,19 +166,19 @@ def sequences_from_bitmap(bitmap: bytes, bits: int) -> list[int]:
     return [q for q, digit in enumerate(format(value, f"0{bits}b"), 1) if digit == "1"]
 
 
-# Field kinds besides a byte length (int) or constant (bytes); see the module docstring.
+# Field kinds besides a byte length (int); see the module docstring.
 _WIDTHS = {"H": 2, "I": 4, "Q": 8}
 BITMAP = "bitmap"
 COMMITMENT = "commitment"
 PACKETS = "packets"
 SIBLINGS = "siblings"
 PADDING = "padding"
-_PACKET_ENTRY = 4 + 32
+_PACKET_ENTRY = 4 + DIGEST_LEN
 
 
 class Field(NamedTuple):
     name: str
-    kind: str | int | bytes
+    kind: str | int
     low: int = 0  # least value of an integer field
 
 
@@ -192,12 +190,12 @@ LAYOUTS: dict[type, tuple[int, tuple[Field, ...]]] = {
         Field("challenger_id", "I"),
         Field("sequence", "I"),
         Field("probes", "I", low=1),
-        Field("secret", 32),
+        Field("secret", DIGEST_LEN),
         Field("commitment", COMMITMENT),
         Field("siblings", SIBLINGS),
         Field("padding", PADDING),
     )),
-    ResponsePacket: (TAG_RESPONSE, (Field("receipt", 32), Field("root", 32), Field("signature", SIG_LEN))),
+    ResponsePacket: (TAG_RESPONSE, (Field("receipt", DIGEST_LEN), Field("root", DIGEST_LEN), Field("signature", SIG_LEN))),
     VerificationMessage: (TAG_VERIFICATION, (
         Field("challenger_id", "I"),
         Field("acked_count", "I"),
@@ -209,15 +207,14 @@ LAYOUTS: dict[type, tuple[int, tuple[Field, ...]]] = {
     ChallengerReport: (TAG_REPORT, (
         Field("challenger_id", "I"),
         Field("prover_id", "I"),
-        Field("merkle_root_seen", 32),
+        Field("merkle_root_seen", DIGEST_LEN),
         Field("rtt_ns", "Q", low=1),
         Field("packets_acknowledged", "I"),
     )),
     DisputeSubmission: (TAG_DISPUTE, (
         Field("challenger_id", "I"),
         Field("packets", PACKETS),
-        Field("commitment", 32),
-        Field("commitment_signature", SIG_LEN),
+        Field("commitment", COMMITMENT),
         Field("proof", SIBLINGS),
         Field("leaf_index", "I"),
         Field("siblings", SIBLINGS),
@@ -273,9 +270,6 @@ def encode(message) -> bytes:
         raise WireError("message", f"unknown message type {type(message).__name__}")
     out = bytearray([tag])
     for name, kind, low in fields:
-        if type(kind) is bytes:
-            out += kind
-            continue
         if kind == PADDING:
             if len(out) > CHALLENGE_PAYLOAD_LEN:
                 raise WireError(name, f"{len(out)} bytes before it, over {CHALLENGE_PAYLOAD_LEN}")
@@ -292,17 +286,17 @@ def encode(message) -> bytes:
             out += len(value).to_bytes(4, "big")
             for seq, secret in value:
                 _check_uint(name, seq, 4)
-                _check_len(name, secret, 32)
+                _check_len(name, secret, DIGEST_LEN)
                 out += seq.to_bytes(4, "big") + secret
             _check_ascending(value)
         elif kind == SIBLINGS:
             _check_uint(name, len(value), 2)
             out += len(value).to_bytes(2, "big")
             for sib in value:
-                _check_len(name, sib, 32)
+                _check_len(name, sib, DIGEST_LEN)
                 out += sib
         elif kind == COMMITMENT:
-            out += _fixed(name, value.root, 32) + _fixed(f"{name}_signature", value.signature, SIG_LEN)
+            out += _fixed(name, value.root, DIGEST_LEN) + _fixed(f"{name}_signature", value.signature, SIG_LEN)
         else:
             out += _fixed(name, value, kind)
     return bytes(out)
@@ -327,10 +321,6 @@ def decode(data: bytes):
 
     values = {}
     for name, kind, low in fields:
-        if type(kind) is bytes:
-            if take(name, len(kind)) != kind:
-                raise WireError(name, "differs from the fixed bytes")
-            continue
         if kind in _WIDTHS:
             value = int.from_bytes(take(name, _WIDTHS[kind]), "big")
             _check_uint(name, value, _WIDTHS[kind], low)
@@ -345,10 +335,10 @@ def decode(data: bytes):
             )
             _check_ascending(value)
         elif kind == SIBLINGS:
-            raw = take(name, int.from_bytes(take(name, 2), "big") * 32)
-            value = tuple(raw[i : i + 32] for i in range(0, len(raw), 32))
+            raw = take(name, int.from_bytes(take(name, 2), "big") * DIGEST_LEN)
+            value = tuple(raw[i : i + DIGEST_LEN] for i in range(0, len(raw), DIGEST_LEN))
         elif kind == COMMITMENT:
-            value = SignedRoot(take(name, 32), take(f"{name}_signature", SIG_LEN))
+            value = SignedRoot(take(name, DIGEST_LEN), take(f"{name}_signature", SIG_LEN))
         elif kind == PADDING:
             if off > CHALLENGE_PAYLOAD_LEN or any(take(name, CHALLENGE_PAYLOAD_LEN - off)):
                 raise WireError(name, f"must be zero bytes up to {CHALLENGE_PAYLOAD_LEN}")

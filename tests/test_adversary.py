@@ -56,7 +56,8 @@ def corrupt(ids, name, **params):
 
 
 def session(params, spec=AttackSpec()):
-    return Session(params, 0, keygen(bytes(32)).public_key, {}, deadline_ns=0, attack=spec)
+    key = keygen(bytes(32)).public_key
+    return Session(params, 0, key, dict.fromkeys(range(1, params.n + 1), key), deadline_ns=0, attack=spec)
 
 
 class TestPlanMechanics:

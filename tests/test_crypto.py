@@ -556,10 +556,10 @@ def _roles_refuse(key):
 def test_session_keeps_only_the_keys_it_checked():
     params = params_of(2e6, 3, 0, 200_000_000)
     good = crypto.keygen(b"\x0b" * 32)
-    keys = {1: good.public_key}
+    keys = dict.fromkeys((1, 2, 3), good.public_key)
     session = Session(params, 77, good.public_key, keys, deadline_ns=0)
-    keys[2] = b"\x01" + bytes(31)  # the identity, added after the checks
-    assert session.challenger_public_keys == {1: good.public_key}
+    keys[2] = b"\x01" + bytes(31)  # the identity, swapped in after the checks
+    assert session.challenger_public_keys == dict.fromkeys((1, 2, 3), good.public_key)
 
 
 def test_small_order_points_are_refused_as_keys():

@@ -16,6 +16,7 @@ from test_schedule import params_of
 from backhaul import roles, wire
 from backhaul.config import parse_scenario
 from backhaul.crypto import (
+    MerklePath,
     SignedRoot,
     commitment_message,
     hash_packet_set,
@@ -325,6 +326,81 @@ class TestProverHygiene:
         assert len(roots) == 1
 
 
+def on_wire(pkt):
+    """The probe as a prover over UDP receives it: its commitment a `SignedRoot`."""
+    return wire.decode(wire.encode(pkt))
+
+
+class TestAdmission:
+    """`Prover.admits`: a probe counts only if its secret is provably under its
+    own challenger's signed commitment."""
+
+    def train(self, w, cid=1):
+        return [on_wire(pkt) for _, pkt in w.challengers[cid].build_sends()]
+
+    def tampered(self, probe):
+        """Each one-part change of a genuine probe, and a probe for no challenger."""
+        def byte_flipped(data):
+            return data[:5] + bytes([data[5] ^ 1]) + data[6:]
+
+        signed = probe.commitment
+        return [
+            probe._replace(secret=byte_flipped(probe.secret)),
+            probe._replace(siblings=(byte_flipped(probe.siblings[0]),) + probe.siblings[1:]),
+            probe._replace(commitment=SignedRoot(byte_flipped(signed.root), signed.signature)),
+            probe._replace(commitment=SignedRoot(signed.root, byte_flipped(signed.signature))),
+            probe._replace(probes=probe.probes ^ 1 << 8),
+            probe._replace(sequence=probe.sequence + 1),  # another q's slot
+            wire.ChallengePacket(4, 1, 1, bytes(32), SignedRoot(bytes(32), bytes(64)), ()),  # no such challenger
+        ]
+
+    def test_a_genuine_probe_is_admitted(self):
+        w = world()
+        assert all(w.prover.admits(pkt) for cid in (1, 2, 3) for pkt in self.train(w, cid))
+
+    def test_a_probe_with_any_changed_part_is_refused(self):
+        w = world(n=3, k=5)
+        train = self.train(w)
+        for pkt in self.tampered(train[2]):  # before its commitment is cached
+            assert not w.prover.admits(pkt)
+        assert all(w.prover.admits(pkt) for pkt in train)
+        for pkt in self.tampered(train[2]):  # and after
+            assert not w.prover.admits(pkt)
+
+    def test_a_train_costs_one_verify(self, monkeypatch):
+        w = world(k=40)
+        verifies = counting(monkeypatch, "verify")
+        assert all(w.prover.admits(pkt) for pkt in self.train(w)[: w.params.k])
+        assert len(verifies) == 1
+
+    def test_a_refused_first_commitment_does_not_block_the_genuine_one(self):
+        w = world()
+        genuine = self.train(w)[0]
+        forged = genuine._replace(commitment=SignedRoot(genuine.commitment.root, bytes(64)))
+        assert not w.prover.admits(forged)
+        assert w.prover.admits(genuine)
+
+    def test_once_cached_another_signed_root_is_refused(self):
+        # the challenger's own signature over a second tree of secrets: it
+        # would pass alone, but the id's commitment is already kept
+        w = world()
+        me, m0, limit = w.challengers[1], w.params.m0, w.params.signatures_per_challenger
+        other = [hashlib.sha256(bytes([q])).digest() for q in range(limit)]
+        levels = merkle_levels(other)
+        signed = SignedRoot(levels[-1], sign(me.keypair.secret_key, commitment_message(m0, 1, limit, levels[-1])))
+        rival = wire.ChallengePacket(1, 1, limit, other[0], signed, tuple(MerklePath(levels, 0)))
+        assert world().prover.admits(rival)
+        assert w.prover.admits(self.train(w)[0])
+        assert not w.prover.admits(rival)
+
+    @pytest.mark.parametrize("ids", [(1, 2, 3, 4), (1, 3)])
+    def test_a_session_refuses_keys_for_other_ids_than_1_to_n(self, ids):
+        w = world()
+        key = w.keys[1].public_key
+        with pytest.raises(ValueError, match=r"ids 1\.\.3"):
+            Session(w.params, PROVER_ID, w.prover_key.public_key, dict.fromkeys(ids, key), deadline_ns=0)
+
+
 def assert_ignored_then_genuine_reports(challenger, reason, genuine):
     """An unsigned verification that fails a check is recorded and ignored:
     the challenger has not failed and still reports on the genuine one."""
@@ -523,8 +599,7 @@ class TestCommitments:
         _, snapshot = w.prover._freeze()
         assert {wire.encode(pkt)[13:45] for pkt in stored} == {s for pairs, _, _ in snapshot for _, s in pairs}
         assert dispute.packets == snapshot[1][0]
-        signed = w.challengers[2].commitment
-        assert (dispute.commitment, dispute.commitment_signature) == (signed.root, signed.signature)
+        assert dispute.commitment is w.challengers[2].commitment  # passed on as the probes hold it
 
 
 def cpus(monkeypatch, count):
@@ -641,9 +716,9 @@ def tampered(d, kind, neighbour=None):
     elif kind == "bad_merkle_path":
         changed = {"siblings": (flip(d.siblings[0]),) + d.siblings[1:]}
     elif kind == "bad_commitment":
-        changed = {"commitment": flip(d.commitment, 31)}
+        changed = {"commitment": SignedRoot(flip(d.commitment.root, 31), d.commitment.signature)}
     elif kind == "bad_commitment_signature":
-        changed = {"commitment_signature": flip(d.commitment_signature, 40)}
+        changed = {"commitment": SignedRoot(d.commitment.root, flip(d.commitment.signature, 40))}
     elif kind == "bad_proof_node":
         changed = {"proof": (flip(d.proof[0], 3),) + d.proof[1:]}
     elif kind == "short_proof":
@@ -881,7 +956,7 @@ class TestVerifier:
         deliver_all(w, skip=(4,))
         finish(w, report_ids=[1, 2])
         d = w.prover.build_dispute(3)
-        forged = dataclasses.replace(d, commitment_signature=flip(d.commitment_signature))
+        forged = dataclasses.replace(d, commitment=SignedRoot(d.commitment.root, flip(d.commitment.signature)))
         assert w.verifier.on_dispute(7 * MS, forged) is False
         assert (3, "dispute_bad_signature") in w.verifier.rejections
 
@@ -1041,10 +1116,10 @@ class TestDeadlineDisputes:
 
         def forge(cid):
             asked.append(cid)
-            return DisputeSubmission(cid, (), bytes(32), bytes(64), (), cid - 1, ())
+            return DisputeSubmission(cid, (), SignedRoot(bytes(32), bytes(64)), (), cid - 1, ())
 
         assert w.prover.on_message(t, DisputeRequest(3), forge) is None
-        assert w.prover.on_message(t + 1, DisputeRequest(3), forge) == DisputeSubmission(3, (), bytes(32), bytes(64), (), 2, ())
+        assert w.prover.on_message(t + 1, DisputeRequest(3), forge) == DisputeSubmission(3, (), SignedRoot(bytes(32), bytes(64)), (), 2, ())
         assert asked == [3]
 
     def test_at_deadline_is_empty_once_a_verdict_exists(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backhaul import wire
-from backhaul.crypto import SignedRoot, commitment_message, keygen, verify
+from backhaul.crypto import Commitment, SignedRoot, commitment_message, keygen, verify
 from backhaul.roles import Challenger, Session
 from backhaul.schedule import ChallengeParams, RatePolicy
 from test_schedule import params_of
@@ -52,7 +52,7 @@ def test_challenge_layout_hand_built():
 def test_a_challengers_probe_carries_its_signed_commitment_and_path():
     params = params_of(2e6, 3, 0, 200_000_000, m0=b"\x05" * 32)
     key = keygen(b"\x09" * 32)
-    session = Session(params, 77, keygen(b"\x0a" * 32).public_key, {}, deadline_ns=0)
+    session = Session(params, 77, keygen(b"\x0a" * 32).public_key, dict.fromkeys((1, 2, 3), key.public_key), deadline_ns=0)
     me = Challenger(session, 2, key, params.t0_ns, 0)
     _, pkt = me.build_sends()[4]
     data = wire.encode(pkt)
@@ -243,8 +243,7 @@ def test_dispute_round_trip_and_ordering():
     sub = wire.DisputeSubmission(
         challenger_id=5,
         packets=((1, b"\x01" * 32), (2, b"\x02" * 32), (7, b"\x03" * 32)),
-        commitment=b"\x0d" * 32,
-        commitment_signature=b"\x0e" * 64,
+        commitment=SignedRoot(b"\x0d" * 32, b"\x0e" * 64),
         proof=(b"\x0f" * 32,) * 3,
         leaf_index=4,
         siblings=(b"\x0a" * 32,),
@@ -253,10 +252,21 @@ def test_dispute_round_trip_and_ordering():
     bad = dataclasses.replace(sub, packets=((2, b"\x01" * 32), (1, b"\x02" * 32)))
     with pytest.raises(wire.WireError, match="packets"):
         wire.encode(bad)
+    # the record's two parts keep their names in errors
+    for part, bad in (
+        ("commitment", SignedRoot(b"\x0d" * 31, b"\x0e" * 64)),
+        ("commitment_signature", SignedRoot(b"\x0d" * 32, b"\x0e" * 63)),
+    ):
+        with pytest.raises(wire.WireError) as info:
+            wire.encode(dataclasses.replace(sub, commitment=bad))
+        assert info.value.field == part
+    data = wire.encode(sub)
+    with pytest.raises(wire.WireError, match="commitment_signature: needs 64 bytes"):
+        wire.decode(data[: data.index(b"\x0e" * 64) + 63])
 
 
 def test_dispute_empty_packets_round_trip():
-    sub = wire.DisputeSubmission(9, (), bytes(32), bytes(64), (), 8, ())
+    sub = wire.DisputeSubmission(9, (), SignedRoot(bytes(32), bytes(64)), (), 8, ())
     assert wire.decode(wire.encode(sub)) == sub
 
 
@@ -353,8 +363,9 @@ def test_dispute_round_trip_property(data):
     sub = wire.DisputeSubmission(
         challenger_id=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
         packets=tuple((q, data.draw(st.binary(min_size=32, max_size=32))) for q in seqs),
-        commitment=data.draw(st.binary(min_size=32, max_size=32)),
-        commitment_signature=data.draw(st.binary(min_size=64, max_size=64)),
+        commitment=SignedRoot(
+            data.draw(st.binary(min_size=32, max_size=32)), data.draw(st.binary(min_size=64, max_size=64))
+        ),
         proof=tuple(
             data.draw(st.binary(min_size=32, max_size=32))
             for _ in range(data.draw(st.integers(min_value=0, max_value=5)))
@@ -418,8 +429,7 @@ def test_dispute_layout_hand_built():
     sub = wire.DisputeSubmission(
         challenger_id=5,
         packets=((1, b"\x01" * 32), (300, b"\x02" * 32)),
-        commitment=b"\x0d" * 32,
-        commitment_signature=b"\x0e" * 64,
+        commitment=SignedRoot(b"\x0d" * 32, b"\x0e" * 64),
         proof=(b"\x0f" * 32, b"\x10" * 32),
         leaf_index=4,
         siblings=(b"\x0a" * 32,),
@@ -442,8 +452,23 @@ def test_dispute_layout_hand_built():
         + b"\x0a" * 32
     )
     assert wire.encode(sub) == expected
-    empty = wire.DisputeSubmission(9, (), bytes(32), bytes(64), (), 8, ())
+    empty = wire.DisputeSubmission(9, (), SignedRoot(bytes(32), bytes(64)), (), 8, ())
     assert wire.encode(empty) == b"\x05" + bytes([0, 0, 0, 9]) + bytes(4 + 96 + 2) + bytes([0, 0, 0, 8]) + bytes(2)
+
+
+def test_a_dispute_encodes_a_lazy_commitment_as_its_signed_root():
+    builds = []
+
+    def build():
+        builds.append(1)
+        return [b"\x0c" * 64, b"\x0d" * 32], b"\x0e" * 64
+
+    lazy = wire.DisputeSubmission(5, ((1, b"\x01" * 32),), Commitment(build), (), 4, ())
+    eager = dataclasses.replace(lazy, commitment=SignedRoot(b"\x0d" * 32, b"\x0e" * 64))
+    assert not builds
+    assert wire.encode(lazy) == wire.encode(eager)
+    assert builds == [1]
+    assert wire.decode(wire.encode(lazy)) == eager
 
 
 def test_ping_layouts_hand_built():
@@ -474,9 +499,9 @@ MUTATION_SEEDS = (
         challenger_id=2, prover_id=0, merkle_root_seen=b"\x09" * 32, rtt_ns=1, packets_acknowledged=206
     ),
     wire.DisputeSubmission(
-        5, ((1, b"\x01" * 32), (2, b"\x02" * 32)), b"\x0d" * 32, b"\x0e" * 64, (b"\x0f" * 32,), 4, (b"\x0a" * 32,)
+        5, ((1, b"\x01" * 32), (2, b"\x02" * 32)), SignedRoot(b"\x0d" * 32, b"\x0e" * 64), (b"\x0f" * 32,), 4, (b"\x0a" * 32,)
     ),
-    wire.DisputeSubmission(9, (), bytes(32), bytes(64), (), 8, ()),
+    wire.DisputeSubmission(9, (), SignedRoot(bytes(32), bytes(64)), (), 8, ()),
     wire.PingRequest(challenger_id=3, nonce=0),
     wire.PingReply(challenger_id=3, nonce=2**64 - 1),
     wire.DisputeRequest(challenger_id=7),
