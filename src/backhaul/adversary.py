@@ -10,7 +10,7 @@ key (`share_keys` sends nothing, as `withhold_all`).
 
 Challenger strategies:
   honest              follow the schedule
-  withhold_all        send nothing (verification still answered honestly)
+  withhold_all        send nothing (its response still answered honestly)
   withhold_fraction   drop each probe independently with probability p
   delay               shift every send by a fixed amount
   rush                dump the whole train at t0 through a side channel

@@ -128,12 +128,11 @@ def serve_prover(sock: socket.socket, session: Session, keypair: KeyPair, verifi
                 continue
             addrs[msg.challenger_id] = src
             if intake(now, msg):
-                for dest, msgs in prover.build_responses():
+                for dest, response in prover.build_responses():
                     addr = verifier_addr if dest == VERIFIER else addrs.get(dest)
                     if addr is None:
                         continue  # never heard from: no address to answer
-                    for out in msgs:
-                        sock.sendto(wire.encode(out), addr)
+                    sock.sendto(wire.encode(response), addr)
         elif src == verifier_addr and (dispute := prover.on_message(now, msg, build)) is not None:
             data = wire.encode(dispute)
             if len(data) > MAX_DATAGRAM:

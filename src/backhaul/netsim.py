@@ -498,25 +498,23 @@ class _Run:
         routes = self.prover.build_responses()
         self.tr(f"trigger t_ns={self.prover.trigger_ns} capped={self.prover.capped}")
         now = self.loop.now
-        for dest, msgs in routes:
+        for dest, msg in routes:
             if dest == VERIFIER:
-                self.loop.at(now + self.vprop, partial(self.to_verifier, *msgs))
+                self.loop.at(now + self.vprop, partial(self.to_verifier, msg))
                 continue
-            # one delivery carries both messages, each with its lower-layer
-            # headers, over the backhaul hop and then the uplink's
-            size = sum(len(wire.encode(msg)) + wire.LOWER_LAYER_BUDGET for msg in msgs)
+            # one datagram with its lower-layer headers, over the backhaul
+            # hop and then the uplink's
+            size = len(wire.encode(msg)) + wire.LOWER_LAYER_BUDGET
             rng, bh, up = self.rng_reverse[dest], self.bh_link, self.up_links[dest].spec
             d = _hop_ns(bh.spec, size, bh.rate_fn(now), rng) + _hop_ns(up, size, up.rate_bps, rng)
-            self.loop.at(now + d, partial(self.to_challenger, dest, msgs))
+            self.loop.at(now + d, partial(self.to_challenger, dest, msg))
 
-    def to_challenger(self, i: int, msgs) -> None:
+    def to_challenger(self, i: int, msg: wire.ResponsePacket) -> None:
         c, now = self.challengers[i], self.loop.now
-        reports = [c.on_message(now + self.offsets[i], msg) for msg in msgs]
+        rpt = self.plan.report_action(i, c.on_message(now + self.offsets[i], msg))
         self.tr(f"response challenger={i} t_ns={now} delta_ns={c.delta_ns}")
-        for rpt in reports:
-            rpt = self.plan.report_action(i, rpt)
-            if rpt is not None:
-                self.loop.at(now + self.vprop, partial(self.to_verifier, rpt))
+        if rpt is not None:
+            self.loop.at(now + self.vprop, partial(self.to_verifier, rpt))
 
     def to_verifier(self, msg) -> None:
         upheld = self.verifier.on_message(self.loop.now, msg)

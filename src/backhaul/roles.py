@@ -4,10 +4,14 @@ These classes are pure state machines and the whole control plane; they
 never touch sockets or clocks. Every role of one run is built from one
 `Session`, what all parties agree on before it starts, and its own
 keypair. Callers feed each role timestamped messages through
-`on_message`, send what `Prover.build_responses` routes and keep time, so
-the simulator and the live UDP harness share one set-up, one routing,
-one settle rule (see `Verifier`) and one dispute rule (`at_deadline`,
-answered once per id by `Prover.on_message`).
+`on_message`, send what `Prover.build_responses` routes, one response per
+party, and keep time, so the simulator and the live UDP harness share one
+set-up, one routing, one settle rule (see `Verifier`) and one dispute
+rule (`at_deadline`, answered once per id by `Prover.on_message`).
+
+A challenger takes its response whole: every check passes before it
+fixes δ and reports, and a refused response leaves only a count per
+reason, so no datagram can grow a challenger's state.
 
 Counting is capped everywhere at k per challenger. A challenger sends
 ceil(rho * k) probes so that loss does not starve the prover, but only
@@ -24,6 +28,7 @@ one per commitment read, and the freeze and a dispute's recount hash.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise
@@ -52,7 +57,6 @@ from .wire import (
     DisputeRequest,
     DisputeSubmission,
     ResponsePacket,
-    VerificationMessage,
     bitmap_from_sequences,
     sequences_from_bitmap,
 )
@@ -161,13 +165,13 @@ class Challenger:
             return levels, sign(secret_key, commitment_message(m0, challenger_id, limit, levels[-1]))
 
         self.commitment = Commitment(build)
-        self.delta_ns: int | None = None
-        self.receipt: bytes | None = None
-        self.root_seen: bytes | None = None
-        self.report_sent = False
+        self.delta_ns: int | None = None  # fixed by the accepted response
         self.failure: str | None = None
-        self.events: list[str] = []
-        self._stashed: list[VerificationMessage] = []  # verifications before the response
+        self.refusals: Counter[str] = Counter()  # refused responses, by the check they failed
+
+    @property
+    def report_sent(self) -> bool:
+        return self.delta_ns is not None
 
     def build_sends(self) -> list[tuple[int, ChallengePacket]]:
         """(send_time_ns, packet) pairs for the whole probe train."""
@@ -179,75 +183,51 @@ class Challenger:
         ]
 
     def on_message(self, now_ns: int, msg) -> ChallengerReport | None:
-        """Take a response or a verification; the report for the verifier, once."""
-        if isinstance(msg, ResponsePacket):
-            return self.on_response(now_ns, msg)
-        if isinstance(msg, VerificationMessage):
-            return self.on_verification(now_ns, msg)
-        return None
+        """Take the prover's response; the report for the verifier, once.
 
-    def on_response(self, now_ns: int, resp: ResponsePacket) -> ChallengerReport | None:
-        """First valid response freezes the timing measurement; returns the
-        report that the first good verification stashed before it yields."""
-        if self.delta_ns is not None or self.failure is not None:
+        A response is accepted whole or not at all. One that fails a check
+        of `_refute` is counted in `refusals` and otherwise ignored, so a
+        forgery cannot fail the challenger, whose genuine response may still
+        follow, and leaves no more than a count. Only an accepted response
+        fixes δ, and one that beats the round trip fails the challenger.
+        """
+        if not isinstance(msg, ResponsePacket) or self.delta_ns is not None or self.failure is not None:
             return None
-        if not verify(self.session.prover_public_key, resp.receipt + resp.root, resp.signature):
-            self.events.append("response_bad_signature")
+        if (reason := self._refute(msg)) is not None:
+            self.refusals[reason] += 1
             return None
         delta = now_ns - self.t_first_ns - 2 * self.latency_ns
         if delta <= 0:
             # a response cannot legitimately beat the round trip; a
             # prover that answered before our data reached it is cheating
             self.failure = "early_response"
-            self.events.append(f"early_response delta={delta}")
             return None
         self.delta_ns = delta
-        self.receipt = resp.receipt
-        self.root_seen = resp.root
-        stashed, self._stashed = self._stashed, []
-        for msg in stashed:
-            if (report := self.on_verification(now_ns, msg)) is not None:
-                return report
-        return None
-
-    def on_verification(self, now_ns: int, msg: VerificationMessage) -> ChallengerReport | None:
-        """Check the prover's receipt really covers probes we sent, then report.
-
-        A verification is unsigned, so one that fails a check is only
-        recorded in `events`: a forgery cannot fail the challenger, whose
-        genuine verification may still follow. Those that outrun the
-        response are stashed and replayed once it lands; datagrams may
-        reorder in transit.
-        """
-        if self.delta_ns is None and self.failure is None:
-            self._stashed.append(msg)
-        if self.delta_ns is None or self.report_sent:
-            return None
-        if (reason := self._refute(msg)) is not None:
-            self.events.append(reason)
-            return None
-        self.report_sent = True
         return ChallengerReport(
             challenger_id=self.id,
             prover_id=self.session.prover_id,
-            merkle_root_seen=self.root_seen,
-            rtt_ns=self.delta_ns,
+            merkle_root_seen=msg.root,
+            rtt_ns=delta,
             packets_acknowledged=msg.acked_count,
         )
 
-    def _refute(self, msg: VerificationMessage) -> str | None:
-        """The first check a verification fails, or None if it holds."""
+    def _refute(self, msg: ResponsePacket) -> str | None:
+        """The first check a response fails, or None if it holds: the prover's
+        signature, our id, the bitmap's size, the receipt over our own
+        secrets, the leaf index, and the receipt's path to the signed root."""
+        if not verify(self.session.prover_public_key, msg.receipt + msg.root, msg.signature):
+            return "response_bad_signature"
         if msg.challenger_id != self.id:
             return "verification_wrong_id"
         if msg.bitmap_bits != self._limit:
             return "bitmap_size"
         secrets = self._secrets
         entries = [(q, secrets[q - 1]) for q in sequences_from_bitmap(msg.bitmap, msg.bitmap_bits)]
-        if hash_packet_set(entries) != self.receipt:
+        if hash_packet_set(entries) != msg.receipt:
             return "receipt_mismatch"
         if msg.leaf_index != self.id - 1:
             return "leaf_index"
-        if not merkle_verify(self.root_seen, self.receipt, msg.leaf_index, msg.siblings):
+        if not merkle_verify(msg.root, msg.receipt, msg.leaf_index, msg.siblings):
             return "receipt_not_in_root"
         return None
 
@@ -340,16 +320,18 @@ class Prover:
             ]
         return self._snapshot
 
-    def build_responses(self) -> list[tuple[int, tuple]]:
-        """(destination, messages) in send order: each challenger's response
-        (receipt and root, signed) and verification (bitmap and inclusion
-        proof), by id, then the signed root to `VERIFIER`."""
+    def build_responses(self) -> list[tuple[int, ResponsePacket]]:
+        """(destination, response) in send order: each challenger's, by id,
+        its receipt and the root signed, with the bitmap and inclusion path
+        that check the receipt; then the signed root to `VERIFIER`."""
         root, stored = self._freeze()
         secret, bits = self.keypair.secret_key, self._limit
-        routes: list[tuple[int, tuple]] = []
+        routes: list[tuple[int, ResponsePacket]] = []
         for index, (pairs, receipt, path) in enumerate(stored):
-            response = ResponsePacket(receipt=receipt, root=root, signature=sign(secret, receipt + root))
-            verification = VerificationMessage(
+            response = ResponsePacket(
+                receipt=receipt,
+                root=root,
+                signature=sign(secret, receipt + root),
                 challenger_id=index + 1,
                 acked_count=len(pairs),
                 bitmap_bits=bits,
@@ -357,8 +339,8 @@ class Prover:
                 leaf_index=index,
                 siblings=path,
             )
-            routes.append((index + 1, (response, verification)))
-        routes.append((VERIFIER, (ResponsePacket(bytes(32), root, sign(secret, bytes(32) + root)),)))
+            routes.append((index + 1, response))
+        routes.append((VERIFIER, ResponsePacket(bytes(32), root, sign(secret, bytes(32) + root))))
         return routes
 
     def on_message(self, now_ns: int, msg, build_dispute=None) -> DisputeSubmission | None:

@@ -21,6 +21,11 @@ Each field kind enforces its share of that rule on both sides:
   PADDING      zero bytes up to CHALLENGE_PAYLOAD_LEN
 and a datagram ends where its last field does.
 
+The prover answers each party with one `ResponsePacket`: its signed
+receipt and root and, for a challenger, the bitmap and inclusion path
+that check that receipt, so a challenger takes or refuses each answer
+whole and keeps nothing while it waits for another datagram.
+
 A challenge packet is a fixed 1472-byte payload, 1514 bytes on the wire
 with the 42-byte lower-layer budget: 141 bytes of header, secret and
 signed commitment, then q's path and zero padding. A path of up to 41
@@ -37,7 +42,6 @@ from .crypto import DIGEST_LEN, SIG_LEN, Commitment, SignedRoot
 
 TAG_CHALLENGE = 0x01
 TAG_RESPONSE = 0x02
-TAG_VERIFICATION = 0x03
 TAG_REPORT = 0x04
 TAG_DISPUTE = 0x05
 TAG_PING_REQUEST = 0x06
@@ -80,23 +84,21 @@ class ChallengePacket(NamedTuple):
 
 @dataclass(frozen=True)
 class ResponsePacket:
-    """Prover receipt: per-challenger digest, tree root, prover signature."""
+    """The prover's one answer to a party: its receipt, the root of the
+    receipts' tree and its signature over receipt + root, with what lets a
+    challenger check the receipt: the bitmap of the probes it covers and its
+    inclusion path at `leaf_index`. The verifier's copy has a zero receipt
+    and keeps the defaults: id 0, nothing acknowledged and no path."""
 
     receipt: bytes
     root: bytes
     signature: bytes
-
-
-@dataclass(frozen=True)
-class VerificationMessage:
-    """Prover-to-challenger acknowledgment bitmap plus Merkle path."""
-
-    challenger_id: int
-    acked_count: int
-    bitmap_bits: int
-    bitmap: bytes
-    leaf_index: int
-    siblings: tuple[bytes, ...]
+    challenger_id: int = 0
+    acked_count: int = 0
+    bitmap_bits: int = 0
+    bitmap: bytes = b""
+    leaf_index: int = 0
+    siblings: tuple[bytes, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -195,14 +197,16 @@ LAYOUTS: dict[type, tuple[int, tuple[Field, ...]]] = {
         Field("siblings", SIBLINGS),
         Field("padding", PADDING),
     )),
-    ResponsePacket: (TAG_RESPONSE, (Field("receipt", DIGEST_LEN), Field("root", DIGEST_LEN), Field("signature", SIG_LEN))),
-    VerificationMessage: (TAG_VERIFICATION, (
+    ResponsePacket: (TAG_RESPONSE, (
         Field("challenger_id", "I"),
         Field("acked_count", "I"),
         Field("bitmap_bits", "I"),
         Field("bitmap", BITMAP),
         Field("leaf_index", "I"),
         Field("siblings", SIBLINGS),
+        Field("receipt", DIGEST_LEN),
+        Field("root", DIGEST_LEN),
+        Field("signature", SIG_LEN),
     )),
     ChallengerReport: (TAG_REPORT, (
         Field("challenger_id", "I"),

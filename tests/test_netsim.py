@@ -439,6 +439,43 @@ class TestSignsPerRun:
         assert stored < res.params.n * res.params.signatures_per_challenger
 
 
+class TestResponseSize:
+    def test_each_challenger_delivery_is_charged_the_one_datagram_routed_to_it(self, monkeypatch):
+        # the size model and the wire cannot drift apart: a challenger's
+        # delivery costs its response's encoding plus the lower-layer budget,
+        # the datagram `live.serve_prover` sends, on the backhaul hop and the uplink's
+        routes, sizes, responding = [], [], []
+        real_build, real_respond, real_hop = roles.Prover.build_responses, netsim._Run.respond, netsim._hop_ns
+
+        def build(prover):
+            out = real_build(prover)
+            routes.extend(out)
+            return out
+
+        def respond(run):
+            responding.append(True)
+            real_respond(run)
+            responding.clear()
+
+        def hop(link, size_bytes, rate_bps, rng):
+            if responding:
+                sizes.append(size_bytes)
+            return real_hop(link, size_bytes, rate_bps, rng)
+
+        monkeypatch.setattr(roles.Prover, "build_responses", build)
+        monkeypatch.setattr(netsim._Run, "respond", respond)
+        monkeypatch.setattr(netsim, "_hop_ns", hop)
+        res = run_scenario(load_bundled("honest_250"), seed=0, collect_trace=False)
+        assert res.terminated
+        to_challengers = [msg for dest, msg in routes if dest != roles.VERIFIER]
+        assert len(to_challengers) == res.params.n
+        assert all(isinstance(msg, wire.ResponsePacket) for msg in to_challengers)
+        assert sizes == [
+            len(wire.encode(msg)) + wire.LOWER_LAYER_BUDGET
+            for msg in to_challengers for _ in ("backhaul", "uplink")
+        ]
+
+
 class TestClampedSends:
     """First probes whose true send time t - offset falls before zero."""
 

@@ -37,7 +37,7 @@ from backhaul.wire import (
     ChallengerReport,
     DisputeRequest,
     DisputeSubmission,
-    VerificationMessage,
+    ResponsePacket,
     bitmap_from_sequences,
     sequences_from_bitmap,
 )
@@ -130,16 +130,12 @@ def deliver_all(w, skip=()):
 
 
 def answer(prover):
-    """`prover.build_responses()` by role: each challenger's response and
-    verification by id, and the root `announcement` for the verifier."""
+    """`prover.build_responses()` by role: each challenger's response by id,
+    and the root `announcement` for the verifier."""
     routes = prover.build_responses()
     assert [dest for dest, _ in routes] == [*range(1, prover.params.n + 1), VERIFIER]
-    *to_challengers, (_, (root,)) = routes
-    return SimpleNamespace(
-        responses={i: response for i, (response, _) in to_challengers},
-        verifications={i: verification for i, (_, verification) in to_challengers},
-        announcement=root,
-    )
+    *to_challengers, (_, root) = routes
+    return SimpleNamespace(responses=dict(to_challengers), announcement=root)
 
 
 def finish(w, respond_at=5 * MS, report_ids=None):
@@ -148,8 +144,7 @@ def finish(w, respond_at=5 * MS, report_ids=None):
     w.verifier.on_root(respond_at, bundle.announcement)
     reports = {}
     for i, c in w.challengers.items():
-        c.on_response(respond_at, bundle.responses[i])
-        rpt = c.on_verification(respond_at, bundle.verifications[i])
+        rpt = c.on_message(respond_at, bundle.responses[i])
         if rpt is not None:
             reports[i] = rpt
     for i in report_ids if report_ids is not None else sorted(reports):
@@ -217,7 +212,7 @@ class TestHappyPath:
         bundle = answer(w.prover)
         c1 = w.challengers[1]
         # c1 starts at t0 (it is the slowest), so delta = now - 0 - 2 * 10ms
-        c1.on_response(45 * MS, bundle.responses[1])
+        c1.on_message(45 * MS, bundle.responses[1])
         assert c1.delta_ns == 25 * MS
 
 
@@ -402,11 +397,11 @@ class TestAdmission:
 
 
 def assert_ignored_then_genuine_reports(challenger, reason, genuine):
-    """An unsigned verification that fails a check is recorded and ignored:
-    the challenger has not failed and still reports on the genuine one."""
+    """A response that fails a check is counted and ignored: the challenger
+    has not failed and still reports on the genuine one."""
     assert challenger.failure is None and not challenger.report_sent
-    assert challenger.events[-1] == reason
-    rpt = challenger.on_verification(7 * MS, genuine)
+    assert challenger.refusals == {reason: 1}
+    rpt = challenger.on_message(7 * MS, genuine)
     assert rpt is not None and rpt.packets_acknowledged == genuine.acked_count
 
 
@@ -416,11 +411,11 @@ class TestChallengerChecks:
         deliver_all(w)
         bundle = answer(w.prover)
         r = bundle.responses[1]
-        forged = type(r)(r.receipt, r.root, bytes([r.signature[0] ^ 1]) + r.signature[1:])
+        forged = dataclasses.replace(r, signature=bytes([r.signature[0] ^ 1]) + r.signature[1:])
         c = w.challengers[1]
-        c.on_response(5 * MS, forged)
+        assert c.on_message(5 * MS, forged) is None
         assert c.delta_ns is None
-        assert "response_bad_signature" in c.events
+        assert_ignored_then_genuine_reports(c, "response_bad_signature", r)
 
     def test_early_response_flagged(self):
         lat = [10 * MS, 0, 0]
@@ -428,9 +423,9 @@ class TestChallengerChecks:
         deliver_all(w)
         bundle = answer(w.prover)
         c = w.challengers[1]
-        c.on_response(15 * MS, bundle.responses[1])  # beats the 20ms round trip
+        assert c.on_message(15 * MS, bundle.responses[1]) is None  # beats the 20ms round trip
         assert c.failure == "early_response"
-        assert c.on_verification(16 * MS, bundle.verifications[1]) is None
+        assert c.on_message(16 * MS, bundle.responses[1]) is None
 
     def test_receipt_over_foreign_set_rejected(self):
         w = world(rho=1.2)
@@ -443,76 +438,38 @@ class TestChallengerChecks:
         assert w.prover.trigger_ns is not None
         bundle = answer(w.prover)
         c1 = w.challengers[1]
-        c1.on_response(5 * MS, bundle.responses[1])
-        v = bundle.verifications[1]
-        claim_all = VerificationMessage(
-            challenger_id=1,
-            acked_count=6,
-            bitmap_bits=6,
-            bitmap=bitmap_from_sequences([1, 2, 3, 4, 5, 6], 6),
-            leaf_index=0,
-            siblings=v.siblings,
-        )
-        assert c1.on_verification(6 * MS, claim_all) is None
-        assert_ignored_then_genuine_reports(c1, "receipt_mismatch", v)
+        r = bundle.responses[1]
+        claim_all = dataclasses.replace(r, acked_count=6, bitmap=bitmap_from_sequences([1, 2, 3, 4, 5, 6], 6))
+        assert c1.on_message(6 * MS, claim_all) is None
+        assert_ignored_then_genuine_reports(c1, "receipt_mismatch", r)
 
     def test_wrong_leaf_index_rejected(self):
         w = world()
         deliver_all(w)
         bundle = answer(w.prover)
         c1 = w.challengers[1]
-        c1.on_response(5 * MS, bundle.responses[1])
-        v = bundle.verifications[1]
-        shifted = VerificationMessage(1, v.acked_count, v.bitmap_bits, v.bitmap, 1, v.siblings)
-        assert c1.on_verification(6 * MS, shifted) is None
-        assert_ignored_then_genuine_reports(c1, "leaf_index", v)
+        r = bundle.responses[1]
+        assert c1.on_message(6 * MS, dataclasses.replace(r, leaf_index=1)) is None
+        assert_ignored_then_genuine_reports(c1, "leaf_index", r)
 
     def test_wrong_bitmap_size_rejected(self):
         w = world()
         deliver_all(w)
         bundle = answer(w.prover)
         c1 = w.challengers[1]
-        c1.on_response(5 * MS, bundle.responses[1])
-        v = bundle.verifications[1]
-        short = VerificationMessage(
-            1, 3, 4, bitmap_from_sequences([1, 2, 3], 4), 0, v.siblings
-        )
-        assert c1.on_verification(6 * MS, short) is None
-        assert_ignored_then_genuine_reports(c1, "bitmap_size", v)
+        r = bundle.responses[1]
+        short = dataclasses.replace(r, acked_count=3, bitmap_bits=4, bitmap=bitmap_from_sequences([1, 2, 3], 4))
+        assert c1.on_message(6 * MS, short) is None
+        assert_ignored_then_genuine_reports(c1, "bitmap_size", r)
 
     def test_reports_only_once(self):
         w = world()
         deliver_all(w)
         bundle = answer(w.prover)
         c1 = w.challengers[1]
-        c1.on_response(5 * MS, bundle.responses[1])
-        assert c1.on_verification(6 * MS, bundle.verifications[1]) is not None
-        assert c1.on_verification(7 * MS, bundle.verifications[1]) is None
-
-    def test_verification_before_response_is_replayed(self):
-        w = world()
-        deliver_all(w)
-        bundle = answer(w.prover)
-        c1 = w.challengers[1]
-        assert c1.on_message(5 * MS, bundle.verifications[1]) is None  # stashed
-        rpt = c1.on_message(6 * MS, bundle.responses[1])
-        assert rpt is not None
-        assert (rpt.rtt_ns, rpt.packets_acknowledged) == (6 * MS, 5)
-        assert c1.report_sent
-        assert c1.on_message(7 * MS, bundle.verifications[1]) is None
-
-    def test_forgery_stashed_after_the_genuine_verification_cannot_displace_it(self):
-        w = world()
-        deliver_all(w)
-        bundle = answer(w.prover)
-        c1 = w.challengers[1]
-        v = bundle.verifications[1]
-        forged = VerificationMessage(1, v.acked_count, v.bitmap_bits, v.bitmap, 1, v.siblings)
-        assert c1.on_message(5 * MS, v) is None  # stashed
-        assert c1.on_message(5 * MS, forged) is None  # stashed after it
-        rpt = c1.on_message(6 * MS, bundle.responses[1])
-        assert rpt is not None and rpt.packets_acknowledged == v.acked_count
-        assert c1.failure is None and c1.report_sent
+        assert c1.on_message(6 * MS, bundle.responses[1]) is not None
+        assert c1.on_message(7 * MS, bundle.responses[1]) is None
+        assert c1.delta_ns == 6 * MS and not c1.refusals
 
     def test_receipt_matches_own_hash(self):
         w = world()
@@ -522,6 +479,60 @@ class TestChallengerChecks:
         secrets = probe_secrets(c1.keypair.secret_key, w.params.m0, w.params.signatures_per_challenger)
         own = hash_packet_set([(q, secrets[q - 1]) for q in range(1, w.params.k + 1)])
         assert bundle.responses[1].receipt == own
+
+
+def footprint(obj):
+    """Bytes each attribute holds, counting one level into a container."""
+    def size(v):
+        inner = v.items() if isinstance(v, dict) else v if isinstance(v, (list, tuple)) else ()
+        return sys.getsizeof(v) + sum(sys.getsizeof(x) for x in inner)
+
+    return {name: size(v) for name, v in vars(obj).items()}
+
+
+class TestOneResponse:
+    """A challenger takes one datagram, whole: nothing it refuses fixes its
+    δ or grows its state, and its genuine response reports after any of them."""
+
+    def test_another_challengers_genuine_response_is_refused_and_leaves_delta_open(self):
+        w = world(rho=1.2)
+        store_unevenly(w)
+        bundle = answer(w.prover)
+        c1, c2 = w.challengers[1], w.challengers[2]
+        assert c1.on_message(11 * MS, bundle.responses[2]) is None
+        assert c1.refusals == {"verification_wrong_id": 1}
+        assert c1.delta_ns is None and c1.failure is None and not c1.report_sent
+        rpt = c1.on_message(12 * MS, bundle.responses[1])
+        assert (rpt.challenger_id, rpt.rtt_ns, rpt.packets_acknowledged) == (1, 12 * MS - c1.t_first_ns, 3)
+        assert rpt.merkle_root_seen == bundle.announcement.root
+        assert c2.on_message(13 * MS, bundle.responses[2]).packets_acknowledged == 2
+
+    def test_two_thousand_forgeries_leave_no_trace_but_a_count(self):
+        w = world(rho=1.2)
+        deliver_all(w)
+        r = answer(w.prover).responses[1]
+        c1, bits = w.challengers[1], r.bitmap_bits
+        rng = random.Random(5)
+
+        def forged(j):
+            if j % 2:  # a tampered signature
+                return dataclasses.replace(r, signature=rng.randbytes(64))
+            # a genuine signature over a receipt the bitmap does not hash to
+            seqs = sorted(rng.sample(range(1, bits + 1), rng.randint(0, bits)))
+            if seqs == sequences_from_bitmap(r.bitmap, bits):
+                seqs = seqs[1:]
+            return dataclasses.replace(r, acked_count=len(seqs), bitmap=bitmap_from_sequences(seqs, bits))
+
+        for j in range(2):
+            assert c1.on_message(5 * MS, forged(j)) is None
+        before = footprint(c1)
+        for j in range(2_000):
+            assert c1.on_message(5 * MS, forged(j)) is None
+        assert footprint(c1) == before
+        assert c1.refusals == {"receipt_mismatch": 1_001, "response_bad_signature": 1_001}
+        assert c1.delta_ns is None and c1.failure is None
+        rpt = c1.on_message(6 * MS, r)
+        assert (rpt.rtt_ns, rpt.packets_acknowledged) == (6 * MS - c1.t_first_ns, 5)
 
 
 class TestCommitments:
@@ -855,8 +866,7 @@ class TestVerifier:
         bundle = answer(w.prover)
         reports = []
         for i, c in w.challengers.items():
-            c.on_response(5 * MS, bundle.responses[i])
-            reports.append(c.on_verification(5 * MS, bundle.verifications[i]))
+            reports.append(c.on_message(5 * MS, bundle.responses[i]))
         for r in reports:
             w.verifier.on_report(5 * MS, r)
         assert w.verifier.output is None
@@ -1009,8 +1019,7 @@ class TestVerifier:
         w.verifier.on_root(5 * MS, bundle.announcement)
         for i in (1, 2, 3):
             c = w.challengers[i]
-            c.on_response((5 + i) * MS, bundle.responses[i])
-            w.verifier.on_report((5 + i) * MS, c.on_verification((5 + i) * MS, bundle.verifications[i]))
+            w.verifier.on_report((5 + i) * MS, c.on_message((5 + i) * MS, bundle.responses[i]))
         assert w.verifier.output is None  # timer mode never fires lazily
         out = w.verifier.evaluate(20 * MS)
         assert out is not None
@@ -1032,16 +1041,11 @@ class TestVerifier:
         deliver_all(w)
         routes = w.prover.build_responses()
         assert [dest for dest, _ in routes] == [1, 2, 3, VERIFIER]
-        reports = [
-            w.challengers[dest].on_message(5 * MS, msg)
-            for dest, msgs in routes[:-1]
-            for msg in msgs
-        ]
+        reports = [w.challengers[dest].on_message(5 * MS, msg) for dest, msg in routes[:-1]]
         for rpt in filter(None, reports):
             assert w.verifier.on_message(5 * MS, rpt) is False  # buffered until the root
         assert w.verifier.output is None
-        (root,) = routes[-1][1]
-        w.verifier.on_message(6 * MS, root)
+        w.verifier.on_message(6 * MS, routes[-1][1])
         assert w.verifier.output.cnt == 15
 
     def test_lazy_evaluate_never_settles_on_partial_reports(self):
@@ -1065,10 +1069,10 @@ class TestOneSnapshot:
         store_unevenly(w)
         bundle = answer(w.prover)
         for i in range(1, w.params.n + 1):
-            dispute, verification = w.prover.build_dispute(i), bundle.verifications[i]
-            assert hash_packet_set(dispute.packets) == bundle.responses[i].receipt
-            assert dispute.siblings == verification.siblings
-            assert [q for q, _ in dispute.packets] == sequences_from_bitmap(verification.bitmap, verification.bitmap_bits)
+            dispute, response = w.prover.build_dispute(i), bundle.responses[i]
+            assert hash_packet_set(dispute.packets) == response.receipt
+            assert dispute.siblings == response.siblings
+            assert [q for q, _ in dispute.packets] == sequences_from_bitmap(response.bitmap, response.bitmap_bits)
             assert w.prover.build_dispute(i) == dispute
         assert w.prover.build_dispute(0) is None
         assert w.prover.build_dispute(w.params.n + 1) is None

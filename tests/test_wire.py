@@ -135,17 +135,21 @@ def test_full_transmission_slot_arithmetic():
 
 
 def test_response_all_zero_payload_after_tag():
+    # the verifier's form: id 0, nothing acknowledged, no path
     pkt = wire.ResponsePacket(receipt=bytes(32), root=bytes(32), signature=bytes(64))
     data = wire.encode(pkt)
-    assert len(data) == 129
+    assert len(data) == 147
     assert data[0] == 0x02
-    assert data[1:] == bytes(128)
+    assert data[1:] == bytes(146)
     assert wire.decode(data) == pkt
 
 
 def test_response_round_trip():
-    pkt = wire.ResponsePacket(receipt=b"\x01" * 32, root=b"\x02" * 32, signature=b"\x03" * 64)
-    assert wire.decode(wire.encode(pkt)) == pkt
+    for pkt in (
+        wire.ResponsePacket(receipt=b"\x01" * 32, root=b"\x02" * 32, signature=b"\x03" * 64),
+        make_verification(),
+    ):
+        assert wire.decode(wire.encode(pkt)) == pkt
 
 
 def test_bitmap_helpers_msb_first():
@@ -173,8 +177,13 @@ def test_bitmap_helpers_match_bit_loop(data):
 
 
 def make_verification(acked=(1, 3, 10), bits=12):
+    """A challenger's response: its receipt and the signed root, with the
+    bitmap and path that check the receipt."""
     bm = wire.bitmap_from_sequences(acked, bits)
-    return wire.VerificationMessage(
+    return wire.ResponsePacket(
+        receipt=b"\x01" * 32,
+        root=b"\x02" * 32,
+        signature=b"\x03" * 64,
         challenger_id=4,
         acked_count=len(acked),
         bitmap_bits=bits,
@@ -185,20 +194,13 @@ def make_verification(acked=(1, 3, 10), bits=12):
 
 
 def test_verification_round_trip():
-    msg = make_verification()
-    assert wire.decode(wire.encode(msg)) == msg
+    for msg in (make_verification(), make_verification(acked=(), bits=0)):
+        assert wire.decode(wire.encode(msg)) == msg
 
 
 def test_verification_rejects_popcount_mismatch():
     msg = make_verification()
-    bad = wire.VerificationMessage(
-        challenger_id=msg.challenger_id,
-        acked_count=msg.acked_count + 1,
-        bitmap_bits=msg.bitmap_bits,
-        bitmap=msg.bitmap,
-        leaf_index=msg.leaf_index,
-        siblings=msg.siblings,
-    )
+    bad = dataclasses.replace(msg, acked_count=msg.acked_count + 1)
     with pytest.raises(wire.WireError, match="acked_count"):
         wire.encode(bad)
     raw = bytearray(wire.encode(msg))
@@ -210,9 +212,7 @@ def test_verification_rejects_popcount_mismatch():
 def test_verification_rejects_trailing_bitmap_bits():
     bm = bytearray(wire.bitmap_from_sequences([1], 12))
     bm[1] |= 0x01  # bit 16, beyond bitmap_bits=12
-    msg = wire.VerificationMessage(
-        challenger_id=1, acked_count=2, bitmap_bits=12, bitmap=bytes(bm), leaf_index=0, siblings=()
-    )
+    msg = dataclasses.replace(make_verification(), acked_count=2, bitmap=bytes(bm))
     with pytest.raises(wire.WireError, match="bitmap"):
         wire.encode(msg)
 
@@ -290,7 +290,6 @@ def test_tags_are_distinct():
     tags = [
         wire.TAG_CHALLENGE,
         wire.TAG_RESPONSE,
-        wire.TAG_VERIFICATION,
         wire.TAG_REPORT,
         wire.TAG_DISPUTE,
         wire.TAG_PING_REQUEST,
@@ -323,9 +322,12 @@ def test_challenge_round_trip_property(data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_verification_round_trip_property(data):
-    bits = data.draw(st.integers(min_value=1, max_value=300))
-    seqs = data.draw(st.sets(st.integers(min_value=1, max_value=bits), max_size=bits))
-    msg = wire.VerificationMessage(
+    bits = data.draw(st.integers(min_value=0, max_value=300))
+    seqs = data.draw(st.sets(st.integers(min_value=1, max_value=max(bits, 1)), max_size=bits))
+    msg = wire.ResponsePacket(
+        receipt=data.draw(st.binary(min_size=32, max_size=32)),
+        root=data.draw(st.binary(min_size=32, max_size=32)),
+        signature=data.draw(st.binary(min_size=64, max_size=64)),
         challenger_id=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
         acked_count=len(seqs),
         bitmap_bits=bits,
@@ -386,14 +388,24 @@ def test_dispute_round_trip_property(data):
 
 
 def test_response_layout_hand_built():
+    # the verifier's form
     pkt = wire.ResponsePacket(receipt=b"\x01" * 32, root=b"\x02" * 32, signature=b"\x03" * 64)
-    assert wire.encode(pkt) == b"\x02" + b"\x01" * 32 + b"\x02" * 32 + b"\x03" * 64
+    expected = (
+        b"\x02"
+        + struct.pack(">III", 0, 0, 0)  # challenger_id, acked_count, bitmap_bits; no bitmap bytes
+        + struct.pack(">I", 0)  # leaf_index
+        + struct.pack(">H", 0)  # no siblings
+        + b"\x01" * 32
+        + b"\x02" * 32
+        + b"\x03" * 64
+    )
+    assert wire.encode(pkt) == expected
 
 
 def test_verification_layout_hand_built():
     msg = make_verification(acked=(1, 3, 10), bits=12)
     expected = (
-        b"\x03"
+        b"\x02"
         + struct.pack(">I", 4)  # challenger_id
         + struct.pack(">I", 3)  # acked_count
         + struct.pack(">I", 12)  # bitmap_bits
@@ -402,6 +414,9 @@ def test_verification_layout_hand_built():
         + struct.pack(">H", 2)  # sibling count
         + b"\x05" * 32
         + b"\x06" * 32
+        + b"\x01" * 32  # receipt
+        + b"\x02" * 32  # root
+        + b"\x03" * 64  # signature
     )
     assert wire.encode(msg) == expected
 
