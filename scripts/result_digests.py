@@ -25,6 +25,27 @@ It prints each differing case, the count of identical ones, and last the
 differing cases counted per group, a group being a case name up to its
 last `/`.
 
+`--verdicts` digests each simulated case (runs and ladder rungs, no
+config or artifact cases) over VERDICTS instead of LISTED: whether it
+terminated, who timed out or failed, what the verifier rejected, and the
+verdict's counts, with no timing and no figure. Two checkouts whose
+`--verdicts` outputs compare identical reached the same verdicts on every
+case, however far their measured rates moved.
+
+A change that moves timings on purpose, such as a shorter message, is
+checked against a size-only reference: a copy of the parent that
+charges the same bytes but keeps the old code, for a shorter response
+by editing the one `size` line of `_Run.respond`. The change must
+compare identical to that copy on every case, full and golden; against
+the parent itself, list the moved cases by group and show that
+`--verdicts --compare` is identical:
+
+    git archive PARENT | tar -x -C ref   # then edit ref's _Run.respond
+    PYTHONPATH=ref/src python3 scripts/result_digests.py > ref.json
+    PYTHONPATH=src python3 scripts/result_digests.py --compare ref.json
+    PYTHONPATH=/path/to/parent/src python3 scripts/result_digests.py --verdicts > verdicts.json
+    PYTHONPATH=src python3 scripts/result_digests.py --verdicts --compare verdicts.json
+
 Case sets:
   full    every bundled scenario x seeds 0-2, ladder climbs of the three
           cross-traffic scenarios at seeds 7 and 8 (one case per rung),
@@ -43,7 +64,7 @@ Case sets:
           verdicts and of one short ladder climb (tests/golden_digests.json
           pins them)
 
-Usage: python3 scripts/result_digests.py [--cases full|golden] [--compare FILE]
+Usage: python3 scripts/result_digests.py [--cases full|golden] [--verdicts] [--compare FILE]
 """
 
 from __future__ import annotations
@@ -116,6 +137,12 @@ LISTED = {
     ),
 }
 
+# the verdict-level values, for `--verdicts`
+VERDICTS = {
+    SimResult: ("terminated", "timed_out", "challenger_failures", "rejections", "output"),
+    PoBOutput: ("cnt", "reports_used", "disputes_upheld", "per_challenger"),
+}
+
 LOSSY_BACKHAUL = {
     "backhaul_loss_prob": 0.02,
     "backhaul_jitter_stddev_ns": 200_000,
@@ -145,26 +172,27 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def encode(value):
-    """`value` as JSON data, by the rules in the module docstring."""
-    names = LISTED.get(type(value))
+def encode(value, table=LISTED):
+    """`value` as JSON data, by the rules in the module docstring, a record
+    by the names `table` lists for its class."""
+    names = table.get(type(value))
     if names is not None:
-        return {name: encode(getattr(value, name)) for name in names}
+        return {name: encode(getattr(value, name), table) for name in names}
     if value is None or type(value) in (bool, int, str):
         return value
     if type(value) in (float, bytes):
         return value.hex()
     if isinstance(value, enum.Enum):
-        return encode(value.value)
+        return encode(value.value, table)
     if type(value) is tuple:
-        return [encode(v) for v in value]
+        return [encode(v, table) for v in value]
     if type(value) is dict:
-        return [[encode(k), encode(v)] for k, v in sorted(value.items())]
+        return [[encode(k, table), encode(v, table)] for k, v in sorted(value.items())]
     raise TypeError(f"no digest encoding for {type(value).__name__}")
 
 
-def digest(res) -> str:
-    return sha(json.dumps(encode(res), sort_keys=True, separators=(",", ":")).encode())
+def digest(res, table=LISTED) -> str:
+    return sha(json.dumps(encode(res, table), sort_keys=True, separators=(",", ":")).encode())
 
 
 def report_artifacts(name: str, cfg, seeds) -> dict[str, str]:
@@ -316,8 +344,9 @@ def artifact_digests() -> dict[str, str]:
     return out
 
 
-def ladder_digests() -> dict[str, str]:
-    """One digest per rung, taken from the runs `run_ladder` makes, and the climb's artifacts."""
+def ladder_digests(table=LISTED) -> dict[str, str]:
+    """One digest per rung, taken from the runs `run_ladder` makes, and
+    under LISTED the climb's artifacts."""
     out: dict[str, str] = {}
     real = ladder.run_scenario
     for name in LADDERS:
@@ -335,21 +364,26 @@ def ladder_digests() -> dict[str, str]:
                 climb = ladder.run_ladder(cfg, seed=seed)
             finally:
                 ladder.run_scenario = real
-            out.update(ladder_artifacts(f"artifact/ladder/{name}/seed{seed}", cfg, seed, climb))
+            if table is LISTED:
+                out.update(ladder_artifacts(f"artifact/ladder/{name}/seed{seed}", cfg, seed, climb))
             for i, res in enumerate(rungs):
-                out[f"ladder/{name}/seed{seed}/rung{i}"] = digest(res)
+                out[f"ladder/{name}/seed{seed}/rung{i}"] = digest(res, table)
     return out
 
 
-def compute(which: str) -> dict[str, str]:
+def compute(which: str, table=LISTED) -> dict[str, str]:
+    """The digests of case set `which`; under VERDICTS, of its simulated cases only."""
+    artifacts = table is LISTED
     if which == "golden":
-        out = {f"golden/{name}": digest(run_scenario(cfg, seed)) for name, cfg, seed in golden_cases()}
-        out.update(golden_artifacts())
+        out = {f"golden/{name}": digest(run_scenario(cfg, seed), table) for name, cfg, seed in golden_cases()}
+        if artifacts:
+            out.update(golden_artifacts())
         return out
-    out = {name: digest(run_scenario(cfg, seed)) for name, cfg, seed in full_cases()}
-    out.update(ladder_digests())
-    out.update(config_digests())
-    out.update(artifact_digests())
+    out = {name: digest(run_scenario(cfg, seed), table) for name, cfg, seed in full_cases()}
+    out.update(ladder_digests(table))
+    if artifacts:
+        out.update(config_digests())
+        out.update(artifact_digests())
     return out
 
 
@@ -371,9 +405,10 @@ def compared(expected: dict[str, str], got: dict[str, str]) -> list[str]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--cases", choices=("full", "golden"), default="full")
+    ap.add_argument("--verdicts", action="store_true", help="digest the simulated cases over VERDICTS only")
     ap.add_argument("--compare", metavar="FILE", help="digests to compare against; exit 1 on any difference")
     args = ap.parse_args()
-    got = compute(args.cases)
+    got = compute(args.cases, VERDICTS if args.verdicts else LISTED)
     if args.compare is None:
         print(json.dumps(got, indent=1, sort_keys=True))
         return 0

@@ -162,7 +162,7 @@ class AttackPlan:
         packets = tuple((q, rng.randbytes(32)) for q in range(1, min(p.k, 8) + 1))
         commitment = SignedRoot(rng.randbytes(32), rng.randbytes(64))
         siblings = tuple(rng.randbytes(32) for _ in range(max(1, (p.n - 1).bit_length())))
-        return DisputeSubmission(challenger_id, packets, commitment, (), challenger_id - 1, siblings)
+        return DisputeSubmission(challenger_id, packets, commitment, (), siblings)
 
 
 def fuzz_strategies(seed: int, n: int, f: int) -> AttackSpec:

@@ -65,8 +65,6 @@ from .schedule import (
     send_schedule,
 )
 
-PROVER_ID = 1
-
 _PING_WIRE_BYTES = len(wire.encode(wire.PingRequest(challenger_id=1, nonce=0))) + wire.LOWER_LAYER_BUDGET
 
 # Response build latency vs claimed rate: a frozen latency model, not a
@@ -391,7 +389,7 @@ def session_for(proto: ProtocolSpec, attack: AttackSpec, seed: int) -> tuple[Ses
     params = derive_params(proto, derived("m0"))
     cpubs = {i: key.public_key for i, key in ckeys.items()}
     deadline_ns = proto.t0_ns + round(proto.verifier_deadline_factor * proto.duration_ns)
-    return Session(params, PROVER_ID, pkey.public_key, cpubs, deadline_ns, attack), pkey, ckeys
+    return Session(params, pkey.public_key, cpubs, deadline_ns, attack), pkey, ckeys
 
 
 class _Run:

@@ -10,8 +10,10 @@ set-up, one routing, one settle rule (see `Verifier`) and one dispute
 rule (`at_deadline`, answered once per id by `Prover.on_message`).
 
 A challenger takes its response whole: every check passes before it
-fixes δ and reports, and a refused response leaves only a count per
-reason, so no datagram can grow a challenger's state.
+fixes δ and reports the count it read from the bitmap, and a refused
+response leaves only a count per reason, so no datagram can grow a
+challenger's state. Its receipt is checked at its own leaf, id - 1, as a
+dispute's is by the verifier.
 
 Counting is capped everywhere at k per challenger. A challenger sends
 ceil(rho * k) probes so that loss does not starve the prover, but only
@@ -74,7 +76,6 @@ class Session:
     """
 
     params: ChallengeParams
-    prover_id: int
     prover_public_key: bytes
     challenger_public_keys: dict[int, bytes]
     deadline_ns: int
@@ -178,7 +179,7 @@ class Challenger:
         t1, cid, limit, commitment = self.t_first_ns, self.id, self._limit, self.commitment
         layout = _train_layout(limit, self.params.spacing_ns)
         return [
-            (t1 + offset, _new_tuple(ChallengePacket, (cid, q, limit, secret, commitment, MerklePath(commitment, q - 1))))
+            (t1 + offset, _new_tuple(ChallengePacket, (cid, q, secret, commitment, MerklePath(commitment, q - 1))))
             for (offset, q), secret in zip(layout, self._secrets)
         ]
 
@@ -193,8 +194,8 @@ class Challenger:
         """
         if not isinstance(msg, ResponsePacket) or self.delta_ns is not None or self.failure is not None:
             return None
-        if (reason := self._refute(msg)) is not None:
-            self.refusals[reason] += 1
+        if isinstance(outcome := self._refute(msg), str):
+            self.refusals[outcome] += 1
             return None
         delta = now_ns - self.t_first_ns - 2 * self.latency_ns
         if delta <= 0:
@@ -205,31 +206,28 @@ class Challenger:
         self.delta_ns = delta
         return ChallengerReport(
             challenger_id=self.id,
-            prover_id=self.session.prover_id,
             merkle_root_seen=msg.root,
             rtt_ns=delta,
-            packets_acknowledged=msg.acked_count,
+            packets_acknowledged=outcome,
         )
 
-    def _refute(self, msg: ResponsePacket) -> str | None:
-        """The first check a response fails, or None if it holds: the prover's
-        signature, our id, the bitmap's size, the receipt over our own
-        secrets, the leaf index, and the receipt's path to the signed root."""
+    def _refute(self, msg: ResponsePacket) -> str | int:
+        """The first check a response fails, or, if all hold, the number of
+        probes it acknowledges: the prover's signature, the bitmap's size, the
+        receipt over our own secrets at the bitmap's entries, and the
+        receipt's path to the signed root at our leaf, id - 1. A response
+        meant for another challenger fails the receipt or the path check."""
         if not verify(self.session.prover_public_key, msg.receipt + msg.root, msg.signature):
             return "response_bad_signature"
-        if msg.challenger_id != self.id:
-            return "verification_wrong_id"
         if msg.bitmap_bits != self._limit:
             return "bitmap_size"
         secrets = self._secrets
         entries = [(q, secrets[q - 1]) for q in sequences_from_bitmap(msg.bitmap, msg.bitmap_bits)]
         if hash_packet_set(entries) != msg.receipt:
             return "receipt_mismatch"
-        if msg.leaf_index != self.id - 1:
-            return "leaf_index"
-        if not merkle_verify(msg.root, msg.receipt, msg.leaf_index, msg.siblings):
+        if not merkle_verify(msg.root, msg.receipt, self.id - 1, msg.siblings):
             return "receipt_not_in_root"
-        return None
+        return len(entries)
 
 
 class Prover:
@@ -260,11 +258,12 @@ class Prover:
         self._signed: dict[int, Commitment | SignedRoot] = {}  # id -> its commitment, once `admits` verified it
 
     def admits(self, pkt: ChallengePacket) -> bool:
-        """True iff the probe's secret is provably its challenger's: id, N and q
-        in range, and the secret leaf q - 1 under its id's signed commitment, kept
-        from the first probe whose signature verifies and then only compared."""
+        """True iff the probe's secret is provably its challenger's: id and q in
+        range, and the secret leaf q - 1 under its id's commitment signed for the
+        session's N, kept from the first probe whose signature verifies and then
+        only compared."""
         cid, q, commitment, limit = pkt.challenger_id, pkt.sequence, pkt.commitment, self._limit
-        if cid not in self.received or pkt.probes != limit or not 1 <= q <= limit:
+        if cid not in self.received or not 1 <= q <= limit:
             return False
         if cid not in self._signed and self.session.signed(cid, limit, commitment):
             self._signed[cid] = commitment
@@ -332,11 +331,8 @@ class Prover:
                 receipt=receipt,
                 root=root,
                 signature=sign(secret, receipt + root),
-                challenger_id=index + 1,
-                acked_count=len(pairs),
                 bitmap_bits=bits,
                 bitmap=bitmap_from_sequences([q for q, _ in pairs], bits),
-                leaf_index=index,
                 siblings=path,
             )
             routes.append((index + 1, response))
@@ -366,7 +362,7 @@ class Prover:
         store = self.received[challenger_id]
         signed = store[pairs[0][0]].commitment if pairs else SignedRoot(bytes(32), bytes(64))
         proof = multiproof({q - 1: pkt.siblings for q, pkt in store.items()})
-        return DisputeSubmission(challenger_id, pairs, signed, proof, challenger_id - 1, path)
+        return DisputeSubmission(challenger_id, pairs, signed, proof, path)
 
 
 class Verifier:
@@ -430,9 +426,6 @@ class Verifier:
         if cid not in self.session.challenger_public_keys:
             self.rejections.append((cid, "unknown_challenger"))
             return
-        if rpt.prover_id != self.session.prover_id:
-            self.rejections.append((cid, "wrong_prover"))
-            return
         if cid in self.rtts:
             self.rejections.append((cid, "duplicate"))
             return
@@ -454,7 +447,8 @@ class Verifier:
         verify, unless its probes, capped at k, raise the count the ledger
         holds; an upheld one sets the count and keeps the id's RTT. The
         secrets must sit, at q - 1 for q in 1..N, under the commitment the
-        challenger signed: one verify, then the multiproof's hashes. A
+        challenger signed: one verify, then the multiproof's hashes; and
+        their receipt at leaf id - 1 under the prover's root. A
         dispute with no probes claims none and shows no commitment.
         """
         if self.output is not None:
@@ -469,9 +463,6 @@ class Verifier:
         count = min(len(d.packets), self.params.k)
         if count <= self.counts.get(cid, -1):
             return False
-        if d.leaf_index != cid - 1:
-            self.rejections.append((cid, "dispute_leaf_index"))
-            return False
         limit = self.params.signatures_per_challenger
         if len(d.packets) > limit or any(a >= b for (a, _), (b, _) in pairwise(d.packets)):
             # the datagram decoder's rule, checked before any verify
@@ -485,7 +476,7 @@ class Verifier:
             self.rejections.append((cid, "dispute_bad_signature"))
             return False
         leaf = hash_packet_set(d.packets)
-        if not merkle_verify(self.root, leaf, d.leaf_index, d.siblings):
+        if not merkle_verify(self.root, leaf, cid - 1, d.siblings):
             self.rejections.append((cid, "dispute_proof"))
             return False
         self.counts[cid] = count

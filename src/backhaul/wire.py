@@ -13,8 +13,7 @@ Each field kind enforces its share of that rule on both sides:
   32, 64       exactly that many bytes, `bytes()` of a value not bytes
   COMMITMENT   a challenger's signed commitment, in a probe and a dispute: a
                32-byte root, then its 64-byte signature (a `crypto.SignedRoot`)
-  BITMAP       (bitmap_bits + 7) // 8 bytes, popcount acked_count,
-               bits past bitmap_bits zero
+  BITMAP       (bitmap_bits + 7) // 8 bytes, bits past bitmap_bits zero
   PACKETS      u32 count, then (u32 seq, 32-byte secret) pairs,
                seq strictly ascending
   SIBLINGS     u16 count, then 32-byte Merkle hashes
@@ -24,10 +23,12 @@ and a datagram ends where its last field does.
 The prover answers each party with one `ResponsePacket`: its signed
 receipt and root and, for a challenger, the bitmap and inclusion path
 that check that receipt, so a challenger takes or refuses each answer
-whole and keeps nothing while it waits for another datagram.
+whole and keeps nothing while it waits for another datagram. No message
+restates what its receiver already holds: N is the session's, a
+challenger's leaf is its id - 1, and its count is the bitmap's.
 
 A challenge packet is a fixed 1472-byte payload, 1514 bytes on the wire
-with the 42-byte lower-layer budget: 141 bytes of header, secret and
+with the 42-byte lower-layer budget: 137 bytes of header, secret and
 signed commitment, then q's path and zero padding. A path of up to 41
 siblings fits, and N < 2**32 needs 32, so every probe is the full 1514
 bytes the measurement counts.
@@ -62,12 +63,12 @@ class WireError(ValueError):
 
 
 class ChallengePacket(NamedTuple):
-    """One probe datagram: sequence q of `probes`, its secret, and what
-    proves the secret is the challenger's: its signed commitment, one record
-    of the `root` and its `signature` (`crypto.commitment_message`), and q's
-    path under that root. A challenger's probes share its one lazy
-    `crypto.Commitment` and read their paths from its tree; `decode` gives
-    a `crypto.SignedRoot` and a tuple.
+    """One probe datagram: sequence q of the session's N, its secret, and
+    what proves the secret is the challenger's: its signed commitment, one
+    record of the `root` and its `signature` (`crypto.commitment_message`,
+    over N), and q's path under that root. A challenger's probes share its
+    one lazy `crypto.Commitment` and read their paths from its tree;
+    `decode` gives a `crypto.SignedRoot` and a tuple.
 
     A named tuple, because a simulated run builds one per probe: it is
     immutable like the other messages, at a third of a frozen dataclass's
@@ -76,7 +77,6 @@ class ChallengePacket(NamedTuple):
 
     challenger_id: int
     sequence: int
-    probes: int
     secret: bytes
     commitment: Commitment | SignedRoot
     siblings: tuple[bytes, ...]
@@ -86,18 +86,16 @@ class ChallengePacket(NamedTuple):
 class ResponsePacket:
     """The prover's one answer to a party: its receipt, the root of the
     receipts' tree and its signature over receipt + root, with what lets a
-    challenger check the receipt: the bitmap of the probes it covers and its
-    inclusion path at `leaf_index`. The verifier's copy has a zero receipt
-    and keeps the defaults: id 0, nothing acknowledged and no path."""
+    challenger check the receipt: the bitmap of the probes it covers and the
+    receipt's inclusion path, which the challenger checks at its own leaf,
+    id - 1. The verifier's copy has a zero receipt and keeps the defaults:
+    an empty bitmap and no path."""
 
     receipt: bytes
     root: bytes
     signature: bytes
-    challenger_id: int = 0
-    acked_count: int = 0
     bitmap_bits: int = 0
     bitmap: bytes = b""
-    leaf_index: int = 0
     siblings: tuple[bytes, ...] = ()
 
 
@@ -106,7 +104,6 @@ class ChallengerReport:
     """Challenger-to-verifier measurement summary."""
 
     challenger_id: int
-    prover_id: int
     merkle_root_seen: bytes
     rtt_ns: int
     packets_acknowledged: int
@@ -117,13 +114,13 @@ class DisputeSubmission:
     """Prover-revealed packet set for a challenger whose count the verifier
     doubts: its (q, secret) pairs, the challenger's signed commitment (the
     `commitment` of its probes) and a multiproof of the secrets under it
-    (`crypto.multiproof`), and the receipt's inclusion path."""
+    (`crypto.multiproof`), and the receipt's inclusion path, which the
+    verifier checks at the challenger's leaf, id - 1."""
 
     challenger_id: int
     packets: tuple[tuple[int, bytes], ...]
     commitment: Commitment | SignedRoot
     proof: tuple[bytes, ...]
-    leaf_index: int
     siblings: tuple[bytes, ...]
 
 
@@ -191,18 +188,14 @@ LAYOUTS: dict[type, tuple[int, tuple[Field, ...]]] = {
     ChallengePacket: (TAG_CHALLENGE, (
         Field("challenger_id", "I"),
         Field("sequence", "I"),
-        Field("probes", "I", low=1),
         Field("secret", DIGEST_LEN),
         Field("commitment", COMMITMENT),
         Field("siblings", SIBLINGS),
         Field("padding", PADDING),
     )),
     ResponsePacket: (TAG_RESPONSE, (
-        Field("challenger_id", "I"),
-        Field("acked_count", "I"),
         Field("bitmap_bits", "I"),
         Field("bitmap", BITMAP),
-        Field("leaf_index", "I"),
         Field("siblings", SIBLINGS),
         Field("receipt", DIGEST_LEN),
         Field("root", DIGEST_LEN),
@@ -210,7 +203,6 @@ LAYOUTS: dict[type, tuple[int, tuple[Field, ...]]] = {
     )),
     ChallengerReport: (TAG_REPORT, (
         Field("challenger_id", "I"),
-        Field("prover_id", "I"),
         Field("merkle_root_seen", DIGEST_LEN),
         Field("rtt_ns", "Q", low=1),
         Field("packets_acknowledged", "I"),
@@ -220,7 +212,6 @@ LAYOUTS: dict[type, tuple[int, tuple[Field, ...]]] = {
         Field("packets", PACKETS),
         Field("commitment", COMMITMENT),
         Field("proof", SIBLINGS),
-        Field("leaf_index", "I"),
         Field("siblings", SIBLINGS),
     )),
     DisputeRequest: (TAG_DISPUTE_REQUEST, (Field("challenger_id", "I"),)),
@@ -240,14 +231,10 @@ def _check_len(name: str, value: bytes, length: int) -> None:
         raise WireError(name, f"expected {length} bytes, got {len(value)}")
 
 
-def _check_bitmap(bitmap: bytes, bits: int, acked: int) -> None:
-    """(bits + 7) // 8 bytes whose popcount is acked and whose tail is zero."""
+def _check_bitmap(bitmap: bytes, bits: int) -> None:
+    """(bits + 7) // 8 bytes whose tail is zero."""
     _check_len("bitmap", bitmap, (bits + 7) // 8)
-    value = int.from_bytes(bitmap, "big")
-    pop = value.bit_count()
-    if pop != acked:
-        raise WireError("acked_count", f"bitmap popcount {pop} != acked_count {acked}")
-    if value & ((1 << (8 * len(bitmap) - bits)) - 1):
+    if int.from_bytes(bitmap, "big") & ((1 << (8 * len(bitmap) - bits)) - 1):
         raise WireError("bitmap", "bits beyond bitmap_bits must be zero")
 
 
@@ -284,7 +271,7 @@ def encode(message) -> bytes:
             _check_uint(name, value, _WIDTHS[kind], low)
             out += value.to_bytes(_WIDTHS[kind], "big")
         elif kind == BITMAP:
-            _check_bitmap(value, message.bitmap_bits, message.acked_count)
+            _check_bitmap(value, message.bitmap_bits)
             out += value
         elif kind == PACKETS:
             out += len(value).to_bytes(4, "big")
@@ -330,7 +317,7 @@ def decode(data: bytes):
             _check_uint(name, value, _WIDTHS[kind], low)
         elif kind == BITMAP:
             value = take(name, (values["bitmap_bits"] + 7) // 8)
-            _check_bitmap(value, values["bitmap_bits"], values["acked_count"])
+            _check_bitmap(value, values["bitmap_bits"])
         elif kind == PACKETS:
             raw = take(name, int.from_bytes(take(name, 4), "big") * _PACKET_ENTRY)
             value = tuple(

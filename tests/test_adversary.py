@@ -57,7 +57,7 @@ def corrupt(ids, name, **params):
 
 def session(params, spec=AttackSpec()):
     key = keygen(bytes(32)).public_key
-    return Session(params, 0, key, dict.fromkeys(range(1, params.n + 1), key), deadline_ns=0, attack=spec)
+    return Session(params, key, dict.fromkeys(range(1, params.n + 1), key), deadline_ns=0, attack=spec)
 
 
 class TestPlanMechanics:
@@ -66,7 +66,7 @@ class TestPlanMechanics:
         return AttackPlan(session(params, spec), random.Random(0))
 
     def train(self):
-        pkt = ChallengePacket(1, 1, 1, bytes(32), SignedRoot(bytes(32), bytes(64)), ())
+        pkt = ChallengePacket(1, 1, bytes(32), SignedRoot(bytes(32), bytes(64)), ())
         return [(1000 + 100 * j, pkt) for j in range(5)]
 
     def test_honest_passthrough(self):
@@ -123,7 +123,7 @@ class TestPlanMechanics:
         early = (10 - 4) * k
 
         def probe(cid, q):
-            return ChallengePacket(cid, q, 1, bytes(32), SignedRoot(bytes(32), bytes(64)), ())
+            return ChallengePacket(cid, q, bytes(32), SignedRoot(bytes(32), bytes(64)), ())
 
         def honest_probes():
             for cid in range(3, 11):
@@ -154,12 +154,12 @@ class TestPlanMechanics:
         plan = self.plan(spec)
         from backhaul.wire import ChallengerReport
 
-        rep = ChallengerReport(1, 77, bytes(32), 123456, 40)
+        rep = ChallengerReport(1, bytes(32), 123456, 40)
         out = plan.report_action(1, rep)
         assert out.rtt_ns == 5 and out.packets_acknowledged == 40
-        out = plan.report_action(2, ChallengerReport(2, 77, bytes(32), 123456, 40))
+        out = plan.report_action(2, ChallengerReport(2, bytes(32), 123456, 40))
         assert out.packets_acknowledged == 999 and out.rtt_ns == 123456
-        assert plan.report_action(3, ChallengerReport(3, 77, bytes(32), 1, 1)) is None
+        assert plan.report_action(3, ChallengerReport(3, bytes(32), 1, 1)) is None
         assert plan.report_action(4, rep) is rep
 
 
@@ -186,9 +186,9 @@ class TestRushing:
     def test_inflates_measured_but_not_guaranteed(self):
         res = run_scenario(scenario(corrupt([9, 10], "rush")), seed=42)
         assert res.terminated
-        assert res.measured_bps == pytest.approx(331_311_962.70, abs=1.0)
+        assert res.measured_bps == pytest.approx(331_327_138.18, abs=1.0)
         assert res.measured_bps > THETA  # the lie shows up here
-        assert res.guaranteed_bps == pytest.approx(248_483_972.03, abs=1.0)
+        assert res.guaranteed_bps == pytest.approx(248_495_353.63, abs=1.0)
         assert res.guaranteed_bps <= SOUND  # and is discounted away here
         assert res.output.cnt == res.params.threshold
 
@@ -234,7 +234,7 @@ class TestWithholding:
         assert res.terminated
         assert res.output.reports_used == 8
         assert res.output.cnt == res.params.threshold
-        assert res.measured_bps == pytest.approx(248_861_252.65, abs=1.0)
+        assert res.measured_bps == pytest.approx(248_869_814.69, abs=1.0)
         assert res.guaranteed_bps == pytest.approx(res.measured_bps * 0.75)
 
     def test_partial_withholding_still_terminates(self):

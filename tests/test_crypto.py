@@ -548,16 +548,16 @@ def _roles_refuse(key):
     params = params_of(2e6, 3, 0, 200_000_000)
     good = crypto.keygen(b"\x0b" * 32)
     with pytest.raises(ValueError, match="public key"):
-        Session(params, 77, key, {1: good.public_key}, deadline_ns=0)
+        Session(params, key, {1: good.public_key}, deadline_ns=0)
     with pytest.raises(ValueError, match="public key"):
-        Session(params, 77, good.public_key, {1: good.public_key, 2: key}, deadline_ns=0)
+        Session(params, good.public_key, {1: good.public_key, 2: key}, deadline_ns=0)
 
 
 def test_session_keeps_only_the_keys_it_checked():
     params = params_of(2e6, 3, 0, 200_000_000)
     good = crypto.keygen(b"\x0b" * 32)
     keys = dict.fromkeys((1, 2, 3), good.public_key)
-    session = Session(params, 77, good.public_key, keys, deadline_ns=0)
+    session = Session(params, good.public_key, keys, deadline_ns=0)
     keys[2] = b"\x01" + bytes(31)  # the identity, swapped in after the checks
     assert session.challenger_public_keys == dict.fromkeys((1, 2, 3), good.public_key)
 

@@ -10,7 +10,7 @@ import pytest
 from backhaul import live, roles, wire
 from backhaul.adversary import AttackError
 from backhaul.config import parse_scenario
-from backhaul.crypto import SignedRoot, sign
+from backhaul.crypto import SignedRoot, commitment_message, sign
 from backhaul.live import (
     LiveError,
     ping_latency,
@@ -266,7 +266,7 @@ def serve_in_thread(sock, session, keypair, verifier_addr):
 
 def junk_probe(q, challenger_id=1):
     """A probe under `challenger_id` whose secret, commitment and signature are zero."""
-    return wire.ChallengePacket(challenger_id, q, 1, bytes(32), SignedRoot(bytes(32), bytes(64)), ())
+    return wire.ChallengePacket(challenger_id, q, bytes(32), SignedRoot(bytes(32), bytes(64)), ())
 
 
 def genuine_probes(session, key, challenger_id=1):
@@ -376,17 +376,20 @@ class TestIdBinding:
             scenario(theta_claimed_bps=2e6, n=1, duration_ns=200 * MS), start_ms=0
         )
         train = genuine_probes(session, keys[1])
-        probe = train[2]
+        probe, limit = train[2], session.params.signatures_per_challenger
+        root = probe.commitment.root
+        # the challenger's own signature over its root, but for N + 1 probes
+        over_more = sign(keys[1].secret_key, commitment_message(session.params.m0, 1, limit + 1, root))
 
         def byte_flipped(data):
             return data[:5] + bytes([data[5] ^ 1]) + data[6:]
 
         tampered = [
+            probe._replace(commitment=SignedRoot(root, over_more)),  # first: no commitment is kept yet
             probe._replace(secret=byte_flipped(probe.secret)),
             probe._replace(siblings=(byte_flipped(probe.siblings[0]),) + tuple(probe.siblings)[1:]),
             probe._replace(commitment=SignedRoot(byte_flipped(probe.commitment.root), probe.commitment.signature)),
             probe._replace(commitment=SignedRoot(probe.commitment.root, byte_flipped(probe.commitment.signature))),
-            probe._replace(probes=probe.probes ^ 1 << 8),
             probe._replace(sequence=probe.sequence + 1),  # another q's slot
             junk_probe(1, challenger_id=2),  # no such challenger
         ]
@@ -426,6 +429,7 @@ class TestStrangers:
         p = session.params
         forged_root = wire.ResponsePacket(receipt=bytes(32), root=bytes(range(32)), signature=bytes(64))
         bitmap = wire.bitmap_from_sequences(range(1, p.k + 1), p.signatures_per_challenger)
+        forged = dataclasses.replace(forged_root, bitmap_bits=p.signatures_per_challenger, bitmap=bitmap)
         flooded_ns = []
 
         def flood(socks):
@@ -433,10 +437,6 @@ class TestStrangers:
             try:
                 live._sleep_until(p.t0_ns + 10 * MS)  # after the pings
                 for cid in keys:
-                    forged = dataclasses.replace(
-                        forged_root, challenger_id=cid, acked_count=p.k,
-                        bitmap_bits=p.signatures_per_challenger, bitmap=bitmap, leaf_index=cid - 1,
-                    )
                     for _ in range(20):
                         sock.sendto(wire.encode(forged), socks[cid].getsockname())
                         sock.sendto(wire.encode(forged_root), socks[cid].getsockname())
@@ -594,7 +594,6 @@ class TestAbsentPeers:
         )
         corrupt = wire.ChallengerReport(
             challenger_id=1,
-            prover_id=session.prover_id,
             merkle_root_seen=root,
             rtt_ns=1,
             packets_acknowledged=10**6,

@@ -21,16 +21,16 @@ overhead_1000        1000     904.77     9.52
 == 2. soundness: verdicts under corrupt challengers ==
 scenario                    ok  measured Mbit/s   guaranteed
 honest_250                1/ 1           249.98       249.98
-rushing_250               1/ 1           331.31       248.48
-withholding_250           1/ 1           248.86       186.65
-withholding_noisy_250     1/ 1           247.48       185.61
+rushing_250               1/ 1           331.33       248.50
+withholding_250           1/ 1           248.87       186.65
+withholding_noisy_250     1/ 1           247.49       185.62
 claim is 250 Mbit/s; guaranteed must never exceed it
 
 == 3. bandwidth: the rate ladder under cross traffic ==
 scenario              available   estimate  error %
 cross_traffic_220           220     219.98     0.01
-cross_traffic_140           140     139.98     0.02
-cross_traffic_90            104     100.02     3.82
+cross_traffic_140           140     139.98     0.01
+cross_traffic_90            104     100.03     3.82
 """
 
 

@@ -120,6 +120,21 @@ def test_each_listed_value_moves_the_digest(res, monkeypatch, cls, name):
     assert rd.digest(res) != before
 
 
+def test_a_verdict_digest_keeps_a_moved_delta_and_moves_with_a_dropped_verdict(res):
+    # δ and everything timed from it move; the verdict's counts and outcome stay
+    out = res.output
+    slower = dataclasses.replace(
+        out,
+        delta_ns=out.delta_ns + 1,
+        measured_bps=bump(out.measured_bps),
+        guaranteed_bps=bump(out.guaranteed_bps),
+    )
+    moved = dataclasses.replace(res, output=slower, output_ns=res.output_ns + 1, trace=res.trace + ("x",))
+    assert rd.digest(moved) != rd.digest(res)
+    assert rd.digest(moved, rd.VERDICTS) == rd.digest(res, rd.VERDICTS)
+    assert rd.digest(dataclasses.replace(res, output=None), rd.VERDICTS) != rd.digest(res, rd.VERDICTS)
+
+
 def test_numbers_encode_by_type_and_sign(res):
     values = (1, 1.0, True, 0.0, -0.0)
     digests = {rd.digest(dataclasses.replace(res, max_queue_bytes=v)) for v in values}

@@ -42,7 +42,6 @@ from backhaul.wire import (
     sequences_from_bitmap,
 )
 
-PROVER_ID = 77
 MS = 1_000_000
 
 
@@ -85,7 +84,6 @@ def world(
     pkey = keygen(hashlib.sha256(f"pk:{seed}".encode()).digest())
     session = Session(
         params,
-        PROVER_ID,
         pkey.public_key,
         {i: ckeys[i].public_key for i in range(1, n + 1)},
         deadline_ns=3 * duration_ns,
@@ -246,7 +244,6 @@ class TestCaps:
         bundle, reports = finish(w, report_ids=[1, 2])
         huge = ChallengerReport(
             challenger_id=3,
-            prover_id=PROVER_ID,
             merkle_root_seen=reports[3].merkle_root_seen,
             rtt_ns=reports[3].rtt_ns,
             packets_acknowledged=4_000_000_000,
@@ -272,7 +269,7 @@ class TestRunningCount:
         prover, k, threshold = w.prover, w.params.k, w.params.threshold
         reached = False
         for t, (cid, q) in enumerate(probes):
-            pkt = ChallengePacket(cid, q, 6, bytes([q]) * 32, SignedRoot(bytes(32), bytes(64)), ())
+            pkt = ChallengePacket(cid, q, bytes([q]) * 32, SignedRoot(bytes(32), bytes(64)), ())
             tripped = prover.on_probe(t, pkt)
             total = sum(min(len(s), k) for s in prover.received.values())
             assert prover.capped == total
@@ -333,20 +330,23 @@ class TestAdmission:
     def train(self, w, cid=1):
         return [on_wire(pkt) for _, pkt in w.challengers[cid].build_sends()]
 
-    def tampered(self, probe):
-        """Each one-part change of a genuine probe, and a probe for no challenger."""
+    def tampered(self, w, probe):
+        """Each one-part change of a genuine probe, its commitment signed for
+        N + 1 probes, and a probe for no challenger."""
         def byte_flipped(data):
             return data[:5] + bytes([data[5] ^ 1]) + data[6:]
 
-        signed = probe.commitment
+        signed, cid = probe.commitment, probe.challenger_id
+        message = commitment_message(w.params.m0, cid, w.params.signatures_per_challenger + 1, signed.root)
+        over_more = sign(w.keys[cid].secret_key, message)
         return [
+            probe._replace(commitment=SignedRoot(signed.root, over_more)),  # first: no commitment is kept yet
             probe._replace(secret=byte_flipped(probe.secret)),
             probe._replace(siblings=(byte_flipped(probe.siblings[0]),) + probe.siblings[1:]),
             probe._replace(commitment=SignedRoot(byte_flipped(signed.root), signed.signature)),
             probe._replace(commitment=SignedRoot(signed.root, byte_flipped(signed.signature))),
-            probe._replace(probes=probe.probes ^ 1 << 8),
             probe._replace(sequence=probe.sequence + 1),  # another q's slot
-            wire.ChallengePacket(4, 1, 1, bytes(32), SignedRoot(bytes(32), bytes(64)), ()),  # no such challenger
+            wire.ChallengePacket(4, 1, bytes(32), SignedRoot(bytes(32), bytes(64)), ()),  # no such challenger
         ]
 
     def test_a_genuine_probe_is_admitted(self):
@@ -356,10 +356,10 @@ class TestAdmission:
     def test_a_probe_with_any_changed_part_is_refused(self):
         w = world(n=3, k=5)
         train = self.train(w)
-        for pkt in self.tampered(train[2]):  # before its commitment is cached
+        for pkt in self.tampered(w, train[2]):  # before its commitment is cached
             assert not w.prover.admits(pkt)
         assert all(w.prover.admits(pkt) for pkt in train)
-        for pkt in self.tampered(train[2]):  # and after
+        for pkt in self.tampered(w, train[2]):  # and after
             assert not w.prover.admits(pkt)
 
     def test_a_train_costs_one_verify(self, monkeypatch):
@@ -383,7 +383,7 @@ class TestAdmission:
         other = [hashlib.sha256(bytes([q])).digest() for q in range(limit)]
         levels = merkle_levels(other)
         signed = SignedRoot(levels[-1], sign(me.keypair.secret_key, commitment_message(m0, 1, limit, levels[-1])))
-        rival = wire.ChallengePacket(1, 1, limit, other[0], signed, tuple(MerklePath(levels, 0)))
+        rival = wire.ChallengePacket(1, 1, other[0], signed, tuple(MerklePath(levels, 0)))
         assert world().prover.admits(rival)
         assert w.prover.admits(self.train(w)[0])
         assert not w.prover.admits(rival)
@@ -393,7 +393,7 @@ class TestAdmission:
         w = world()
         key = w.keys[1].public_key
         with pytest.raises(ValueError, match=r"ids 1\.\.3"):
-            Session(w.params, PROVER_ID, w.prover_key.public_key, dict.fromkeys(ids, key), deadline_ns=0)
+            Session(w.params, w.prover_key.public_key, dict.fromkeys(ids, key), deadline_ns=0)
 
 
 def assert_ignored_then_genuine_reports(challenger, reason, genuine):
@@ -402,7 +402,7 @@ def assert_ignored_then_genuine_reports(challenger, reason, genuine):
     assert challenger.failure is None and not challenger.report_sent
     assert challenger.refusals == {reason: 1}
     rpt = challenger.on_message(7 * MS, genuine)
-    assert rpt is not None and rpt.packets_acknowledged == genuine.acked_count
+    assert rpt is not None and rpt.packets_acknowledged == len(sequences_from_bitmap(genuine.bitmap, genuine.bitmap_bits))
 
 
 class TestChallengerChecks:
@@ -439,18 +439,20 @@ class TestChallengerChecks:
         bundle = answer(w.prover)
         c1 = w.challengers[1]
         r = bundle.responses[1]
-        claim_all = dataclasses.replace(r, acked_count=6, bitmap=bitmap_from_sequences([1, 2, 3, 4, 5, 6], 6))
+        claim_all = dataclasses.replace(r, bitmap=bitmap_from_sequences([1, 2, 3, 4, 5, 6], 6))
         assert c1.on_message(6 * MS, claim_all) is None
         assert_ignored_then_genuine_reports(c1, "receipt_mismatch", r)
 
     def test_wrong_leaf_index_rejected(self):
+        # challenger 1's receipt with challenger 2's path: checked at leaf 0, it leads elsewhere
         w = world()
         deliver_all(w)
         bundle = answer(w.prover)
         c1 = w.challengers[1]
         r = bundle.responses[1]
-        assert c1.on_message(6 * MS, dataclasses.replace(r, leaf_index=1)) is None
-        assert_ignored_then_genuine_reports(c1, "leaf_index", r)
+        moved = dataclasses.replace(r, siblings=bundle.responses[2].siblings)
+        assert c1.on_message(6 * MS, moved) is None
+        assert_ignored_then_genuine_reports(c1, "receipt_not_in_root", r)
 
     def test_wrong_bitmap_size_rejected(self):
         w = world()
@@ -458,7 +460,7 @@ class TestChallengerChecks:
         bundle = answer(w.prover)
         c1 = w.challengers[1]
         r = bundle.responses[1]
-        short = dataclasses.replace(r, acked_count=3, bitmap_bits=4, bitmap=bitmap_from_sequences([1, 2, 3], 4))
+        short = dataclasses.replace(r, bitmap_bits=4, bitmap=bitmap_from_sequences([1, 2, 3], 4))
         assert c1.on_message(6 * MS, short) is None
         assert_ignored_then_genuine_reports(c1, "bitmap_size", r)
 
@@ -500,7 +502,7 @@ class TestOneResponse:
         bundle = answer(w.prover)
         c1, c2 = w.challengers[1], w.challengers[2]
         assert c1.on_message(11 * MS, bundle.responses[2]) is None
-        assert c1.refusals == {"verification_wrong_id": 1}
+        assert c1.refusals == {"receipt_mismatch": 1}
         assert c1.delta_ns is None and c1.failure is None and not c1.report_sent
         rpt = c1.on_message(12 * MS, bundle.responses[1])
         assert (rpt.challenger_id, rpt.rtt_ns, rpt.packets_acknowledged) == (1, 12 * MS - c1.t_first_ns, 3)
@@ -521,7 +523,7 @@ class TestOneResponse:
             seqs = sorted(rng.sample(range(1, bits + 1), rng.randint(0, bits)))
             if seqs == sequences_from_bitmap(r.bitmap, bits):
                 seqs = seqs[1:]
-            return dataclasses.replace(r, acked_count=len(seqs), bitmap=bitmap_from_sequences(seqs, bits))
+            return dataclasses.replace(r, bitmap=bitmap_from_sequences(seqs, bits))
 
         for j in range(2):
             assert c1.on_message(5 * MS, forged(j)) is None
@@ -545,7 +547,7 @@ class TestCommitments:
         secrets = probe_secrets(c2.keypair.secret_key, w.params.m0, limit)
         for t, pkt in trains[2]:
             q = pkt.sequence
-            assert (pkt.challenger_id, pkt.probes, pkt.secret) == (2, limit, secrets[q - 1])
+            assert (pkt.challenger_id, pkt.secret) == (2, secrets[q - 1])
             assert pkt.commitment is c2.commitment
             assert merkle_verify(c2.commitment.root, pkt.secret, q - 1, pkt.siblings)
         assert (len(signs), len(builds)) == (1, 1)  # challenger 2's, at the first read
@@ -608,7 +610,7 @@ class TestCommitments:
         assert sorted(reports) == [1, 2, 3, 4]  # 4 acknowledges none
         dispute = w.prover.build_dispute(2)
         _, snapshot = w.prover._freeze()
-        assert {wire.encode(pkt)[13:45] for pkt in stored} == {s for pairs, _, _ in snapshot for _, s in pairs}
+        assert {wire.encode(pkt)[9:41] for pkt in stored} == {s for pairs, _, _ in snapshot for _, s in pairs}
         assert dispute.packets == snapshot[1][0]
         assert dispute.commitment is w.challengers[2].commitment  # passed on as the probes hold it
 
@@ -880,15 +882,12 @@ class TestVerifier:
         deliver_all(w)
         bundle, reports = finish(w, report_ids=[1, 2])
         good = reports[3]
-        wrong_root = ChallengerReport(3, PROVER_ID, bytes(32), good.rtt_ns, 5)
+        wrong_root = ChallengerReport(3, bytes(32), good.rtt_ns, 5)
         w.verifier.on_report(6 * MS, wrong_root)
         assert (3, "root_mismatch") in w.verifier.rejections
-        alien = ChallengerReport(9, PROVER_ID, good.merkle_root_seen, good.rtt_ns, 5)
+        alien = ChallengerReport(9, good.merkle_root_seen, good.rtt_ns, 5)
         w.verifier.on_report(6 * MS, alien)
         assert (9, "unknown_challenger") in w.verifier.rejections
-        other_prover = ChallengerReport(3, 12, good.merkle_root_seen, good.rtt_ns, 5)
-        w.verifier.on_report(6 * MS, other_prover)
-        assert (3, "wrong_prover") in w.verifier.rejections
         assert w.verifier.output is None
         w.verifier.on_report(6 * MS, good)
         w.verifier.on_report(7 * MS, good)  # after output: ignored silently
@@ -995,10 +994,11 @@ class TestVerifier:
         w = world(n=4, f=1, k=5)
         deliver_all(w, skip=(4,))
         finish(w, report_ids=[1, 2])
+        # challenger 3's probes with challenger 1's path: checked at leaf 2, it leads elsewhere
         d = w.prover.build_dispute(3)
-        moved = dataclasses.replace(d, leaf_index=0)
+        moved = dataclasses.replace(d, siblings=w.prover.build_dispute(1).siblings)
         assert w.verifier.on_dispute(7 * MS, moved) is False
-        assert (3, "dispute_leaf_index") in w.verifier.rejections
+        assert w.verifier.rejections == [(3, "dispute_proof")]
 
     def test_dispute_for_reported_id_ignored(self):
         w = world()
@@ -1120,10 +1120,10 @@ class TestDeadlineDisputes:
 
         def forge(cid):
             asked.append(cid)
-            return DisputeSubmission(cid, (), SignedRoot(bytes(32), bytes(64)), (), cid - 1, ())
+            return DisputeSubmission(cid, (), SignedRoot(bytes(32), bytes(64)), (), ())
 
         assert w.prover.on_message(t, DisputeRequest(3), forge) is None
-        assert w.prover.on_message(t + 1, DisputeRequest(3), forge) == DisputeSubmission(3, (), SignedRoot(bytes(32), bytes(64)), (), 2, ())
+        assert w.prover.on_message(t + 1, DisputeRequest(3), forge) == DisputeSubmission(3, (), SignedRoot(bytes(32), bytes(64)), (), ())
         assert asked == [3]
 
     def test_at_deadline_is_empty_once_a_verdict_exists(self):
@@ -1212,7 +1212,7 @@ class TestPackageExports:
         params = derive_params(ProtocolSpec(3e6, 3, 0, 100 * MS), bytes(32))
         ckeys = {i: keygen(bytes([i]) * 32) for i in (1, 2, 3)}
         pkey = keygen(bytes(32))
-        session = Session(params, 0, pkey.public_key, {i: k.public_key for i, k in ckeys.items()}, deadline_ns=0)
+        session = Session(params, pkey.public_key, {i: k.public_key for i, k in ckeys.items()}, deadline_ns=0)
         first = send_schedule(params, [0, 0, 0])
         challengers = [Challenger(session, i, ckeys[i], first[i - 1], 0) for i in ckeys]
         assert [len(c.build_sends()) for c in challengers] == [params.signatures_per_challenger] * 3

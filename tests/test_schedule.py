@@ -128,7 +128,7 @@ class TestOverprovision:
 def train(p, s, cid):
     """(send_time_ns, sequence) per probe, from the challenger's own sends."""
     keypair = keygen(bytes([cid]) * 32)
-    session = Session(p, 0, keypair.public_key, dict.fromkeys(range(1, p.n + 1), keypair.public_key), deadline_ns=0)
+    session = Session(p, keypair.public_key, dict.fromkeys(range(1, p.n + 1), keypair.public_key), deadline_ns=0)
     me = Challenger(session, cid, keypair, s[cid - 1], 0)
     return [(t, pkt.sequence) for t, pkt in me.build_sends()]
 

@@ -12,11 +12,10 @@ from backhaul.schedule import ChallengeParams, RatePolicy
 from test_schedule import params_of
 
 
-def make_challenge(challenger_id=7, sequence=45, probes=50, siblings=(b"\x0b" * 32,) * 6, signature=b"\x01" * 64):
+def make_challenge(challenger_id=7, sequence=45, siblings=(b"\x0b" * 32,) * 6, signature=b"\x01" * 64):
     return wire.ChallengePacket(
         challenger_id=challenger_id,
         sequence=sequence,
-        probes=probes,
         secret=b"\x0c" * 32,
         commitment=SignedRoot(b"\x0d" * 32, signature),
         siblings=siblings,
@@ -35,50 +34,38 @@ def test_challenge_payload_always_1472_bytes():
 
 def test_challenge_layout_hand_built():
     # Independent byte-level construction of the same packet.
-    pkt = make_challenge(challenger_id=3, sequence=100, probes=909, siblings=(b"\x0e" * 32, b"\x0f" * 32))
+    pkt = make_challenge(challenger_id=3, sequence=100, siblings=(b"\x0e" * 32, b"\x0f" * 32))
     expected = bytearray(1472)
     expected[0] = 0x01
     expected[1:5] = struct.pack(">I", 3)
     expected[5:9] = struct.pack(">I", 100)
-    expected[9:13] = struct.pack(">I", 909)
-    expected[13:45] = b"\x0c" * 32  # the secret
-    expected[45:77] = b"\x0d" * 32  # the commitment
-    expected[77:141] = b"\x01" * 64  # its signature
-    expected[141:143] = struct.pack(">H", 2)
-    expected[143:207] = b"\x0e" * 32 + b"\x0f" * 32
+    expected[9:41] = b"\x0c" * 32  # the secret
+    expected[41:73] = b"\x0d" * 32  # the commitment
+    expected[73:137] = b"\x01" * 64  # its signature
+    expected[137:139] = struct.pack(">H", 2)
+    expected[139:203] = b"\x0e" * 32 + b"\x0f" * 32
     assert wire.encode(pkt) == bytes(expected)
 
 
 def test_a_challengers_probe_carries_its_signed_commitment_and_path():
     params = params_of(2e6, 3, 0, 200_000_000, m0=b"\x05" * 32)
     key = keygen(b"\x09" * 32)
-    session = Session(params, 77, keygen(b"\x0a" * 32).public_key, dict.fromkeys((1, 2, 3), key.public_key), deadline_ns=0)
+    session = Session(params, keygen(b"\x0a" * 32).public_key, dict.fromkeys((1, 2, 3), key.public_key), deadline_ns=0)
     me = Challenger(session, 2, key, params.t0_ns, 0)
     _, pkt = me.build_sends()[4]
     data = wire.encode(pkt)
     assert len(data) == 1472
     limit = params.signatures_per_challenger
-    assert (pkt.challenger_id, pkt.sequence, pkt.probes) == (2, 5, limit)
+    assert (pkt.challenger_id, pkt.sequence) == (2, 5)
     assert len(pkt.siblings) == (limit - 1).bit_length()
-    assert not any(data[143 + 32 * len(pkt.siblings) :])  # the padding is zero
+    assert not any(data[139 + 32 * len(pkt.siblings) :])  # the padding is zero
     signed = pkt.commitment
     assert verify(key.public_key, commitment_message(params.m0, 2, limit, signed.root), signed.signature)
     assert wire.decode(data) == pkt._replace(commitment=SignedRoot(signed.root, signed.signature), siblings=tuple(pkt.siblings))
 
 
-def test_challenge_rejects_count_out_of_range():
-    # a challenger commits to at least one probe
-    data = bytearray(wire.encode(make_challenge()))
-    struct.pack_into(">I", data, 9, 0)
-    with pytest.raises(wire.WireError, match="probes") as info:
-        wire.decode(bytes(data))
-    assert info.value.field == "probes"
-    with pytest.raises(wire.WireError, match="probes"):
-        wire.encode(make_challenge(probes=0))
-
-
 def test_challenge_rejects_noncanonical_padding():
-    for i in (143 + 6 * 32, 1000, 1471):
+    for i in (139 + 6 * 32, 1000, 1471):
         data = bytearray(wire.encode(make_challenge()))
         data[i] = 1
         with pytest.raises(wire.WireError, match="padding"):
@@ -88,7 +75,7 @@ def test_challenge_rejects_noncanonical_padding():
 def test_challenge_rejects_truncation():
     data = wire.encode(make_challenge())
     # a short probe errs on the field the cut lands in, as every message does
-    with pytest.raises(wire.WireError, match="padding: needs 1137 bytes"):
+    with pytest.raises(wire.WireError, match="padding: needs 1141 bytes"):
         wire.decode(data[:-1])
     with pytest.raises(wire.WireError, match="commitment_signature: needs 64 bytes"):
         wire.decode(data[:100])
@@ -98,8 +85,8 @@ def test_challenge_rejects_truncation():
 
 def test_challenge_whose_path_runs_past_1472_bytes_is_refused():
     data = bytearray(wire.encode(make_challenge(siblings=())))
-    struct.pack_into(">H", data, 141, 42)  # 42 siblings: 1 487 bytes before the padding
-    data += bytes(143 + 42 * 32 - len(data))
+    struct.pack_into(">H", data, 137, 42)  # 42 siblings: 1 483 bytes before the padding
+    data += bytes(139 + 42 * 32 - len(data))
     with pytest.raises(wire.WireError) as info:
         wire.decode(bytes(data))
     assert info.value.field == "padding"
@@ -135,12 +122,12 @@ def test_full_transmission_slot_arithmetic():
 
 
 def test_response_all_zero_payload_after_tag():
-    # the verifier's form: id 0, nothing acknowledged, no path
+    # the verifier's form: an empty bitmap and no path
     pkt = wire.ResponsePacket(receipt=bytes(32), root=bytes(32), signature=bytes(64))
     data = wire.encode(pkt)
-    assert len(data) == 147
+    assert len(data) == 135
     assert data[0] == 0x02
-    assert data[1:] == bytes(146)
+    assert data[1:] == bytes(134)
     assert wire.decode(data) == pkt
 
 
@@ -184,11 +171,8 @@ def make_verification(acked=(1, 3, 10), bits=12):
         receipt=b"\x01" * 32,
         root=b"\x02" * 32,
         signature=b"\x03" * 64,
-        challenger_id=4,
-        acked_count=len(acked),
         bitmap_bits=bits,
         bitmap=bm,
-        leaf_index=3,
         siblings=(b"\x05" * 32, b"\x06" * 32),
     )
 
@@ -198,21 +182,10 @@ def test_verification_round_trip():
         assert wire.decode(wire.encode(msg)) == msg
 
 
-def test_verification_rejects_popcount_mismatch():
-    msg = make_verification()
-    bad = dataclasses.replace(msg, acked_count=msg.acked_count + 1)
-    with pytest.raises(wire.WireError, match="acked_count"):
-        wire.encode(bad)
-    raw = bytearray(wire.encode(msg))
-    raw[13] |= 0x10  # set an extra bitmap bit without touching acked_count
-    with pytest.raises(wire.WireError, match="acked_count"):
-        wire.decode(bytes(raw))
-
-
 def test_verification_rejects_trailing_bitmap_bits():
     bm = bytearray(wire.bitmap_from_sequences([1], 12))
     bm[1] |= 0x01  # bit 16, beyond bitmap_bits=12
-    msg = dataclasses.replace(make_verification(), acked_count=2, bitmap=bytes(bm))
+    msg = dataclasses.replace(make_verification(), bitmap=bytes(bm))
     with pytest.raises(wire.WireError, match="bitmap"):
         wire.encode(msg)
 
@@ -220,20 +193,19 @@ def test_verification_rejects_trailing_bitmap_bits():
 def test_report_layout_and_round_trip():
     rep = wire.ChallengerReport(
         challenger_id=2,
-        prover_id=0,
         merkle_root_seen=b"\x09" * 32,
         rtt_ns=99_802_880,
         packets_acknowledged=206,
     )
     data = wire.encode(rep)
-    assert len(data) == 53
+    assert len(data) == 49
     assert data[0] == 0x04
     assert wire.decode(data) == rep
 
 
 def test_report_rejects_nonpositive_rtt():
     rep = wire.ChallengerReport(
-        challenger_id=2, prover_id=0, merkle_root_seen=bytes(32), rtt_ns=0, packets_acknowledged=1
+        challenger_id=2, merkle_root_seen=bytes(32), rtt_ns=0, packets_acknowledged=1
     )
     with pytest.raises(wire.WireError, match="rtt_ns"):
         wire.encode(rep)
@@ -245,7 +217,6 @@ def test_dispute_round_trip_and_ordering():
         packets=((1, b"\x01" * 32), (2, b"\x02" * 32), (7, b"\x03" * 32)),
         commitment=SignedRoot(b"\x0d" * 32, b"\x0e" * 64),
         proof=(b"\x0f" * 32,) * 3,
-        leaf_index=4,
         siblings=(b"\x0a" * 32,),
     )
     assert wire.decode(wire.encode(sub)) == sub
@@ -266,7 +237,7 @@ def test_dispute_round_trip_and_ordering():
 
 
 def test_dispute_empty_packets_round_trip():
-    sub = wire.DisputeSubmission(9, (), SignedRoot(bytes(32), bytes(64)), (), 8, ())
+    sub = wire.DisputeSubmission(9, (), SignedRoot(bytes(32), bytes(64)), (), ())
     assert wire.decode(wire.encode(sub)) == sub
 
 
@@ -304,7 +275,6 @@ def test_challenge_round_trip_property(data):
     pkt = wire.ChallengePacket(
         challenger_id=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
         sequence=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        probes=data.draw(st.integers(min_value=1, max_value=2**32 - 1)),
         secret=data.draw(st.binary(min_size=32, max_size=32)),
         commitment=SignedRoot(
             data.draw(st.binary(min_size=32, max_size=32)), data.draw(st.binary(min_size=64, max_size=64))
@@ -328,11 +298,8 @@ def test_verification_round_trip_property(data):
         receipt=data.draw(st.binary(min_size=32, max_size=32)),
         root=data.draw(st.binary(min_size=32, max_size=32)),
         signature=data.draw(st.binary(min_size=64, max_size=64)),
-        challenger_id=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        acked_count=len(seqs),
         bitmap_bits=bits,
         bitmap=wire.bitmap_from_sequences(seqs, bits),
-        leaf_index=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
         siblings=tuple(
             data.draw(st.binary(min_size=32, max_size=32))
             for _ in range(data.draw(st.integers(min_value=0, max_value=6)))
@@ -348,7 +315,6 @@ def test_verification_round_trip_property(data):
 def test_report_round_trip_property(data):
     rep = wire.ChallengerReport(
         challenger_id=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        prover_id=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
         merkle_root_seen=data.draw(st.binary(min_size=32, max_size=32)),
         rtt_ns=data.draw(st.integers(min_value=1, max_value=2**64 - 1)),
         packets_acknowledged=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
@@ -372,7 +338,6 @@ def test_dispute_round_trip_property(data):
             data.draw(st.binary(min_size=32, max_size=32))
             for _ in range(data.draw(st.integers(min_value=0, max_value=5)))
         ),
-        leaf_index=data.draw(st.integers(min_value=0, max_value=2**32 - 1)),
         siblings=tuple(
             data.draw(st.binary(min_size=32, max_size=32))
             for _ in range(data.draw(st.integers(min_value=0, max_value=5)))
@@ -392,8 +357,7 @@ def test_response_layout_hand_built():
     pkt = wire.ResponsePacket(receipt=b"\x01" * 32, root=b"\x02" * 32, signature=b"\x03" * 64)
     expected = (
         b"\x02"
-        + struct.pack(">III", 0, 0, 0)  # challenger_id, acked_count, bitmap_bits; no bitmap bytes
-        + struct.pack(">I", 0)  # leaf_index
+        + struct.pack(">I", 0)  # bitmap_bits; no bitmap bytes
         + struct.pack(">H", 0)  # no siblings
         + b"\x01" * 32
         + b"\x02" * 32
@@ -406,11 +370,8 @@ def test_verification_layout_hand_built():
     msg = make_verification(acked=(1, 3, 10), bits=12)
     expected = (
         b"\x02"
-        + struct.pack(">I", 4)  # challenger_id
-        + struct.pack(">I", 3)  # acked_count
         + struct.pack(">I", 12)  # bitmap_bits
         + bytes([0b10100000, 0b01000000])  # sequences 1, 3, 10; tail zero
-        + struct.pack(">I", 3)  # leaf_index
         + struct.pack(">H", 2)  # sibling count
         + b"\x05" * 32
         + b"\x06" * 32
@@ -423,15 +384,13 @@ def test_verification_layout_hand_built():
 
 def test_report_layout_hand_built():
     rep = wire.ChallengerReport(
-        challenger_id=2,
-        prover_id=0x01020304,
+        challenger_id=0x01020304,
         merkle_root_seen=b"\x09" * 32,
         rtt_ns=99_802_880,
         packets_acknowledged=206,
     )
     expected = (
         b"\x04"
-        + bytes([0, 0, 0, 2])
         + bytes([1, 2, 3, 4])
         + b"\x09" * 32
         + (99_802_880).to_bytes(8, "big")
@@ -446,7 +405,6 @@ def test_dispute_layout_hand_built():
         packets=((1, b"\x01" * 32), (300, b"\x02" * 32)),
         commitment=SignedRoot(b"\x0d" * 32, b"\x0e" * 64),
         proof=(b"\x0f" * 32, b"\x10" * 32),
-        leaf_index=4,
         siblings=(b"\x0a" * 32,),
     )
     expected = (
@@ -462,13 +420,12 @@ def test_dispute_layout_hand_built():
         + struct.pack(">H", 2)  # multiproof node count
         + b"\x0f" * 32
         + b"\x10" * 32
-        + struct.pack(">I", 4)  # leaf_index
         + struct.pack(">H", 1)  # sibling count
         + b"\x0a" * 32
     )
     assert wire.encode(sub) == expected
-    empty = wire.DisputeSubmission(9, (), SignedRoot(bytes(32), bytes(64)), (), 8, ())
-    assert wire.encode(empty) == b"\x05" + bytes([0, 0, 0, 9]) + bytes(4 + 96 + 2) + bytes([0, 0, 0, 8]) + bytes(2)
+    empty = wire.DisputeSubmission(9, (), SignedRoot(bytes(32), bytes(64)), (), ())
+    assert wire.encode(empty) == b"\x05" + bytes([0, 0, 0, 9]) + bytes(4 + 96 + 2) + bytes(2)
 
 
 def test_a_dispute_encodes_a_lazy_commitment_as_its_signed_root():
@@ -478,7 +435,7 @@ def test_a_dispute_encodes_a_lazy_commitment_as_its_signed_root():
         builds.append(1)
         return [b"\x0c" * 64, b"\x0d" * 32], b"\x0e" * 64
 
-    lazy = wire.DisputeSubmission(5, ((1, b"\x01" * 32),), Commitment(build), (), 4, ())
+    lazy = wire.DisputeSubmission(5, ((1, b"\x01" * 32),), Commitment(build), (), ())
     eager = dataclasses.replace(lazy, commitment=SignedRoot(b"\x0d" * 32, b"\x0e" * 64))
     assert not builds
     assert wire.encode(lazy) == wire.encode(eager)
@@ -511,12 +468,12 @@ MUTATION_SEEDS = (
     make_verification(acked=(1, 3, 10), bits=12),
     make_verification(acked=(), bits=0),
     wire.ChallengerReport(
-        challenger_id=2, prover_id=0, merkle_root_seen=b"\x09" * 32, rtt_ns=1, packets_acknowledged=206
+        challenger_id=2, merkle_root_seen=b"\x09" * 32, rtt_ns=1, packets_acknowledged=206
     ),
     wire.DisputeSubmission(
-        5, ((1, b"\x01" * 32), (2, b"\x02" * 32)), SignedRoot(b"\x0d" * 32, b"\x0e" * 64), (b"\x0f" * 32,), 4, (b"\x0a" * 32,)
+        5, ((1, b"\x01" * 32), (2, b"\x02" * 32)), SignedRoot(b"\x0d" * 32, b"\x0e" * 64), (b"\x0f" * 32,), (b"\x0a" * 32,)
     ),
-    wire.DisputeSubmission(9, (), SignedRoot(bytes(32), bytes(64)), (), 8, ()),
+    wire.DisputeSubmission(9, (), SignedRoot(bytes(32), bytes(64)), (), ()),
     wire.PingRequest(challenger_id=3, nonce=0),
     wire.PingReply(challenger_id=3, nonce=2**64 - 1),
     wire.DisputeRequest(challenger_id=7),
